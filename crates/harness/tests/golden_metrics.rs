@@ -14,9 +14,16 @@
 //! ```
 //!
 //! and commit the updated files with a justification in the PR description.
+//!
+//! Beyond the 16-cell paper grid, a few extra cells cover the NoC paths the
+//! grid does not reach: the 8x8 mesh (long XY routes, many routers idle at
+//! once) and a 4x4 run under link-stall and message-jitter faults. Their
+//! snapshots hold the simulated fields only (the `host` block is dropped),
+//! so a change to the host-side counters never forces a re-bless.
 
-use puno_harness::run::run_workload;
-use puno_harness::Mechanism;
+use puno_harness::run::{run_with_config, run_workload, run_workload_with_faults};
+use puno_harness::{Mechanism, RunMetrics, SystemConfig};
+use puno_sim::{FaultEvent, FaultKind, FaultPlan, NodeId};
 use puno_workloads::WorkloadId;
 use std::path::PathBuf;
 
@@ -24,9 +31,94 @@ const GOLDEN_SEED: u64 = 42;
 const GOLDEN_SCALE: f64 = 0.05;
 
 fn golden_path(workload: WorkloadId, mechanism: Mechanism) -> PathBuf {
+    golden_file(&format!("{}_{}", workload.name(), mechanism.name()))
+}
+
+fn golden_file(stem: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{}_{}.json", workload.name(), mechanism.name()))
+        .join(format!("{stem}.json"))
+}
+
+/// The deterministic view serialized without its `host` block.
+fn simulated_json(metrics: &RunMetrics) -> String {
+    let serde_json::Value::Object(fields) =
+        serde_json::to_value(&metrics.deterministic()).expect("RunMetrics must serialize")
+    else {
+        panic!("RunMetrics must serialize to an object");
+    };
+    let fields = fields.into_iter().filter(|(k, _)| k != "host").collect();
+    serde_json::to_string(&serde_json::Value::Object(fields)).expect("value must serialize")
+}
+
+/// Link stalls (rate-drawn and scheduled mid-run) plus message jitter, with
+/// no spurious NACKs or forced aborts: every fault here acts on the NoC.
+fn noc_fault_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 7,
+        delay_jitter_rate: 0.02,
+        link_stall_rate: 0.01,
+        events: (0..8)
+            .map(|i| FaultEvent {
+                at: 300 + i * 700,
+                kind: FaultKind::LinkStall,
+                node: NodeId((i * 5 % 16) as u16),
+                magnitude: 24,
+            })
+            .collect(),
+        ..FaultPlan::none()
+    }
+}
+
+#[test]
+fn extended_cells_match_golden_snapshots() {
+    let bless = std::env::var("PUNO_BLESS_GOLDEN").is_ok();
+    let mesh8 = |workload: WorkloadId, mechanism: Mechanism| {
+        let params = workload.params().scaled(GOLDEN_SCALE);
+        run_with_config(SystemConfig::mesh8(mechanism), &params, GOLDEN_SEED)
+    };
+    let faulted = || {
+        let params = WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE);
+        run_workload_with_faults(Mechanism::Puno, &params, GOLDEN_SEED, noc_fault_plan())
+            .expect("faulted golden cell completes")
+    };
+    let cells: [(&str, &dyn Fn() -> RunMetrics); 3] = [
+        ("mesh8_ssca2_baseline", &|| {
+            mesh8(WorkloadId::Ssca2, Mechanism::Baseline)
+        }),
+        ("mesh8_genome_puno", &|| {
+            mesh8(WorkloadId::Genome, Mechanism::Puno)
+        }),
+        ("faults_ssca2_puno", &faulted),
+    ];
+    let mut mismatches = Vec::new();
+    for (stem, run) in cells {
+        let metrics = run();
+        if stem.starts_with("faults") {
+            assert!(
+                metrics.faults.link_stalls.get() > 0 && metrics.faults.delay_jitters.get() > 0,
+                "{stem}: the fault plan must fire both link stalls and jitter"
+            );
+        }
+        let got = simulated_json(&metrics);
+        let path = golden_file(stem);
+        if bless {
+            std::fs::write(&path, format!("{got}\n")).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden snapshot {path:?} ({e}); regenerate with PUNO_BLESS_GOLDEN=1")
+        });
+        if want.trim_end() != got {
+            mismatches.push(format!("{stem}: metrics diverged from {path:?}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "bit-identity broken for {} extended cell(s):\n  {}",
+        mismatches.len(),
+        mismatches.join("\n  ")
+    );
 }
 
 #[test]
