@@ -115,21 +115,32 @@ impl CacheRecord {
         }
     }
 
-    fn checksum_valid(&self) -> bool {
-        let metrics_json = match serde_json::to_string(&self.metrics) {
-            Ok(s) => s,
-            Err(_) => return false,
+    /// Whether the stored checksum covers this record, parsed from `line`.
+    /// Checked against the metrics as this build re-serializes them, then,
+    /// failing that, against the metrics exactly as written: a record whose
+    /// host block carries a counter this build no longer has (the unknown
+    /// field is ignored on load) still verifies.
+    fn checksum_valid(&self, line: &str) -> bool {
+        let covers = |metrics_json: &str| {
+            self.checksum
+                == record_checksum(
+                    self.digest,
+                    self.prefix_digest,
+                    self.engine_version,
+                    &self.workload,
+                    &self.mechanism,
+                    self.seed,
+                    metrics_json,
+                )
         };
-        self.checksum
-            == record_checksum(
-                self.digest,
-                self.prefix_digest,
-                self.engine_version,
-                &self.workload,
-                &self.mechanism,
-                self.seed,
-                &metrics_json,
-            )
+        let reserialized =
+            serde_json::to_string(&self.metrics).expect("cache record metrics must serialize");
+        covers(&reserialized)
+            || serde_json::from_str::<serde_json::Value>(line).is_ok_and(|value| {
+                value
+                    .get("metrics")
+                    .is_some_and(|m| covers(&serde::to_json_string(m, false)))
+            })
     }
 }
 
@@ -164,7 +175,7 @@ enum LineClass {
 
 fn classify_line(line: &str) -> LineClass {
     match serde_json::from_str::<CacheRecord>(line) {
-        Ok(rec) if !rec.checksum_valid() => LineClass::Corrupt,
+        Ok(rec) if !rec.checksum_valid(line) => LineClass::Corrupt,
         Ok(rec) if rec.engine_version != ENGINE_VERSION => LineClass::Stale,
         Ok(rec) => LineClass::Valid(rec),
         Err(_) => LineClass::Corrupt,
@@ -372,7 +383,10 @@ impl ResultCache {
         {
             let mut out = std::fs::File::create(&tmp)?;
             for rec in &kept {
-                let line = serde_json::to_string(rec).expect("cache record must serialize");
+                // Rebuilt rather than re-serialized: the checksum must cover
+                // the metrics in this build's shape.
+                let rec = CacheRecord::build(rec.digest, rec.prefix_digest, rec.seed, &rec.metrics);
+                let line = serde_json::to_string(&rec).expect("cache record must serialize");
                 writeln!(out, "{line}")?;
             }
             out.flush()?;

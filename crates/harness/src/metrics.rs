@@ -27,20 +27,15 @@ pub struct HostPerf {
     pub events_per_sec: f64,
     /// Maximum event-queue depth observed before any pop.
     pub peak_queue_depth: u64,
-    /// Fraction of (router x step) slots the NoC actually visited: 1.0 means
-    /// every router was scanned every network cycle (the old full-scan
-    /// behaviour); low values mean the occupancy structure is skipping idle
-    /// routers.
+    /// Fraction of (router x step) slots the NoC actually visited for switch
+    /// allocation: 1.0 means every router was scanned every network cycle
+    /// (the old full-scan behaviour); low values mean idle routers and
+    /// routers whose heads are still in the pipeline or behind a busy link
+    /// are being skipped.
     pub noc_active_scan_ratio: f64,
-    /// Packets delivered over the NoC express path — admitted with a
-    /// provably contention-free analytic schedule and never cycle-stepped
-    /// (`PUNO_NOC_EXPRESS`; bit-identical to stepping, so this is purely a
-    /// host-throughput measure).
-    pub express_packets: u64,
-    /// Mesh hops those express packets covered without router stepping.
-    pub express_hops: u64,
-    /// Simulated cycles the run loop's step token skipped while every
-    /// in-network packet was an express flight (event-driven quiescence).
+    /// Simulated cycles the run loop's NoC step token skipped because the
+    /// network had nothing to do before its next activity (event-driven
+    /// stepping).
     pub quiesced_cycles: u64,
     /// Effective worker-thread count of the sweep that produced this run
     /// (see `sweep::effective_workers`); 0 for standalone runs outside a

@@ -301,17 +301,6 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
              ~{saved:.3}s prefix re-simulation avoided\n"
         ));
     }
-    // Express-path accounting, printed only when some packet actually took
-    // it (express-off sweeps keep today's byte-identical output).
-    let express: u64 = results.iter().map(|r| r.metrics.host.express_packets).sum();
-    if express > 0 {
-        let hops: u64 = results.iter().map(|r| r.metrics.host.express_hops).sum();
-        let quiesced: u64 = results.iter().map(|r| r.metrics.host.quiesced_cycles).sum();
-        out.push_str(&format!(
-            "express: {express} packets fast-forwarded ({hops} router hops \
-             unstepped), {quiesced} quiesced cycles skipped\n"
-        ));
-    }
     out
 }
 

@@ -48,7 +48,6 @@ fn install_env_tracer(sys: &mut System, params: &WorkloadParams, seed: u64) {
     }
     arm_env_snapshots(sys);
     sys.set_run_threads(env_run_threads());
-    sys.set_noc_express(env_noc_express());
 }
 
 /// Parse a `PUNO_RUN_THREADS` value: the intra-run worker count (see
@@ -90,29 +89,6 @@ pub fn parse_prefix_fork(value: Option<&str>) -> bool {
 /// Whether `PUNO_PREFIX_FORK` enables prefix-fork execution (default on).
 pub fn env_prefix_fork() -> bool {
     parse_prefix_fork(std::env::var("PUNO_PREFIX_FORK").ok().as_deref())
-}
-
-/// Parse a `PUNO_NOC_EXPRESS` value: whether contention-free packets may
-/// take the NoC express path (see [`System::set_noc_express`]; bit-identical
-/// either way — the knob exists for A/B throughput measurement). On by
-/// default; `0`, `off`, `false`, `no`, or an empty value disable it.
-pub fn parse_noc_express(value: Option<&str>) -> bool {
-    match value {
-        None => true,
-        Some(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v.eq_ignore_ascii_case("0")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("no"))
-        }
-    }
-}
-
-/// Whether `PUNO_NOC_EXPRESS` enables express-path admission (default on).
-pub fn env_noc_express() -> bool {
-    parse_noc_express(std::env::var("PUNO_NOC_EXPRESS").ok().as_deref())
 }
 
 /// Parse `PUNO_PREFIX_CYCLES`: an optional cap on the prefix-fork point.

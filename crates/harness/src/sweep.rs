@@ -374,11 +374,6 @@ pub fn try_sweep_rows(
                     ran_prefix_here = true;
                     reset_now(&mut sys);
                     let sys = sys.as_mut().expect("worker System just installed");
-                    // The shared prefix honors the same express setting as
-                    // the cells that fork from it, so an express-off sweep
-                    // is express-off end to end (admission is transparent
-                    // either way; this keeps the counters honest).
-                    sys.set_noc_express(crate::run::env_noc_express());
                     // The plan must be armed before the prefix: fault RNG
                     // draws during the prefix are part of the shared state
                     // (and of any straight-line run's history).
@@ -444,7 +439,6 @@ pub fn try_sweep_rows(
                 sys.set_fault_plan(opts.fault_plan.clone());
             }
             sys.set_run_threads(crate::run::env_run_threads());
-            sys.set_noc_express(crate::run::env_noc_express());
             let result = sys.try_run_recycled();
             WORKER_SYSTEM.with(|slot| *slot.borrow_mut() = Some(sys));
             let mut metrics = result?;
@@ -759,7 +753,6 @@ struct SweepObs {
     retries: obs::Counter,
     warehouse_rows: obs::Counter,
     prefix_forks: obs::Counter,
-    express_packets: obs::Counter,
     quiesced_cycles: obs::Counter,
     cells_total: obs::Gauge,
     cells_done: obs::Gauge,
@@ -805,14 +798,9 @@ impl SweepObs {
                 "Cells materialized by forking a shared mechanism-neutral prefix.",
                 &[],
             ),
-            express_packets: registry.counter(
-                "puno_express_packets_total",
-                "NoC packets delivered over the contention-free express path.",
-                &[],
-            ),
             quiesced_cycles: registry.counter(
-                "puno_express_quiesced_cycles_total",
-                "Simulated cycles skipped by express-flight quiescence.",
+                "puno_net_quiesced_cycles_total",
+                "Simulated cycles the NoC step token skipped with nothing to do.",
                 &[],
             ),
             cells_total: registry.gauge(
@@ -851,7 +839,6 @@ impl SweepObs {
             CellOutcome::Ok { metrics, .. } => {
                 self.done_ok.inc();
                 self.prefix_forks.add(metrics.host.prefix_forks);
-                self.express_packets.add(metrics.host.express_packets);
                 self.quiesced_cycles.add(metrics.host.quiesced_cycles);
             }
             CellOutcome::Err { .. } => self.done_err.inc(),

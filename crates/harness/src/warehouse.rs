@@ -67,7 +67,6 @@ pub struct WarehouseRow {
     pub sim_cycles_per_sec: f64,
     pub events_per_sec: f64,
     pub prefix_forks: u64,
-    pub express_packets: u64,
     /// Aborts by cause (zero-count causes omitted), the blame summary the
     /// paper's false-abort analysis compares on.
     pub abort_blame: Vec<BlameCauseEntry>,
@@ -82,7 +81,10 @@ pub struct WarehouseRow {
 fn row_checksum(row: &WarehouseRow) -> u64 {
     let mut zeroed = row.clone();
     zeroed.checksum = 0;
-    let json = serde_json::to_string(&zeroed).expect("warehouse row must serialize");
+    zeroed_json_checksum(&serde_json::to_string(&zeroed).expect("warehouse row must serialize"))
+}
+
+fn zeroed_json_checksum(json: &str) -> u64 {
     fnv1a_64(format!("warehouse|{json}").as_bytes())
 }
 
@@ -126,7 +128,6 @@ impl WarehouseRow {
             sim_cycles_per_sec: metrics.host.sim_cycles_per_sec,
             events_per_sec: metrics.host.events_per_sec,
             prefix_forks: metrics.host.prefix_forks,
-            express_packets: metrics.host.express_packets,
             abort_blame,
             checksum: 0,
         };
@@ -166,16 +167,11 @@ impl WarehouseRow {
             sim_cycles_per_sec: 0.0,
             events_per_sec: 0.0,
             prefix_forks: 0,
-            express_packets: 0,
             abort_blame: Vec::new(),
             checksum: 0,
         };
         row.checksum = row_checksum(&row);
         row
-    }
-
-    fn checksum_valid(&self) -> bool {
-        self.checksum == row_checksum(self)
     }
 }
 
@@ -198,9 +194,29 @@ enum RowClass {
     Corrupt,
 }
 
+/// Whether `row`'s stored checksum covers it, parsed from `line`. Checked
+/// against the row as this build re-serializes it, then, failing that,
+/// against the row exactly as written: a row carrying a column this build
+/// dropped (the unknown field is ignored on load) still verifies.
+fn row_checksum_valid(row: &WarehouseRow, line: &str) -> bool {
+    if row.checksum == row_checksum(row) {
+        return true;
+    }
+    let Ok(serde_json::Value::Object(mut fields)) = serde_json::from_str(line) else {
+        return false;
+    };
+    for (key, value) in &mut fields {
+        if key == "checksum" {
+            *value = serde_json::Value::U64(0);
+        }
+    }
+    let zeroed = serde::to_json_string(&serde_json::Value::Object(fields), false);
+    row.checksum == zeroed_json_checksum(&zeroed)
+}
+
 fn classify_row_line(line: &str) -> RowClass {
     match serde_json::from_str::<WarehouseRow>(line) {
-        Ok(row) if !row.checksum_valid() => RowClass::Corrupt,
+        Ok(row) if !row_checksum_valid(&row, line) => RowClass::Corrupt,
         Ok(row)
             if row.engine_version != ENGINE_VERSION
                 || row.schema_version != WAREHOUSE_SCHEMA_VERSION =>
@@ -537,7 +553,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let wh = Warehouse::open(&dir).unwrap();
         let row = sample_row("r1", 100, 1, Mechanism::Baseline, 9);
-        assert!(row.checksum_valid());
+        assert_eq!(row.checksum, row_checksum(&row));
         assert!(
             !row.abort_blame.is_empty(),
             "intruder must record some aborts"
@@ -605,7 +621,6 @@ mod tests {
                 sim_cycles_per_sec: cps,
                 events_per_sec: 0.0,
                 prefix_forks: 0,
-                express_packets: 0,
                 abort_blame: Vec::new(),
                 checksum: 0,
             };

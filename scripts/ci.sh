@@ -14,6 +14,24 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
+echo "== benchmark-of-record tests (incl. BENCHMARK.json drift) =="
+# The benchmark is a package of its own, outside the workspace, so the
+# workspace test run above does not reach its unit tests.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark smoke (every workload at 1/20 scale, every check) =="
+# Each workload's digests must agree across warm-up, reps, the traced pass
+# and the cache fill, and the traced pass replays every NoC injection
+# through a bare network stepped every cycle, which must reproduce the
+# run's flits and router traversals. Together they cross-check the run
+# loop's parked step token against plain every-cycle stepping, on the 4x4
+# and the 16x16 mesh. Exit code 1 means some cell failed a check. The
+# benchmark refuses to start with any PUNO_* variable set.
+(
+    unset $(compgen -e | grep '^PUNO_' || true)
+    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+)
+
 echo "== fault smoke (0.05 scale, intensity 1.0) =="
 # PUNO_SWEEP_THREADS pins the sweep's worker count so CI machine load is
 # reproducible (per-cell results are deterministic at any thread count).
@@ -151,33 +169,6 @@ grep -q "prefix-fork: 24 forked cell(s)" "$RES_DIR/fork1.txt" \
     || { echo "fork-off sweep unexpectedly reported prefix sharing"; exit 1; }
 echo "prefix-fork smoke OK (fork-on and fork-off sweeps byte-identical, 24 cells forked)"
 
-echo "== NoC express smoke (golden sweep, express-on vs express-off) =="
-# The analytic express path fast-forwards contention-free packets past the
-# cycle-stepped routers and quiesces the run loop while only express
-# flights are in the air. It must be invisible in everything deterministic:
-# the full golden-scale sweep runs once with express on (the default) and
-# once with it off, and all rows above the host-perf section must match
-# byte for byte. The on-sweep must honestly report its express activity
-# (and a filtered ssca2 sweep proves the hit rate is nonzero on the
-# workload the throughput claim is made on); the off-sweep must not.
-PUNO_NOC_EXPRESS=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/express1.txt" 2> /dev/null
-PUNO_NOC_EXPRESS=0 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/express0.txt" 2> /dev/null
-sed '/^simulator throughput/,$d' "$RES_DIR/express1.txt" > "$RES_DIR/express1.det.txt"
-sed '/^simulator throughput/,$d' "$RES_DIR/express0.txt" > "$RES_DIR/express0.det.txt"
-diff "$RES_DIR/express1.det.txt" "$RES_DIR/express0.det.txt" \
-    || { echo "express sweep diverged from the cycle-stepped run"; exit 1; }
-grep -q "express: " "$RES_DIR/express1.txt" \
-    || { echo "express-on sweep reported no express activity"; exit 1; }
-! grep -q "express: " "$RES_DIR/express0.txt" \
-    || { echo "express-off sweep unexpectedly reported express activity"; exit 1; }
-PUNO_NOC_EXPRESS=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 --filter ssca2 \
-    > "$RES_DIR/express_ssca2.txt" 2> /dev/null
-grep -q "express: " "$RES_DIR/express_ssca2.txt" \
-    || { echo "ssca2 cells never took the express path"; exit 1; }
-echo "express smoke OK (express-on and express-off sweeps byte-identical, ssca2 hit rate nonzero)"
-
 echo "== traced smoke (one cell, JSONL schema + Chrome export) =="
 # Re-run one sweep cell fully traced: every JSONL line must parse as a
 # trace record within the requested channel filter, and the Chrome-trace
@@ -250,6 +241,13 @@ grep -q "ci-a" "$OBS_DIR/wh_trend.txt" && grep -q "ci-b" "$OBS_DIR/wh_trend.txt"
 grep -q "ci-b.*ssca2" "$OBS_DIR/wh_delta.txt" \
     || { echo "abort-rate delta missing for the second run:"; cat "$OBS_DIR/wh_delta.txt"; exit 1; }
 echo "observability smoke OK (live scrape valid, heartbeat streamed, 2-run warehouse aggregates, stdout byte-identical)"
+
+echo "== substrate bench key set (root BENCH_substrate.json vs baseline) =="
+# The root file is the published trajectory point; it must cover exactly
+# the baseline's benchmarks. Regenerate it with scripts/bench.sh.
+bench_keys() { grep -o '^  "[^"]*"' "$1" | sort; }
+diff <(bench_keys BENCH_substrate.json) <(bench_keys results/BENCH_substrate_baseline.json) \
+    || { echo "BENCH_substrate.json key set drifted from the baseline"; exit 1; }
 
 echo "== substrate bench smoke (vs checked-in baseline) =="
 # Fails if any benchmark runs >25% slower than results/BENCH_substrate_baseline.json,
