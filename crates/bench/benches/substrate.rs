@@ -407,33 +407,19 @@ fn bench_system_throughput(h: &mut Harness) {
     }
 }
 
-/// Intra-run parallel executor scaling on the 8x8 mesh: the same 64-node
-/// cell run serially and with 4 pool workers (`System::set_run_threads` —
-/// the benchmark never touches `PUNO_RUN_THREADS`, which would leak into
-/// sibling benchmarks). Both variants produce bit-identical metrics (the
-/// `parallel_exec` test suite is the gate); what is measured here is pure
-/// host wall-clock, so the pair exposes the executor's speedup on
-/// multi-core hosts and its coordination overhead on single-core ones.
-fn bench_mesh8_scaling(h: &mut Harness) {
-    let params = WorkloadId::Ssca2.params().scaled(0.05);
-    for threads in [1usize, 4] {
-        let name = format!("system/mesh8/ssca2/run{threads}");
-        h.bench(&name, 12, || {
-            let config = SystemConfig::mesh8(Mechanism::Baseline);
-            let mut sys = puno_harness::System::new(config, &params, 1);
-            sys.set_run_threads(threads);
-            let m = sys.try_run_recycled().expect("mesh8 cell must complete");
-            black_box(m.cycles ^ m.committed)
-        });
-    }
-}
-
 /// Large meshes running low-contention workloads, where hop counts are
 /// long, packets rarely meet, and most routers sit idle or wait out their
 /// pipelines: the cells where event-driven NoC stepping skips the most
-/// router work. `mesh8/genome` is the 64-node case; `mesh16/ssca2`
-/// stretches the same shape to 256 nodes.
+/// router work. `mesh8/ssca2` and `mesh8/genome` are the 64-node cases;
+/// `mesh16/ssca2` stretches the same shape to 256 nodes.
 fn bench_mesh_sparse(h: &mut Harness) {
+    let ssca2 = WorkloadId::Ssca2.params().scaled(0.05);
+    h.bench("system/mesh8/ssca2/run1", 12, || {
+        let config = SystemConfig::mesh8(Mechanism::Baseline);
+        let mut sys = puno_harness::System::new(config, &ssca2, 1);
+        let m = sys.try_run_recycled().expect("mesh8 cell must complete");
+        black_box(m.cycles ^ m.committed)
+    });
     let genome = WorkloadId::Genome.params().scaled(0.05);
     h.bench("system/mesh8/genome/run1", 12, || {
         let config = SystemConfig::mesh8(Mechanism::Baseline);
@@ -441,7 +427,6 @@ fn bench_mesh_sparse(h: &mut Harness) {
         let m = sys.try_run_recycled().expect("mesh8 cell must complete");
         black_box(m.cycles ^ m.committed)
     });
-    let ssca2 = WorkloadId::Ssca2.params().scaled(0.05);
     h.bench("system/mesh16/ssca2/run1", 6, || {
         let config = SystemConfig::mesh16(Mechanism::Baseline);
         let mut sys = puno_harness::System::new(config, &ssca2, 1);
@@ -465,18 +450,6 @@ fn bench_sweep(h: &mut Harness) {
     h.bench("sweep/8cell_cold_scale0.05", 3, move || {
         let mut opts = SweepOptions::new(1, 0.05);
         opts.result_cache = None;
-        opts.prefix_fork = false;
-        let outcomes = try_sweep(&workloads, &[Mechanism::Baseline, Mechanism::Puno], &opts);
-        black_box(outcomes.iter().filter(|o| o.is_ok()).count() as u64)
-    });
-    // The same grid with prefix-fork execution: each workload's
-    // mechanism-neutral prefix runs once and the sibling cell forks from
-    // the snapshot. The gap against `8cell_cold_scale0.05` is the measured
-    // prefix-sharing win.
-    h.bench("sweep/8cell_cold_fork", 3, move || {
-        let mut opts = SweepOptions::new(1, 0.05);
-        opts.result_cache = None;
-        opts.prefix_fork = true;
         let outcomes = try_sweep(&workloads, &[Mechanism::Baseline, Mechanism::Puno], &opts);
         black_box(outcomes.iter().filter(|o| o.is_ok()).count() as u64)
     });
@@ -557,7 +530,6 @@ fn main() {
     bench_txlb(&mut h);
     bench_hot_state(&mut h);
     bench_system_throughput(&mut h);
-    bench_mesh8_scaling(&mut h);
     bench_mesh_sparse(&mut h);
     bench_sweep(&mut h);
     bench_tracing(&mut h);

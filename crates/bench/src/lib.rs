@@ -7,6 +7,8 @@
 //! and, when `PUNO_JSON_DIR` is set, also saved as JSON for downstream
 //! plotting.
 
+#![forbid(unsafe_code)]
+
 use puno_harness::report::{FigureMetric, NormalizedFigure};
 use puno_harness::sweep::{sweep, sweep_seeds, SweepResult};
 use puno_harness::Mechanism;

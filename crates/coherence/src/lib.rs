@@ -22,6 +22,8 @@
 //! conflict decisions are delegated through small traits so the HTM and PUNO
 //! crates can be developed and tested independently.
 
+#![forbid(unsafe_code)]
+
 pub mod directory;
 pub mod l1;
 pub mod msg;

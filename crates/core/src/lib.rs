@@ -23,6 +23,8 @@
 //!    The requester backs off by that estimate minus twice the average
 //!    cache-to-cache latency, instead of myopically polling every 20 cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod pbuffer;
 pub mod predictor;

@@ -32,13 +32,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// a re-bless, this needs a bump.)
 pub const ENGINE_VERSION: u32 = 4;
 
-/// Version of the prefix-fork rule for grouping-key purposes: bump when the
-/// fork-point rule (`System::run_prefix`) or the mechanism-swap procedure
-/// (`System::fork_from`) changes in a way that moves the fork boundary.
-/// Folded into [`prefix_digest`], so a rule change regroups cells the same
-/// way an engine bump invalidates results.
-pub const PREFIX_FORK_VERSION: u32 = 1;
-
 /// Content digest identifying one simulation cell: the full system
 /// configuration, the workload parameters, the seed, and the engine
 /// version, hashed FNV-1a over their canonical `Debug` representations
@@ -50,32 +43,10 @@ pub fn cell_digest(config: &SystemConfig, params: &WorkloadParams, seed: u64) ->
     fnv1a_64(repr.as_bytes())
 }
 
-/// Mechanism-neutral group key for prefix-fork execution: the cell identity
-/// with the mechanism axis normalized out, so every cell that shares a
-/// `(workload params, seed, geometry)` group — and therefore a run prefix
-/// up to the first TX_BEGIN (see `System::run_prefix`) — hashes to the same
-/// digest. Covers [`ENGINE_VERSION`] and [`PREFIX_FORK_VERSION`], so an
-/// engine or fork-rule change regroups cells instead of silently mixing
-/// incompatible prefixes. Persisted in every [`CacheRecord`], which lets a
-/// warm sweep skip the prefix run for any group whose cells all replay from
-/// the cache.
-pub fn prefix_digest(config: &SystemConfig, params: &WorkloadParams, seed: u64) -> u64 {
-    let mut neutral = *config;
-    neutral.mechanism = crate::mechanism::Mechanism::Baseline;
-    let repr = format!(
-        "prefix-v{PREFIX_FORK_VERSION}|engine-v{ENGINE_VERSION}|{neutral:?}|{params:?}|seed={seed}"
-    );
-    fnv1a_64(repr.as_bytes())
-}
-
 /// One persisted cache entry (one JSONL line).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CacheRecord {
     pub digest: u64,
-    /// Mechanism-neutral prefix-group key (see [`prefix_digest`]): every
-    /// record sharing it belongs to one `(workload params, seed, geometry)`
-    /// group whose cells fork from one run prefix when cold.
-    pub prefix_digest: u64,
     /// Engine version the record was produced under; records from another
     /// version never serve lookups (their digests differ anyway) and are
     /// dropped by [`ResultCache::compact`].
@@ -91,12 +62,12 @@ pub struct CacheRecord {
 }
 
 impl CacheRecord {
-    fn build(digest: u64, prefix_digest: u64, seed: u64, metrics: &RunMetrics) -> Self {
+    fn build(digest: u64, seed: u64, metrics: &RunMetrics) -> Self {
         let metrics_json =
             serde_json::to_string(metrics).expect("cache record metrics must serialize");
         let checksum = record_checksum(
             digest,
-            prefix_digest,
+            None,
             ENGINE_VERSION,
             &metrics.workload,
             &metrics.mechanism,
@@ -105,7 +76,6 @@ impl CacheRecord {
         );
         Self {
             digest,
-            prefix_digest,
             engine_version: ENGINE_VERSION,
             workload: metrics.workload.clone(),
             mechanism: metrics.mechanism.clone(),
@@ -117,15 +87,17 @@ impl CacheRecord {
 
     /// Whether the stored checksum covers this record, parsed from `line`.
     /// Checked against the metrics as this build re-serializes them, then,
-    /// failing that, against the metrics exactly as written: a record whose
+    /// failing that, against the line exactly as written: a record whose
     /// host block carries a counter this build no longer has (the unknown
-    /// field is ignored on load) still verifies.
+    /// field is ignored on load) still verifies, and so does a record from
+    /// before the `prefix_digest` column was retired, whose checksum covers
+    /// that column's value.
     fn checksum_valid(&self, line: &str) -> bool {
-        let covers = |metrics_json: &str| {
+        let covers = |prefix_digest: Option<u64>, metrics_json: &str| {
             self.checksum
                 == record_checksum(
                     self.digest,
-                    self.prefix_digest,
+                    prefix_digest,
                     self.engine_version,
                     &self.workload,
                     &self.mechanism,
@@ -135,29 +107,32 @@ impl CacheRecord {
         };
         let reserialized =
             serde_json::to_string(&self.metrics).expect("cache record metrics must serialize");
-        covers(&reserialized)
+        covers(None, &reserialized)
             || serde_json::from_str::<serde_json::Value>(line).is_ok_and(|value| {
+                let prefix_digest = value.get("prefix_digest").and_then(|p| p.as_u64());
                 value
                     .get("metrics")
-                    .is_some_and(|m| covers(&serde::to_json_string(m, false)))
+                    .is_some_and(|m| covers(prefix_digest, &serde::to_json_string(m, false)))
             })
     }
 }
 
 /// Content checksum of one cache record: FNV-1a over every identity field
-/// plus the canonical JSON of the metrics payload.
+/// plus the canonical JSON of the metrics payload. `prefix_digest` is only
+/// `Some` for records written while the cache still had that column.
 fn record_checksum(
     digest: u64,
-    prefix_digest: u64,
+    prefix_digest: Option<u64>,
     engine_version: u32,
     workload: &str,
     mechanism: &str,
     seed: u64,
     metrics_json: &str,
 ) -> u64 {
+    let prefix = prefix_digest.map(|p| format!("p{p}|")).unwrap_or_default();
     fnv1a_64(
         format!(
-            "cache|{digest}|p{prefix_digest}|v{engine_version}|{workload}|{mechanism}|{seed}|{metrics_json}"
+            "cache|{digest}|{prefix}v{engine_version}|{workload}|{mechanism}|{seed}|{metrics_json}"
         )
         .as_bytes(),
     )
@@ -313,11 +288,14 @@ impl ResultCache {
         found
     }
 
-    /// Persist one finished cell under its cell digest and its
-    /// mechanism-neutral prefix-group key (see [`prefix_digest`]).
-    /// Idempotent per digest: a digest already in memory is not re-appended
-    /// (keeps warm re-runs from growing the file).
-    pub fn store(&self, digest: u64, prefix_digest: u64, seed: u64, metrics: &RunMetrics) {
+    /// Persist one finished cell under its cell digest. Idempotent per
+    /// digest: a digest already in memory is not re-appended (keeps warm
+    /// re-runs from growing the file).
+    ///
+    /// `_group` is ignored. It carried the retired prefix-fork group key and
+    /// stays only so the separately versioned `benchmark/` crate keeps
+    /// building; drop it together with that caller's argument.
+    pub fn store(&self, digest: u64, _group: u64, seed: u64, metrics: &RunMetrics) {
         {
             let mut entries = self.lock_entries();
             if entries.contains_key(&digest) {
@@ -325,7 +303,7 @@ impl ResultCache {
             }
             entries.insert(digest, metrics.clone());
         }
-        let rec = CacheRecord::build(digest, prefix_digest, seed, metrics);
+        let rec = CacheRecord::build(digest, seed, metrics);
         let line = serde_json::to_string(&rec).expect("cache record must serialize");
         let mut f = self.lock_file();
         let _ = writeln!(f, "{line}");
@@ -385,7 +363,7 @@ impl ResultCache {
             for rec in &kept {
                 // Rebuilt rather than re-serialized: the checksum must cover
                 // the metrics in this build's shape.
-                let rec = CacheRecord::build(rec.digest, rec.prefix_digest, rec.seed, &rec.metrics);
+                let rec = CacheRecord::build(rec.digest, rec.seed, &rec.metrics);
                 let line = serde_json::to_string(&rec).expect("cache record must serialize");
                 writeln!(out, "{line}")?;
             }
@@ -747,11 +725,11 @@ mod tests {
         // Craft a record from a future engine version with a checksum that
         // verifies for its own content: it must be skipped as stale, not
         // corrupt (and never served).
-        let mut rec = CacheRecord::build(0xDEAD, 0, 9, &metrics);
+        let mut rec = CacheRecord::build(0xDEAD, 9, &metrics);
         rec.engine_version = ENGINE_VERSION + 1;
         rec.checksum = record_checksum(
             rec.digest,
-            rec.prefix_digest,
+            None,
             rec.engine_version,
             &rec.workload,
             &rec.mechanism,

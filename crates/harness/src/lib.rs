@@ -7,10 +7,11 @@
 //! per (workload, mechanism, seed)), a thread-parallel sweep driver, and the
 //! report formatting that regenerates the paper's tables and figures.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod error;
-pub(crate) mod exec;
 pub mod invariants;
 pub mod mechanism;
 pub mod memory;
@@ -27,10 +28,7 @@ pub mod telemetry;
 pub mod tracefmt;
 pub mod warehouse;
 
-pub use cache::{
-    cell_digest, global_cache, prefix_digest, CostModel, ResultCache, ENGINE_VERSION,
-    PREFIX_FORK_VERSION,
-};
+pub use cache::{cell_digest, global_cache, CostModel, ResultCache, ENGINE_VERSION};
 pub use config::SystemConfig;
 pub use error::RunError;
 pub use mechanism::Mechanism;
@@ -40,6 +38,6 @@ pub use obs::MetricsRegistry;
 pub use oracle::FalseAbortOracle;
 pub use run::{run_workload, run_workload_with_faults, try_run_workload};
 pub use sweep::{sweep, RetryPolicy, SweepResult};
-pub use system::{fork_compatible, PrefixStop, System, SystemSnapshot};
+pub use system::{System, SystemSnapshot};
 pub use telemetry::{TelemetryCollector, TelemetryConfig, TelemetryReport};
 pub use warehouse::{Warehouse, WarehouseRow};

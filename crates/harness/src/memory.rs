@@ -9,27 +9,6 @@
 
 use puno_sim::{LineAddr, LineMap};
 
-/// The memory interface node logic is written against. The serial loop
-/// passes the [`MemoryImage`] itself; the parallel executor passes a
-/// copy-on-write overlay so workers can run node steps concurrently and
-/// publish their line writes at the epoch merge. Both monomorphize —
-/// the single-threaded path compiles down to the direct image calls.
-pub trait MemOps {
-    /// Read a line's current value (zero-initialized).
-    fn read(&self, addr: LineAddr) -> u64;
-    /// Write a line in place (eager versioning).
-    fn write(&mut self, addr: LineAddr, value: u64);
-    /// Apply an undo-log rollback (entries applied in iteration order).
-    fn rollback<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = puno_htm::log::LogEntry>,
-    {
-        for e in entries {
-            self.write(e.addr, e.old_value);
-        }
-    }
-}
-
 #[derive(Clone, Debug, Default)]
 pub struct MemoryImage {
     values: LineMap<LineAddr, u64>,
@@ -67,23 +46,6 @@ impl MemoryImage {
     /// table allocation. Equivalent to a fresh image.
     pub fn clear(&mut self) {
         self.values.clear();
-    }
-}
-
-impl MemOps for MemoryImage {
-    fn read(&self, addr: LineAddr) -> u64 {
-        MemoryImage::read(self, addr)
-    }
-
-    fn write(&mut self, addr: LineAddr, value: u64) {
-        MemoryImage::write(self, addr, value);
-    }
-
-    fn rollback<I>(&mut self, entries: I)
-    where
-        I: IntoIterator<Item = puno_htm::log::LogEntry>,
-    {
-        MemoryImage::rollback(self, entries);
     }
 }
 

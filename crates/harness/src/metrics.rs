@@ -41,30 +41,6 @@ pub struct HostPerf {
     /// (see `sweep::effective_workers`); 0 for standalone runs outside a
     /// sweep.
     pub sweep_workers: u64,
-    /// Intra-run worker-thread count (`PUNO_RUN_THREADS` /
-    /// `System::set_run_threads`); 1 is the serial loop.
-    pub run_workers: u64,
-    /// Waves the parallel executor handed to its worker pool (0 on the
-    /// serial path; sub-threshold waves dispatch serially and don't count).
-    pub par_waves: u64,
-    /// Fraction of pooled worker time spent idle at wave barriers:
-    /// `1 - busy / (workers * span)` summed over all waves. 0 on the
-    /// serial path; rising values flag shard imbalance before wall-clock
-    /// shows it.
-    pub worker_idle_frac: f64,
-    /// 1 when this run was materialized by prefix-fork execution — restored
-    /// from a shared mechanism-neutral prefix snapshot (`System::fork_from`)
-    /// instead of replaying from cycle 0 — and 0 otherwise. Summable across
-    /// a sweep's cells.
-    pub prefix_forks: u64,
-    /// Simulated cycles inherited from the shared prefix snapshot (the fork
-    /// point): the part of this run that was simulated once for the whole
-    /// group rather than per cell.
-    pub prefix_cycles_shared: u64,
-    /// Host seconds of prefix simulation this cell did not repay: the
-    /// wall-clock the group's prefix runner spent up to the fork point,
-    /// which a straight-line run of this cell would have spent again.
-    pub prefix_time_saved: f64,
 }
 
 impl HostPerf {

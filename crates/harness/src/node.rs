@@ -7,7 +7,7 @@
 //! episode to log) that the [`crate::system::System`] applies. That keeps
 //! the protocol logic unit-testable without a network.
 
-use crate::memory::MemOps;
+use crate::memory::MemoryImage;
 use puno_coherence::l1::{Eviction, L1Cache, L1Config, LineState, LookupOutcome};
 use puno_coherence::msg::{CoherenceMsg, TxInfo};
 use puno_coherence::sharers::SharerSet;
@@ -254,11 +254,9 @@ impl NodeState {
 
     /// Whether this node's next live wake would execute TX_BEGIN: the
     /// program counter rests on a transaction item with no transaction in
-    /// flight and no outstanding miss. The prefix-fork boundary stops the
-    /// run when any node satisfies this — everything before the first
-    /// begin is mechanism-neutral (requests carry `tx: None`, so predictors
-    /// and backoff are never consulted), so the state here is safe to
-    /// snapshot and fork under a different mechanism.
+    /// flight and no outstanding miss. `System::run_to_first_begin` stops
+    /// the run when any node satisfies this, so `sweep_all --trace` can
+    /// skip the pre-transaction warm-up with its sinks detached.
     pub fn poised_to_begin(&self) -> bool {
         self.phase == Phase::Ready
             && self.mshr.is_none()
@@ -267,36 +265,6 @@ impl NodeState {
                 self.program.items.get(self.pc),
                 Some(WorkItem::Transaction(_))
             )
-    }
-
-    /// Swap in freshly constructed mechanism-specific state — exactly the
-    /// subset of [`NodeState::reset`] that depends on `config.mechanism` —
-    /// leaving all mechanism-neutral progress (L1 contents, program
-    /// position, writeback/sticky containers) untouched. Only valid before
-    /// the first transaction begins: afterwards the HTM unit, backoff
-    /// engine, and TxLB hold mechanism-dependent history that a swap would
-    /// silently discard. Used by `System::fork_from`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn adopt_mechanism(
-        &mut self,
-        abort_timing: AbortTiming,
-        rmw: Option<RmwPredictor>,
-        txlb: TxLengthBuffer,
-        backoff: BackoffEngine,
-        commit_latency: Cycles,
-        notification_enabled: bool,
-        wakeup_hints: bool,
-    ) {
-        debug_assert!(
-            self.htm.current().is_none() && self.cur_tx.is_none(),
-            "mechanism swap is only valid before the first transaction"
-        );
-        self.htm.reset(abort_timing, rmw);
-        self.txlb = txlb;
-        self.backoff = backoff;
-        self.commit_latency = commit_latency;
-        self.notification_enabled = notification_enabled;
-        self.wakeup_hints = wakeup_hints;
     }
 
     /// Set the effective trace mask (the node emits `Htm`-channel events).
@@ -348,7 +316,7 @@ impl NodeState {
     /// Fault injection: abort the running transaction as if a conflict had
     /// been detected. Returns whether a transaction was actually aborted
     /// (idle nodes and committed transactions absorb the fault).
-    pub fn force_abort<M: MemOps>(&mut self, now: Cycle, memory: &mut M) -> (bool, Effects) {
+    pub fn force_abort(&mut self, now: Cycle, memory: &mut MemoryImage) -> (bool, Effects) {
         let mut eff = Effects::default();
         if self.htm.current().is_none() {
             return (false, eff);
@@ -380,7 +348,7 @@ impl NodeState {
     /// Core step: advance the program. Called by the system on a matching
     /// wake event while `phase == Ready`.
     /// ------------------------------------------------------------------
-    pub fn step<M: MemOps>(&mut self, now: Cycle, memory: &mut M) -> Effects {
+    pub fn step(&mut self, now: Cycle, memory: &mut MemoryImage) -> Effects {
         debug_assert_eq!(self.phase, Phase::Ready);
         debug_assert!(self.mshr.is_none());
         self.waiting_retry = None;
@@ -416,11 +384,11 @@ impl NodeState {
         }
     }
 
-    fn step_transaction<M: MemOps>(
+    fn step_transaction(
         &mut self,
         now: Cycle,
         spec: &DynTxSpec,
-        memory: &mut M,
+        memory: &mut MemoryImage,
     ) -> Effects {
         if self.htm.current().is_none() {
             // TX_BEGIN (first attempt or retry).
@@ -502,14 +470,14 @@ impl NodeState {
 
     /// Perform (or start) a memory access.
     #[allow(clippy::too_many_arguments)]
-    fn access<M: MemOps>(
+    fn access(
         &mut self,
         now: Cycle,
         addr: LineAddr,
         sem_write: bool,
         is_tx: bool,
         site: OpSite,
-        memory: &mut M,
+        memory: &mut MemoryImage,
     ) -> Effects {
         match self.l1.access(addr, sem_write) {
             LookupOutcome::Hit(state) => {
@@ -538,7 +506,7 @@ impl NodeState {
     /// The access hit (or the miss completed): record footprint, apply the
     /// store to memory, pin, and advance.
     #[allow(clippy::too_many_arguments)]
-    fn complete_access_locally<M: MemOps>(
+    fn complete_access_locally(
         &mut self,
         now: Cycle,
         addr: LineAddr,
@@ -546,7 +514,7 @@ impl NodeState {
         is_tx: bool,
         site: OpSite,
         state: LineState,
-        memory: &mut M,
+        memory: &mut MemoryImage,
     ) -> Effects {
         if is_tx {
             if sem_write {
@@ -638,11 +606,11 @@ impl NodeState {
     /// ------------------------------------------------------------------
     /// Forwarded requests from the directory (Inv / FwdGets / FwdGetx).
     /// ------------------------------------------------------------------
-    pub fn on_forward<M: MemOps>(
+    pub fn on_forward(
         &mut self,
         now: Cycle,
         msg: &CoherenceMsg,
-        memory: &mut M,
+        memory: &mut MemoryImage,
     ) -> Effects {
         let (addr, requester, tx, kind, unicast) = match msg {
             CoherenceMsg::Inv {
@@ -837,12 +805,12 @@ impl NodeState {
     /// back memory, unpin, and schedule the re-execution. `by` names the
     /// aborter node and conflicting line for conflict aborts (`None` for
     /// injected faults) — the attribution the blame matrix is built from.
-    fn abort_current_tx<M: MemOps>(
+    fn abort_current_tx(
         &mut self,
         now: Cycle,
         cause: AbortCause,
         by: Option<(NodeId, LineAddr)>,
-        memory: &mut M,
+        memory: &mut MemoryImage,
         eff: &mut Effects,
     ) {
         let discarded = self.htm.current().map_or(0, |ctx| ctx.effort(now));
@@ -888,11 +856,11 @@ impl NodeState {
     /// ------------------------------------------------------------------
     /// Responses to our outstanding request.
     /// ------------------------------------------------------------------
-    pub fn on_response<M: MemOps>(
+    pub fn on_response(
         &mut self,
         now: Cycle,
         msg: &CoherenceMsg,
-        memory: &mut M,
+        memory: &mut MemoryImage,
     ) -> Effects {
         if let CoherenceMsg::WbAck { addr } = msg {
             match self.wb_buffer.get_mut(*addr) {
@@ -973,11 +941,11 @@ impl NodeState {
         eff
     }
 
-    fn conclude_episode<M: MemOps>(
+    fn conclude_episode(
         &mut self,
         now: Cycle,
         mshr: Mshr,
-        memory: &mut M,
+        memory: &mut MemoryImage,
         eff: &mut Effects,
     ) {
         let success = mshr.nackers.is_empty();
@@ -1085,11 +1053,11 @@ impl NodeState {
         eff.wake_at = Some(now + delay);
     }
 
-    fn finish_completed_access<M: MemOps>(
+    fn finish_completed_access(
         &mut self,
         now: Cycle,
         mshr: &Mshr,
-        memory: &mut M,
+        memory: &mut MemoryImage,
         eff: &mut Effects,
     ) {
         if mshr.is_tx {
@@ -1194,7 +1162,6 @@ pub const NON_TX_SITE: u32 = u32::MAX;
 mod tests {
     use super::*;
     use crate::mechanism::Mechanism;
-    use crate::memory::MemoryImage;
     use puno_coherence::l1::L1Config;
     use puno_htm::backoff::{BackoffConfig, BackoffKind};
     use puno_htm::unit::AbortTiming;

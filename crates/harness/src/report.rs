@@ -253,54 +253,6 @@ pub fn render_host_perf(results: &[SweepResult]) -> String {
         "total: {wall:.3}s host wall-clock, {events} events dispatched, \
          {workers} sweep worker(s)\n"
     ));
-    // The intra-run executor's scaling-efficiency line, printed only when
-    // it actually engaged (run_workers > 1) so serial sweeps keep today's
-    // byte-identical output.
-    let run_workers = results
-        .iter()
-        .map(|r| r.metrics.host.run_workers)
-        .max()
-        .unwrap_or(0);
-    if run_workers > 1 {
-        let waves: u64 = results.iter().map(|r| r.metrics.host.par_waves).sum();
-        let parallel_cells: Vec<&SweepResult> = results
-            .iter()
-            .filter(|r| r.metrics.host.par_waves > 0)
-            .collect();
-        let idle = if parallel_cells.is_empty() {
-            0.0
-        } else {
-            parallel_cells
-                .iter()
-                .map(|r| r.metrics.host.worker_idle_frac)
-                .sum::<f64>()
-                / parallel_cells.len() as f64
-        };
-        out.push_str(&format!(
-            "parallel: {run_workers} run thread(s), {waves} pool waves, \
-             {:.1}% worker idle\n",
-            idle * 100.0
-        ));
-    }
-    // Prefix-fork accounting, printed only when some cell actually forked
-    // (fork-off sweeps keep today's byte-identical output). `time_saved`
-    // is the prefix wall-clock the forked cells inherited instead of
-    // re-simulating — the sweep's amortization win.
-    let forks: u64 = results.iter().map(|r| r.metrics.host.prefix_forks).sum();
-    if forks > 0 {
-        let shared: u64 = results
-            .iter()
-            .map(|r| r.metrics.host.prefix_cycles_shared)
-            .sum();
-        let saved: f64 = results
-            .iter()
-            .map(|r| r.metrics.host.prefix_time_saved)
-            .sum();
-        out.push_str(&format!(
-            "prefix-fork: {forks} forked cell(s), {shared} prefix cycles shared, \
-             ~{saved:.3}s prefix re-simulation avoided\n"
-        ));
-    }
     out
 }
 

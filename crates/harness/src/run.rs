@@ -47,59 +47,6 @@ fn install_env_tracer(sys: &mut System, params: &WorkloadParams, seed: u64) {
         sys.install_tracer(tracer);
     }
     arm_env_snapshots(sys);
-    sys.set_run_threads(env_run_threads());
-}
-
-/// Parse a `PUNO_RUN_THREADS` value: the intra-run worker count (see
-/// [`System::set_run_threads`]). Unset, unparsable, or `0` all mean 1 —
-/// the serial loop.
-pub fn parse_run_threads(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// The intra-run worker count requested by `PUNO_RUN_THREADS` (default 1,
-/// the serial loop). Applied by every run entry point in this module; the
-/// sweep driver additionally folds it into `sweep::effective_workers` so
-/// sweep x run threads never oversubscribe the host.
-pub fn env_run_threads() -> usize {
-    parse_run_threads(std::env::var("PUNO_RUN_THREADS").ok().as_deref())
-}
-
-/// Parse a `PUNO_PREFIX_FORK` value: whether sweep cells sharing a
-/// mechanism-neutral run prefix fork from one snapshot instead of each
-/// replaying it (see `System::fork_from`). On by default; `0`, `off`,
-/// `false`, `no`, or an empty value disable it.
-pub fn parse_prefix_fork(value: Option<&str>) -> bool {
-    match value {
-        None => true,
-        Some(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v.eq_ignore_ascii_case("0")
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("no"))
-        }
-    }
-}
-
-/// Whether `PUNO_PREFIX_FORK` enables prefix-fork execution (default on).
-pub fn env_prefix_fork() -> bool {
-    parse_prefix_fork(std::env::var("PUNO_PREFIX_FORK").ok().as_deref())
-}
-
-/// Parse `PUNO_PREFIX_CYCLES`: an optional cap on the prefix-fork point.
-/// The fork point is the *minimum* of this cap and the first-transaction
-/// boundary — the cap can only shorten the shared prefix (a later fork
-/// point would not be mechanism-neutral), never extend it. `None` when
-/// unset or unparsable.
-pub fn env_prefix_cycles() -> Option<u64> {
-    std::env::var("PUNO_PREFIX_CYCLES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
 }
 
 /// Parse `PUNO_SNAPSHOT_EVERY`: the cycle interval between periodic ring
@@ -186,8 +133,7 @@ pub fn run_with_config_cached(
         return metrics;
     }
     let metrics = run_with_config(config, params, seed);
-    let prefix = crate::cache::prefix_digest(&config, params, seed);
-    cache.store(digest, prefix, seed, &metrics);
+    cache.store(digest, 0, seed, &metrics);
     metrics
 }
 

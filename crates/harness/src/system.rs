@@ -2,7 +2,6 @@
 
 use crate::config::SystemConfig;
 use crate::error::RunError;
-use crate::exec;
 use crate::mechanism::Mechanism;
 use crate::memory::MemoryImage;
 use crate::metrics::RunMetrics;
@@ -151,37 +150,18 @@ impl SystemSnapshot {
     }
 }
 
-/// How [`System::run_prefix`] stopped.
+/// Where a pass of the batch loop stops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PrefixStop {
-    /// Stopped at an event boundary with some node poised to issue its
-    /// first TX_BEGIN (or at the `cap` override, whichever came first);
-    /// `cycle` is the boundary. The state is mechanism-neutral — snapshot
-    /// it and [`System::fork_from`] every sibling cell.
-    Armed { cycle: Cycle },
-    /// The run finished before any node reached a transaction: there is
-    /// nothing mechanism-dependent left to fork.
-    Completed,
-}
-
-/// Whether two configurations agree on everything except the mechanism
-/// axis — the precondition for [`System::fork_from`]. Compared on the
-/// canonical `Debug` representation with the mechanism normalized out (the
-/// same canonical form the result-cache digests hash), so any added config
-/// field is covered automatically.
-pub fn fork_compatible(a: &SystemConfig, b: &SystemConfig) -> bool {
-    let mut a = *a;
-    let mut b = *b;
-    a.mechanism = Mechanism::Baseline;
-    b.mechanism = Mechanism::Baseline;
-    format!("{a:?}") == format!("{b:?}")
+enum StopAt {
+    /// Every node has retired (or the run failed).
+    Completion,
+    /// Some node is about to issue its first TX_BEGIN (see
+    /// [`System::run_to_first_begin`]).
+    FirstBegin,
 }
 
 /// The deep-cloned simulated state behind a [`SystemSnapshot`].
 struct SnapshotState {
-    config: SystemConfig,
-    workload_name: String,
-    seed: u64,
     queue: EventQueue<Event>,
     network: Network<CoherenceMsg>,
     nodes: Vec<NodeState>,
@@ -252,23 +232,10 @@ pub struct System {
     events_dispatched: u64,
     peak_queue_depth: usize,
     host_wall_secs: f64,
-    /// Intra-run worker count (see [`System::set_run_threads`]); 1 = the
-    /// serial loop. Host-side execution strategy, deliberately not part of
-    /// snapshots (a restore keeps the current setting).
-    run_threads: usize,
     /// Cycles the NetStep token skipped because no router, ejection, or NI
     /// queue had anything to do (host-side accounting; see
     /// `advance_net_token`).
     quiesced_cycles: u64,
-    /// Parallel-executor accounting: waves handed to the pool, summed
-    /// per-shard busy time, and summed wave wall-clock span (for the
-    /// worker-idle fraction in [`crate::metrics::HostPerf`]).
-    par_waves: u64,
-    par_busy_ns: u64,
-    par_span_ns: u64,
-    /// Scratch for the wave scanner's duplicate-wake cut (kept all-false
-    /// between scans).
-    wave_seen: Vec<bool>,
     /// Live-observability sampling interval override (see
     /// [`System::set_obs_sample_every`]). `None` = read
     /// `PUNO_OBS_SAMPLE_CYCLES` when the global registry is enabled;
@@ -392,12 +359,7 @@ impl System {
             events_dispatched: 0,
             peak_queue_depth: 0,
             host_wall_secs: 0.0,
-            run_threads: 1,
             quiesced_cycles: 0,
-            par_waves: 0,
-            par_busy_ns: 0,
-            par_span_ns: 0,
-            wave_seen: vec![false; nodes_n as usize],
             obs_sample_every: None,
             obs_sampler: None,
             config,
@@ -505,69 +467,10 @@ impl System {
         self.events_dispatched = 0;
         self.peak_queue_depth = 0;
         self.host_wall_secs = 0.0;
-        self.run_threads = 1;
         self.quiesced_cycles = 0;
-        self.par_waves = 0;
-        self.par_busy_ns = 0;
-        self.par_span_ns = 0;
-        self.wave_seen.fill(false);
         self.obs_sample_every = None;
         self.obs_sampler = None;
         self.config = config;
-    }
-
-    /// Cheap alternative to [`System::reset`] for a recycled worker System
-    /// that is about to be materialized by [`System::fork_from`]: clears
-    /// exactly the host-side counters, sinks, and snapshot ring that
-    /// `reset` clears and `restore` deliberately keeps, but skips
-    /// reinitializing the simulated state (queue, nodes, directories,
-    /// predictors, memory, network) — the fork's restore replaces all of
-    /// it wholesale. Returns `false` when this System's geometry differs
-    /// from `config` (the per-node scratch buffers would not fit the
-    /// restored state); callers fall back to a full `reset`.
-    pub fn prepare_fork_target(&mut self, config: &SystemConfig) -> bool {
-        let nodes_n = config.nodes();
-        let same_geometry = nodes_n == self.nodes.len() as u16
-            && config.mesh == self.config.mesh
-            && config.noc == self.config.noc
-            && config.l1 == self.config.l1
-            && config.dir == self.config.dir;
-        if !same_geometry {
-            return false;
-        }
-        self.tracer = Tracer::off();
-        self.telemetry = None;
-        self.trace_mask = ChannelMask::NONE;
-        self.snapshot_every = 0;
-        self.next_snapshot_at = 0;
-        self.snapshot_ring.clear();
-        self.events_dispatched = 0;
-        self.peak_queue_depth = 0;
-        self.host_wall_secs = 0.0;
-        self.run_threads = 1;
-        self.quiesced_cycles = 0;
-        self.par_waves = 0;
-        self.par_busy_ns = 0;
-        self.par_span_ns = 0;
-        self.wave_seen.fill(false);
-        self.obs_sample_every = None;
-        self.obs_sampler = None;
-        true
-    }
-
-    /// Set the intra-run worker count for subsequent runs. `1` (the
-    /// default) is exactly today's serial loop; `n > 1` runs each cycle's
-    /// independent events on a persistent pool of `n` threads (capped at
-    /// the node count), merged so `RunMetrics` stays bit-identical — see
-    /// `crates/harness/src/exec.rs`. Callers compose this with sweep-level
-    /// parallelism via `sweep::effective_workers`.
-    pub fn set_run_threads(&mut self, threads: usize) {
-        self.run_threads = threads.max(1);
-    }
-
-    /// The configured intra-run worker count.
-    pub fn run_threads(&self) -> usize {
-        self.run_threads
     }
 
     /// Capture a copy-on-write checkpoint of the simulated state. The
@@ -582,9 +485,6 @@ impl System {
     pub fn snapshot(&self) -> SystemSnapshot {
         SystemSnapshot {
             state: Arc::new(SnapshotState {
-                config: self.config,
-                workload_name: self.workload_name.clone(),
-                seed: self.seed,
                 queue: self.queue.clone(),
                 network: self.network.clone(),
                 nodes: self.nodes.clone(),
@@ -607,15 +507,13 @@ impl System {
 
     /// Rewind the simulated state to `snap` exactly; continuing the run
     /// from here is bit-identical to a run that never detoured (validated
-    /// by the resilience property tests). The currently installed tracer,
-    /// telemetry collector, and host-side counters are kept — they
-    /// describe the host run, not the simulated machine.
+    /// by the resilience property tests). `snap` must come from this
+    /// System's current cell: the configuration, workload, and seed are not
+    /// part of the snapshot. The currently installed tracer, telemetry
+    /// collector, and host-side counters are kept — they describe the host
+    /// run, not the simulated machine.
     pub fn restore(&mut self, snap: &SystemSnapshot) {
         let s = &*snap.state;
-        self.config = s.config;
-        self.workload_name.clear();
-        self.workload_name.push_str(&s.workload_name);
-        self.seed = s.seed;
         self.queue = s.queue.clone();
         self.network = s.network.clone();
         self.nodes = s.nodes.clone();
@@ -639,127 +537,6 @@ impl System {
         // The restored nodes carry capture-time trace masks; the installed
         // sinks are authoritative.
         self.recompute_trace_masks();
-    }
-
-    /// Materialize a mechanism cell from a mechanism-neutral prefix
-    /// snapshot (see [`System::run_prefix`]): rewind the simulated state to
-    /// `snap`, then swap in freshly constructed mechanism-specific state —
-    /// HTM units, backoff engines, TxLB, commit latency, notification
-    /// flags, and the directory-side predictors — exactly as
-    /// `System::new_shared(config, ..)` would build them. Valid because the
-    /// prefix ends before the first TX_BEGIN: no request has carried
-    /// transactional metadata yet, so the predictors, backoff RNGs, and HTM
-    /// history are still in their fresh-constructed state on every
-    /// mechanism, and replacing them with the target mechanism's fresh
-    /// state reproduces a straight-line run bit for bit (gated by
-    /// `tests/prefix_fork.rs` and the golden suite).
-    ///
-    /// Panics if `config` differs from the snapshot's configuration on any
-    /// axis other than the mechanism (see [`fork_compatible`]) — such a
-    /// snapshot describes a different machine or workload.
-    pub fn fork_from(&mut self, snap: &SystemSnapshot, config: SystemConfig) {
-        assert!(
-            fork_compatible(&snap.state.config, &config),
-            "fork_from: target config differs from the snapshot beyond the mechanism axis"
-        );
-        self.restore(snap);
-        if config.mechanism != self.config.mechanism {
-            let nodes_n = self.nodes.len() as u16;
-            // Same derivation as `new_shared`: mechanism-specific per-node
-            // state is seeded from the run's root RNG, which no pre-begin
-            // event has drawn from.
-            let root_rng = SimRng::new(self.seed);
-            for i in 0..nodes_n {
-                let rmw = config
-                    .mechanism
-                    .uses_rmw_predictor()
-                    .then(RmwPredictor::paper);
-                let node = &mut self.nodes[i as usize];
-                node.adopt_mechanism(
-                    config.abort_timing,
-                    rmw,
-                    TxLengthBuffer::new(config.puno.txlb_entries),
-                    BackoffEngine::new(
-                        config.mechanism.backoff_kind(),
-                        config.backoff,
-                        root_rng.derive(0xB0FF ^ i as u64),
-                    ),
-                    config.commit_latency,
-                    config.mechanism.uses_puno() && config.puno.notification_enabled,
-                    config.mechanism.uses_puno() && config.puno.wakeup_hints,
-                );
-                if let Some(sig_cfg) = config.signatures {
-                    node.htm.enable_signatures(sig_cfg);
-                }
-            }
-            let mut puno_cfg = config.puno;
-            puno_cfg.pbuffer_entries = nodes_n as usize;
-            for p in &mut self.predictors {
-                *p = if config.mechanism.uses_puno() {
-                    PredictorImpl::Puno(Box::new(PunoPredictor::new(puno_cfg)))
-                } else {
-                    PredictorImpl::Null(NullPredictor)
-                };
-            }
-            self.config = config;
-            // The restored nodes carry the snapshot's trace masks; the
-            // installed sinks are authoritative (same rule as `restore`).
-            self.recompute_trace_masks();
-        }
-    }
-
-    /// Run the mechanism-neutral prefix of this cell: the serial loop up to
-    /// (not including) the cycle sub-batch in which some node would issue
-    /// its first TX_BEGIN, or up to the `cap` override — whichever comes
-    /// first (the cap can only shorten the prefix; a fork point past the
-    /// first begin would not be mechanism-neutral). Stops only between
-    /// events, so [`System::snapshot`] is valid at the boundary and
-    /// [`System::fork_from`] + `try_run_recycled` reproduces a straight-
-    /// line run exactly. Always serial regardless of
-    /// [`System::set_run_threads`], so the fork cycle is identical on every
-    /// host.
-    pub fn run_prefix(&mut self, cap: Option<Cycle>) -> Result<PrefixStop, RunError> {
-        let t0 = std::time::Instant::now();
-        let result = self.run_prefix_inner(cap);
-        self.host_wall_secs += t0.elapsed().as_secs_f64();
-        result
-    }
-
-    fn run_prefix_inner(&mut self, cap: Option<Cycle>) -> Result<PrefixStop, RunError> {
-        let mut batch: Vec<Event> = Vec::with_capacity(2 * self.nodes.len());
-        loop {
-            if self.nodes_done >= self.nodes.len() {
-                return Ok(PrefixStop::Completed);
-            }
-            // Checked before every pop (a mid-cycle schedule lands at a
-            // later seq and is popped by the *next* `pop_cycle_into`), so
-            // the stop lands on the exact sub-batch boundary preceding the
-            // first begin.
-            if self.nodes.iter().any(NodeState::poised_to_begin) {
-                return Ok(PrefixStop::Armed {
-                    cycle: self.last_cycle,
-                });
-            }
-            if cap.is_some_and(|c| self.last_cycle >= c) {
-                return Ok(PrefixStop::Armed {
-                    cycle: self.last_cycle,
-                });
-            }
-            let popped = self.pop_guarded(|q| q.pop_cycle_into(&mut batch).map(|now| (now, ())))?;
-            let Some((now, ())) = popped else {
-                return Err(self.deadlock_error());
-            };
-            for event in batch.drain(..) {
-                if self.nodes_done >= self.nodes.len() {
-                    break;
-                }
-                self.events_dispatched += 1;
-                self.dispatch_event(now, event);
-            }
-            if self.snapshot_every > 0 && now >= self.next_snapshot_at {
-                self.capture_ring_snapshot(now);
-            }
-        }
     }
 
     /// Arm (or, with 0, disarm) periodic ring snapshots: the run loop
@@ -835,7 +612,7 @@ impl System {
         // already known, the replay exists only to trace it.
         self.snapshot_every = 0;
         self.snapshot_ring.clear();
-        match self.run_loop_inner() {
+        match self.run_loop_inner(StopAt::Completion) {
             Err(replayed) => replayed,
             Ok(()) => original,
         }
@@ -995,7 +772,7 @@ impl System {
         self.config.mechanism
     }
 
-    /// Process one popped event (shared by every run loop).
+    /// Process one popped event (shared by the batch loop and `step_once`).
     fn dispatch_event(&mut self, now: Cycle, event: Event) {
         match event {
             Event::NodeWake { node, epoch } => self.on_node_wake(now, node, epoch),
@@ -1069,7 +846,7 @@ impl System {
     /// messages; returns the metrics and the rendered trace.
     pub fn run_traced(mut self, capacity: usize) -> (RunMetrics, String) {
         self.enable_trace(capacity);
-        match self.run_loop() {
+        match self.run_loop(StopAt::Completion) {
             Ok(()) => {}
             Err(e) => panic!("{e}"),
         }
@@ -1098,7 +875,7 @@ impl System {
 
     /// Like [`System::try_run`] but also returns the final memory image.
     pub fn try_run_full(mut self) -> Result<(RunMetrics, MemoryImage), RunError> {
-        self.run_loop()?;
+        self.run_loop(StopAt::Completion)?;
         let metrics = self.finalize();
         Ok((metrics, std::mem::take(&mut self.memory)))
     }
@@ -1107,14 +884,30 @@ impl System {
     /// system survives the run so [`System::reset`] can recycle its
     /// allocations for the next cell.
     pub fn try_run_recycled(&mut self) -> Result<RunMetrics, RunError> {
-        self.run_loop()?;
+        self.run_loop(StopAt::Completion)?;
         Ok(self.finalize())
     }
 
-    fn run_loop(&mut self) -> Result<(), RunError> {
+    /// Run until the first cycle sub-batch in which some node would issue
+    /// TX_BEGIN, and stop in front of it. Returns the cycle of that
+    /// boundary, or `None` when the run finished before any transaction.
+    ///
+    /// This is the batch loop with an early stop, checked where the loop
+    /// would pop its next batch. Every piece of loop state is settled there
+    /// (the NoC step token is parked, ring snapshots taken), so a later
+    /// [`System::try_run_recycled`] continues exactly as a straight run
+    /// would: same simulated fields, same `events_dispatched` and
+    /// `quiesced_cycles`. `sweep_all --trace` uses it to skip the
+    /// pre-transaction warm-up with its sinks detached.
+    pub fn run_to_first_begin(&mut self) -> Result<Option<Cycle>, RunError> {
+        self.run_loop(StopAt::FirstBegin)?;
+        Ok((self.nodes_done < self.nodes.len()).then_some(self.last_cycle))
+    }
+
+    fn run_loop(&mut self, stop: StopAt) -> Result<(), RunError> {
         let t0 = std::time::Instant::now();
         self.arm_obs_sampler();
-        let mut result = self.run_loop_inner();
+        let mut result = self.run_loop_inner(stop);
         if let Err(original) = result {
             result = Err(self.rewind_and_dump(original));
         }
@@ -1147,19 +940,7 @@ impl System {
         )));
     }
 
-    /// Dispatch to the serial hot loop or, with [`System::set_run_threads`]
-    /// above 1, the sharded cycle-epoch executor. Both produce bit-identical
-    /// `RunMetrics` (gated by the golden suite and `tests/parallel_exec.rs`).
-    fn run_loop_inner(&mut self) -> Result<(), RunError> {
-        let workers = self.run_threads.min(self.nodes.len()).max(1);
-        if workers <= 1 {
-            self.run_loop_serial()
-        } else {
-            self.run_loop_parallel(workers)
-        }
-    }
-
-    /// The shared pop preamble of every run loop and `step_once`: record
+    /// The shared pop preamble of the batch loop and `step_once`: record
     /// the pre-pop queue depth, pop via `pop`, advance `last_cycle`, and
     /// run the livelock guards against the popped cycle. `Ok(None)` means
     /// the queue drained (the caller renders the deadlock diagnosis).
@@ -1185,10 +966,17 @@ impl System {
     /// watchdog) depend only on `now`, which is shared by the whole batch,
     /// and events scheduled mid-batch land at later seqs so the next
     /// `pop_cycle_into` picks them up in exactly the one-at-a-time order.
-    fn run_loop_serial(&mut self) -> Result<(), RunError> {
+    fn run_loop_inner(&mut self, stop: StopAt) -> Result<(), RunError> {
         let mut batch: Vec<Event> = Vec::with_capacity(2 * self.nodes.len());
         loop {
             if self.nodes_done >= self.nodes.len() {
+                return Ok(());
+            }
+            // Checked before every pop (a mid-cycle schedule lands at a
+            // later seq and is popped by the *next* `pop_cycle_into`), so
+            // the stop lands on the exact sub-batch boundary preceding the
+            // first begin.
+            if stop == StopAt::FirstBegin && self.nodes.iter().any(NodeState::poised_to_begin) {
                 return Ok(());
             }
             let popped = self.pop_guarded(|q| q.pop_cycle_into(&mut batch).map(|now| (now, ())))?;
@@ -1217,418 +1005,6 @@ impl System {
             if let Some(sampler) = self.obs_sampler.as_mut() {
                 if now >= sampler.next_at {
                     sampler.sample(now, self.events_dispatched);
-                }
-            }
-        }
-    }
-
-    /// The sharded cycle-epoch executor: same pop/guard/snapshot skeleton
-    /// as [`System::run_loop_serial`], with each popped batch split into
-    /// waves of independently-owned events that a persistent worker pool
-    /// processes concurrently (see `crates/harness/src/exec.rs` for the
-    /// merge-order determinism argument).
-    fn run_loop_parallel(&mut self, workers: usize) -> Result<(), RunError> {
-        let pool = exec::PoolShared::new(workers);
-        let mut result = Ok(());
-        std::thread::scope(|s| {
-            for w in 1..workers {
-                let shared = &pool;
-                s.spawn(move || exec::worker_loop(shared, w));
-            }
-            // Retire the pool even if the epoch loop panics: thread::scope
-            // joins its workers on the way out.
-            let _guard = exec::ShutdownGuard(&pool);
-            result = self.parallel_epoch_loop(&pool, workers);
-        });
-        self.par_busy_ns += pool.total_busy_ns();
-        result
-    }
-
-    fn parallel_epoch_loop(
-        &mut self,
-        pool: &exec::PoolShared,
-        workers: usize,
-    ) -> Result<(), RunError> {
-        let mut batch: Vec<Event> = Vec::with_capacity(2 * self.nodes.len());
-        let mut outputs: Vec<exec::WaveOutput> = Vec::new();
-        let mut nacks: Vec<bool> = Vec::new();
-        loop {
-            if self.nodes_done >= self.nodes.len() {
-                return Ok(());
-            }
-            let popped = self.pop_guarded(|q| q.pop_cycle_into(&mut batch).map(|now| (now, ())))?;
-            let Some((now, ())) = popped else {
-                return Err(self.deadlock_error());
-            };
-            let mut i = 0;
-            while i < batch.len() {
-                if self.nodes_done >= self.nodes.len() {
-                    break;
-                }
-                let end = self.scan_wave(&batch, i);
-                if end == i {
-                    // A serial-only event (NetStep reads every router;
-                    // Fault mutates the jitter ledger later injects read):
-                    // dispatched in place. NetStep's deliveries may
-                    // themselves fan out as a delivery wave.
-                    self.events_dispatched += 1;
-                    match batch[i].clone() {
-                        Event::NetStep => {
-                            self.on_net_step_parallel(now, pool, workers, &mut outputs, &mut nacks)
-                        }
-                        event => self.dispatch_event(now, event),
-                    }
-                    i += 1;
-                } else {
-                    // Every wave event counts as dispatched (the serial
-                    // loop counts guard-skipped events too).
-                    self.events_dispatched += (end - i) as u64;
-                    self.run_batch_wave(now, &batch[i..end], pool, workers, &mut outputs);
-                    i = end;
-                }
-            }
-            batch.clear();
-            self.advance_net_token();
-            if self.snapshot_every > 0 && now >= self.next_snapshot_at {
-                self.capture_ring_snapshot(now);
-            }
-            if let Some(sampler) = self.obs_sampler.as_mut() {
-                if now >= sampler.next_at {
-                    sampler.sample(now, self.events_dispatched);
-                }
-            }
-        }
-    }
-
-    /// Find the maximal shardable wave starting at `start`: a run of
-    /// NodeWake/MemReady/DirSend/FaultedInject events, cut at (a) the first
-    /// serial-only event (NetStep, Fault), (b) a repeated wake of the same
-    /// node (keeps the finisher pre-scan below exact), and (c) immediately
-    /// after the wake that retires the last node — the serial loop breaks
-    /// out of the batch there, so later events of this cycle must never
-    /// run. Returns the exclusive end; `start` itself means the event at
-    /// `start` must dispatch serially.
-    fn scan_wave(&mut self, batch: &[Event], start: usize) -> usize {
-        if matches!(batch[start], Event::NetStep | Event::Fault { .. }) {
-            return start;
-        }
-        if self.wave_seen.len() < self.nodes.len() {
-            self.wave_seen.resize(self.nodes.len(), false);
-        }
-        let total = self.nodes.len();
-        let mut pending_finishers = 0usize;
-        let mut end = batch.len();
-        for (j, event) in batch.iter().enumerate().skip(start) {
-            match event {
-                Event::NetStep | Event::Fault { .. } => {
-                    end = j;
-                    break;
-                }
-                Event::NodeWake { node, epoch } => {
-                    let idx = node.index();
-                    if self.wave_seen[idx] {
-                        end = j;
-                        break;
-                    }
-                    self.wave_seen[idx] = true;
-                    // Exact pre-image of "this wake retires the node": only
-                    // `NodeState::step` finishes a node, and it does so iff
-                    // the wake is live and the program counter is spent.
-                    let n = &self.nodes[idx];
-                    let finishes = n.epoch == *epoch
-                        && !n.is_done()
-                        && n.phase == crate::node::Phase::Ready
-                        && n.pc >= n.program.items.len();
-                    if finishes {
-                        pending_finishers += 1;
-                        if self.nodes_done + pending_finishers >= total {
-                            end = j + 1;
-                            break;
-                        }
-                    }
-                }
-                Event::DirSend { .. } | Event::FaultedInject { .. } | Event::MemReady { .. } => {}
-            }
-        }
-        for event in &batch[start..end] {
-            if let Event::NodeWake { node, .. } = event {
-                self.wave_seen[node.index()] = false;
-            }
-        }
-        end
-    }
-
-    /// Run one batch wave: below the pool threshold the events dispatch
-    /// serially in place (sound — the scan guarantees any run-ending
-    /// finisher is the wave's last event); above it, workers process their
-    /// shards concurrently and the merge applies all global effects in
-    /// original batch order.
-    fn run_batch_wave(
-        &mut self,
-        now: Cycle,
-        wave: &[Event],
-        pool: &exec::PoolShared,
-        workers: usize,
-        outputs: &mut Vec<exec::WaveOutput>,
-    ) {
-        if wave.len() < exec::MIN_WAVE_PER_WORKER * workers {
-            for event in wave {
-                self.dispatch_event(now, event.clone());
-            }
-            return;
-        }
-        if outputs.len() < wave.len() {
-            outputs.resize_with(wave.len(), Default::default);
-        }
-        for out in outputs[..wave.len()].iter_mut() {
-            out.reset();
-        }
-        self.par_waves += 1;
-        let job = exec::WaveJob {
-            kind: exec::WaveKind::Batch,
-            now,
-            events: wave.as_ptr(),
-            len: wave.len(),
-            nodes: self.nodes.as_mut_ptr(),
-            nodes_len: self.nodes.len(),
-            dirs: self.dirs.as_mut_ptr(),
-            preds: self.predictors.as_mut_ptr(),
-            memory: &self.memory,
-            outputs: outputs.as_mut_ptr(),
-            workers,
-            total_nodes: self.config.nodes(),
-            fault_active: !self.fault.is_empty(),
-            capture_dir_state: false,
-            ..Default::default()
-        };
-        self.par_span_ns += pool.run_wave(job);
-        self.merge_batch_wave(now, wave, &mut outputs[..wave.len()]);
-    }
-
-    /// Apply a processed batch wave's outputs in original batch order:
-    /// exactly the sequence of queue schedules, injections, RNG draws, and
-    /// trace emissions the serial loop interleaves with its node steps.
-    fn merge_batch_wave(&mut self, now: Cycle, wave: &[Event], outputs: &mut [exec::WaveOutput]) {
-        self.publish_wave_writes(outputs);
-        for (event, out) in wave.iter().zip(outputs.iter_mut()) {
-            match event {
-                Event::NodeWake { node, .. } => {
-                    if out.skipped {
-                        continue;
-                    }
-                    if out.probe_fired && self.fault.forced_abort() {
-                        let at = now + self.fault.forced_abort_delay();
-                        self.queue.schedule_at(
-                            at,
-                            Event::Fault {
-                                kind: FaultKind::ForcedAbort,
-                                node: *node,
-                                magnitude: 0,
-                            },
-                        );
-                    }
-                    self.merge_node_trace(*node, out);
-                    self.apply_effects(now, *node, std::mem::take(&mut out.effects));
-                }
-                Event::MemReady { home, .. } => {
-                    let mut actions = std::mem::take(&mut out.dir_actions);
-                    self.apply_dir_actions(now, *home, &mut actions);
-                    out.dir_actions = actions;
-                }
-                // Inject-only events: no shard state, replayed whole here
-                // (in batch order, preserving the jitter/stall RNG streams).
-                Event::DirSend { home, dst, msg } => {
-                    self.inject(now, *home, *dst, msg.clone());
-                }
-                Event::FaultedInject { src, dst, msg } => {
-                    self.inject_now(now, *src, *dst, msg.clone());
-                }
-                Event::NetStep | Event::Fault { .. } => {
-                    unreachable!("serial-only event leaked into a wave")
-                }
-            }
-        }
-    }
-
-    /// Publish every overlay-buffered line write from a processed wave.
-    /// Cross-item order is irrelevant: the single-writer protocol invariant
-    /// guarantees two same-cycle items never write the same line
-    /// (debug-checked); within an item, writes apply in program order.
-    fn publish_wave_writes(&mut self, outputs: &mut [exec::WaveOutput]) {
-        #[cfg(debug_assertions)]
-        {
-            let mut writers: std::collections::HashMap<LineAddr, usize> =
-                std::collections::HashMap::new();
-            for (i, out) in outputs.iter().enumerate() {
-                for (addr, _) in &out.mem_writes {
-                    if let Some(prev) = writers.insert(*addr, i) {
-                        assert_eq!(
-                            prev, i,
-                            "two wave items wrote line {addr:?}: single-writer violated"
-                        );
-                    }
-                }
-            }
-        }
-        for out in outputs.iter_mut() {
-            for (addr, value) in out.mem_writes.drain(..) {
-                self.memory.write(addr, value);
-            }
-        }
-    }
-
-    /// Drain a wave item's buffered node trace into the sinks and hand the
-    /// buffer allocation back to the node (mirrors `drain_node_trace`).
-    fn merge_node_trace(&mut self, node: NodeId, out: &mut exec::WaveOutput) {
-        if out.node_trace.is_empty() {
-            return;
-        }
-        let mut buf = std::mem::take(&mut out.node_trace);
-        for (cycle, event) in buf.drain(..) {
-            self.sink(cycle, &event);
-        }
-        self.nodes[node.index()].restore_trace_buf(buf);
-    }
-
-    /// The parallel path's NetStep: router arbitration stays serial (it is
-    /// inherently cross-node), but the cycle's ejections — at most one per
-    /// destination — shard cleanly by destination node. Spurious-NACK
-    /// decisions are pre-drawn in delivery order so the per-stream RNG
-    /// sequence matches the serial loop's.
-    fn on_net_step_parallel(
-        &mut self,
-        now: Cycle,
-        pool: &exec::PoolShared,
-        workers: usize,
-        outputs: &mut Vec<exec::WaveOutput>,
-        nacks: &mut Vec<bool>,
-    ) {
-        let mut delivered = std::mem::take(&mut self.delivery_scratch);
-        self.network.step_into(now, &mut delivered);
-        if self.network.is_idle() {
-            self.net_step_armed = false;
-        } else {
-            self.queue.schedule_token(now + 1, Event::NetStep);
-        }
-        if delivered.len() < exec::MIN_WAVE_PER_WORKER * workers {
-            for (dst, msg) in delivered.drain(..) {
-                self.emit(now, TraceChannel::Noc, || TraceEvent::NocDeliver {
-                    dst,
-                    vnet: msg.vnet().index() as u8,
-                    flits: msg.flits(),
-                });
-                self.deliver(now, dst, msg);
-            }
-            self.delivery_scratch = delivered;
-            return;
-        }
-        nacks.clear();
-        if self.fault.is_empty() {
-            nacks.resize(delivered.len(), false);
-        } else {
-            for (_, msg) in &delivered {
-                let forward = matches!(
-                    msg,
-                    CoherenceMsg::Inv { .. }
-                        | CoherenceMsg::FwdGets { .. }
-                        | CoherenceMsg::FwdGetx { .. }
-                );
-                nacks.push(forward && self.fault.spurious_nack());
-            }
-        }
-        if outputs.len() < delivered.len() {
-            outputs.resize_with(delivered.len(), Default::default);
-        }
-        for out in outputs[..delivered.len()].iter_mut() {
-            out.reset();
-        }
-        self.par_waves += 1;
-        let job = exec::WaveJob {
-            kind: exec::WaveKind::Deliver,
-            now,
-            deliveries: delivered.as_ptr(),
-            nacks: nacks.as_ptr(),
-            len: delivered.len(),
-            nodes: self.nodes.as_mut_ptr(),
-            nodes_len: self.nodes.len(),
-            dirs: self.dirs.as_mut_ptr(),
-            preds: self.predictors.as_mut_ptr(),
-            memory: &self.memory,
-            outputs: outputs.as_mut_ptr(),
-            workers,
-            total_nodes: self.config.nodes(),
-            fault_active: !self.fault.is_empty(),
-            capture_dir_state: self.trace_mask.contains(TraceChannel::Dir),
-            ..Default::default()
-        };
-        self.par_span_ns += pool.run_wave(job);
-        self.merge_deliver_wave(now, &delivered, &mut outputs[..delivered.len()]);
-        delivered.clear();
-        self.delivery_scratch = delivered;
-    }
-
-    /// Apply a processed delivery wave's outputs in delivery order,
-    /// reproducing `deliver`'s per-message emission/effect sequence.
-    fn merge_deliver_wave(
-        &mut self,
-        now: Cycle,
-        delivered: &[(NodeId, CoherenceMsg)],
-        outputs: &mut [exec::WaveOutput],
-    ) {
-        self.publish_wave_writes(outputs);
-        for ((dst, msg), out) in delivered.iter().zip(outputs.iter_mut()) {
-            let dst = *dst;
-            self.emit(now, TraceChannel::Noc, || TraceEvent::NocDeliver {
-                dst,
-                vnet: msg.vnet().index() as u8,
-                flits: msg.flits(),
-            });
-            self.emit(now, TraceChannel::Coh, || TraceEvent::CohRecv {
-                dst,
-                kind: msg.trace_kind(),
-                addr: msg.addr(),
-            });
-            match msg {
-                CoherenceMsg::Gets { .. }
-                | CoherenceMsg::Getx { .. }
-                | CoherenceMsg::Putx { .. }
-                | CoherenceMsg::Puts { .. }
-                | CoherenceMsg::Unblock { .. }
-                | CoherenceMsg::WbData { .. } => {
-                    if let CoherenceMsg::Unblock {
-                        addr,
-                        mp_node: Some(mp),
-                        ..
-                    } = msg
-                    {
-                        let (addr, mp) = (*addr, *mp);
-                        self.emit(now, TraceChannel::Pred, || TraceEvent::PredMispredict {
-                            home: dst,
-                            addr,
-                            node: mp,
-                        });
-                    }
-                    let mut actions = std::mem::take(&mut out.dir_actions);
-                    self.apply_dir_actions(now, dst, &mut actions);
-                    out.dir_actions = actions;
-                    if let Some((state, busy)) = out.dir_state.take() {
-                        self.sink(
-                            now,
-                            &TraceEvent::DirState {
-                                home: dst,
-                                kind: msg.trace_kind(),
-                                addr: msg.addr(),
-                                state,
-                                busy,
-                            },
-                        );
-                    }
-                }
-                _ => {
-                    // Forwards, responses, wakeup hints: the node-side
-                    // handling ran in the wave; its effects apply here.
-                    self.merge_node_trace(dst, out);
-                    self.apply_effects(now, dst, std::mem::take(&mut out.effects));
                 }
             }
         }
@@ -2065,14 +1441,6 @@ impl System {
                 peak_queue_depth: self.peak_queue_depth as u64,
                 noc_active_scan_ratio: self.network.active_scan_ratio(),
                 quiesced_cycles: self.quiesced_cycles,
-                run_workers: self.run_threads as u64,
-                par_waves: self.par_waves,
-                worker_idle_frac: if self.par_span_ns > 0 {
-                    let capacity = self.par_span_ns.saturating_mul(self.run_threads as u64);
-                    (1.0 - self.par_busy_ns as f64 / capacity as f64).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                },
                 ..Default::default()
             }
             .finish(self.finish_cycle),

@@ -66,7 +66,6 @@ pub struct WarehouseRow {
     pub wall_secs: f64,
     pub sim_cycles_per_sec: f64,
     pub events_per_sec: f64,
-    pub prefix_forks: u64,
     /// Aborts by cause (zero-count causes omitted), the blame summary the
     /// paper's false-abort analysis compares on.
     pub abort_blame: Vec<BlameCauseEntry>,
@@ -127,7 +126,6 @@ impl WarehouseRow {
             wall_secs: metrics.host.wall_secs,
             sim_cycles_per_sec: metrics.host.sim_cycles_per_sec,
             events_per_sec: metrics.host.events_per_sec,
-            prefix_forks: metrics.host.prefix_forks,
             abort_blame,
             checksum: 0,
         };
@@ -166,7 +164,6 @@ impl WarehouseRow {
             wall_secs: 0.0,
             sim_cycles_per_sec: 0.0,
             events_per_sec: 0.0,
-            prefix_forks: 0,
             abort_blame: Vec::new(),
             checksum: 0,
         };
@@ -620,7 +617,6 @@ mod tests {
                 wall_secs: 0.5,
                 sim_cycles_per_sec: cps,
                 events_per_sec: 0.0,
-                prefix_forks: 0,
                 abort_blame: Vec::new(),
                 checksum: 0,
             };

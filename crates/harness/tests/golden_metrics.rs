@@ -15,6 +15,11 @@
 //!
 //! and commit the updated files with a justification in the PR description.
 //!
+//! Each grid cell also runs a second time the way `sweep_all --trace`
+//! does: stopped in front of the first TX_BEGIN, then resumed. That run
+//! must equal the straight one in every simulated field and in the host's
+//! dispatched-event and quiesced-cycle counts.
+//!
 //! Beyond the 16-cell paper grid, a few extra cells cover the NoC paths the
 //! grid does not reach: the 8x8 mesh (long XY routes, many routers idle at
 //! once) and a 4x4 run under link-stall and message-jitter faults. Their
@@ -22,7 +27,7 @@
 //! so a change to the host-side counters never forces a re-bless.
 
 use puno_harness::run::{run_with_config, run_workload, run_workload_with_faults};
-use puno_harness::{Mechanism, RunMetrics, SystemConfig};
+use puno_harness::{Mechanism, RunMetrics, System, SystemConfig};
 use puno_sim::{FaultEvent, FaultKind, FaultPlan, NodeId};
 use puno_workloads::WorkloadId;
 use std::path::PathBuf;
@@ -125,6 +130,7 @@ fn extended_cells_match_golden_snapshots() {
 fn run_metrics_match_golden_snapshots() {
     let bless = std::env::var("PUNO_BLESS_GOLDEN").is_ok();
     let mut mismatches = Vec::new();
+    let mut fast_forwarded = 0usize;
     for &workload in &WorkloadId::ALL {
         let params = workload.params().scaled(GOLDEN_SCALE);
         for mechanism in [Mechanism::Baseline, Mechanism::Puno] {
@@ -150,7 +156,33 @@ fn run_metrics_match_golden_snapshots() {
                     mechanism.name()
                 ));
             }
+            // The `sweep_all --trace` path: stop in front of the first
+            // TX_BEGIN, then resume. It must be the same run, down to the
+            // host's dispatched-event and quiesced-cycle counts.
+            let mut sys = System::new(SystemConfig::paper(mechanism), &params, GOLDEN_SEED);
+            let stop = sys.run_to_first_begin().expect("fast-forward completes");
+            fast_forwarded += usize::from(stop.is_some_and(|cycle| cycle > 0));
+            let resumed = sys.try_run_recycled().expect("resumed run completes");
+            let resumed_json =
+                serde_json::to_string(&resumed.deterministic()).expect("RunMetrics must serialize");
+            let host = |m: &RunMetrics| (m.host.events_dispatched, m.host.quiesced_cycles);
+            if resumed_json != got || host(&resumed) != host(&metrics) {
+                mismatches.push(format!(
+                    "{}/{}: fast-forwarded run diverged from the straight run \
+                     (events, quiesced) {:?} vs {:?}",
+                    workload.name(),
+                    mechanism.name(),
+                    host(&resumed),
+                    host(&metrics)
+                ));
+            }
         }
+    }
+    if !bless {
+        assert!(
+            fast_forwarded > 0,
+            "no golden cell fast-forwarded past cycle 0"
+        );
     }
     assert!(
         mismatches.is_empty(),

@@ -73,6 +73,10 @@ fn cache_record_with_express_counters_replays() {
     );
     let text = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
     assert!(!text.contains("express"));
+    assert!(
+        !text.contains("prefix_digest"),
+        "compaction drops the retired column"
+    );
     assert_serves_cell(&dir, &fresh);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,6 +14,8 @@
 //! linear backoff [17] and the read-modify-write predictor of Bobba et al.
 //! [5] — and the abort/effort accounting behind Figures 2, 3, 10 and 14.
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod conflict;
 pub mod log;

@@ -19,6 +19,8 @@
 //! * **Deterministic arbitration.** Round-robin per output port, ties broken
 //!   by port index, so whole-system runs are bit-reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod latency;
 pub mod linkstats;
 pub mod network;

@@ -16,6 +16,8 @@
 //! order, wall-clock time, and platform-dependent floating point (statistics
 //! accumulate in integers wherever the experiment pipeline compares values).
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod event;
 pub mod fault;

@@ -14,6 +14,8 @@
 //! then extrapolates to other configurations (different node counts, entry
 //! counts, widths) for the sensitivity ablations.
 
+#![forbid(unsafe_code)]
+
 pub mod rock;
 pub mod sensitivity;
 pub mod sram;

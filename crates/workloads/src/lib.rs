@@ -26,6 +26,8 @@
 //! comparison replays the *same* per-node programs, so measured differences
 //! come from the mechanism, not the offered load.
 
+#![forbid(unsafe_code)]
+
 pub mod addresses;
 pub mod genprog;
 pub mod micro;

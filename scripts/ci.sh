@@ -11,6 +11,15 @@ cargo fmt --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== knob inventory (PUNO_* names in code vs README's table) =="
+# Every PUNO_* variable the crates read needs a row in README's
+# environment-variable table, and every row must name a variable some
+# crate still reads. "<" lines are undocumented, ">" lines are stale.
+code_knobs() { grep -rhoE 'PUNO_[A-Z0-9_]+' crates/*/src crates/*/benches | sort -u; }
+readme_knobs() { grep -oE '^\| `PUNO_[A-Z0-9_]+' README.md | grep -oE 'PUNO_[A-Z0-9_]+' | sort -u; }
+diff <(code_knobs) <(readme_knobs) \
+    || { echo "PUNO_* knobs in crates/ and README's table differ"; exit 1; }
+
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
@@ -33,8 +42,9 @@ echo "== benchmark smoke (every workload at 1/20 scale, every check) =="
 )
 
 echo "== fault smoke (0.05 scale, intensity 1.0) =="
-# PUNO_SWEEP_THREADS pins the sweep's worker count so CI machine load is
-# reproducible (per-cell results are deterministic at any thread count).
+# PUNO_SWEEP_THREADS caps the sweep's worker count (4 unless the caller
+# sets it). It never raises the count above the host's cores, so a 2-core
+# box runs 2 workers. Per-cell results are deterministic at any count.
 PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
     cargo run --offline --release -q -p puno-harness --bin fault_smoke -- 0.05 1.0 1
 
@@ -126,57 +136,17 @@ diff "$RES_DIR/ref.det.txt" "$RES_DIR/resumed.det.txt" \
 [ -s "$RES_DIR/ckpt.jsonl" ] || { echo "resumed sweep wrote no checkpoint"; exit 1; }
 echo "checkpoint smoke OK (resume matches uninterrupted aggregate output)"
 
-echo "== parallel-executor smoke (golden sweep, 1 vs 4 run-threads) =="
-# The sharded cycle-epoch executor must be bit-identical to the serial
-# loop: the full golden-scale sweep runs once serial and once with 4
-# intra-run workers, and everything deterministic (all rows above the
-# host-perf section) must match byte for byte. The serial pass doubles as
-# a sanity check that PUNO_RUN_THREADS=1 takes the plain serial path (no
-# "parallel:" line in its host-perf section).
-PUNO_RUN_THREADS=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/run1.txt" 2> /dev/null
-PUNO_RUN_THREADS=4 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/run4.txt" 2> /dev/null
-sed '/^simulator throughput/,$d' "$RES_DIR/run1.txt" > "$RES_DIR/run1.det.txt"
-sed '/^simulator throughput/,$d' "$RES_DIR/run4.txt" > "$RES_DIR/run4.det.txt"
-diff "$RES_DIR/run1.det.txt" "$RES_DIR/run4.det.txt" \
-    || { echo "4-run-thread sweep diverged from the serial loop"; exit 1; }
-grep -q "parallel: 4 run thread(s)" "$RES_DIR/run4.txt" \
-    || { echo "4-run-thread sweep never engaged the worker pool"; exit 1; }
-! grep -q "parallel:" "$RES_DIR/run1.txt" \
-    || { echo "serial sweep unexpectedly reported pool activity"; exit 1; }
-echo "parallel smoke OK (serial and 4-thread sweeps byte-identical)"
-
-echo "== prefix-fork smoke (golden sweep, fork-off vs fork-on) =="
-# Prefix-fork execution runs each (workload, seed) group's mechanism-neutral
-# prefix once and forks every sibling cell from the snapshot. The full
-# golden sweep must be byte-identical fork-on vs fork-off in everything
-# deterministic (all rows above the host-perf section); only the host
-# section may differ — fork-on honestly reports the sharing it did. With 8
-# workloads x 4 mechanisms and one prefix runner per group, exactly 24
-# cells must fork.
-PUNO_PREFIX_FORK=0 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/fork0.txt" 2> /dev/null
-PUNO_PREFIX_FORK=1 PUNO_SWEEP_THREADS=4 "$SWEEP_BIN" 0.05 1 \
-    > "$RES_DIR/fork1.txt" 2> /dev/null
-sed '/^simulator throughput/,$d' "$RES_DIR/fork0.txt" > "$RES_DIR/fork0.det.txt"
-sed '/^simulator throughput/,$d' "$RES_DIR/fork1.txt" > "$RES_DIR/fork1.det.txt"
-diff "$RES_DIR/fork0.det.txt" "$RES_DIR/fork1.det.txt" \
-    || { echo "prefix-fork sweep diverged from straight-line execution"; exit 1; }
-grep -q "prefix-fork: 24 forked cell(s)" "$RES_DIR/fork1.txt" \
-    || { echo "fork-on sweep did not fork every non-runner cell"; exit 1; }
-! grep -q "prefix-fork:" "$RES_DIR/fork0.txt" \
-    || { echo "fork-off sweep unexpectedly reported prefix sharing"; exit 1; }
-echo "prefix-fork smoke OK (fork-on and fork-off sweeps byte-identical, 24 cells forked)"
-
 echo "== traced smoke (one cell, JSONL schema + Chrome export) =="
 # Re-run one sweep cell fully traced: every JSONL line must parse as a
 # trace record within the requested channel filter, and the Chrome-trace
 # conversion must succeed. Runs inside the cache dir to prove --trace
 # bypasses the result cache (the cell is warm from the cache smoke above).
+# The traced run fast-forwards to the first transaction and says so.
 PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_TRACE="htm,coh,noc" PUNO_TRACE_OUT="$CACHE_DIR" \
     cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 \
-    --trace ssca2:baseline > "$CACHE_DIR/traced.txt"
+    --trace ssca2:baseline > "$CACHE_DIR/traced.txt" 2> "$CACHE_DIR/traced.err"
+grep -q "trace fast-forward: pre-transaction prefix (cycles 0\.\." "$CACHE_DIR/traced.err" \
+    || { echo "traced cell did not fast-forward:"; cat "$CACHE_DIR/traced.err"; exit 1; }
 TRACE_JSONL="$CACHE_DIR/trace_ssca2_baseline_s1.jsonl"
 [ -s "$TRACE_JSONL" ] || { echo "traced cell produced no JSONL stream"; exit 1; }
 cargo run --offline --release -q -p puno-harness --bin trace_export -- \

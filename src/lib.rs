@@ -19,6 +19,8 @@
 //! assert_eq!(base.committed, puno.committed); // same offered work
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use puno_coherence as coherence;
 pub use puno_core as puno;
 pub use puno_harness as harness;
