@@ -74,8 +74,7 @@ impl SystemConfig {
     }
 
     /// The paper configuration scaled to an 8x8 mesh (64 nodes) — the
-    /// regime where directory-protocol mismatch effects grow; practical to
-    /// sweep with the intra-run parallel executor.
+    /// regime where directory-protocol mismatch effects grow.
     pub fn mesh8(mechanism: Mechanism) -> Self {
         Self::with_mesh(mechanism, Mesh::new(8, 8))
     }
