@@ -305,7 +305,7 @@ fn print_cache_stats() {
         );
         if s.corrupt_skipped > 0 || s.stale_skipped > 0 {
             eprintln!(
-                "result cache recovered: {} corrupt, {} stale record(s) skipped at open",
+                "result cache recovered: {} corrupt, {} stale record(s) skipped",
                 s.corrupt_skipped, s.stale_skipped
             );
         }

@@ -17,10 +17,11 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::RunMetrics;
-use puno_workloads::{fnv1a_64, WorkloadParams};
+use puno_workloads::{fnv1a_64, fnv1a_64_fold, WorkloadParams, FNV1A_64_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -43,7 +44,11 @@ pub fn cell_digest(config: &SystemConfig, params: &WorkloadParams, seed: u64) ->
     fnv1a_64(repr.as_bytes())
 }
 
-/// One persisted cache entry (one JSONL line).
+/// One persisted cache entry (one JSONL line): the on-disk schema. The
+/// cache writes and verifies lines of exactly this type's compact JSON
+/// shape, field by field and in this order, without building the struct
+/// (see `record_line` and `RawRecord`); a format test pins that the two
+/// stay byte-identical.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CacheRecord {
     pub digest: u64,
@@ -61,100 +66,274 @@ pub struct CacheRecord {
     pub checksum: u64,
 }
 
-impl CacheRecord {
-    fn build(digest: u64, seed: u64, metrics: &RunMetrics) -> Self {
-        let metrics_json =
-            serde_json::to_string(metrics).expect("cache record metrics must serialize");
-        let checksum = record_checksum(
-            digest,
-            None,
-            ENGINE_VERSION,
-            &metrics.workload,
-            &metrics.mechanism,
-            seed,
-            &metrics_json,
-        );
-        Self {
-            digest,
-            engine_version: ENGINE_VERSION,
-            workload: metrics.workload.clone(),
-            mechanism: metrics.mechanism.clone(),
-            seed,
-            metrics: metrics.clone(),
-            checksum,
-        }
-    }
-
-    /// Whether the stored checksum covers this record, parsed from `line`.
-    /// Checked against the metrics as this build re-serializes them, then,
-    /// failing that, against the line exactly as written: a record whose
-    /// host block carries a counter this build no longer has (the unknown
-    /// field is ignored on load) still verifies, and so does a record from
-    /// before the `prefix_digest` column was retired, whose checksum covers
-    /// that column's value.
-    fn checksum_valid(&self, line: &str) -> bool {
-        let covers = |prefix_digest: Option<u64>, metrics_json: &str| {
-            self.checksum
-                == record_checksum(
-                    self.digest,
-                    prefix_digest,
-                    self.engine_version,
-                    &self.workload,
-                    &self.mechanism,
-                    self.seed,
-                    metrics_json,
-                )
-        };
-        let reserialized =
-            serde_json::to_string(&self.metrics).expect("cache record metrics must serialize");
-        covers(None, &reserialized)
-            || serde_json::from_str::<serde_json::Value>(line).is_ok_and(|value| {
-                let prefix_digest = value.get("prefix_digest").and_then(|p| p.as_u64());
-                value
-                    .get("metrics")
-                    .is_some_and(|m| covers(prefix_digest, &serde::to_json_string(m, false)))
-            })
-    }
+/// The checksummed fields of one record as JSON text: numbers in decimal,
+/// strings unquoted, `metrics` as its compact JSON object.
+struct RecordText<'a> {
+    digest: &'a str,
+    /// Only present on records written while the cache still had a
+    /// `prefix_digest` column; their checksum covers its value.
+    prefix_digest: Option<&'a str>,
+    engine_version: &'a str,
+    workload: &'a str,
+    mechanism: &'a str,
+    seed: &'a str,
+    metrics: &'a str,
 }
 
-/// Content checksum of one cache record: FNV-1a over every identity field
-/// plus the canonical JSON of the metrics payload. `prefix_digest` is only
-/// `Some` for records written while the cache still had that column.
-fn record_checksum(
-    digest: u64,
-    prefix_digest: Option<u64>,
-    engine_version: u32,
-    workload: &str,
-    mechanism: &str,
-    seed: u64,
-    metrics_json: &str,
-) -> u64 {
-    let prefix = prefix_digest.map(|p| format!("p{p}|")).unwrap_or_default();
-    fnv1a_64(
-        format!(
-            "cache|{digest}|{prefix}v{engine_version}|{workload}|{mechanism}|{seed}|{metrics_json}"
-        )
-        .as_bytes(),
+/// Content checksum of one cache record: FNV-1a over
+/// `cache|{digest}|{p{prefix_digest}|}v{engine_version}|{workload}|{mechanism}|{seed}|{metrics}`,
+/// folded piece by piece so neither the writer nor the verifier builds
+/// that string.
+fn record_checksum(t: &RecordText) -> u64 {
+    let (p, prefix, bar) = match t.prefix_digest {
+        Some(prefix) => ("p", prefix, "|"),
+        None => ("", "", ""),
+    };
+    [
+        "cache|",
+        t.digest,
+        "|",
+        p,
+        prefix,
+        bar,
+        "v",
+        t.engine_version,
+        "|",
+        t.workload,
+        "|",
+        t.mechanism,
+        "|",
+        t.seed,
+        "|",
+        t.metrics,
+    ]
+    .iter()
+    .fold(FNV1A_64_OFFSET, |h, piece| {
+        fnv1a_64_fold(h, piece.as_bytes())
+    })
+}
+
+/// The persisted line for one cell: [`CacheRecord`]'s compact JSON, built
+/// around the single serialization of `metrics` that its checksum covers,
+/// so the `metrics` span as written is the checksummed text.
+fn record_line(digest: u64, seed: u64, metrics: &RunMetrics) -> String {
+    let metrics_json = serde_json::to_string(metrics).expect("cache record metrics must serialize");
+    let checksum = record_checksum(&RecordText {
+        digest: &digest.to_string(),
+        prefix_digest: None,
+        engine_version: &ENGINE_VERSION.to_string(),
+        workload: &metrics.workload,
+        mechanism: &metrics.mechanism,
+        seed: &seed.to_string(),
+        metrics: &metrics_json,
+    });
+    let quoted = |s: &String| serde_json::to_string(s).expect("strings serialize");
+    format!(
+        "{{\"digest\":{digest},\"engine_version\":{ENGINE_VERSION},\"workload\":{},\
+         \"mechanism\":{},\"seed\":{seed},\"metrics\":{metrics_json},\"checksum\":{checksum}}}",
+        quoted(&metrics.workload),
+        quoted(&metrics.mechanism),
     )
 }
 
-/// How one persisted line classified on load. Transient (one live value
-/// at a time on the load path), so the large `Valid` payload is not worth
-/// boxing — and the serde shim has no `Box` impl anyway.
-#[allow(clippy::large_enum_variant)]
-enum LineClass {
-    Valid(CacheRecord),
+/// Split a JSON line holding one object into `(key, value span)` pairs,
+/// each span the byte range of the value's raw JSON text in `line`.
+///
+/// Only the compact shape the cache writes is accepted: no whitespace
+/// outside strings, top-level keys without escapes, nothing after the
+/// closing brace. Anything else — including a truncated line — returns
+/// `None`. Scalars and strings are read directly; nested objects and
+/// arrays are skipped by bracket matching that steps over strings and
+/// their escapes, without checking the grammar inside (a record's checksum
+/// covers those bytes, and decoding them goes through the strict parser).
+/// Never panics.
+pub fn split_fields(line: &str) -> Option<Vec<(&str, Range<usize>)>> {
+    let bytes = line.as_bytes();
+    if bytes.first() != Some(&b'{') {
+        return None;
+    }
+    let mut fields = Vec::new();
+    if bytes.get(1) == Some(&b'}') {
+        return (bytes.len() == 2).then_some(fields);
+    }
+    let mut pos = 1;
+    loop {
+        let key_end = string_end(bytes, pos)?;
+        let key = line.get(pos + 1..key_end - 1)?;
+        if key.contains('\\') || bytes.get(key_end) != Some(&b':') {
+            return None;
+        }
+        let start = key_end + 1;
+        let end = value_end(bytes, start)?;
+        fields.push((key, start..end));
+        match bytes.get(end) {
+            Some(b',') => pos = end + 1,
+            Some(b'}') if end + 1 == bytes.len() => return Some(fields),
+            _ => return None,
+        }
+    }
+}
+
+/// Index just past the JSON string opening at `bytes[start]`.
+fn string_end(bytes: &[u8], start: usize) -> Option<usize> {
+    if bytes.get(start) != Some(&b'"') {
+        return None;
+    }
+    let mut i = start + 1;
+    loop {
+        match *bytes.get(i)? {
+            b'"' => return Some(i + 1),
+            b'\\' => i += 2,
+            _ => i += 1,
+        }
+    }
+}
+
+/// Index just past the JSON value starting at `bytes[start]`.
+fn value_end(bytes: &[u8], start: usize) -> Option<usize> {
+    match *bytes.get(start)? {
+        b'"' => string_end(bytes, start),
+        b'{' | b'[' => {
+            let mut depth = 0usize;
+            let mut i = start;
+            loop {
+                match *bytes.get(i)? {
+                    b'"' => {
+                        i = string_end(bytes, i)?;
+                        continue;
+                    }
+                    b'{' | b'[' => depth += 1,
+                    b' ' | b'\t' | b'\n' | b'\r' => return None,
+                    b'}' | b']' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Some(i + 1);
+                        }
+                    }
+                    _ => {}
+                }
+                i += 1;
+            }
+        }
+        _ => {
+            let len = bytes
+                .get(start..)?
+                .iter()
+                .take_while(|&&b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'+' | b'.'))
+                .count();
+            (len > 0).then_some(start + len)
+        }
+    }
+}
+
+/// A canonical decimal: digits only, no sign, no leading zero.
+fn decimal<T: std::str::FromStr>(text: &str) -> Option<T> {
+    let canonical = text.bytes().all(|b| b.is_ascii_digit())
+        && !text.is_empty()
+        && (text == "0" || !text.starts_with('0'));
+    canonical.then(|| text.parse().ok()).flatten()
+}
+
+/// A JSON string with no escapes, unquoted.
+fn plain_str(text: &str) -> Option<&str> {
+    let inner = text.strip_prefix('"')?.strip_suffix('"')?;
+    (!inner.contains('\\')).then_some(inner)
+}
+
+/// One record line split into its fields, `metrics` left undecoded.
+struct RawRecord<'a> {
+    digest: u64,
+    engine_version: u32,
+    seed: u64,
+    checksum: u64,
+    /// Byte range of the `metrics` object in the line.
+    metrics: Range<usize>,
+    text: RecordText<'a>,
+}
+
+impl<'a> RawRecord<'a> {
+    /// Split `line` if it has the writer's exact shape: [`CacheRecord`]'s
+    /// fields in order (a legacy `prefix_digest` allowed after `digest`),
+    /// canonical decimals, and `workload`/`mechanism` without escapes.
+    fn parse(line: &'a str) -> Option<Self> {
+        let fields = split_fields(line)?;
+        let (digest, prefix_digest, rest) = match fields.as_slice() {
+            [("digest", d), ("prefix_digest", p), rest @ ..] => (d, Some(p), rest),
+            [("digest", d), rest @ ..] => (d, None, rest),
+            _ => return None,
+        };
+        let [("engine_version", version), ("workload", workload), ("mechanism", mechanism), ("seed", seed), ("metrics", metrics), ("checksum", checksum)] =
+            rest
+        else {
+            return None;
+        };
+        let span = |range: &Range<usize>| line.get(range.clone());
+        let text = RecordText {
+            digest: span(digest)?,
+            prefix_digest: match prefix_digest {
+                Some(p) => Some(span(p).filter(|p| decimal::<u64>(p).is_some())?),
+                None => None,
+            },
+            engine_version: span(version)?,
+            workload: plain_str(span(workload)?)?,
+            mechanism: plain_str(span(mechanism)?)?,
+            seed: span(seed)?,
+            metrics: span(metrics).filter(|m| m.starts_with('{'))?,
+        };
+        Some(Self {
+            digest: decimal(text.digest)?,
+            engine_version: decimal(text.engine_version)?,
+            seed: decimal(text.seed)?,
+            checksum: decimal(span(checksum)?)?,
+            metrics: metrics.clone(),
+            text,
+        })
+    }
+
+    fn checksum_valid(&self) -> bool {
+        record_checksum(&self.text) == self.checksum
+    }
+}
+
+/// How one persisted line classified on load.
+enum LineClass<'a> {
+    Valid(RawRecord<'a>),
     Stale,
     Corrupt,
 }
 
-fn classify_line(line: &str) -> LineClass {
-    match serde_json::from_str::<CacheRecord>(line) {
-        Ok(rec) if !rec.checksum_valid(line) => LineClass::Corrupt,
-        Ok(rec) if rec.engine_version != ENGINE_VERSION => LineClass::Stale,
-        Ok(rec) => LineClass::Valid(rec),
-        Err(_) => LineClass::Corrupt,
+/// The one classifier `open` and `compact` share: a line is valid only if
+/// it has the writer's shape and its checksum verifies against the bytes
+/// as they sit in the line. Nothing is decoded here.
+fn classify_line(line: &str) -> LineClass<'_> {
+    match RawRecord::parse(line) {
+        Some(rec) if !rec.checksum_valid() => LineClass::Corrupt,
+        Some(rec) if rec.engine_version != ENGINE_VERSION => LineClass::Stale,
+        Some(rec) => LineClass::Valid(rec),
+        None => LineClass::Corrupt,
     }
+}
+
+/// `results.jsonl` as text, empty when absent. Invalid UTF-8 is replaced
+/// instead of failing the whole read, so a flipped byte costs only the
+/// line it is on (whose checksum then fails).
+fn read_text(path: &Path) -> String {
+    match std::fs::read(path) {
+        Ok(bytes) => String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+        Err(_) => String::new(),
+    }
+}
+
+/// The non-blank lines of `text`, each with its byte offset.
+fn record_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.split('\n')
+        .scan(0, |offset, line| {
+            let at = *offset;
+            *offset += line.len() + 1;
+            Some((at, line.strip_suffix('\r').unwrap_or(line)))
+        })
+        .filter(|(_, line)| !line.trim().is_empty())
 }
 
 /// One persisted cost observation (one JSONL line in `costs.jsonl`).
@@ -176,8 +355,10 @@ pub struct CacheStats {
     pub misses: u64,
     pub stores: u64,
     pub entries: u64,
-    /// Records skipped at open because they failed to parse or their
-    /// content checksum did not verify (anywhere in the file).
+    /// Records skipped because they were not in the writer's shape or their
+    /// content checksum did not verify (anywhere in the file), counted at
+    /// open, plus verified records whose metrics failed to decode, counted
+    /// at the lookup that tried.
     pub corrupt_skipped: u64,
     /// Records skipped at open because they were written by another
     /// `ENGINE_VERSION`.
@@ -189,7 +370,7 @@ pub struct CacheStats {
 pub struct CompactStats {
     /// Live records written back.
     pub kept: u64,
-    /// Lines dropped because they failed to parse or verify.
+    /// Lines dropped because they failed to verify or decode.
     pub dropped_corrupt: u64,
     /// Records dropped because of an `ENGINE_VERSION` mismatch.
     pub dropped_stale: u64,
@@ -197,20 +378,33 @@ pub struct CompactStats {
     pub dropped_duplicate: u64,
 }
 
+/// One live cell in memory.
+#[derive(Debug)]
+enum Entry {
+    /// A checksum-verified `metrics` object, as a byte range of the text
+    /// read at open; decoded by the first lookup that wants it.
+    Raw(Range<usize>),
+    Decoded(Box<RunMetrics>),
+}
+
 /// Append-only persistent store of fault-free run results, keyed by
-/// [`cell_digest`]. Loads the whole JSONL file at open (last record wins,
-/// torn trailing lines skipped), then serves lookups from memory and
-/// appends new results as they complete. Thread-safe: the sweep's worker
-/// threads share one instance.
+/// [`cell_digest`]. Verifies the whole JSONL file at open (last record
+/// wins; torn, tampered and stale lines skipped) but decodes a record only
+/// when it is first looked up, then serves it from memory; new results are
+/// appended as they complete. Thread-safe: the sweep's worker threads share
+/// one instance.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    entries: Mutex<HashMap<u64, RunMetrics>>,
+    /// `results.jsonl` as read at open: the one copy every `Entry::Raw`
+    /// range points into.
+    text: String,
+    entries: Mutex<HashMap<u64, Entry>>,
     file: Mutex<std::fs::File>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
-    corrupt_skipped: u64,
+    corrupt_skipped: AtomicU64,
     stale_skipped: u64,
     /// What the most recent [`ResultCache::compact`] on this handle did —
     /// kept so the sweep report and the metrics registry can surface
@@ -227,26 +421,27 @@ impl ResultCache {
         self.dir.join("costs.jsonl")
     }
 
-    /// Open (creating if needed) the cache rooted at `dir`. Corrupt lines
-    /// (unparsable, or parsable with a failed content checksum) anywhere in
-    /// the file — torn trailing appends, bit flips mid-file — are skipped
-    /// and counted, never served; records from another `ENGINE_VERSION`
-    /// likewise. [`ResultCache::compact`] rewrites the file without them.
+    /// Open (creating if needed) the cache rooted at `dir`. Every line is
+    /// checksum-verified here; lines outside the writer's shape or failing
+    /// their checksum anywhere in the file — torn trailing appends, bit
+    /// flips mid-file — are skipped and counted, never served, and records
+    /// from another `ENGINE_VERSION` likewise. [`ResultCache::compact`]
+    /// rewrites the file without them.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let path = Self::results_path(dir);
+        let text = read_text(&path);
         let mut entries = HashMap::new();
         let mut corrupt_skipped = 0u64;
         let mut stale_skipped = 0u64;
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match classify_line(line) {
-                    LineClass::Valid(rec) => {
-                        entries.insert(rec.digest, rec.metrics);
-                    }
-                    LineClass::Stale => stale_skipped += 1,
-                    LineClass::Corrupt => corrupt_skipped += 1,
+        for (at, line) in record_lines(&text) {
+            match classify_line(line) {
+                LineClass::Valid(rec) => {
+                    let span = at + rec.metrics.start..at + rec.metrics.end;
+                    entries.insert(rec.digest, Entry::Raw(span));
                 }
+                LineClass::Stale => stale_skipped += 1,
+                LineClass::Corrupt => corrupt_skipped += 1,
             }
         }
         let file = std::fs::OpenOptions::new()
@@ -255,22 +450,23 @@ impl ResultCache {
             .open(&path)?;
         Ok(Self {
             dir: dir.to_path_buf(),
+            text,
             entries: Mutex::new(entries),
             file: Mutex::new(file),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            corrupt_skipped,
+            corrupt_skipped: AtomicU64::new(corrupt_skipped),
             stale_skipped,
             last_compact: Mutex::new(None),
         })
     }
 
     /// Poisoning-tolerant lock access: a worker that panicked mid-`store`
-    /// cannot corrupt the map (every mutation is a single `insert` after
-    /// the serialization work), so the poison flag is noise — recover the
-    /// guard instead of cascading the panic into every later caller.
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, HashMap<u64, RunMetrics>> {
+    /// cannot corrupt the map (every mutation is a single `insert` or
+    /// `remove`), so the poison flag is noise — recover the guard instead
+    /// of cascading the panic into every later caller.
+    fn lock_entries(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -280,12 +476,42 @@ impl ResultCache {
 
     /// Look a cell up by digest; counts a hit or a miss.
     pub fn lookup(&self, digest: u64) -> Option<RunMetrics> {
-        let found = self.lock_entries().get(&digest).cloned();
+        let found = self.get(digest);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
+    }
+
+    /// The metrics stored under `digest`, decoding a raw entry on its first
+    /// lookup. Decoding runs outside the map lock; its result is memoized
+    /// only if the entry is still the raw span that was decoded. A record
+    /// that verified at open but does not decode is dropped and counted as
+    /// corrupt, and the lookup misses.
+    fn get(&self, digest: u64) -> Option<RunMetrics> {
+        let span = match self.lock_entries().get(&digest)? {
+            Entry::Decoded(metrics) => return Some(RunMetrics::clone(metrics)),
+            Entry::Raw(span) => span.clone(),
+        };
+        let decoded = serde_json::from_str::<RunMetrics>(&self.text[span.clone()]);
+        let mut entries = self.lock_entries();
+        let still_raw = matches!(entries.get(&digest), Some(Entry::Raw(s)) if *s == span);
+        match decoded {
+            Ok(metrics) => {
+                if still_raw {
+                    entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
+                }
+                Some(metrics)
+            }
+            Err(_) => {
+                if still_raw {
+                    entries.remove(&digest);
+                    self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+                }
+                None
+            }
+        }
     }
 
     /// Persist one finished cell under its cell digest. Idempotent per
@@ -301,10 +527,9 @@ impl ResultCache {
             if entries.contains_key(&digest) {
                 return;
             }
-            entries.insert(digest, metrics.clone());
+            entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
         }
-        let rec = CacheRecord::build(digest, seed, metrics);
-        let line = serde_json::to_string(&rec).expect("cache record must serialize");
+        let line = record_line(digest, seed, metrics);
         let mut f = self.lock_file();
         let _ = writeln!(f, "{line}");
         let _ = f.flush();
@@ -317,18 +542,19 @@ impl ResultCache {
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
             entries: self.lock_entries().len() as u64,
-            corrupt_skipped: self.corrupt_skipped,
+            corrupt_skipped: self.corrupt_skipped.load(Ordering::Relaxed),
             stale_skipped: self.stale_skipped,
         }
     }
 
     /// Rewrite `results.jsonl` keeping only current-engine, checksum-valid
-    /// records (last-wins deduped), dropping corrupt and stale lines for
-    /// good. The rewrite goes through a temp file and an atomic rename, the
-    /// append handle is re-pointed at the new file, and the in-memory map
-    /// is refreshed from what was kept — so a compact mid-process never
-    /// loses a record another thread just stored (both locks are held
-    /// across the swap).
+    /// records (last-wins deduped) that decode, dropping corrupt and stale
+    /// lines for good. Only the kept records are decoded, and each is
+    /// rebuilt in this build's shape. The rewrite goes through a temp file
+    /// and an atomic rename, the append handle is re-pointed at the new
+    /// file, and the in-memory map is refreshed from what was kept — so a
+    /// compact mid-process never loses a record another thread just stored
+    /// (both locks are held across the swap).
     pub fn compact(&self) -> std::io::Result<CompactStats> {
         let mut entries = self.lock_entries();
         let mut file = self.lock_file();
@@ -336,48 +562,46 @@ impl ResultCache {
         let mut stats = CompactStats::default();
         // Last-wins over the persisted lines, preserving first-seen order
         // so a compacted file is deterministic for a given input.
-        let mut kept: Vec<CacheRecord> = Vec::new();
+        let text = read_text(&path);
+        let mut kept: Vec<RawRecord> = Vec::new();
         let mut index_of: HashMap<u64, usize> = HashMap::new();
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match classify_line(line) {
-                    LineClass::Valid(rec) => match index_of.get(&rec.digest) {
-                        Some(&i) => {
-                            stats.dropped_duplicate += 1;
-                            kept[i] = rec;
-                        }
-                        None => {
-                            index_of.insert(rec.digest, kept.len());
-                            kept.push(rec);
-                        }
-                    },
-                    LineClass::Stale => stats.dropped_stale += 1,
-                    LineClass::Corrupt => stats.dropped_corrupt += 1,
-                }
+        for (_, line) in record_lines(&text) {
+            match classify_line(line) {
+                LineClass::Valid(rec) => match index_of.get(&rec.digest) {
+                    Some(&i) => {
+                        stats.dropped_duplicate += 1;
+                        kept[i] = rec;
+                    }
+                    None => {
+                        index_of.insert(rec.digest, kept.len());
+                        kept.push(rec);
+                    }
+                },
+                LineClass::Stale => stats.dropped_stale += 1,
+                LineClass::Corrupt => stats.dropped_corrupt += 1,
             }
         }
-        stats.kept = kept.len() as u64;
+        let mut live = HashMap::new();
         let tmp = self.dir.join("results.jsonl.tmp");
         {
             let mut out = std::fs::File::create(&tmp)?;
             for rec in &kept {
-                // Rebuilt rather than re-serialized: the checksum must cover
-                // the metrics in this build's shape.
-                let rec = CacheRecord::build(rec.digest, rec.seed, &rec.metrics);
-                let line = serde_json::to_string(&rec).expect("cache record must serialize");
-                writeln!(out, "{line}")?;
+                let Ok(metrics) = serde_json::from_str::<RunMetrics>(rec.text.metrics) else {
+                    stats.dropped_corrupt += 1;
+                    continue;
+                };
+                writeln!(out, "{}", record_line(rec.digest, rec.seed, &metrics))?;
+                live.insert(rec.digest, Entry::Decoded(Box::new(metrics)));
             }
             out.flush()?;
         }
+        stats.kept = live.len() as u64;
         std::fs::rename(&tmp, &path)?;
         *file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)?;
-        entries.clear();
-        for rec in kept {
-            entries.insert(rec.digest, rec.metrics);
-        }
+        *entries = live;
         *self.last_compact.lock().unwrap_or_else(|e| e.into_inner()) = Some(stats);
         Ok(stats)
     }
@@ -561,6 +785,109 @@ mod tests {
         dir
     }
 
+    /// A record as the schema type, its checksum computed the long way:
+    /// FNV-1a over the joined string, which the folded `record_checksum`
+    /// must reproduce.
+    fn record(digest: u64, engine_version: u32, seed: u64, metrics: &RunMetrics) -> CacheRecord {
+        let metrics_json = serde_json::to_string(metrics).unwrap();
+        let (w, m) = (&metrics.workload, &metrics.mechanism);
+        CacheRecord {
+            digest,
+            engine_version,
+            workload: w.clone(),
+            mechanism: m.clone(),
+            seed,
+            metrics: metrics.clone(),
+            checksum: fnv1a_64(
+                format!("cache|{digest}|v{engine_version}|{w}|{m}|{seed}|{metrics_json}")
+                    .as_bytes(),
+            ),
+        }
+    }
+
+    #[test]
+    fn stored_line_is_the_schema_types_json() {
+        let dir = temp_dir("format");
+        let params = WorkloadId::Ssca2.params().scaled(0.05);
+        let config = SystemConfig::paper(Mechanism::Puno);
+        let metrics = run_workload(Mechanism::Puno, &params, 9);
+        let digest = cell_digest(&config, &params, 9);
+        ResultCache::open(&dir)
+            .unwrap()
+            .store(digest, 0, 9, &metrics);
+        let written = std::fs::read_to_string(ResultCache::results_path(&dir)).unwrap();
+        let expected = serde_json::to_string(&record(digest, ENGINE_VERSION, 9, &metrics)).unwrap();
+        assert_eq!(written, format!("{expected}\n"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn split_fields_reads_only_the_compact_shape() {
+        let line = r#"{"a":1,"b":"x\"y","c":{"d":[1,{"e":"}]"}],"f":null},"g":-2.5e3}"#;
+        let fields = split_fields(line).expect("compact line splits");
+        let text: Vec<(&str, &str)> = fields.iter().map(|(k, r)| (*k, &line[r.clone()])).collect();
+        assert_eq!(
+            text,
+            [
+                ("a", "1"),
+                ("b", r#""x\"y""#),
+                ("c", r#"{"d":[1,{"e":"}]"}],"f":null}"#),
+                ("g", "-2.5e3"),
+            ]
+        );
+        assert_eq!(split_fields("{}"), Some(Vec::new()));
+        for outside in [
+            r#"{"a": 1}"#,
+            r#"{ "a":1}"#,
+            r#"{"a":1} "#,
+            r#"{"a":1}}"#,
+            r#"{"a\u0062":1}"#,
+            r#"{"a":{"b":1}"#,
+            r#"{"a":{"b": 1}}"#,
+            r#"{"a":}"#,
+            r#"["a",1]"#,
+            "",
+        ] {
+            assert_eq!(split_fields(outside), None, "{outside}");
+        }
+    }
+
+    #[test]
+    fn a_verified_record_that_fails_to_decode_is_dropped_at_lookup() {
+        let dir = temp_dir("undecodable");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Checksum-valid, current engine, but the metrics object is not a
+        // `RunMetrics`: open cannot tell, the first lookup can.
+        let metrics_json = r#"{"workload":"ssca2"}"#;
+        let sum = fnv1a_64(
+            format!("cache|7|v{ENGINE_VERSION}|ssca2|baseline|1|{metrics_json}").as_bytes(),
+        );
+        let line = format!(
+            "{{\"digest\":7,\"engine_version\":{ENGINE_VERSION},\"workload\":\"ssca2\",\
+             \"mechanism\":\"baseline\",\"seed\":1,\"metrics\":{metrics_json},\"checksum\":{sum}}}\n"
+        );
+        std::fs::write(ResultCache::results_path(&dir), line).unwrap();
+        let cache = ResultCache::open(&dir).unwrap();
+        assert_eq!(
+            (cache.stats().entries, cache.stats().corrupt_skipped),
+            (1, 0)
+        );
+        assert!(
+            cache.lookup(7).is_none(),
+            "an undecodable record never serves"
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.corrupt_skipped, stats.misses),
+            (0, 1, 1)
+        );
+        assert!(cache.lookup(7).is_none());
+        assert_eq!(cache.stats().corrupt_skipped, 1, "counted once");
+        let c = ResultCache::open(&dir).unwrap().compact().unwrap();
+        assert_eq!((c.kept, c.dropped_corrupt), (0, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn digest_is_stable_and_sensitive() {
         let params = WorkloadId::Ssca2.params().scaled(0.05);
@@ -725,17 +1052,7 @@ mod tests {
         // Craft a record from a future engine version with a checksum that
         // verifies for its own content: it must be skipped as stale, not
         // corrupt (and never served).
-        let mut rec = CacheRecord::build(0xDEAD, 9, &metrics);
-        rec.engine_version = ENGINE_VERSION + 1;
-        rec.checksum = record_checksum(
-            rec.digest,
-            None,
-            rec.engine_version,
-            &rec.workload,
-            &rec.mechanism,
-            rec.seed,
-            &serde_json::to_string(&rec.metrics).unwrap(),
-        );
+        let rec = record(0xDEAD, ENGINE_VERSION + 1, 9, &metrics);
         let path = ResultCache::results_path(&dir);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str(&serde_json::to_string(&rec).unwrap());

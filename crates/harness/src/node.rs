@@ -18,10 +18,10 @@ use puno_htm::stats::AbortCause;
 use puno_htm::unit::{AbortTiming, HtmUnit};
 use puno_htm::BackoffEngine;
 use puno_sim::{
-    ChannelMask, Cycle, Cycles, LineAddr, LineMap, LineSet, NodeId, Timestamp, TraceChannel,
-    TraceEvent, TxId,
+    ChannelMask, Cycle, Cycles, LineAddr, LineMap, LineSet, NodeId, StaticTxId, Timestamp,
+    TraceChannel, TraceEvent, TxId,
 };
-use puno_workloads::op::{DynTxSpec, NodeProgram, TxOp, WorkItem};
+use puno_workloads::op::{NodeProgram, TxOp, WorkItem};
 use std::sync::Arc;
 
 /// What a node step/message handler asks the system to do.
@@ -362,9 +362,7 @@ impl NodeState {
             };
         }
 
-        // Clone the small bits we need to dodge aliasing the program while
-        // mutating the node.
-        match self.program.items[self.pc].clone() {
+        match self.program.items[self.pc] {
             WorkItem::Think(c) => {
                 self.pc += 1;
                 Effects::default().wake(now + c)
@@ -380,14 +378,22 @@ impl NodeState {
                 },
                 memory,
             ),
-            WorkItem::Transaction(spec) => self.step_transaction(now, &spec, memory),
+            // Only the static id and the next op are copied out; the body
+            // stays borrowed in the shared program.
+            WorkItem::Transaction(ref spec) => {
+                let next_op = spec.ops.get(self.op_idx).copied();
+                self.step_transaction(now, spec.static_tx, next_op, memory)
+            }
         }
     }
 
+    /// One step of the current transaction: begin it, perform `next_op`,
+    /// or commit when the body is exhausted (`next_op` is `None`).
     fn step_transaction(
         &mut self,
         now: Cycle,
-        spec: &DynTxSpec,
+        static_tx: StaticTxId,
+        next_op: Option<TxOp>,
         memory: &mut MemoryImage,
     ) -> Effects {
         if self.htm.current().is_none() {
@@ -404,8 +410,7 @@ impl NodeState {
                 }
             });
             let (tx, timestamp, prior_aborts) = (cur.tx, cur.timestamp, cur.prior_aborts);
-            self.htm
-                .begin(now, spec.static_tx, tx, timestamp, prior_aborts);
+            self.htm.begin(now, static_tx, tx, timestamp, prior_aborts);
             self.op_idx = 0;
             if self.htm_trace_on() {
                 self.trace_buf.push((
@@ -413,7 +418,7 @@ impl NodeState {
                     TraceEvent::HtmBegin {
                         node: self.id,
                         tx,
-                        static_tx: spec.static_tx,
+                        static_tx,
                         timestamp,
                         attempt: prior_aborts,
                     },
@@ -421,22 +426,22 @@ impl NodeState {
             }
             return Effects::default().wake(now + 1);
         }
-        if self.op_idx < spec.ops.len() {
-            match spec.ops[self.op_idx] {
+        if let Some(op) = next_op {
+            match op {
                 TxOp::Think(c) => {
                     self.op_idx += 1;
                     Effects::default().wake(now + c)
                 }
                 TxOp::Read(addr) => {
                     let site = OpSite {
-                        static_tx: spec.static_tx.0,
+                        static_tx: static_tx.0,
                         op_index: self.op_idx as u32,
                     };
                     self.access(now, addr, false, true, site, memory)
                 }
                 TxOp::Write(addr) => {
                     let site = OpSite {
-                        static_tx: spec.static_tx.0,
+                        static_tx: static_tx.0,
                         op_index: self.op_idx as u32,
                     };
                     self.access(now, addr, true, true, site, memory)
@@ -1165,7 +1170,7 @@ mod tests {
     use puno_coherence::l1::L1Config;
     use puno_htm::backoff::{BackoffConfig, BackoffKind};
     use puno_htm::unit::AbortTiming;
-    use puno_sim::{SimRng, StaticTxId};
+    use puno_sim::SimRng;
     use puno_workloads::op::{DynTxSpec, WorkItem};
 
     fn node_with(items: Vec<WorkItem>) -> NodeState {

@@ -532,13 +532,15 @@ where
     });
 
     // Feed observed wall-clocks back into the persisted cost model (only
-    // cells that actually ran this sweep; resumed cells are skipped).
+    // cells that actually simulated this sweep: resumed cells are skipped,
+    // and a cache hit carries the wall-clock of the run that stored it,
+    // which the model has already seen).
     let mut cost_records: Vec<CostRecord> = Vec::new();
     let mut cache_hits = vec![false; cells.len()];
     for (i, outcome, cache_hit) in done.into_inner().unwrap_or_else(|e| e.into_inner()) {
         cache_hits[i] = cache_hit;
         if let CellOutcome::Ok { key, metrics } = &outcome {
-            if metrics.host.wall_secs > 0.0 {
+            if !cache_hit && metrics.host.wall_secs > 0.0 {
                 cost_records.push(CostRecord {
                     workload: key.workload.name().to_string(),
                     mechanism: key.mechanism.name().to_string(),
@@ -760,7 +762,7 @@ fn publish_cache_stats(registry: &obs::MetricsRegistry, cache: &ResultCache) {
     );
     set(
         "puno_cache_corrupt_skipped",
-        "Corrupt (torn or checksum-failed) records skipped at cache open.",
+        "Corrupt records skipped: torn, misshapen or checksum-failed at open, undecodable at first lookup.",
         s.corrupt_skipped as f64,
     );
     set(

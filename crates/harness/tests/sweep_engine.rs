@@ -98,3 +98,32 @@ fn sweep_engine_paths_are_bit_identical_to_fresh_runs() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A fully warm sweep simulates nothing, so it has no wall-clocks to teach
+/// the cost model: `costs.jsonl` must come out byte-identical.
+#[test]
+fn warm_sweep_leaves_the_cost_model_untouched() {
+    let dir = std::env::temp_dir().join(format!("puno-sweep-costs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let workloads = [WorkloadId::Ssca2];
+    let sweep_with_fresh_handle = || {
+        let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+        let cache = Arc::new(ResultCache::open(&dir).expect("cache dir"));
+        opts.result_cache = Some(cache.clone());
+        try_sweep(&workloads, &MECHANISMS, &opts);
+        cache.stats()
+    };
+    let costs = dir.join("costs.jsonl");
+
+    assert_eq!(sweep_with_fresh_handle().stores, 2);
+    let cold = std::fs::read(&costs).expect("the cold sweep records its costs");
+    assert_eq!(cold.iter().filter(|&&b| b == b'\n').count(), 2);
+
+    assert_eq!(sweep_with_fresh_handle().hits, 2);
+    assert_eq!(
+        std::fs::read(&costs).unwrap(),
+        cold,
+        "cache hits fed costs.jsonl"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -41,6 +41,6 @@ pub use addresses::AddressMap;
 pub use genprog::generate_program;
 pub use op::{DynTxSpec, NodeProgram, TxOp, WorkItem};
 pub use params::{StaticTxParams, WorkloadParams};
-pub use progcache::{fnv1a_64, params_digest, ProgramSet};
+pub use progcache::{fnv1a_64, fnv1a_64_fold, params_digest, ProgramSet, FNV1A_64_OFFSET};
 pub use stamp::{table1_rows, Table1Row, WorkloadId};
 pub use stats::{characterize, ProgramStats};

@@ -19,17 +19,26 @@ use crate::op::NodeProgram;
 use crate::params::WorkloadParams;
 use puno_sim::NodeId;
 
+/// FNV-1a 64-bit offset basis: the hash of the empty string, and the
+/// starting state for [`fnv1a_64_fold`].
+pub const FNV1A_64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a 64-bit over an arbitrary byte string. Hand-rolled so digests are
 /// stable across runs and hosts without pulling in a hashing crate.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_64_fold(FNV1A_64_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash over more bytes: folding the pieces of a
+/// string one after another gives the hash of their concatenation, so a
+/// caller can hash text that sits in several places without joining it.
+pub fn fnv1a_64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(PRIME);
     }
-    h
+    hash
 }
 
 /// Stable content digest of a `WorkloadParams`.
@@ -81,6 +90,17 @@ impl ProgramSet {
 mod tests {
     use super::*;
     use crate::stamp::WorkloadId;
+
+    #[test]
+    fn fnv_fold_over_pieces_hashes_their_concatenation() {
+        let whole = b"cache|42|v4|ssca2|baseline|1|{}";
+        for split in 0..=whole.len() {
+            let (a, b) = whole.split_at(split);
+            let folded = fnv1a_64_fold(fnv1a_64_fold(FNV1A_64_OFFSET, a), b);
+            assert_eq!(folded, fnv1a_64(whole), "split at {split}");
+        }
+        assert_eq!(fnv1a_64(b""), FNV1A_64_OFFSET);
+    }
 
     #[test]
     fn program_set_matches_fresh_generation() {

@@ -52,12 +52,16 @@ echo "== result-cache smoke (4-cell sweep twice; warm pass must replay byte-for-
 # Cold pass simulates and stores every cell; the warm pass must serve all
 # four cells from the cache and produce byte-identical stdout (cached
 # replay carries the cold run's metrics verbatim, host counters included).
+# A warm pass simulates nothing, so it must also leave the cost model's
+# costs.jsonl exactly as the cold pass wrote it.
 CACHE_DIR="$(mktemp -d)"
 RES_DIR="$(mktemp -d)"
 trap 'rm -rf "$CACHE_DIR" "$RES_DIR"' EXIT
 PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
     cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 --filter ssca2 \
     > "$CACHE_DIR/cold.txt" 2> "$CACHE_DIR/cold.err"
+[ -s "$CACHE_DIR/costs.jsonl" ] || { echo "cold pass recorded no cell costs"; exit 1; }
+cp "$CACHE_DIR/costs.jsonl" "$RES_DIR/costs.cold.jsonl"
 PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
     cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 --filter ssca2 \
     > "$CACHE_DIR/warm.txt" 2> "$CACHE_DIR/warm.err"
@@ -65,7 +69,9 @@ diff "$CACHE_DIR/cold.txt" "$CACHE_DIR/warm.txt" \
     || { echo "warm sweep output differs from cold sweep"; exit 1; }
 grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/warm.err" \
     || { echo "warm pass did not hit the cache:"; cat "$CACHE_DIR/warm.err"; exit 1; }
-echo "cache smoke OK (4/4 warm hits, byte-identical output)"
+cmp "$RES_DIR/costs.cold.jsonl" "$CACHE_DIR/costs.jsonl" \
+    || { echo "warm pass fed cache hits into costs.jsonl"; exit 1; }
+echo "cache smoke OK (4/4 warm hits, byte-identical output, costs.jsonl unchanged)"
 
 echo "== resilience smoke (corrupt cache record: skip-and-count, then compact) =="
 # Tamper with a field inside the FIRST persisted record: the JSON still
