@@ -394,7 +394,9 @@ fn bench_system_throughput(h: &mut Harness) {
         let mut sim_cycles = 0u64;
         let us = h.bench(&name, 12, || {
             let config = SystemConfig::paper(Mechanism::Baseline);
-            let m = puno_harness::System::new(config, &params, 1).run();
+            let m = puno_harness::System::new(config, &params, 1)
+                .try_run_recycled()
+                .unwrap();
             sim_cycles = m.cycles;
             black_box(m.cycles ^ m.committed)
         });
@@ -436,7 +438,7 @@ fn bench_mesh_sparse(h: &mut Harness) {
 }
 
 /// Wall-clock of the thread-parallel sweep driver's cold path: shared
-/// program generation, recycled worker `System`s, and cost-aware job
+/// program generation, one `System::new_shared` per cell, and cost-aware job
 /// ordering, with the result cache explicitly disabled so the simulate
 /// path (not replay) is what gets timed.
 fn bench_sweep(h: &mut Harness) {
@@ -463,7 +465,9 @@ fn bench_tracing(h: &mut Harness) {
     let params = WorkloadId::Ssca2.params().scaled(0.05);
     h.bench("trace/off/ssca2", 12, || {
         let config = SystemConfig::paper(Mechanism::Baseline);
-        let m = puno_harness::System::new(config, &params, 1).run();
+        let m = puno_harness::System::new(config, &params, 1)
+            .try_run_recycled()
+            .unwrap();
         black_box(m.cycles ^ m.committed)
     });
     h.bench("trace/ring_all/ssca2", 12, || {
@@ -507,7 +511,9 @@ fn bench_obs(h: &mut Harness) {
     let params = WorkloadId::Ssca2.params().scaled(0.05);
     h.bench("obs/off/ssca2", 12, || {
         let config = SystemConfig::paper(Mechanism::Baseline);
-        let m = puno_harness::System::new(config, &params, 1).run();
+        let m = puno_harness::System::new(config, &params, 1)
+            .try_run_recycled()
+            .unwrap();
         black_box(m.cycles ^ m.committed)
     });
     puno_harness::obs::enable();

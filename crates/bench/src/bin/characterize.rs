@@ -3,7 +3,7 @@
 //! Table I, Figure 2 and Figure 3 in one place, plus the NoC hotspot skew
 //! that the aggregate figures hide.
 //!
-//! Usage: characterize [scale] [seed]
+//! Usage: `characterize [scale] [seed]`
 
 use puno_bench::{parse_args, save_json};
 use puno_harness::{run_workload, Mechanism};

@@ -1,7 +1,7 @@
 //! Design-space sensitivity sweeps over PUNO's tunables, on the
 //! high-contention group. Complements `ablation` with full curves.
 //!
-//! Usage: sensitivity [scale] [seed]
+//! Usage: `sensitivity [scale] [seed]`
 
 use puno_bench::{parse_args, save_json};
 use puno_harness::sensitivity::{

@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use puno_harness::report::{FigureMetric, NormalizedFigure};
-use puno_harness::sweep::{sweep, sweep_seeds, SweepResult};
+use puno_harness::sweep::{sweep, SweepResult};
 use puno_harness::Mechanism;
 use puno_workloads::WorkloadId;
 use std::path::PathBuf;
@@ -36,8 +36,9 @@ pub fn parse_args() -> Args {
 
 /// Run the full workload x mechanism sweep for every requested seed.
 pub fn full_sweep(args: Args) -> Vec<Vec<SweepResult>> {
-    let seeds: Vec<u64> = (args.seed..args.seed + args.nseeds).collect();
-    sweep_seeds(&WorkloadId::ALL, &Mechanism::ALL, &seeds, args.scale)
+    (args.seed..args.seed + args.nseeds)
+        .map(|seed| sweep(&WorkloadId::ALL, &Mechanism::ALL, seed, args.scale))
+        .collect()
 }
 
 /// Run the baseline only (for the characterization artifacts: Table I,

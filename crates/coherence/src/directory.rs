@@ -159,13 +159,6 @@ impl DirectoryBank {
         &self.stats
     }
 
-    /// Drop every directory entry and zero the stats, keeping the entry
-    /// table's allocation. Equivalent to `DirectoryBank::new(home, config)`.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.stats = DirStats::default();
-    }
-
     pub fn home(&self) -> NodeId {
         self.home
     }

@@ -105,18 +105,6 @@ impl L1Cache {
         }
     }
 
-    /// Empty every set and rewind the LRU clock, keeping the tag-array
-    /// allocation. Equivalent to `L1Cache::new(self.config)`.
-    pub fn reset(&mut self) {
-        self.ways.fill(None);
-        self.tick = 0;
-    }
-
-    /// The cache's geometry (lets recyclers decide reset vs rebuild).
-    pub fn config(&self) -> L1Config {
-        self.config
-    }
-
     #[inline]
     fn set_of(&self, addr: LineAddr) -> u32 {
         (addr.0 % self.config.sets as u64) as u32

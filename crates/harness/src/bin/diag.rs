@@ -1,5 +1,5 @@
 //! Quick diagnostic: dump mechanism-comparison stats for one workload.
-//! Usage: diag [workload|micro-name] [scale]
+//! Usage: `diag [workload|micro-name] [scale]`
 
 use puno_harness::Mechanism;
 use puno_workloads::{micro, WorkloadId, WorkloadParams};

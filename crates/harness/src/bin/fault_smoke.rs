@@ -1,7 +1,7 @@
 //! CI fault smoke: a small sweep with background fault injection must
 //! complete every cell without a single structured failure, and the faults
 //! must actually have fired. Exits non-zero (for CI) on any failed cell.
-//! Usage: fault_smoke [scale] [intensity] [seed]
+//! Usage: `fault_smoke [scale] [intensity] [seed]`
 
 use puno_harness::sweep::{try_sweep, SweepOptions};
 use puno_harness::Mechanism;

@@ -1,7 +1,7 @@
 //! Full 8-workload x 4-mechanism sweep with the figure-shaped summaries.
-//! Usage: sweep_all [scale] [seed] [--filter <workload|mechanism|workload:mechanism>]
-//!                  [--trace <workload>:<mechanism>] [--mesh <4|8|16>]
-//!                  [--compact-cache] [--json <path|->]
+//! Usage: `sweep_all [scale] [seed] [--filter <workload|mechanism|workload:mechanism>]
+//! [--trace <workload>:<mechanism>] [--mesh <4|8|16>]
+//! [--compact-cache] [--json <path|->]`
 //!
 //! `--filter` restricts the grid: an argument matching a workload name
 //! (substring, case-insensitive) keeps only those workloads; one matching a

@@ -1,8 +1,8 @@
 //! Validate a JSONL trace stream or convert it to Chrome-trace JSON.
 //!
 //! Usage:
-//!   trace_export <trace.jsonl> [--out <chrome.json>]
-//!   trace_export <trace.jsonl> --validate [--channels <spec>]
+//!   `trace_export <trace.jsonl> [--out <chrome.json>]`
+//!   `trace_export <trace.jsonl> --validate [--channels <spec>]`
 //!
 //! Without `--validate`, the stream is converted to the Chrome `traceEvents`
 //! format (loadable in `chrome://tracing` / Perfetto) and written to `--out`

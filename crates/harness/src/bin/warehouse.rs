@@ -1,8 +1,8 @@
 //! Offline queries over the cross-run result warehouse (sink 3 of the
 //! observability layer — see `puno_harness::warehouse`).
 //!
-//! Usage: warehouse [--dir <path>] <trend|delta|regress|stats|rows>
-//!                  [--baseline <path>]
+//! Usage: `warehouse [--dir <path>] <trend|delta|regress|stats|rows>
+//! [--baseline <path>]`
 //!
 //! The warehouse directory comes from `--dir` or `PUNO_WAREHOUSE`. Sweeps
 //! append one checksummed JSONL row per completed cell there (grouped by

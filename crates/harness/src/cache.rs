@@ -16,6 +16,7 @@
 //! expensive cells start first and stragglers do not serialize the tail.
 
 use crate::config::SystemConfig;
+use crate::knobs::env_setting;
 use crate::metrics::RunMetrics;
 use puno_workloads::{fnv1a_64, fnv1a_64_fold, WorkloadParams, FNV1A_64_OFFSET};
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,7 @@ pub struct CacheRecord {
     pub mechanism: String,
     pub seed: u64,
     pub metrics: RunMetrics,
-    /// FNV-1a checksum over the record content (see [`record_checksum`]),
+    /// FNV-1a checksum over the record content (see `record_checksum`),
     /// verified on load: a record corrupted anywhere in the file — not just
     /// a torn trailing line — is skipped and counted instead of replayed.
     pub checksum: u64,
@@ -654,23 +655,20 @@ impl ResultCache {
 }
 
 /// The process-wide cache configured by the `PUNO_RESULT_CACHE` environment
-/// variable (a directory path; unset, empty, `0`, or `off` disables it).
-/// Resolved once per process: scripts set the variable before launch. With
-/// `PUNO_RESULT_CACHE_COMPACT` additionally set (non-empty, not `0`/`off`),
-/// the persisted file is compacted at open — corrupt, stale-version, and
+/// variable (a directory path; an off value, see
+/// [`crate::knobs::parse_setting`], disables it). Resolved once per
+/// process: scripts set the variable before launch. With
+/// `PUNO_RESULT_CACHE_COMPACT` additionally set to an on value, the
+/// persisted file is compacted at open — corrupt, stale-version, and
 /// superseded records are rewritten away (summary on stderr).
 pub fn global_cache() -> Option<Arc<ResultCache>> {
     static CACHE: OnceLock<Option<Arc<ResultCache>>> = OnceLock::new();
     CACHE
         .get_or_init(|| {
-            let dir = std::env::var("PUNO_RESULT_CACHE").ok()?;
-            let dir = dir.trim();
-            if dir.is_empty() || dir == "0" || dir.eq_ignore_ascii_case("off") {
-                return None;
-            }
-            match ResultCache::open(Path::new(dir)) {
+            let dir = env_setting("PUNO_RESULT_CACHE")?;
+            match ResultCache::open(Path::new(&dir)) {
                 Ok(cache) => {
-                    if env_flag("PUNO_RESULT_CACHE_COMPACT") {
+                    if env_setting("PUNO_RESULT_CACHE_COMPACT").is_some() {
                         match cache.compact() {
                             Ok(c) => eprintln!(
                                 "result cache compacted: {} kept, {} corrupt, {} stale, \
@@ -691,17 +689,6 @@ pub fn global_cache() -> Option<Arc<ResultCache>> {
             }
         })
         .clone()
-}
-
-/// Truthy-env helper: set, non-empty, and not `0`/`off`.
-fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim();
-            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("off")
-        }
-        Err(_) => false,
-    }
 }
 
 /// Per-(workload, mechanism) cost estimator for sweep job ordering. Learned

@@ -13,6 +13,7 @@ pub mod cache;
 pub mod config;
 pub mod error;
 pub mod invariants;
+pub mod knobs;
 pub mod mechanism;
 pub mod memory;
 pub mod metrics;
@@ -36,7 +37,7 @@ pub use memory::MemoryImage;
 pub use metrics::{HostPerf, RunMetrics};
 pub use obs::MetricsRegistry;
 pub use oracle::FalseAbortOracle;
-pub use run::{run_workload, run_workload_with_faults, try_run_workload};
+pub use run::{run_with_config, run_workload};
 pub use sweep::{sweep, RetryPolicy, SweepResult};
 pub use system::{System, SystemSnapshot};
 pub use telemetry::{TelemetryCollector, TelemetryConfig, TelemetryReport};

@@ -8,9 +8,9 @@ pub enum Mechanism {
     /// LogTM-style eager HTM, multicast invalidations, fixed 20-cycle nack
     /// backoff.
     Baseline,
-    /// Baseline + randomized linear backoff on abort [17].
+    /// Baseline + randomized linear backoff on abort \[17\].
     RandomBackoff,
-    /// Baseline + per-node 256-entry read-modify-write predictor [5].
+    /// Baseline + per-node 256-entry read-modify-write predictor \[5\].
     RmwPred,
     /// Baseline + PUNO (predictive unicast + notification).
     Puno,

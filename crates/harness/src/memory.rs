@@ -41,12 +41,6 @@ impl MemoryImage {
     pub fn touched_lines(&self) -> usize {
         self.values.len()
     }
-
-    /// Zero the whole image in place (O(1) generation bump), keeping the
-    /// table allocation. Equivalent to a fresh image.
-    pub fn clear(&mut self) {
-        self.values.clear();
-    }
 }
 
 #[cfg(test)]

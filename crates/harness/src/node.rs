@@ -8,14 +8,14 @@
 //! the protocol logic unit-testable without a network.
 
 use crate::memory::MemoryImage;
-use puno_coherence::l1::{Eviction, L1Cache, L1Config, LineState, LookupOutcome};
+use puno_coherence::l1::{Eviction, L1Cache, LineState, LookupOutcome};
 use puno_coherence::msg::{CoherenceMsg, TxInfo};
 use puno_coherence::sharers::SharerSet;
 use puno_core::{notification_estimate, TxLengthBuffer};
 use puno_htm::conflict::{ForwardDecision, IncomingKind};
-use puno_htm::rmw::{OpSite, RmwPredictor};
+use puno_htm::rmw::OpSite;
 use puno_htm::stats::AbortCause;
-use puno_htm::unit::{AbortTiming, HtmUnit};
+use puno_htm::unit::HtmUnit;
 use puno_htm::BackoffEngine;
 use puno_sim::{
     ChannelMask, Cycle, Cycles, LineAddr, LineMap, LineSet, NodeId, StaticTxId, Timestamp,
@@ -199,57 +199,6 @@ impl NodeState {
             trace_mask: ChannelMask::NONE,
             trace_buf: Vec::new(),
         }
-    }
-
-    /// Return the node to the state [`NodeState::new`] would construct with
-    /// these arguments, reusing the L1 tag array, the HTM scratch
-    /// allocations, and the writeback/sticky containers. `id` is fixed (a
-    /// recycled node keeps its mesh position); everything else — including
-    /// the shared program — is replaced. Bit-identical to fresh
-    /// construction: every field `new` initializes is restored here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reset(
-        &mut self,
-        nodes: u16,
-        l1_config: L1Config,
-        abort_timing: AbortTiming,
-        rmw: Option<RmwPredictor>,
-        txlb: TxLengthBuffer,
-        backoff: BackoffEngine,
-        program: Arc<NodeProgram>,
-        commit_latency: Cycles,
-        notification_enabled: bool,
-    ) {
-        if self.l1.config() == l1_config {
-            self.l1.reset();
-        } else {
-            self.l1 = L1Cache::new(l1_config);
-        }
-        self.htm.reset(abort_timing, rmw);
-        self.txlb = txlb;
-        self.backoff = backoff;
-        self.program = program;
-        self.pc = 0;
-        self.op_idx = 0;
-        self.epoch = 0;
-        self.phase = Phase::Ready;
-        self.mshr = None;
-        self.wb_buffer.clear();
-        self.sticky_owned.clear();
-        self.cur_tx = None;
-        self.next_tx_seq = 0;
-        self.pending_restart = None;
-        self.done_at = None;
-        self.nodes = nodes;
-        self.commit_latency = commit_latency;
-        self.notification_enabled = notification_enabled;
-        self.wakeup_hints = false;
-        self.pending_wakeups.clear();
-        self.waiting_retry = None;
-        self.last_nackers = SharerSet::EMPTY;
-        self.force_nack_once = false;
-        self.trace_mask = ChannelMask::NONE;
-        self.trace_buf.clear();
     }
 
     /// Whether this node's next live wake would execute TX_BEGIN: the

@@ -22,6 +22,7 @@
 //! `None`). The 16-cell golden suite runs with observability on and off and
 //! must stay bit-identical either way.
 
+use crate::knobs::{env_setting, parse_setting};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -401,20 +402,6 @@ pub fn global() -> Option<&'static MetricsRegistry> {
     }
 }
 
-fn env_truthy(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim();
-            !(v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-                || v.eq_ignore_ascii_case("no"))
-        }
-        Err(_) => false,
-    }
-}
-
 /// Resolve the observability environment once per process: any of
 /// `PUNO_METRICS_ADDR`, `PUNO_OBS`, `PUNO_PROGRESS`, or `PUNO_WAREHOUSE`
 /// being set enables the registry, and a metrics address additionally
@@ -424,14 +411,9 @@ fn env_truthy(name: &str) -> bool {
 pub fn init_from_env() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
-        let addr = std::env::var("PUNO_METRICS_ADDR").ok();
-        let addr = addr
-            .as_deref()
-            .map(str::trim)
-            .filter(|a| !a.is_empty() && *a != "0" && !a.eq_ignore_ascii_case("off"))
-            .map(str::to_string);
+        let addr = env_setting("PUNO_METRICS_ADDR");
         let wanted = addr.is_some()
-            || env_truthy("PUNO_OBS")
+            || env_setting("PUNO_OBS").is_some()
             || env_progress().is_some()
             || crate::warehouse::env_warehouse().is_some();
         if !wanted {
@@ -649,20 +631,11 @@ impl RunSampler {
 // ---------------------------------------------------------------------------
 // Sink 2: console progress heartbeat.
 
-/// Parse a `PUNO_PROGRESS` value into a heartbeat interval. Falsy values
-/// (unset, empty, `0`, `off`, `false`, `no`) disable it; a positive number
-/// is the interval in seconds; any other truthy value means the 1 s
-/// default.
+/// Parse a `PUNO_PROGRESS` value into a heartbeat interval. Off values
+/// (see [`crate::knobs::parse_setting`]) disable it; a positive number is
+/// the interval in seconds; any other on value means the 1 s default.
 pub fn parse_progress(value: Option<&str>) -> Option<Duration> {
-    let v = value?.trim();
-    if v.is_empty()
-        || v == "0"
-        || v.eq_ignore_ascii_case("off")
-        || v.eq_ignore_ascii_case("false")
-        || v.eq_ignore_ascii_case("no")
-    {
-        return None;
-    }
+    let v = parse_setting(value)?;
     if let Ok(secs) = v.parse::<f64>() {
         if secs > 0.0 && secs.is_finite() {
             return Some(Duration::from_secs_f64(secs.min(3600.0)));

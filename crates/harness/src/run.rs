@@ -1,11 +1,22 @@
-//! Single-experiment entry point.
+//! Single-cell entry points: [`run_workload`], [`run_with_config`] and the
+//! cached [`run_with_config_cached`], all built on one
+//! `System::new(..).try_run_recycled()`.
+//!
+//! These entry points, and only these, install the run-level environment
+//! knobs on the system they build: `PUNO_TRACE` / `PUNO_TRACE_OUT` (a
+//! tracer, see [`env_tracer`]) and `PUNO_SNAPSHOT_EVERY` (the snapshot
+//! ring). Sweeps ([`mod@crate::sweep`]), and so every figure binary, do not:
+//! they read `PUNO_SNAPSHOT_EVERY` only as the interval of the ring they
+//! auto-arm on retry attempts, and ignore `PUNO_TRACE`. To trace one sweep
+//! cell, use `sweep_all --trace <workload>:<mechanism>`.
 
+use crate::cache::ResultCache;
 use crate::config::SystemConfig;
 use crate::error::RunError;
 use crate::mechanism::Mechanism;
 use crate::metrics::RunMetrics;
 use crate::system::System;
-use puno_sim::{FaultPlan, TraceConfig, Tracer};
+use puno_sim::{TraceConfig, Tracer};
 use puno_workloads::WorkloadParams;
 use std::path::{Path, PathBuf};
 
@@ -21,9 +32,9 @@ pub fn resolve_trace_out(out: &Path, workload: &str, mechanism: &str, seed: u64)
 }
 
 /// Build the tracer described by `PUNO_TRACE` / `PUNO_TRACE_OUT`, or `None`
-/// when tracing is off. Panics on a malformed channel spec — a typo must
-/// not silently run untraced — and reports (but survives) an unwritable
-/// JSONL path.
+/// when tracing is off (read by this module's entry points only). Panics on
+/// a malformed channel spec — a typo must not silently run untraced — and
+/// reports (but survives) an unwritable JSONL path.
 pub fn env_tracer(workload: &str, mechanism: &str, seed: u64) -> Option<Tracer> {
     let cfg = match TraceConfig::from_env() {
         Ok(Some(cfg)) => cfg,
@@ -40,76 +51,39 @@ pub fn env_tracer(workload: &str, mechanism: &str, seed: u64) -> Option<Tracer> 
     Some(tracer)
 }
 
-/// Apply the env-var tracing configuration to a freshly built system.
-fn install_env_tracer(sys: &mut System, params: &WorkloadParams, seed: u64) {
+/// Apply the run-level env knobs (`PUNO_TRACE`, `PUNO_TRACE_OUT`,
+/// `PUNO_SNAPSHOT_EVERY`) to a freshly built system.
+fn install_env_knobs(sys: &mut System, params: &WorkloadParams, seed: u64) {
     crate::obs::init_from_env();
     if let Some(tracer) = env_tracer(&params.name, sys.mechanism().name(), seed) {
         sys.install_tracer(tracer);
     }
-    arm_env_snapshots(sys);
+    if let Some(every) = env_snapshot_every().filter(|&every| every > 0) {
+        sys.set_snapshot_every(every);
+    }
 }
 
 /// Parse `PUNO_SNAPSHOT_EVERY`: the cycle interval between periodic ring
 /// snapshots (see [`System::set_snapshot_every`]). `None` when unset or
-/// unparsable; an explicit `Some(0)` means off (and overrides any
-/// auto-arming, e.g. on traced sweep retries).
+/// unparsable; an explicit `Some(0)` means off (and overrides the sweep's
+/// auto-arming on retry attempts).
 pub fn env_snapshot_every() -> Option<u64> {
     std::env::var("PUNO_SNAPSHOT_EVERY")
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
 }
 
-/// Arm the snapshot ring on a freshly built system when
-/// `PUNO_SNAPSHOT_EVERY` asks for it.
-fn arm_env_snapshots(sys: &mut System) {
-    if let Some(every) = env_snapshot_every() {
-        if every > 0 {
-            sys.set_snapshot_every(every);
-        }
-    }
-}
-
 /// Run `params` under `mechanism` on the paper's Table II system.
 pub fn run_workload(mechanism: Mechanism, params: &WorkloadParams, seed: u64) -> RunMetrics {
-    let config = SystemConfig::paper(mechanism);
-    let mut sys = System::new(config, params, seed);
-    install_env_tracer(&mut sys, params, seed);
-    sys.run()
-}
-
-/// Like [`run_workload`] but reporting deadlock/livelock as a structured
-/// [`RunError`] instead of panicking.
-pub fn try_run_workload(
-    mechanism: Mechanism,
-    params: &WorkloadParams,
-    seed: u64,
-) -> Result<RunMetrics, RunError> {
-    let config = SystemConfig::paper(mechanism);
-    let mut sys = System::new(config, params, seed);
-    install_env_tracer(&mut sys, params, seed);
-    sys.try_run()
-}
-
-/// Run on the paper system with `plan` installed, reporting failures as
-/// structured [`RunError`]s. Fault counts land in `RunMetrics::faults`.
-pub fn run_workload_with_faults(
-    mechanism: Mechanism,
-    params: &WorkloadParams,
-    seed: u64,
-    plan: FaultPlan,
-) -> Result<RunMetrics, RunError> {
-    let config = SystemConfig::paper(mechanism);
-    let mut sys = System::new(config, params, seed);
-    sys.set_fault_plan(plan);
-    install_env_tracer(&mut sys, params, seed);
-    sys.try_run()
+    run_with_config(SystemConfig::paper(mechanism), params, seed)
 }
 
 /// Run with a custom configuration (ablations, sensitivity sweeps).
+/// Panics on deadlock/livelock with the rendered [`RunError`].
 pub fn run_with_config(config: SystemConfig, params: &WorkloadParams, seed: u64) -> RunMetrics {
     let mut sys = System::new(config, params, seed);
-    install_env_tracer(&mut sys, params, seed);
-    sys.run()
+    install_env_knobs(&mut sys, params, seed);
+    sys.try_run_recycled().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_with_config`] through the process-wide result cache (see
@@ -125,16 +99,33 @@ pub fn run_with_config_cached(
     params: &WorkloadParams,
     seed: u64,
 ) -> RunMetrics {
-    let Some(cache) = crate::cache::global_cache() else {
-        return run_with_config(config, params, seed);
-    };
     let digest = crate::cache::cell_digest(&config, params, seed);
-    if let Some(metrics) = cache.lookup(digest) {
-        return metrics;
+    let cache = crate::cache::global_cache();
+    cache_through(cache.as_deref(), digest, seed, || {
+        Ok(run_with_config(config, params, seed))
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The cache-through path of one cell, shared by [`run_with_config_cached`]
+/// and the sweep cell body: serve `digest` from `cache` when it is stored
+/// (noting the hit for the sweep's observability), else `run` the cell and
+/// store a successful result. A failed run is never stored.
+pub(crate) fn cache_through(
+    cache: Option<&ResultCache>,
+    digest: u64,
+    seed: u64,
+    run: impl FnOnce() -> Result<RunMetrics, RunError>,
+) -> Result<RunMetrics, RunError> {
+    if let Some(metrics) = cache.and_then(|c| c.lookup(digest)) {
+        crate::obs::note_cache_hit();
+        return Ok(metrics);
     }
-    let metrics = run_with_config(config, params, seed);
-    cache.store(digest, 0, seed, &metrics);
-    metrics
+    let metrics = run()?;
+    if let Some(cache) = cache {
+        cache.store(digest, 0, seed, &metrics);
+    }
+    Ok(metrics)
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use crate::{Mechanism, SystemConfig};
 use puno_sim::FaultPlan;
 use puno_workloads::{params_digest, ProgramSet, WorkloadId, WorkloadParams};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -242,25 +241,17 @@ impl SweepOptions {
 /// Messages kept in the trace ring when a retry runs traced.
 const RETRY_TRACE_CAPACITY: usize = 512;
 
-thread_local! {
-    /// One long-lived `System` per sweep worker thread: `try_sweep` resets
-    /// it between cells (validated bit-identical to fresh construction)
-    /// instead of reconstructing, keeping the LineMaps, event queue, NoC
-    /// buffers, and per-node scratch allocations warm across the sweep.
-    static WORKER_SYSTEM: RefCell<Option<System>> = const { RefCell::new(None) };
-}
-
 /// Run `workloads x mechanisms` under `opts`, containing per-cell failures.
 /// Outcomes come back in deterministic (workload-major) order regardless of
 /// worker scheduling or resume state.
 ///
 /// The cell body is the sweep-scale fast path: each workload's trace is
 /// generated once per `(params, seed)` and shared immutably across its
-/// mechanism cells and retries; each worker thread recycles one `System`
-/// across the cells it runs; and with a result cache configured, fault-free
+/// mechanism cells and retries (each cell builds its `System` with
+/// [`System::new_shared`]); and with a result cache configured, fault-free
 /// cells whose inputs are unchanged replay their stored metrics without
-/// simulating at all. All three paths are bit-identical to a fresh
-/// `System::new(..).try_run()` per cell.
+/// simulating at all. Both paths are bit-identical to a fresh
+/// `System::new(..).try_run_recycled()` per cell.
 pub fn try_sweep(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
@@ -279,10 +270,12 @@ pub fn try_sweep_rows(
     opts: &SweepOptions,
 ) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
     let programs: Mutex<HashMap<(u64, u64), Arc<ProgramSet>>> = Mutex::new(HashMap::new());
-    let cache = opts.result_cache.clone();
     // Fault plans perturb simulated behaviour, so those runs are neither
     // served from nor stored into the cache.
-    let cacheable = opts.fault_plan.is_empty();
+    let cache = opts
+        .result_cache
+        .as_deref()
+        .filter(|_| opts.fault_plan.is_empty());
     try_sweep_with_rows(
         workloads,
         mechanisms,
@@ -290,58 +283,34 @@ pub fn try_sweep_rows(
         move |mechanism, params, seed, traced| {
             let config = (opts.config)(mechanism);
             let digest = cell_digest(&config, params, seed);
-            if cacheable {
-                if let Some(cache) = &cache {
-                    if let Some(metrics) = cache.lookup(digest) {
-                        obs::note_cache_hit();
-                        return Ok(metrics);
+            crate::run::cache_through(cache, digest, seed, || {
+                let program_set = {
+                    let key = (params_digest(params), seed);
+                    let mut map = programs.lock().unwrap_or_else(|e| e.into_inner());
+                    map.entry(key)
+                        .or_insert_with(|| {
+                            Arc::new(ProgramSet::generate(params, config.nodes(), seed))
+                        })
+                        .clone()
+                };
+                let mut sys = System::new_shared(config, params, seed, &program_set);
+                if traced {
+                    sys.enable_trace(RETRY_TRACE_CAPACITY);
+                    // Auto-arm the snapshot ring so a persistently failing
+                    // cell's final error is a rewind-and-dump of the stalled
+                    // window. `PUNO_SNAPSHOT_EVERY` overrides the interval
+                    // (an explicit 0 keeps it off).
+                    let every = crate::run::env_snapshot_every()
+                        .unwrap_or_else(|| (config.watchdog_window / 2).max(1));
+                    if every > 0 {
+                        sys.set_snapshot_every(every);
                     }
                 }
-            }
-            let program_set = {
-                let key = (params_digest(params), seed);
-                let mut map = programs.lock().unwrap_or_else(|e| e.into_inner());
-                map.entry(key)
-                    .or_insert_with(|| Arc::new(ProgramSet::generate(params, config.nodes(), seed)))
-                    .clone()
-            };
-            // Take the recycled System *out* of the worker's slot for the
-            // duration of the run: if the cell panics, the unwind drops the
-            // (possibly inconsistent) System instead of leaving it in the
-            // slot to poison the next cell — it is reinstalled only after
-            // the run returns normally (Ok or a structured RunError, after
-            // which `reset` fully reinitializes it).
-            let mut sys = match WORKER_SYSTEM.with(|slot| slot.borrow_mut().take()) {
-                Some(mut sys) => {
-                    sys.reset(config, params, seed, &program_set);
-                    sys
+                if !opts.fault_plan.is_empty() {
+                    sys.set_fault_plan(opts.fault_plan.clone());
                 }
-                None => System::new_shared(config, params, seed, &program_set),
-            };
-            if traced {
-                sys.enable_trace(RETRY_TRACE_CAPACITY);
-                // Auto-arm the snapshot ring so a persistently failing
-                // cell's final error is a rewind-and-dump of the stalled
-                // window. `PUNO_SNAPSHOT_EVERY` overrides the interval
-                // (an explicit 0 keeps it off).
-                let every = crate::run::env_snapshot_every()
-                    .unwrap_or_else(|| (config.watchdog_window / 2).max(1));
-                if every > 0 {
-                    sys.set_snapshot_every(every);
-                }
-            }
-            if !opts.fault_plan.is_empty() {
-                sys.set_fault_plan(opts.fault_plan.clone());
-            }
-            let result = sys.try_run_recycled();
-            WORKER_SYSTEM.with(|slot| *slot.borrow_mut() = Some(sys));
-            let metrics = result?;
-            if cacheable {
-                if let Some(cache) = &cache {
-                    cache.store(digest, 0, seed, &metrics);
-                }
-            }
-            Ok(metrics)
+                sys.try_run_recycled()
+            })
         },
     )
 }
@@ -986,20 +955,6 @@ pub fn sweep(
         .collect()
 }
 
-/// Run the sweep for several seeds (one full sweep per seed; results stay
-/// keyed and deterministic).
-pub fn sweep_seeds(
-    workloads: &[WorkloadId],
-    mechanisms: &[Mechanism],
-    seeds: &[u64],
-    scale: f64,
-) -> Vec<Vec<SweepResult>> {
-    seeds
-        .iter()
-        .map(|&s| sweep(workloads, mechanisms, s, scale))
-        .collect()
-}
-
 /// Find one cell in a sweep result set.
 pub fn find(
     results: &[SweepResult],
@@ -1124,7 +1079,7 @@ mod tests {
             if traced {
                 sys.enable_trace(64);
             }
-            sys.try_run()
+            sys.try_run_recycled()
         });
         assert!(outcomes[0].is_ok(), "healthy cell must complete");
         let err = outcomes[1].error().expect("hostile cell must fail");

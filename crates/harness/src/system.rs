@@ -248,6 +248,12 @@ pub struct System {
     /// never re-armed during forensic replay (`rewind_and_dump` drives
     /// `run_loop_inner` directly).
     obs_sampler: Option<Box<crate::obs::RunSampler>>,
+    /// Lines and event interval of the scan armed by
+    /// [`System::check_invariants_every`] (host-side; not in snapshots).
+    invariant_scan: Option<(Vec<LineAddr>, u64)>,
+    /// `events_dispatched` value at which the next invariant scan runs;
+    /// `u64::MAX` while disarmed.
+    next_invariant_scan: u64,
 }
 
 impl System {
@@ -362,115 +368,10 @@ impl System {
             quiesced_cycles: 0,
             obs_sample_every: None,
             obs_sampler: None,
+            invariant_scan: None,
+            next_invariant_scan: u64::MAX,
             config,
         }
-    }
-
-    /// Re-target a finished (or failed) system at a new cell, reusing its
-    /// allocations — event-queue buckets, router buffers, directory entry
-    /// tables, L1 tag arrays, HTM scratch, memory image — instead of
-    /// constructing from scratch. Bit-identical to
-    /// `System::new_shared(config, params, seed, programs)`: every leaf
-    /// reset restores exactly the state its constructor builds, validated
-    /// by the `sweep_engine` golden test. Falls back to full construction
-    /// when the geometry (mesh, NoC, L1, directory config) changes.
-    pub fn reset(
-        &mut self,
-        config: SystemConfig,
-        params: &WorkloadParams,
-        seed: u64,
-        programs: &ProgramSet,
-    ) {
-        let nodes_n = config.nodes();
-        let same_geometry = nodes_n == self.nodes.len() as u16
-            && config.mesh == self.config.mesh
-            && config.noc == self.config.noc
-            && config.l1 == self.config.l1
-            && config.dir == self.config.dir;
-        if !same_geometry {
-            *self = System::new_shared(config, params, seed, programs);
-            return;
-        }
-        assert_eq!(
-            programs.nodes(),
-            nodes_n,
-            "program set does not cover the mesh"
-        );
-        debug_assert_eq!(
-            programs.seed, seed,
-            "program set generated for another seed"
-        );
-        let root_rng = SimRng::new(seed);
-        self.queue.reset();
-        for i in 0..nodes_n {
-            let id = NodeId(i);
-            let rmw = config
-                .mechanism
-                .uses_rmw_predictor()
-                .then(RmwPredictor::paper);
-            let node = &mut self.nodes[i as usize];
-            node.reset(
-                nodes_n,
-                config.l1,
-                config.abort_timing,
-                rmw,
-                TxLengthBuffer::new(config.puno.txlb_entries),
-                BackoffEngine::new(
-                    config.mechanism.backoff_kind(),
-                    config.backoff,
-                    root_rng.derive(0xB0FF ^ i as u64),
-                ),
-                programs.node(id),
-                config.commit_latency,
-                config.mechanism.uses_puno() && config.puno.notification_enabled,
-            );
-            node.set_wakeup_hints(config.mechanism.uses_puno() && config.puno.wakeup_hints);
-            if let Some(sig_cfg) = config.signatures {
-                node.htm.enable_signatures(sig_cfg);
-            }
-            self.queue
-                .schedule_at(0, Event::NodeWake { node: id, epoch: 0 });
-        }
-        for d in &mut self.dirs {
-            d.reset();
-        }
-        let mut puno_cfg = config.puno;
-        puno_cfg.pbuffer_entries = nodes_n as usize;
-        for p in &mut self.predictors {
-            *p = if config.mechanism.uses_puno() {
-                PredictorImpl::Puno(Box::new(PunoPredictor::new(puno_cfg)))
-            } else {
-                PredictorImpl::Null(NullPredictor)
-            };
-        }
-        self.network.reset();
-        self.memory.clear();
-        self.workload_name.clear();
-        self.workload_name.push_str(&params.name);
-        self.seed = seed;
-        self.oracle = FalseAbortOracle::default();
-        self.net_step_armed = false;
-        self.nodes_done = 0;
-        self.finish_cycle = 0;
-        self.tracer = Tracer::off();
-        self.telemetry = None;
-        self.trace_mask = ChannelMask::NONE;
-        self.fault = FaultInjector::new(FaultPlan::none());
-        self.pending_jitter.fill(0);
-        self.last_cycle = 0;
-        self.watchdog_next = config.watchdog_window;
-        self.watchdog_last = 0;
-        self.progress_commits = 0;
-        self.snapshot_every = 0;
-        self.next_snapshot_at = 0;
-        self.snapshot_ring.clear();
-        self.events_dispatched = 0;
-        self.peak_queue_depth = 0;
-        self.host_wall_secs = 0.0;
-        self.quiesced_cycles = 0;
-        self.obs_sample_every = None;
-        self.obs_sampler = None;
-        self.config = config;
     }
 
     /// Capture a copy-on-write checkpoint of the simulated state. The
@@ -541,7 +442,7 @@ impl System {
 
     /// Arm (or, with 0, disarm) periodic ring snapshots: the run loop
     /// captures a [`SystemSnapshot`] every `every` cycles, keeping the last
-    /// [`SNAPSHOT_RING_CAPACITY`]. When the deadlock/livelock watchdog then
+    /// `SNAPSHOT_RING_CAPACITY`. When the deadlock/livelock watchdog then
     /// fires, the run rewinds to the retained snapshot preceding the stalled
     /// window and replays it with all trace channels forced on, so the
     /// resulting [`RunError`] carries the actual lead-up trace. Snapshots
@@ -740,39 +641,40 @@ impl System {
         crate::invariants::check(&self.nodes, &self.dirs, lines)
     }
 
-    /// Run to completion like [`System::run_full`], additionally scanning
-    /// the structural invariants over `lines` every `every` events and
-    /// panicking on the first violation.
-    pub fn run_checked(mut self, lines: &[LineAddr], every: u64) -> (RunMetrics, MemoryImage) {
+    /// Arm a host-side invariant scan in the run loop: after every
+    /// `every`-th dispatched event, [`System::check_invariants`] runs over
+    /// `lines` and the run panics on the first violation. The scan only
+    /// reads simulated state, so an armed run is bit-identical to an
+    /// unarmed one. Disarmed, the loop pays one compare per event. The hook
+    /// is host-side and not part of snapshots.
+    pub fn check_invariants_every(&mut self, lines: &[LineAddr], every: u64) {
         assert!(every > 0);
-        let t0 = std::time::Instant::now();
-        let mut events = 0u64;
-        loop {
-            match self.step_once() {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => panic!("{e}"),
-            }
-            events += 1;
-            if events.is_multiple_of(every) {
-                let violations = self.check_invariants(lines);
-                assert!(
-                    violations.is_empty(),
-                    "coherence invariants violated at cycle {}: {violations:?}",
-                    self.last_cycle
-                );
-            }
-        }
-        self.host_wall_secs += t0.elapsed().as_secs_f64();
-        let memory = std::mem::take(&mut self.memory);
-        (self.finalize(), memory)
+        self.invariant_scan = Some((lines.to_vec(), every));
+        self.next_invariant_scan = self.events_dispatched + every;
+    }
+
+    /// The armed invariant scan, run from the loop at its event cadence.
+    #[cold]
+    fn scan_invariants(&mut self) {
+        let (lines, every) = self
+            .invariant_scan
+            .as_ref()
+            .expect("invariant scan fired without being armed");
+        let every = *every;
+        let violations = crate::invariants::check(&self.nodes, &self.dirs, lines);
+        assert!(
+            violations.is_empty(),
+            "coherence invariants violated at cycle {}: {violations:?}",
+            self.last_cycle
+        );
+        self.next_invariant_scan += every;
     }
 
     pub fn mechanism(&self) -> Mechanism {
         self.config.mechanism
     }
 
-    /// Process one popped event (shared by the batch loop and `step_once`).
+    /// Process one popped event.
     fn dispatch_event(&mut self, now: Cycle, event: Event) {
         match event {
             Event::NodeWake { node, epoch } => self.on_node_wake(now, node, epoch),
@@ -834,55 +736,13 @@ impl System {
         }
     }
 
-    /// Run to completion and return the metrics.
-    ///
-    /// Panics on deadlock/livelock; prefer [`System::try_run`] where a
-    /// structured [`RunError`] is more useful (sweeps, fault injection).
-    pub fn run(self) -> RunMetrics {
-        self.run_full().0
-    }
-
-    /// Run to completion keeping the last `capacity` delivered protocol
-    /// messages; returns the metrics and the rendered trace.
-    pub fn run_traced(mut self, capacity: usize) -> (RunMetrics, String) {
-        self.enable_trace(capacity);
-        match self.run_loop(StopAt::Completion) {
-            Ok(()) => {}
-            Err(e) => panic!("{e}"),
-        }
-        let dump = self.tracer.dump();
-        (self.finalize(), dump)
-    }
-
-    /// Run to completion, returning both the metrics and the final memory
-    /// image (for serializability checking).
-    ///
-    /// Panics on deadlock/livelock; prefer [`System::try_run_full`] where a
-    /// structured [`RunError`] is more useful.
-    pub fn run_full(self) -> (RunMetrics, MemoryImage) {
-        match self.try_run_full() {
-            Ok(pair) => pair,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Run to completion, reporting deadlock/livelock as a structured
-    /// [`RunError`] (with the NACK wait-for graph and any retained trace)
-    /// instead of panicking.
-    pub fn try_run(self) -> Result<RunMetrics, RunError> {
-        self.try_run_full().map(|(m, _)| m)
-    }
-
-    /// Like [`System::try_run`] but also returns the final memory image.
-    pub fn try_run_full(mut self) -> Result<(RunMetrics, MemoryImage), RunError> {
-        self.run_loop(StopAt::Completion)?;
-        let metrics = self.finalize();
-        Ok((metrics, std::mem::take(&mut self.memory)))
-    }
-
-    /// Run to completion *in place*: like [`System::try_run`], but the
-    /// system survives the run so [`System::reset`] can recycle its
-    /// allocations for the next cell.
+    /// Run to completion and return the metrics, reporting deadlock and
+    /// livelock as a structured [`RunError`] (with the NACK wait-for graph
+    /// and any retained trace). The system survives the run, so the final
+    /// [`System::memory`] image and [`System::trace_dump`] stay readable;
+    /// call it on a temporary when only the metrics matter:
+    /// `System::new(..).try_run_recycled()`. After
+    /// [`System::run_to_first_begin`] it continues the same run.
     pub fn try_run_recycled(&mut self) -> Result<RunMetrics, RunError> {
         self.run_loop(StopAt::Completion)?;
         Ok(self.finalize())
@@ -940,24 +800,21 @@ impl System {
         )));
     }
 
-    /// The shared pop preamble of the batch loop and `step_once`: record
-    /// the pre-pop queue depth, pop via `pop`, advance `last_cycle`, and
-    /// run the livelock guards against the popped cycle. `Ok(None)` means
-    /// the queue drained (the caller renders the deadlock diagnosis).
-    fn pop_guarded<T>(
-        &mut self,
-        pop: impl FnOnce(&mut EventQueue<Event>) -> Option<(Cycle, T)>,
-    ) -> Result<Option<(Cycle, T)>, RunError> {
+    /// The loop's pop preamble: record the pre-pop queue depth, pop the
+    /// earliest cycle's events into `batch`, advance `last_cycle`, and run
+    /// the livelock guards against the popped cycle. `Ok(None)` means the
+    /// queue drained (the caller renders the deadlock diagnosis).
+    fn pop_guarded(&mut self, batch: &mut Vec<Event>) -> Result<Option<Cycle>, RunError> {
         let depth = self.queue.len();
         if depth > self.peak_queue_depth {
             self.peak_queue_depth = depth;
         }
-        let Some((now, payload)) = pop(&mut self.queue) else {
+        let Some(now) = self.queue.pop_cycle_into(batch) else {
             return Ok(None);
         };
         self.last_cycle = now;
         self.guards(now)?;
-        Ok(Some((now, payload)))
+        Ok(Some(now))
     }
 
     /// The hot loop: batch-pop every event of the earliest cycle and
@@ -979,8 +836,7 @@ impl System {
             if stop == StopAt::FirstBegin && self.nodes.iter().any(NodeState::poised_to_begin) {
                 return Ok(());
             }
-            let popped = self.pop_guarded(|q| q.pop_cycle_into(&mut batch).map(|now| (now, ())))?;
-            let Some((now, ())) = popped else {
+            let Some(now) = self.pop_guarded(&mut batch)? else {
                 return Err(self.deadlock_error());
             };
             for event in batch.drain(..) {
@@ -991,6 +847,9 @@ impl System {
                 }
                 self.events_dispatched += 1;
                 self.dispatch_event(now, event);
+                if self.events_dispatched == self.next_invariant_scan {
+                    self.scan_invariants();
+                }
             }
             self.advance_net_token();
             // Ring rotation happens only here, after the popped batch has
@@ -1010,8 +869,8 @@ impl System {
         }
     }
 
-    /// The livelock guards shared by the batch loop and `step_once`:
-    /// max-cycles ceiling and the forward-progress watchdog.
+    /// The livelock guards: max-cycles ceiling and the forward-progress
+    /// watchdog.
     fn guards(&mut self, now: Cycle) -> Result<(), RunError> {
         if now >= self.config.max_cycles {
             return Err(self.livelock_error(now, self.config.max_cycles));
@@ -1025,23 +884,6 @@ impl System {
             self.watchdog_next = now + self.config.watchdog_window;
         }
         Ok(())
-    }
-
-    /// Pop and dispatch one event. Returns `Ok(false)` once every node has
-    /// retired, `Ok(true)` if more events remain, and a structured error on
-    /// deadlock (drained queue), livelock (`max_cycles` exceeded), or a
-    /// stalled forward-progress watchdog window. Used by the invariant-
-    /// scanning runner; the plain run paths use the batched loop.
-    fn step_once(&mut self) -> Result<bool, RunError> {
-        if self.nodes_done >= self.nodes.len() {
-            return Ok(false);
-        }
-        let Some((now, event)) = self.pop_guarded(|q| q.pop())? else {
-            return Err(self.deadlock_error());
-        };
-        self.events_dispatched += 1;
-        self.dispatch_event(now, event);
-        Ok(true)
     }
 
     /// Monotone system-wide progress measure sampled by the watchdog:
@@ -1456,7 +1298,9 @@ mod tests {
 
     fn run(mechanism: Mechanism, params: &WorkloadParams, seed: u64) -> RunMetrics {
         let config = SystemConfig::paper(mechanism);
-        System::new(config, params, seed).run()
+        System::new(config, params, seed)
+            .try_run_recycled()
+            .unwrap()
     }
 
     #[test]
@@ -1475,9 +1319,10 @@ mod tests {
         // memory values must sum to exactly the number of committed writes.
         let params = micro::counter(4, 25);
         let config = SystemConfig::paper(Mechanism::Baseline);
-        let (metrics, memory) = System::new(config, &params, 3).run_full();
+        let mut sys = System::new(config, &params, 3);
+        let metrics = sys.try_run_recycled().unwrap();
         assert_eq!(metrics.committed, 16 * 25);
-        let total: u64 = (0..4).map(|i| memory.read(LineAddr(i))).sum();
+        let total: u64 = (0..4).map(|i| sys.memory().read(LineAddr(i))).sum();
         // Each committed counter transaction performs exactly one write.
         assert_eq!(total, 16 * 25, "lost or duplicated committed increments");
     }
@@ -1515,7 +1360,9 @@ mod tests {
         let params = micro::hotspot(10);
         let lines: Vec<LineAddr> = (0..8).map(LineAddr).collect();
         let config = SystemConfig::paper(Mechanism::Puno);
-        let (metrics, _) = System::new(config, &params, 5).run_checked(&lines, 64);
+        let mut sys = System::new(config, &params, 5);
+        sys.check_invariants_every(&lines, 64);
+        let metrics = sys.try_run_recycled().unwrap();
         assert_eq!(metrics.committed, 16 * 10);
     }
 
@@ -1527,7 +1374,7 @@ mod tests {
         let mut config = SystemConfig::paper(Mechanism::Baseline);
         config.watchdog_window = 5;
         let err = System::new(config, &params, 1)
-            .try_run()
+            .try_run_recycled()
             .expect_err("a 5-cycle progress window cannot be met");
         match &err {
             crate::error::RunError::Livelock {
@@ -1553,7 +1400,7 @@ mod tests {
         config.max_cycles = 50;
         config.watchdog_window = 1_000_000;
         let err = System::new(config, &params, 1)
-            .try_run()
+            .try_run_recycled()
             .expect_err("50 cycles cannot complete a hotspot run");
         assert_eq!(err.kind(), "livelock");
     }
@@ -1563,7 +1410,7 @@ mod tests {
         let params = micro::hotspot(10);
         let config = SystemConfig::paper(Mechanism::Puno);
         let m = System::new(config, &params, 5)
-            .try_run()
+            .try_run_recycled()
             .expect("default watchdog must not false-trip");
         assert_eq!(m.committed, 16 * 10);
     }
@@ -1583,55 +1430,14 @@ mod tests {
         let params = micro::hotspot(10);
         let config = SystemConfig::paper(Mechanism::Puno);
         let programs = ProgramSet::generate(&params, config.nodes(), 9);
-        let shared = System::new_shared(config, &params, 9, &programs).run();
+        let shared = System::new_shared(config, &params, 9, &programs)
+            .try_run_recycled()
+            .unwrap();
         let fresh = run(Mechanism::Puno, &params, 9);
         assert_eq!(
             serde_json::to_string(&shared.deterministic()).unwrap(),
             serde_json::to_string(&fresh.deterministic()).unwrap(),
             "shared-program run must be bit-identical"
         );
-    }
-
-    #[test]
-    fn recycled_system_is_bit_identical_to_fresh() {
-        let hot = micro::hotspot(10);
-        let quiet = micro::private_only(5);
-        let fresh: Vec<String> = [
-            (Mechanism::Baseline, &hot, 5u64),
-            (Mechanism::Puno, &hot, 5),
-            (Mechanism::Puno, &quiet, 7),
-        ]
-        .into_iter()
-        .map(|(mech, params, seed)| {
-            let m = run(mech, params, seed);
-            serde_json::to_string(&m.deterministic()).unwrap()
-        })
-        .collect();
-
-        // One system recycled across all three cells (workload, mechanism,
-        // and seed all change between resets).
-        let mk = |mech, params: &WorkloadParams, seed| {
-            (
-                SystemConfig::paper(mech),
-                ProgramSet::generate(params, SystemConfig::paper(mech).nodes(), seed),
-            )
-        };
-        let (c0, p0) = mk(Mechanism::Baseline, &hot, 5);
-        let mut sys = System::new_shared(c0, &hot, 5, &p0);
-        let m0 = sys.try_run_recycled().unwrap();
-        let (c1, p1) = mk(Mechanism::Puno, &hot, 5);
-        sys.reset(c1, &hot, 5, &p1);
-        let m1 = sys.try_run_recycled().unwrap();
-        let (c2, p2) = mk(Mechanism::Puno, &quiet, 7);
-        sys.reset(c2, &quiet, 7, &p2);
-        let m2 = sys.try_run_recycled().unwrap();
-
-        for (i, (got, want)) in [m0, m1, m2].iter().zip(&fresh).enumerate() {
-            assert_eq!(
-                &serde_json::to_string(&got.deterministic()).unwrap(),
-                want,
-                "recycled cell {i} diverged from fresh construction"
-            );
-        }
     }
 }

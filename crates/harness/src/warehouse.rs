@@ -70,7 +70,7 @@ pub struct WarehouseRow {
     /// paper's false-abort analysis compares on.
     pub abort_blame: Vec<BlameCauseEntry>,
     /// FNV-1a over the row serialized with this field zeroed (see
-    /// [`row_checksum`]); verified on load.
+    /// `row_checksum`); verified on load.
     pub checksum: u64,
 }
 
@@ -296,15 +296,10 @@ impl Warehouse {
     }
 }
 
-/// The warehouse directory requested by `PUNO_WAREHOUSE` (unset, empty,
-/// `0`, or `off` disables the sink).
+/// The warehouse directory requested by `PUNO_WAREHOUSE` (an off value,
+/// see [`crate::knobs::parse_setting`], disables the sink).
 pub fn env_warehouse() -> Option<PathBuf> {
-    let dir = std::env::var("PUNO_WAREHOUSE").ok()?;
-    let dir = dir.trim();
-    if dir.is_empty() || dir == "0" || dir.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    Some(PathBuf::from(dir))
+    crate::knobs::env_setting("PUNO_WAREHOUSE").map(PathBuf::from)
 }
 
 /// The run identifier for one sweep's rows: `PUNO_RUN_ID` verbatim when

@@ -66,7 +66,9 @@ fn overflowed_runs_stay_serializable() {
     let mut config = SystemConfig::paper(Mechanism::Baseline);
     config.l1 = L1Config { sets: 2, ways: 2 };
     let params = micro::counter(8, 10);
-    let (metrics, memory) = System::new(config, &params, 7).run_full();
+    let mut sys = System::new(config, &params, 7);
+    let metrics = sys.try_run_recycled().unwrap();
+    let memory = sys.memory();
     assert_eq!(metrics.committed, 16 * 10);
     let total: u64 = (0..8).map(|i| memory.read(LineAddr(i))).sum();
     assert_eq!(total, 16 * 10, "overflow must not lose committed writes");

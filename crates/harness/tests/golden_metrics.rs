@@ -26,7 +26,7 @@
 //! snapshots hold the simulated fields only (the `host` block is dropped),
 //! so a change to the host-side counters never forces a re-bless.
 
-use puno_harness::run::{run_with_config, run_workload, run_workload_with_faults};
+use puno_harness::run::{run_with_config, run_workload};
 use puno_harness::{Mechanism, RunMetrics, System, SystemConfig};
 use puno_sim::{FaultEvent, FaultKind, FaultPlan, NodeId};
 use puno_workloads::WorkloadId;
@@ -84,7 +84,9 @@ fn extended_cells_match_golden_snapshots() {
     };
     let faulted = || {
         let params = WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE);
-        run_workload_with_faults(Mechanism::Puno, &params, GOLDEN_SEED, noc_fault_plan())
+        let mut sys = System::new(SystemConfig::paper(Mechanism::Puno), &params, GOLDEN_SEED);
+        sys.set_fault_plan(noc_fault_plan());
+        sys.try_run_recycled()
             .expect("faulted golden cell completes")
     };
     let cells: [(&str, &dyn Fn() -> RunMetrics); 3] = [

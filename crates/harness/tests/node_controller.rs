@@ -91,8 +91,10 @@ fn non_tx_heavy_interleaving_never_aborts_anyone_without_sharing() {
 fn trace_ring_captures_protocol_messages() {
     use puno_harness::System;
     let params = micro::counter(2, 3);
-    let sys = System::new(SystemConfig::paper(Mechanism::Baseline), &params, 3);
-    let (metrics, trace) = sys.run_traced(128);
+    let mut sys = System::new(SystemConfig::paper(Mechanism::Baseline), &params, 3);
+    sys.enable_trace(128);
+    let metrics = sys.try_run_recycled().unwrap();
+    let trace = sys.trace_dump();
     assert_eq!(metrics.committed, 16 * 3);
     // The retained window must contain real protocol messages, newest last.
     assert!(trace.contains("Unblock"), "trace:\n{trace}");

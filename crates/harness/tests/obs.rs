@@ -144,7 +144,7 @@ fn warehouse_reproduces_cross_run_aggregates() {
         for (digest, mechanism) in [(1u64, Mechanism::Baseline), (2, Mechanism::Puno)] {
             let params = WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE);
             let metrics = System::new(SystemConfig::paper(mechanism), &params, GOLDEN_SEED)
-                .try_run()
+                .try_run_recycled()
                 .expect("cell must run");
             let row =
                 WarehouseRow::from_metrics(run_id, recorded_unix, digest, "ok", false, &metrics);

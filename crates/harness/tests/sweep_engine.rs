@@ -1,16 +1,16 @@
 //! Bit-identity guard for the sweep-scale execution engine.
 //!
-//! `try_sweep` runs cells through three fast paths a plain
-//! `System::new(..).try_run()` never touches: workload traces shared across
-//! mechanism cells (`ProgramSet`), worker-thread `System` recycling
-//! (`System::reset` + `try_run_recycled`), and persistent result-cache
-//! replay. Each path must be invisible in the metrics. This test runs the
-//! same 16 cells as `golden_metrics.rs` (8 workloads x {baseline, puno},
-//! seed 42, scale 0.05) through a cold sweep and then a warm sweep against
-//! the same cache directory, and compares every cell byte-for-byte against
-//! the committed golden snapshots — which are produced by fresh
-//! single-cell runs. Any divergence between fresh construction, recycling,
-//! or cached replay fails here.
+//! `try_sweep` runs cells through two paths a plain
+//! `System::new(..).try_run_recycled()` never touches: workload traces
+//! shared across mechanism cells (`ProgramSet` fed to
+//! `System::new_shared`), and persistent result-cache replay. Each path
+//! must be invisible in the metrics. This test runs the same 16 cells as
+//! `golden_metrics.rs` (8 workloads x {baseline, puno}, seed 42, scale
+//! 0.05) through a cold sweep and then a warm sweep against the same cache
+//! directory, and compares every cell byte-for-byte against the committed
+//! golden snapshots — which are produced by fresh single-cell runs. Any
+//! divergence between fresh construction, shared programs, or cached
+//! replay fails here.
 
 use puno_harness::sweep::{try_sweep, CellOutcome, SweepOptions};
 use puno_harness::{Mechanism, ResultCache};
@@ -54,7 +54,7 @@ fn assert_outcomes_match_golden(outcomes: &[CellOutcome], label: &str) {
     }
 }
 
-/// All 16 golden cells through the recycled/shared sweep path (cold), then
+/// All 16 golden cells through the shared-program sweep path (cold), then
 /// again through cached replay (warm) — both bit-identical to the fresh
 /// single-cell runs pinned by the golden snapshots.
 #[test]
@@ -65,8 +65,7 @@ fn sweep_engine_paths_are_bit_identical_to_fresh_runs() {
     let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
     opts.result_cache = Some(Arc::new(ResultCache::open(&dir).expect("cache dir")));
 
-    // Cold pass: every cell simulates (shared programs + recycled Systems)
-    // and is stored.
+    // Cold pass: every cell simulates (shared programs) and is stored.
     let cold = try_sweep(&WorkloadId::ALL, &MECHANISMS, &opts);
     assert_outcomes_match_golden(&cold, "cold sweep");
     let stats = opts.result_cache.as_ref().unwrap().stats();

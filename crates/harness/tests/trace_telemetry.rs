@@ -73,7 +73,7 @@ fn traced_goldens_are_bit_identical_and_streams_validate() {
 fn instrumented_run_matches_bare_run() {
     let params = micro::hotspot(20);
     let config = SystemConfig::paper(Mechanism::Puno);
-    let bare = System::new(config, &params, 7).run();
+    let bare = System::new(config, &params, 7).try_run_recycled().unwrap();
 
     let mut sys = System::new(config, &params, 7);
     sys.enable_trace(256);

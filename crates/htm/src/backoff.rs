@@ -6,7 +6,7 @@
 //! * **Fixed** (baseline and RMW-Pred): a nacked requester backs off a fixed
 //!   20 cycles before retrying the request; aborted transactions restart as
 //!   soon as recovery finishes.
-//! * **RandomLinear** (the "Random backoff" comparison [17]): aborted
+//! * **RandomLinear** (the "Random backoff" comparison \[17\]): aborted
 //!   transactions enter randomized linear backoff — the window grows
 //!   linearly with the consecutive-abort count, the wait is drawn uniformly
 //!   from the window. Nack handling stays at the fixed 20 cycles.

@@ -5,14 +5,14 @@
 //! speculative stores propagate to memory eagerly; conflicts are detected
 //! eagerly by checking forwarded coherence requests against per-transaction
 //! read/write sets; conflicts are resolved with the time-based policy of
-//! Rajwar & Goodman [11] — older transactions win, younger transactions
+//! Rajwar & Goodman \[11\] — older transactions win, younger transactions
 //! abort, and nacked requesters retry. Performance is comparable to FASTM-
 //! style designs (fast abort recovery from a hardware buffer, modeled as a
 //! small fixed penalty plus a per-log-entry unroll cost).
 //!
 //! Also here: the two comparison mechanisms of Section IV-A — randomized
-//! linear backoff [17] and the read-modify-write predictor of Bobba et al.
-//! [5] — and the abort/effort accounting behind Figures 2, 3, 10 and 14.
+//! linear backoff \[17\] and the read-modify-write predictor of Bobba et al.
+//! \[5\] — and the abort/effort accounting behind Figures 2, 3, 10 and 14.
 
 #![forbid(unsafe_code)]
 

@@ -1,5 +1,5 @@
 //! Read-modify-write predictor, the second comparison mechanism of the
-//! paper's evaluation (Bobba et al. [5]).
+//! paper's evaluation (Bobba et al. \[5\]).
 //!
 //! Transactions that load a line and later store to it within the same
 //! transaction exhibit the read-modify-write pattern; the dueling upgrade

@@ -6,7 +6,7 @@
 //! backed by sticky directory state, which our silent-S-eviction protocol
 //! reproduces).
 //!
-//! Layout: each direction (reads, writes) is a [`TrackedSet`] pairing a
+//! Layout: each direction (reads, writes) is a `TrackedSet` pairing a
 //! small Bloom signature ([`crate::signature`]) as a *fast-negative* filter
 //! with exact tracking split between a small inline array (the common case:
 //! STAMP-signature footprints are tens of lines) and a [`LineSet`] spill.

@@ -154,25 +154,6 @@ impl HtmUnit {
         }
     }
 
-    /// Return the unit to the state `HtmUnit::new(node, abort_timing, rmw)`
-    /// would construct, keeping the recycled scratch allocations. Any
-    /// in-flight transaction is discarded (its structures return to
-    /// scratch); signature mode is cleared — callers re-enable it after the
-    /// reset exactly as they would after construction.
-    pub fn reset(&mut self, abort_timing: AbortTiming, rmw: Option<RmwPredictor>) {
-        if let Some(ctx) = self.current.take() {
-            self.recycle(ctx);
-        }
-        let scratch = self.scratch.get_or_insert_with(TxScratch::fresh);
-        // A fresh unit has no signature pair; drop any recycled one so a
-        // later `enable_signatures` builds the configured geometry.
-        scratch.signatures = None;
-        self.abort_timing = abort_timing;
-        self.rmw = rmw;
-        self.signature_mode = None;
-        self.stats = HtmStats::default();
-    }
-
     /// Switch conflict detection to Bloom signatures (LogTM-SE style).
     pub fn enable_signatures(&mut self, config: SignatureConfig) {
         assert!(
@@ -518,42 +499,6 @@ mod tests {
         let mut u = unit();
         begin(&mut u, 0, 1);
         begin(&mut u, 1, 2);
-    }
-
-    #[test]
-    fn reset_matches_fresh_unit() {
-        let mut u = HtmUnit::new(
-            NodeId(0),
-            AbortTiming::default(),
-            Some(RmwPredictor::new(8)),
-        );
-        let site = OpSite {
-            static_tx: 3,
-            op_index: 1,
-        };
-        begin(&mut u, 0, 1);
-        u.record_load(LineAddr(9), site);
-        u.record_store(LineAddr(9), 0);
-        u.commit(10);
-        assert!(u.load_wants_exclusive(site), "predictor trained");
-        assert_eq!(u.stats().commits.get(), 1);
-
-        // Reset mid-transaction: in-flight context is discarded.
-        begin(&mut u, 20, 2);
-        u.reset(AbortTiming::default(), Some(RmwPredictor::new(8)));
-        assert_eq!(u.status(), TxStatus::Idle);
-        assert_eq!(u.stats().commits.get(), 0, "stats zeroed");
-        assert!(
-            !u.load_wants_exclusive(site),
-            "predictor replaced, not retrained"
-        );
-
-        // Post-reset lifecycle is indistinguishable from a fresh unit.
-        begin(&mut u, 100, 1);
-        u.record_store(LineAddr(2), 42);
-        let out = u.commit(250);
-        assert_eq!(out.length, 150);
-        assert_eq!(u.stats().commits.get(), 1);
     }
 
     #[test]

@@ -35,13 +35,6 @@ impl LinkStats {
         }
     }
 
-    /// Zero every counter in place, keeping the per-router allocation.
-    pub fn reset(&mut self) {
-        for ports in &mut self.flits {
-            *ports = [0; 5];
-        }
-    }
-
     #[inline]
     pub fn record(&mut self, router: NodeId, port: Port, flits: u32) {
         self.flits[router.index()][port.index()] += flits as u64;

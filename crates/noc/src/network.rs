@@ -114,35 +114,6 @@ impl<P> Network<P> {
         }
     }
 
-    /// Return the network to its freshly constructed state — empty routers,
-    /// free links, zeroed stats and packet ids — while keeping every buffer
-    /// allocation. Mesh geometry and config are unchanged. A recycled
-    /// network is bit-identical in behaviour to `Network::new(mesh, config)`:
-    /// every field the constructor initializes is restored here.
-    pub fn reset(&mut self) {
-        for router in &mut self.routers {
-            router.reset();
-        }
-        for per_node in &mut self.inject_queues {
-            for q in per_node {
-                q.clear();
-            }
-        }
-        self.deliveries.clear();
-        self.stats = TrafficStats::default();
-        self.link_stats.reset();
-        self.next_packet_id = 0;
-        self.in_network = 0;
-        self.inject_pending.fill(0);
-        self.queued = 0;
-        self.resident.fill(0);
-        self.active.fill(0);
-        self.scratch_active.clear();
-        self.scan_visits = 0;
-        self.scan_steps = 0;
-        self.horizon = Cycle::MAX;
-    }
-
     /// Re-evaluate router `r`'s membership in the active set after an
     /// occupancy change.
     #[inline]
@@ -844,41 +815,6 @@ mod tests {
         assert_eq!(net.active_router_count(), 0);
     }
 
-    #[test]
-    fn reset_network_matches_fresh_network() {
-        let drive = |net: &mut Network<u32>| {
-            let mut rng = puno_sim::SimRng::new(7);
-            for i in 0..48u32 {
-                net.inject(
-                    0,
-                    NodeId(rng.gen_range(16) as u16),
-                    NodeId(rng.gen_range(16) as u16),
-                    VirtualNetwork::Request,
-                    CONTROL_FLITS,
-                    i,
-                );
-            }
-            run_until_idle(net, 0, 100_000)
-        };
-        let mut fresh = Network::new(Mesh::paper(), NocConfig::default());
-        let expected = drive(&mut fresh);
-        let expected_stats = format!("{:?}", fresh.stats());
-
-        let mut recycled = Network::new(Mesh::paper(), NocConfig::default());
-        // Dirty it with unrelated traffic, then reset.
-        recycled.inject(0, NodeId(3), NodeId(12), VirtualNetwork::Response, 5, 999);
-        run_until_idle(&mut recycled, 0, 10_000);
-        recycled.reset();
-        assert!(recycled.is_idle());
-        assert_eq!(recycled.active_router_count(), 0);
-        assert_eq!(recycled.stats().packets_injected(), 0);
-        assert_eq!(recycled.link_stats().total(), 0);
-
-        let got = drive(&mut recycled);
-        assert_eq!(got, expected, "recycled network must replay identically");
-        assert_eq!(format!("{:?}", recycled.stats()), expected_stats);
-    }
-
     /// Injections `(cycle, src, dst, vnet, flits, payload)`.
     type Plan = [(Cycle, u16, u16, VirtualNetwork, u32, u32)];
     /// Link stalls `(cycle, node, cycles)`.
@@ -1112,18 +1048,6 @@ mod tests {
         assert_eq!(delivered, vec![(16, NodeId(3), 7)]);
         assert_eq!(net.next_activity(), Cycle::MAX);
         assert_eq!(net.stats().router_traversals(), 4 * CONTROL_FLITS as u64);
-    }
-
-    #[test]
-    fn reset_clears_wakes_and_horizon() {
-        let mut net: Network<u32> = Network::new(Mesh::paper(), NocConfig::default());
-        net.inject(0, NodeId(0), NodeId(5), VirtualNetwork::Request, 1, 1);
-        net.step(0);
-        assert_eq!(net.next_activity(), 3);
-        net.reset();
-        assert!(net.is_idle());
-        assert_eq!(net.next_activity(), Cycle::MAX);
-        assert!(net.routers.iter().all(|r| r.wake == Cycle::MAX));
     }
 
     #[test]

@@ -89,19 +89,6 @@ impl<P> Router<P> {
         }
     }
 
-    /// Return to the freshly constructed state (empty buffers, free links,
-    /// arbitration pointers at zero) without dropping buffer allocations.
-    pub fn reset(&mut self) {
-        for buf in &mut self.inputs {
-            buf.queue.clear();
-            buf.occupied_flits = 0;
-        }
-        self.link_busy_until = [0; 5];
-        self.rr_pointer = [0; 5];
-        self.occupancy = 0;
-        self.wake = Cycle::MAX;
-    }
-
     pub fn buffer(&self, port: Port, vnet: VirtualNetwork) -> &InputBuffer<P> {
         &self.inputs[slot(port, vnet.index())]
     }

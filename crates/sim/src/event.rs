@@ -11,7 +11,7 @@
 //! steps, small wake-up delays) and those schedules don't need heap
 //! plumbing:
 //!
-//! - **Front buckets**: a ring of [`BUCKETS`] FIFO buckets covering cycles
+//! - **Front buckets**: a ring of `BUCKETS` FIFO buckets covering cycles
 //!   `[now, now + BUCKETS)`. Bucket `c % BUCKETS` holds events for exactly
 //!   one cycle at a time (all queued cycles are `>= now`, and the window is
 //!   exactly one period wide), so push and pop are O(1); a `u64` occupancy
@@ -118,22 +118,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Reset to the freshly constructed state (clock 0, seq 0, no pending
-    /// events) while keeping the heap and per-bucket allocations, so a
-    /// recycled queue behaves bit-identically to a new one without paying
-    /// construction cost.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.bucket_mask = 0;
-        self.bucket_len = 0;
-        self.token = None;
-        self.next_seq = 0;
-        self.now = 0;
     }
 
     /// Schedule `payload` at absolute cycle `at`.
@@ -479,31 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_fresh_behaviour() {
-        let mut used = EventQueue::new();
-        used.schedule_at(5, 1u64);
-        used.schedule_at(500, 2); // far heap entry
-        used.pop();
-        used.reset();
-        assert!(used.is_empty());
-        assert_eq!(used.now(), 0);
-
-        let mut fresh = EventQueue::new();
-        for q in [&mut used, &mut fresh] {
-            q.schedule_at(3, 10u64);
-            q.schedule_at(3, 11);
-            q.schedule_at(400, 12);
-        }
-        loop {
-            let (x, y) = (used.pop(), fresh.pop());
-            assert_eq!(x, y, "recycled queue must match fresh");
-            if x.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn token_pops_in_cycle_seq_order_against_bucket_and_heap() {
         let mut q = EventQueue::new();
         q.schedule_at(5, "bucket-before"); // seq 0
@@ -573,14 +532,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_clone_carry_the_token_state() {
+    fn clone_carries_the_token_state() {
         let mut q = EventQueue::new();
         q.schedule_token(6, "t");
         let mut cloned = q.clone();
         assert_eq!(cloned.pop(), Some((6, "t")));
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.token_cycle(), None);
+        assert_eq!(q.token_cycle(), Some(6));
     }
 
     #[test]

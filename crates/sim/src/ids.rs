@@ -58,7 +58,7 @@ impl fmt::Debug for LineAddr {
 /// A new `TxId` is minted for every `TX_BEGIN` that is not a retry of an
 /// aborted instance; retries keep their id (and their timestamp) so that the
 /// time-based conflict policy ages transactions toward victory, guaranteeing
-/// progress exactly as in the paper's baseline [11].
+/// progress exactly as in the paper's baseline \[11\].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TxId(pub u64);
 

@@ -11,6 +11,11 @@ cargo fmt --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny dangling intra-doc links) =="
+# A doc comment that names a deleted or private item in brackets fails here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --offline --workspace --no-deps -q
+
 echo "== knob inventory (PUNO_* names in code vs README's table) =="
 # Every PUNO_* variable the crates read needs a row in README's
 # environment-variable table, and every row must name a variable some

@@ -33,11 +33,9 @@ pub use puno_workloads as workloads;
 /// One-stop imports for examples and tests.
 pub mod prelude {
     pub use puno_harness::report::{FigureMetric, NormalizedFigure};
-    pub use puno_harness::run::run_with_config;
     pub use puno_harness::sweep::{find, find_expect, sweep, try_sweep, CellOutcome, SweepOptions};
     pub use puno_harness::{
-        run_workload, run_workload_with_faults, try_run_workload, Mechanism, RunError, RunMetrics,
-        System, SystemConfig,
+        run_with_config, run_workload, Mechanism, RunError, RunMetrics, System, SystemConfig,
     };
     pub use puno_sim::{FaultKind, FaultPlan};
     pub use puno_workloads::{micro, table1_rows, WorkloadId, WorkloadParams};

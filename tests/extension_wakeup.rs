@@ -12,7 +12,9 @@ fn puno_config(hints: bool) -> SystemConfig {
 #[test]
 fn hints_preserve_serializability() {
     let params = micro::counter(4, 12);
-    let (metrics, memory) = System::new(puno_config(true), &params, 3).run_full();
+    let mut sys = System::new(puno_config(true), &params, 3);
+    let metrics = sys.try_run_recycled().unwrap();
+    let memory = sys.memory();
     assert_eq!(metrics.committed, 16 * 12);
     let total: u64 = (0..4).map(|i| memory.read(LineAddr(i))).sum();
     assert_eq!(total, 16 * 12);

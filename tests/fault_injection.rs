@@ -12,7 +12,9 @@ fn faulted_run(
     seed: u64,
     plan: FaultPlan,
 ) -> RunMetrics {
-    run_workload_with_faults(mechanism, params, seed, plan)
+    let mut sys = System::new(SystemConfig::paper(mechanism), params, seed);
+    sys.set_fault_plan(plan);
+    sys.try_run_recycled()
         .expect("fault-injected run must still complete")
 }
 
@@ -24,9 +26,10 @@ fn counter_stays_serializable_under_increasing_fault_intensity() {
         let config = SystemConfig::paper(Mechanism::Puno);
         let mut sys = System::new(config, &params, 11);
         sys.set_fault_plan(plan);
-        let (metrics, memory) = sys
-            .try_run_full()
+        let metrics = sys
+            .try_run_recycled()
             .unwrap_or_else(|e| panic!("intensity {intensity}: {e}"));
+        let memory = sys.memory();
         // Every fault is abort-recoverable: the offered load still commits.
         assert_eq!(
             metrics.committed,
@@ -49,10 +52,42 @@ fn coherence_invariants_hold_under_faults() {
     let config = SystemConfig::paper(Mechanism::Puno);
     let mut sys = System::new(config, &params, 5);
     sys.set_fault_plan(FaultPlan::background(21, 1.0));
-    // run_checked scans single-writer/multi-reader + directory agreement
+    // The armed hook scans single-writer/multi-reader + directory agreement
     // every 64 events and panics on the first violation.
-    let (metrics, _) = sys.run_checked(&lines, 64);
+    sys.check_invariants_every(&lines, 64);
+    let metrics = sys.try_run_recycled().expect("faulted run completes");
     assert_eq!(metrics.committed, 16 * 8);
+}
+
+/// The invariant scan rides the production batch loop: an armed run takes
+/// the same path as an unarmed one — same simulated results, same event
+/// count, same parked-token cycles — with and without faults.
+#[test]
+fn invariant_scans_run_on_the_production_loop() {
+    let params = micro::hotspot(8);
+    let lines: Vec<LineAddr> = (0..8).map(LineAddr).collect();
+    for plan in [FaultPlan::none(), FaultPlan::background(21, 1.0)] {
+        let run = |armed: bool| {
+            let mut sys = System::new(SystemConfig::paper(Mechanism::Puno), &params, 5);
+            sys.set_fault_plan(plan.clone());
+            if armed {
+                sys.check_invariants_every(&lines, 64);
+            }
+            sys.try_run_recycled().expect("run completes")
+        };
+        let (plain, armed) = (run(false), run(true));
+        assert_eq!(
+            format!("{:?}", armed.deterministic()),
+            format!("{:?}", plain.deterministic()),
+            "an armed scan changed simulated results"
+        );
+        assert_eq!(armed.host.events_dispatched, plain.host.events_dispatched);
+        assert_eq!(armed.host.quiesced_cycles, plain.host.quiesced_cycles);
+        assert!(
+            armed.host.quiesced_cycles > 0,
+            "the step token never parked"
+        );
+    }
 }
 
 #[test]
@@ -91,10 +126,10 @@ fn fault_injected_runs_are_deterministic() {
 fn empty_plan_is_bit_identical_to_no_plan() {
     let params = micro::hotspot(10);
     let config = SystemConfig::paper(Mechanism::Puno);
-    let bare = System::new(config, &params, 9).run();
+    let bare = System::new(config, &params, 9).try_run_recycled().unwrap();
     let mut sys = System::new(config, &params, 9);
     sys.set_fault_plan(FaultPlan::none());
-    let with_empty = sys.try_run().unwrap();
+    let with_empty = sys.try_run_recycled().unwrap();
     // No RNG is consulted and no event scheduled on the no-fault path, so
     // the runs must be indistinguishable.
     assert_eq!(bare.cycles, with_empty.cycles);

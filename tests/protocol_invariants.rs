@@ -44,7 +44,9 @@ fn random_workloads_complete_and_conserve() {
         let seed = rng.gen_range(1000);
         let mechanism = Mechanism::ALL[rng.gen_range(4) as usize];
         let config = SystemConfig::paper(mechanism);
-        let (metrics, memory) = System::new(config, &params, seed).run_full();
+        let mut sys = System::new(config, &params, seed);
+        let metrics = sys.try_run_recycled().unwrap();
+        let memory = sys.memory();
 
         // Fixed offered load: every transaction eventually commits.
         assert_eq!(

@@ -9,7 +9,9 @@ use puno_repro::sim::LineAddr;
 fn check_counter(mechanism: Mechanism, lines: u64, tx_per_node: u32, seed: u64) {
     let params = micro::counter(lines, tx_per_node);
     let config = SystemConfig::paper(mechanism);
-    let (metrics, memory) = System::new(config, &params, seed).run_full();
+    let mut sys = System::new(config, &params, seed);
+    let metrics = sys.try_run_recycled().unwrap();
+    let memory = sys.memory();
     assert_eq!(
         metrics.committed,
         16 * tx_per_node as u64,
@@ -65,7 +67,9 @@ fn mixed_workload_conserves_committed_writes() {
     // non-tx writes (hotspot has none).
     let params = micro::hotspot(10);
     let config = SystemConfig::paper(Mechanism::Puno);
-    let (metrics, memory) = System::new(config, &params, 5).run_full();
+    let mut sys = System::new(config, &params, 5);
+    let metrics = sys.try_run_recycled().unwrap();
+    let memory = sys.memory();
     let total: u64 = (0..8).map(|i| memory.read(LineAddr(i))).sum();
     assert!(metrics.committed > 0);
     assert!(total > 0, "committed writes must land");
