@@ -205,11 +205,7 @@ fn parse_args() -> Args {
 /// `--json` mode: dump one warehouse-schema row per swept cell as JSONL to
 /// `dest` (`-` = stdout).
 fn write_json_rows(dest: &str, rows: &[WarehouseRow]) {
-    let mut out = String::with_capacity(rows.len() * 256);
-    for row in rows {
-        out.push_str(&serde_json::to_string(row).expect("warehouse row must serialize"));
-        out.push('\n');
-    }
+    let out = puno_harness::store::to_jsonl(rows);
     if dest == "-" {
         print!("{out}");
     } else if let Err(e) = std::fs::write(dest, &out) {
@@ -303,20 +299,10 @@ fn print_cache_stats() {
             "result cache: {} hits, {} misses, {} stored ({} entries)",
             s.hits, s.misses, s.stores, s.entries
         );
-        if s.corrupt_skipped > 0 || s.stale_skipped > 0 {
+        if s.skips.corrupt > 0 || s.skips.stale > 0 {
             eprintln!(
                 "result cache recovered: {} corrupt, {} stale record(s) skipped",
-                s.corrupt_skipped, s.stale_skipped
-            );
-        }
-        // Surface the silent open-time maintenance: when recovery found
-        // skippable records, the cache compacts the persisted file in
-        // place — report what that dropped instead of hiding it.
-        if let Some(c) = cache.last_compact() {
-            eprintln!(
-                "result cache maintenance: compacted to {} record(s); dropped {} corrupt, \
-                 {} stale, {} duplicate",
-                c.kept, c.dropped_corrupt, c.dropped_stale, c.dropped_duplicate
+                s.skips.corrupt, s.skips.stale
             );
         }
     }
@@ -334,7 +320,7 @@ fn run_compact_cache() -> ! {
             println!(
                 "result cache compacted: {} record(s) kept; dropped {} corrupt, {} stale, \
                  {} duplicate",
-                s.kept, s.dropped_corrupt, s.dropped_stale, s.dropped_duplicate
+                s.kept, s.corrupt, s.stale, s.duplicate
             );
             std::process::exit(0);
         }

@@ -73,10 +73,10 @@ fn main() {
         }
     };
     let (rows, stats) = wh.load();
-    if stats.corrupt_skipped > 0 || stats.stale_skipped > 0 || stats.duplicate_collapsed > 0 {
+    if stats.corrupt > 0 || stats.stale > 0 || stats.duplicate > 0 {
         eprintln!(
             "warehouse recovered: {} corrupt, {} stale row(s) skipped, {} duplicate(s) collapsed",
-            stats.corrupt_skipped, stats.stale_skipped, stats.duplicate_collapsed
+            stats.corrupt, stats.stale, stats.duplicate
         );
     }
 
@@ -90,7 +90,7 @@ fn main() {
             );
             println!(
                 "load recovery: {} corrupt, {} stale skipped; {} duplicate(s) collapsed",
-                stats.corrupt_skipped, stats.stale_skipped, stats.duplicate_collapsed
+                stats.corrupt, stats.stale, stats.duplicate
             );
             for (run_id, start) in runs_in_order(&rows) {
                 let n = rows.iter().filter(|r| r.run_id == run_id).count();
@@ -101,14 +101,7 @@ fn main() {
                 println!("  run {run_id} (t={start}): {n} cell(s), {hits} cache hit(s)");
             }
         }
-        "rows" => {
-            for row in &rows {
-                println!(
-                    "{}",
-                    serde_json::to_string(row).expect("warehouse row must serialize")
-                );
-            }
-        }
+        "rows" => print!("{}", puno_harness::store::to_jsonl(&rows)),
         "trend" => {
             if rows.is_empty() {
                 println!("warehouse is empty — record a sweep with PUNO_WAREHOUSE set");

@@ -18,10 +18,10 @@
 use crate::config::SystemConfig;
 use crate::knobs::env_setting;
 use crate::metrics::RunMetrics;
+use crate::store::{self, Appender, Class, Records, SkipStats};
 use puno_workloads::{fnv1a_64, fnv1a_64_fold, WorkloadParams, FNV1A_64_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,7 +228,7 @@ fn value_end(bytes: &[u8], start: usize) -> Option<usize> {
 }
 
 /// A canonical decimal: digits only, no sign, no leading zero.
-fn decimal<T: std::str::FromStr>(text: &str) -> Option<T> {
+pub(crate) fn decimal<T: std::str::FromStr>(text: &str) -> Option<T> {
     let canonical = text.bytes().all(|b| b.is_ascii_digit())
         && !text.is_empty()
         && (text == "0" || !text.starts_with('0'));
@@ -296,45 +296,17 @@ impl<'a> RawRecord<'a> {
     }
 }
 
-/// How one persisted line classified on load.
-enum LineClass<'a> {
-    Valid(RawRecord<'a>),
-    Stale,
-    Corrupt,
-}
-
 /// The one classifier `open` and `compact` share: a line is valid only if
 /// it has the writer's shape and its checksum verifies against the bytes
-/// as they sit in the line. Nothing is decoded here.
-fn classify_line(line: &str) -> LineClass<'_> {
+/// as they sit in the line; `keep` maps a valid record to what the caller
+/// holds. Nothing is decoded here.
+fn classify_line<'a, V>(line: &'a str, keep: impl FnOnce(RawRecord<'a>) -> V) -> Class<u64, V> {
     match RawRecord::parse(line) {
-        Some(rec) if !rec.checksum_valid() => LineClass::Corrupt,
-        Some(rec) if rec.engine_version != ENGINE_VERSION => LineClass::Stale,
-        Some(rec) => LineClass::Valid(rec),
-        None => LineClass::Corrupt,
+        Some(rec) if !rec.checksum_valid() => Class::Corrupt,
+        Some(rec) if rec.engine_version != ENGINE_VERSION => Class::Stale,
+        Some(rec) => Class::Valid(rec.digest, keep(rec)),
+        None => Class::Corrupt,
     }
-}
-
-/// `results.jsonl` as text, empty when absent. Invalid UTF-8 is replaced
-/// instead of failing the whole read, so a flipped byte costs only the
-/// line it is on (whose checksum then fails).
-fn read_text(path: &Path) -> String {
-    match std::fs::read(path) {
-        Ok(bytes) => String::from_utf8(bytes)
-            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
-        Err(_) => String::new(),
-    }
-}
-
-/// The non-blank lines of `text`, each with its byte offset.
-fn record_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.split('\n')
-        .scan(0, |offset, line| {
-            let at = *offset;
-            *offset += line.len() + 1;
-            Some((at, line.strip_suffix('\r').unwrap_or(line)))
-        })
-        .filter(|(_, line)| !line.trim().is_empty())
 }
 
 /// One persisted cost observation (one JSONL line in `costs.jsonl`).
@@ -356,27 +328,8 @@ pub struct CacheStats {
     pub misses: u64,
     pub stores: u64,
     pub entries: u64,
-    /// Records skipped because they were not in the writer's shape or their
-    /// content checksum did not verify (anywhere in the file), counted at
-    /// open, plus verified records whose metrics failed to decode, counted
-    /// at the lookup that tried.
-    pub corrupt_skipped: u64,
-    /// Records skipped at open because they were written by another
-    /// `ENGINE_VERSION`.
-    pub stale_skipped: u64,
-}
-
-/// What [`ResultCache::compact`] did to the persisted file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompactStats {
-    /// Live records written back.
-    pub kept: u64,
-    /// Lines dropped because they failed to verify or decode.
-    pub dropped_corrupt: u64,
-    /// Records dropped because of an `ENGINE_VERSION` mismatch.
-    pub dropped_stale: u64,
-    /// Superseded duplicates collapsed by last-wins dedup.
-    pub dropped_duplicate: u64,
+    /// What `results.jsonl` skipped: see [`RecordFile::stats`].
+    pub skips: SkipStats,
 }
 
 /// One live cell in memory.
@@ -388,29 +341,112 @@ enum Entry {
     Decoded(Box<RunMetrics>),
 }
 
-/// Append-only persistent store of fault-free run results, keyed by
-/// [`cell_digest`]. Verifies the whole JSONL file at open (last record
-/// wins; torn, tampered and stale lines skipped) but decodes a record only
-/// when it is first looked up, then serves it from memory; new results are
-/// appended as they complete. Thread-safe: the sweep's worker threads share
-/// one instance.
+/// A verified `results.jsonl`-format file: every line is checked in place
+/// at open (last record wins; torn, tampered and stale lines skipped and
+/// counted), a record's metrics are decoded only by the first lookup that
+/// wants them, and new records are appended as they come. The result cache
+/// and the sweep checkpoint are two instances of it. Thread-safe: a
+/// sweep's worker threads share one instance.
+#[derive(Debug)]
+pub struct RecordFile {
+    /// The file as read at open: the one copy every `Entry::Raw` range
+    /// points into.
+    text: String,
+    entries: Mutex<Records<u64, Entry>>,
+    log: Appender,
+    /// What open kept and skipped.
+    opened: SkipStats,
+    /// Verified records whose metrics failed to decode, counted at the
+    /// lookup that tried; [`RecordFile::stats`] reports them as corrupt.
+    decode_failures: AtomicU64,
+}
+
+impl RecordFile {
+    /// Open (creating if needed) the record file at `path`.
+    pub fn open(path: &Path) -> std::io::Result<Self> {
+        let text = store::read(path);
+        let (entries, opened) = store::load(&text, |at, line| {
+            classify_line(line, |rec| {
+                Entry::Raw(at + rec.metrics.start..at + rec.metrics.end)
+            })
+        });
+        Ok(Self {
+            log: Appender::open(path)?,
+            text,
+            entries: Mutex::new(entries),
+            opened,
+            decode_failures: AtomicU64::new(0),
+        })
+    }
+
+    /// The metrics stored under `digest`, decoding a raw entry on its first
+    /// lookup. Decoding runs outside the map lock; its result is memoized
+    /// only if the entry is still the raw span that was decoded. A record
+    /// that verified at open but does not decode is dropped and counted as
+    /// corrupt, and the lookup misses.
+    pub fn get(&self, digest: u64) -> Option<RunMetrics> {
+        let span = match store::lock(&self.entries).get(&digest)? {
+            Entry::Decoded(metrics) => return Some(RunMetrics::clone(metrics)),
+            Entry::Raw(span) => span.clone(),
+        };
+        let decoded = serde_json::from_str::<RunMetrics>(&self.text[span.clone()]);
+        let mut entries = store::lock(&self.entries);
+        let still_raw = matches!(entries.get(&digest), Some(Entry::Raw(s)) if *s == span);
+        match decoded {
+            Ok(metrics) => {
+                if still_raw {
+                    entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
+                }
+                Some(metrics)
+            }
+            Err(_) => {
+                if still_raw {
+                    entries.remove(&digest);
+                    self.decode_failures.fetch_add(1, Ordering::Relaxed);
+                }
+                None
+            }
+        }
+    }
+
+    /// Append one cell under `digest`; false (and nothing written) when the
+    /// digest is already live, which keeps warm re-runs from growing the
+    /// file.
+    pub fn put(&self, digest: u64, seed: u64, metrics: &RunMetrics) -> bool {
+        {
+            let mut entries = store::lock(&self.entries);
+            if entries.get(&digest).is_some() {
+                return false;
+            }
+            entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
+        }
+        let line = record_line(digest, seed, metrics) + "\n";
+        let _ = self.log.append(&line);
+        true
+    }
+
+    /// Live records now, and what open skipped.
+    pub fn stats(&self) -> SkipStats {
+        SkipStats {
+            kept: store::lock(&self.entries).len() as u64,
+            corrupt: self.opened.corrupt + self.decode_failures.load(Ordering::Relaxed),
+            ..self.opened
+        }
+    }
+}
+
+/// Persistent store of fault-free run results, keyed by [`cell_digest`]:
+/// a [`RecordFile`] (`results.jsonl`) plus hit/miss counters, the cost log
+/// (`costs.jsonl`) and compaction.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    /// `results.jsonl` as read at open: the one copy every `Entry::Raw`
-    /// range points into.
-    text: String,
-    entries: Mutex<HashMap<u64, Entry>>,
-    file: Mutex<std::fs::File>,
+    records: RecordFile,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
-    corrupt_skipped: AtomicU64,
-    stale_skipped: u64,
-    /// What the most recent [`ResultCache::compact`] on this handle did —
-    /// kept so the sweep report and the metrics registry can surface
-    /// maintenance that previously only flashed by on stderr.
-    last_compact: Mutex<Option<CompactStats>>,
+    /// What the most recent [`ResultCache::compact`] on this handle did.
+    last_compact: Mutex<Option<SkipStats>>,
 }
 
 impl ResultCache {
@@ -430,54 +466,19 @@ impl ResultCache {
     /// rewrites the file without them.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let path = Self::results_path(dir);
-        let text = read_text(&path);
-        let mut entries = HashMap::new();
-        let mut corrupt_skipped = 0u64;
-        let mut stale_skipped = 0u64;
-        for (at, line) in record_lines(&text) {
-            match classify_line(line) {
-                LineClass::Valid(rec) => {
-                    let span = at + rec.metrics.start..at + rec.metrics.end;
-                    entries.insert(rec.digest, Entry::Raw(span));
-                }
-                LineClass::Stale => stale_skipped += 1,
-                LineClass::Corrupt => corrupt_skipped += 1,
-            }
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
         Ok(Self {
             dir: dir.to_path_buf(),
-            text,
-            entries: Mutex::new(entries),
-            file: Mutex::new(file),
+            records: RecordFile::open(&Self::results_path(dir))?,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            corrupt_skipped: AtomicU64::new(corrupt_skipped),
-            stale_skipped,
             last_compact: Mutex::new(None),
         })
     }
 
-    /// Poisoning-tolerant lock access: a worker that panicked mid-`store`
-    /// cannot corrupt the map (every mutation is a single `insert` or
-    /// `remove`), so the poison flag is noise — recover the guard instead
-    /// of cascading the panic into every later caller.
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Entry>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_file(&self) -> std::sync::MutexGuard<'_, std::fs::File> {
-        self.file.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Look a cell up by digest; counts a hit or a miss.
     pub fn lookup(&self, digest: u64) -> Option<RunMetrics> {
-        let found = self.get(digest);
+        let found = self.records.get(digest);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -485,125 +486,56 @@ impl ResultCache {
         found
     }
 
-    /// The metrics stored under `digest`, decoding a raw entry on its first
-    /// lookup. Decoding runs outside the map lock; its result is memoized
-    /// only if the entry is still the raw span that was decoded. A record
-    /// that verified at open but does not decode is dropped and counted as
-    /// corrupt, and the lookup misses.
-    fn get(&self, digest: u64) -> Option<RunMetrics> {
-        let span = match self.lock_entries().get(&digest)? {
-            Entry::Decoded(metrics) => return Some(RunMetrics::clone(metrics)),
-            Entry::Raw(span) => span.clone(),
-        };
-        let decoded = serde_json::from_str::<RunMetrics>(&self.text[span.clone()]);
-        let mut entries = self.lock_entries();
-        let still_raw = matches!(entries.get(&digest), Some(Entry::Raw(s)) if *s == span);
-        match decoded {
-            Ok(metrics) => {
-                if still_raw {
-                    entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
-                }
-                Some(metrics)
-            }
-            Err(_) => {
-                if still_raw {
-                    entries.remove(&digest);
-                    self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        }
-    }
-
     /// Persist one finished cell under its cell digest. Idempotent per
-    /// digest: a digest already in memory is not re-appended (keeps warm
-    /// re-runs from growing the file).
+    /// digest: a digest already in memory is not re-appended.
     ///
     /// `_group` is ignored. It carried the retired prefix-fork group key and
     /// stays only so the separately versioned `benchmark/` crate keeps
     /// building; drop it together with that caller's argument.
     pub fn store(&self, digest: u64, _group: u64, seed: u64, metrics: &RunMetrics) {
-        {
-            let mut entries = self.lock_entries();
-            if entries.contains_key(&digest) {
-                return;
-            }
-            entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
+        if self.records.put(digest, seed, metrics) {
+            self.stores.fetch_add(1, Ordering::Relaxed);
         }
-        let line = record_line(digest, seed, metrics);
-        let mut f = self.lock_file();
-        let _ = writeln!(f, "{line}");
-        let _ = f.flush();
-        self.stores.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> CacheStats {
+        let skips = self.records.stats();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
-            entries: self.lock_entries().len() as u64,
-            corrupt_skipped: self.corrupt_skipped.load(Ordering::Relaxed),
-            stale_skipped: self.stale_skipped,
+            entries: skips.kept,
+            skips,
         }
     }
 
     /// Rewrite `results.jsonl` keeping only current-engine, checksum-valid
     /// records (last-wins deduped) that decode, dropping corrupt and stale
     /// lines for good. Only the kept records are decoded, and each is
-    /// rebuilt in this build's shape. The rewrite goes through a temp file
-    /// and an atomic rename, the append handle is re-pointed at the new
-    /// file, and the in-memory map is refreshed from what was kept — so a
-    /// compact mid-process never loses a record another thread just stored
-    /// (both locks are held across the swap).
-    pub fn compact(&self) -> std::io::Result<CompactStats> {
-        let mut entries = self.lock_entries();
-        let mut file = self.lock_file();
-        let path = Self::results_path(&self.dir);
-        let mut stats = CompactStats::default();
-        // Last-wins over the persisted lines, preserving first-seen order
-        // so a compacted file is deterministic for a given input.
-        let text = read_text(&path);
-        let mut kept: Vec<RawRecord> = Vec::new();
-        let mut index_of: HashMap<u64, usize> = HashMap::new();
-        for (_, line) in record_lines(&text) {
-            match classify_line(line) {
-                LineClass::Valid(rec) => match index_of.get(&rec.digest) {
-                    Some(&i) => {
-                        stats.dropped_duplicate += 1;
-                        kept[i] = rec;
-                    }
-                    None => {
-                        index_of.insert(rec.digest, kept.len());
-                        kept.push(rec);
-                    }
-                },
-                LineClass::Stale => stats.dropped_stale += 1,
-                LineClass::Corrupt => stats.dropped_corrupt += 1,
-            }
-        }
-        let mut live = HashMap::new();
-        let tmp = self.dir.join("results.jsonl.tmp");
-        {
-            let mut out = std::fs::File::create(&tmp)?;
-            for rec in &kept {
+    /// rebuilt in this build's shape. The in-memory map is refreshed from
+    /// what was kept; its lock, and the append handle's, are held across
+    /// the read and the rewrite.
+    pub fn compact(&self) -> std::io::Result<SkipStats> {
+        let mut entries = store::lock(&self.records.entries);
+        let mut stats = SkipStats::default();
+        let mut live = Records::default();
+        self.records.log.rewrite(|text| {
+            let (kept, loaded) = store::load(text, |_, line| classify_line(line, |rec| rec));
+            stats = loaded;
+            let mut out = String::new();
+            for rec in kept.into_values() {
                 let Ok(metrics) = serde_json::from_str::<RunMetrics>(rec.text.metrics) else {
-                    stats.dropped_corrupt += 1;
+                    stats.corrupt += 1;
                     continue;
                 };
-                writeln!(out, "{}", record_line(rec.digest, rec.seed, &metrics))?;
+                out += &(record_line(rec.digest, rec.seed, &metrics) + "\n");
                 live.insert(rec.digest, Entry::Decoded(Box::new(metrics)));
             }
-            out.flush()?;
-        }
+            out
+        })?;
         stats.kept = live.len() as u64;
-        std::fs::rename(&tmp, &path)?;
-        *file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
         *entries = live;
-        *self.last_compact.lock().unwrap_or_else(|e| e.into_inner()) = Some(stats);
+        *store::lock(&self.last_compact) = Some(stats);
         Ok(stats)
     }
 
@@ -611,23 +543,22 @@ impl ResultCache {
     /// (`None` if it never ran). The compaction performed at open by
     /// `PUNO_RESULT_CACHE_COMPACT` lands here too, so a sweep can report
     /// maintenance it did not itself trigger.
-    pub fn last_compact(&self) -> Option<CompactStats> {
-        *self.last_compact.lock().unwrap_or_else(|e| e.into_inner())
+    pub fn last_compact(&self) -> Option<SkipStats> {
+        *store::lock(&self.last_compact)
     }
 
-    /// Fold the persisted cost observations into a [`CostModel`].
+    /// Fold the persisted cost observations into a [`CostModel`]; lines
+    /// that do not parse are skipped.
     pub fn load_costs(&self) -> CostModel {
         let mut model = CostModel::default();
-        if let Ok(text) = std::fs::read_to_string(self.costs_path()) {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                if let Ok(rec) = serde_json::from_str::<CostRecord>(line) {
-                    model.observe(
-                        &rec.workload,
-                        &rec.mechanism,
-                        rec.tx_per_node,
-                        rec.wall_secs,
-                    );
-                }
+        for (_, line) in store::lines(&store::read(&self.costs_path())) {
+            if let Ok(rec) = serde_json::from_str::<CostRecord>(line) {
+                model.observe(
+                    &rec.workload,
+                    &rec.mechanism,
+                    rec.tx_per_node,
+                    rec.wall_secs,
+                );
             }
         }
         model
@@ -638,19 +569,8 @@ impl ResultCache {
         if records.is_empty() {
             return;
         }
-        let mut out = String::new();
-        for rec in records {
-            let line = serde_json::to_string(rec).expect("cost record must serialize");
-            out.push_str(&line);
-            out.push('\n');
-        }
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.costs_path())
-        {
-            let _ = f.write_all(out.as_bytes());
-        }
+        let out = store::to_jsonl(records);
+        let _ = Appender::open(&self.costs_path()).and_then(|log| log.append(&out));
     }
 }
 
@@ -666,27 +586,22 @@ pub fn global_cache() -> Option<Arc<ResultCache>> {
     CACHE
         .get_or_init(|| {
             let dir = env_setting("PUNO_RESULT_CACHE")?;
-            match ResultCache::open(Path::new(&dir)) {
-                Ok(cache) => {
-                    if env_setting("PUNO_RESULT_CACHE_COMPACT").is_some() {
-                        match cache.compact() {
-                            Ok(c) => eprintln!(
-                                "result cache compacted: {} kept, {} corrupt, {} stale, \
-                                 {} duplicate dropped",
-                                c.kept, c.dropped_corrupt, c.dropped_stale, c.dropped_duplicate
-                            ),
-                            Err(e) => {
-                                eprintln!("warning: result cache compaction failed: {e}")
-                            }
-                        }
-                    }
-                    Some(Arc::new(cache))
-                }
-                Err(e) => {
-                    eprintln!("warning: PUNO_RESULT_CACHE={dir} unusable ({e}); caching disabled");
-                    None
+            let cache = ResultCache::open(Path::new(&dir))
+                .map_err(|e| {
+                    eprintln!("warning: PUNO_RESULT_CACHE={dir} unusable ({e}); caching disabled")
+                })
+                .ok()?;
+            if env_setting("PUNO_RESULT_CACHE_COMPACT").is_some() {
+                match cache.compact() {
+                    Ok(c) => eprintln!(
+                        "result cache compacted: {} kept, {} corrupt, {} stale, \
+                         {} duplicate dropped",
+                        c.kept, c.corrupt, c.stale, c.duplicate
+                    ),
+                    Err(e) => eprintln!("warning: result cache compaction failed: {e}"),
                 }
             }
+            Some(Arc::new(cache))
         })
         .clone()
 }
@@ -855,23 +770,20 @@ mod tests {
         );
         std::fs::write(ResultCache::results_path(&dir), line).unwrap();
         let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(
-            (cache.stats().entries, cache.stats().corrupt_skipped),
-            (1, 0)
-        );
+        assert_eq!((cache.stats().entries, cache.stats().skips.corrupt), (1, 0));
         assert!(
             cache.lookup(7).is_none(),
             "an undecodable record never serves"
         );
         let stats = cache.stats();
         assert_eq!(
-            (stats.entries, stats.corrupt_skipped, stats.misses),
+            (stats.entries, stats.skips.corrupt, stats.misses),
             (0, 1, 1)
         );
         assert!(cache.lookup(7).is_none());
-        assert_eq!(cache.stats().corrupt_skipped, 1, "counted once");
+        assert_eq!(cache.stats().skips.corrupt, 1, "counted once");
         let c = ResultCache::open(&dir).unwrap().compact().unwrap();
-        assert_eq!((c.kept, c.dropped_corrupt), (0, 1));
+        assert_eq!((c.kept, c.corrupt), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1006,7 +918,7 @@ mod tests {
 
         let cache = ResultCache::open(&dir).unwrap();
         let stats = cache.stats();
-        assert_eq!(stats.corrupt_skipped, 1, "mid-file corruption must count");
+        assert_eq!(stats.skips.corrupt, 1, "mid-file corruption must count");
         assert_eq!(stats.entries, 1);
         assert!(
             cache.lookup(d1).is_none(),
@@ -1017,9 +929,9 @@ mod tests {
         // Compaction drops the corrupt line for good.
         let c = cache.compact().unwrap();
         assert_eq!(c.kept, 1);
-        assert_eq!(c.dropped_corrupt, 1);
+        assert_eq!(c.corrupt, 1);
         let reopened = ResultCache::open(&dir).unwrap();
-        assert_eq!(reopened.stats().corrupt_skipped, 0);
+        assert_eq!(reopened.stats().skips.corrupt, 0);
         assert_eq!(reopened.stats().entries, 1);
         assert!(reopened.lookup(d2).is_some());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1048,13 +960,13 @@ mod tests {
 
         let cache = ResultCache::open(&dir).unwrap();
         let stats = cache.stats();
-        assert_eq!(stats.stale_skipped, 1);
-        assert_eq!(stats.corrupt_skipped, 0);
+        assert_eq!(stats.skips.stale, 1);
+        assert_eq!(stats.skips.corrupt, 0);
         assert!(cache.lookup(0xDEAD).is_none());
         let c = cache.compact().unwrap();
-        assert_eq!(c.dropped_stale, 1);
+        assert_eq!(c.stale, 1);
         assert_eq!(c.kept, 1);
-        assert_eq!(ResultCache::open(&dir).unwrap().stats().stale_skipped, 0);
+        assert_eq!(ResultCache::open(&dir).unwrap().stats().skips.stale, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1090,15 +1002,18 @@ mod tests {
         let digest = cell_digest(&config, &params, 9);
         let cache = ResultCache::open(&dir).unwrap();
         cache.store(digest, 0, 9, &metrics);
-        // Poison both mutexes the way a panicking worker would.
-        for _ in 0..2 {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _entries = cache.entries.lock().unwrap();
-                let _file = cache.file.lock();
-                panic!("worker died holding the cache locks");
-            }));
-        }
-        assert!(cache.entries.is_poisoned(), "test must actually poison");
+        // Poison both mutexes the way a panicking worker would: the entry
+        // map and the append handle's file lock.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _entries = cache.records.entries.lock().unwrap();
+            let _file = cache.records.log.file_lock().lock();
+            panic!("worker died holding the cache locks");
+        }));
+        assert!(
+            cache.records.entries.is_poisoned(),
+            "test must actually poison"
+        );
+        assert!(cache.records.log.file_lock().is_poisoned());
         // Lookups, stores, stats, and compaction all still function.
         assert!(cache.lookup(digest).is_some());
         let m2 = run_workload(Mechanism::Baseline, &params, 12);

@@ -7,11 +7,10 @@
 //! message trace leading up to the failure, and the sweep driver carries on
 //! with the remaining cells.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a run failed to complete.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum RunError {
     /// The event queue drained with nodes still unfinished: some node is
     /// waiting for a message that will never arrive.
@@ -48,7 +47,7 @@ pub enum RunError {
 }
 
 impl RunError {
-    /// Short machine-readable tag (used in reports and checkpoint triage).
+    /// Short machine-readable tag (used in reports).
     pub fn kind(&self) -> &'static str {
         match self {
             RunError::Deadlock { .. } => "deadlock",
@@ -133,21 +132,5 @@ mod tests {
         assert!(s.contains("[3, 9]"));
         assert!(s.contains("waits on line 0x5"));
         assert_eq!(e.kind(), "deadlock");
-    }
-
-    #[test]
-    fn round_trips_through_json() {
-        let e = RunError::Livelock {
-            workload: "intruder".into(),
-            seed: 1,
-            cycles: 200_000_000,
-            commit_window: 0,
-            wait_for: "..".into(),
-            trace: "t".into(),
-        };
-        let json = serde_json::to_string(&e).unwrap();
-        let back: RunError = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.kind(), "livelock");
-        assert_eq!(back.trace(), "t");
     }
 }

@@ -23,6 +23,7 @@ pub mod oracle;
 pub mod report;
 pub mod run;
 pub mod sensitivity;
+pub mod store;
 pub mod sweep;
 pub mod system;
 pub mod telemetry;

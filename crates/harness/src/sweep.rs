@@ -6,11 +6,12 @@
 //! [`RunError`] or outright panic — no longer takes the process (and every
 //! sibling cell) down: it is caught, optionally retried with the message
 //! trace ring enabled, and reported as a [`CellOutcome::Err`] while the
-//! remaining cells complete. With a checkpoint path set, finished cells are
-//! appended to a JSONL file as they complete, and a re-run resumes from it,
-//! skipping cells that already succeeded.
+//! remaining cells complete. With a checkpoint path set, successful cells
+//! are appended to a checksummed `results.jsonl`-format file (a
+//! [`RecordFile`]) as they complete, keyed by their full cell identity,
+//! and a re-run resumes from it, skipping cells that already succeeded.
 
-use crate::cache::{cell_digest, global_cache, CostRecord, ResultCache};
+use crate::cache::{cell_digest, global_cache, CostRecord, RecordFile, ResultCache};
 use crate::error::RunError;
 use crate::metrics::RunMetrics;
 use crate::obs;
@@ -18,12 +19,10 @@ use crate::system::System;
 use crate::warehouse::{self, WarehouseRow};
 use crate::{Mechanism, SystemConfig};
 use puno_sim::FaultPlan;
-use puno_workloads::{params_digest, ProgramSet, WorkloadId, WorkloadParams};
-use serde::{Deserialize, Serialize};
+use puno_workloads::{fnv1a_64_fold, params_digest, ProgramSet, WorkloadId, WorkloadParams};
 use std::collections::HashMap;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One sweep cell: the workload, the mechanism, and the run result.
@@ -35,18 +34,17 @@ pub struct SweepResult {
 }
 
 /// Identity of one (workload, mechanism, seed) sweep cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellKey {
     pub workload: WorkloadId,
     pub mechanism: Mechanism,
     pub seed: u64,
 }
 
-/// The checkpointed outcome of one cell (one JSONL record per cell). A
-/// hand-rolled `Result`: the serde shim has no blanket `Result` impl (and
-/// no `Box` impl either, hence the unboxed — large — `Ok` variant).
+/// The outcome of one cell: a `Result` that also records the attempts a
+/// failure took and whether it was quarantined.
 #[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum CellOutcome {
     Ok {
         key: CellKey,
@@ -63,8 +61,8 @@ pub enum CellOutcome {
     /// including the traced, snapshot-armed final one failed — and was
     /// quarantined: the sweep completed degraded around it. `error` is the
     /// final attempt's failure (with its rewind-and-dump trace when the
-    /// snapshot ring engaged). On checkpoint resume, quarantined cells are
-    /// re-attempted like failed ones.
+    /// snapshot ring engaged). Like failed cells, quarantined cells are not
+    /// checkpointed, so a resumed sweep re-attempts them.
     Quarantined {
         key: CellKey,
         error: RunError,
@@ -203,11 +201,13 @@ pub struct SweepOptions {
     /// multi-attempt budget are quarantined instead of failing the sweep.
     /// [`SweepOptions::new`] honours the `PUNO_RETRY_MAX` env override.
     pub retry: RetryPolicy,
-    /// JSONL checkpoint path: finished cells are appended as they complete;
-    /// an existing file's successful cells are skipped on resume (failed
-    /// and quarantined cells are re-attempted). [`SweepOptions::new`] takes
-    /// the path from `PUNO_SWEEP_CHECKPOINT`, so a killed `sweep_all` can
-    /// resume where it died.
+    /// Checkpoint path: successful cells are appended as they complete, as
+    /// `results.jsonl`-format records keyed by the full cell identity (see
+    /// `checkpoint_key`), and a cell whose record verifies there is not
+    /// re-run. Failed and quarantined cells are not written, so they are
+    /// re-attempted. [`SweepOptions::new`] takes the path from
+    /// `PUNO_SWEEP_CHECKPOINT`, so a killed `sweep_all` can resume where it
+    /// died.
     pub checkpoint: Option<PathBuf>,
     /// Persistent result cache (see [`crate::cache`]): fault-free cells
     /// whose digest is present replay the stored metrics instead of
@@ -369,20 +369,19 @@ where
         })
         .collect();
 
-    let resumed: Vec<CellOutcome> = opts
-        .checkpoint
-        .as_deref()
-        .map(load_checkpoint)
-        .unwrap_or_default();
+    let checkpoint: Option<RecordFile> = opts.checkpoint.as_deref().map(|path| {
+        RecordFile::open(path)
+            .unwrap_or_else(|e| panic!("cannot open sweep checkpoint {path:?}: {e}"))
+    });
 
     // Slot per cell; resumed successes are filled in up front, the rest run.
     let mut slots: Vec<Option<CellOutcome>> = cells
         .iter()
-        .map(|(key, _)| {
-            resumed
-                .iter()
-                .find(|o| o.is_ok() && o.key() == *key)
-                .cloned()
+        .map(|(key, params)| {
+            let metrics = checkpoint
+                .as_ref()?
+                .get(checkpoint_key(opts, key, params))?;
+            Some(CellOutcome::Ok { key: *key, metrics })
         })
         .collect();
     let mut jobs: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
@@ -410,16 +409,6 @@ where
             .then(a.cmp(&b))
     });
 
-    let checkpoint_file: Option<Mutex<std::fs::File>> = opts.checkpoint.as_deref().map(|path| {
-        Mutex::new(
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .unwrap_or_else(|e| panic!("cannot open sweep checkpoint {path:?}: {e}")),
-        )
-    });
-
     let done: Mutex<Vec<(usize, CellOutcome, bool)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let next = std::sync::atomic::AtomicUsize::new(0);
     let started = std::sync::atomic::AtomicUsize::new(0);
@@ -439,7 +428,7 @@ where
 
     std::thread::scope(|s| {
         let (jobs, cells, done, next, started) = (&jobs, &cells, &done, &next, &started);
-        let (runner, checkpoint_file, retry) = (&runner, &checkpoint_file, &opts.retry);
+        let (runner, checkpoint, retry) = (&runner, &checkpoint, &opts.retry);
         let (sweep_obs, heartbeat, estimates) =
             (sweep_obs.as_ref(), heartbeat.as_ref(), &estimates);
         for w in 0..threads {
@@ -470,11 +459,8 @@ where
                     if let Some(b) = &busy {
                         b.set(0.0);
                     }
-                    if let Some(file) = &checkpoint_file {
-                        let line = serde_json::to_string(&outcome)
-                            .expect("sweep cell outcome must serialize");
-                        let mut f = file.lock().unwrap_or_else(|e| e.into_inner());
-                        let _ = writeln!(f, "{line}");
+                    if let (Some(file), CellOutcome::Ok { metrics, .. }) = (checkpoint, &outcome) {
+                        file.put(checkpoint_key(opts, &key, params), key.seed, metrics);
                     }
                     done.lock()
                         .unwrap_or_else(|e| e.into_inner())
@@ -732,34 +718,27 @@ fn publish_cache_stats(registry: &obs::MetricsRegistry, cache: &ResultCache) {
     set(
         "puno_cache_corrupt_skipped",
         "Corrupt records skipped: torn, misshapen or checksum-failed at open, undecodable at first lookup.",
-        s.corrupt_skipped as f64,
+        s.skips.corrupt as f64,
     );
     set(
         "puno_cache_stale_skipped",
         "Stale-engine-version records skipped at cache open.",
-        s.stale_skipped as f64,
+        s.skips.stale as f64,
     );
     if let Some(c) = cache.last_compact() {
-        set(
-            "puno_cache_compact_kept",
-            "Records kept by the most recent cache compaction.",
-            c.kept as f64,
-        );
-        set(
-            "puno_cache_compact_dropped_corrupt",
-            "Corrupt lines dropped by the most recent cache compaction.",
-            c.dropped_corrupt as f64,
-        );
-        set(
-            "puno_cache_compact_dropped_stale",
-            "Stale records dropped by the most recent cache compaction.",
-            c.dropped_stale as f64,
-        );
-        set(
-            "puno_cache_compact_dropped_duplicate",
-            "Superseded duplicates dropped by the most recent cache compaction.",
-            c.dropped_duplicate as f64,
-        );
+        for (name, what, v) in [
+            ("kept", "Records kept", c.kept),
+            ("dropped_corrupt", "Corrupt lines dropped", c.corrupt),
+            ("dropped_stale", "Stale records dropped", c.stale),
+            (
+                "dropped_duplicate",
+                "Superseded duplicates dropped",
+                c.duplicate,
+            ),
+        ] {
+            let help = format!("{what} by the most recent cache compaction.");
+            set(&format!("puno_cache_compact_{name}"), &help, v as f64);
+        }
     }
 }
 
@@ -917,15 +896,17 @@ fn panic_payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Parse a JSONL checkpoint, skipping unparsable (e.g. torn) lines.
-fn load_checkpoint(path: &Path) -> Vec<CellOutcome> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<CellOutcome>(l).ok())
-        .collect()
+/// A cell's key in the sweep checkpoint: its full identity, the
+/// [`cell_digest`] of the sweep's configuration, parameters and seed, with
+/// the fault plan folded in when one is installed. A checkpoint written at
+/// another scale, configuration or fault plan resumes nothing.
+fn checkpoint_key(opts: &SweepOptions, key: &CellKey, params: &WorkloadParams) -> u64 {
+    let digest = cell_digest(&(opts.config)(key.mechanism), params, key.seed);
+    if opts.fault_plan.is_empty() {
+        digest
+    } else {
+        fnv1a_64_fold(digest, format!("|faults={:?}", opts.fault_plan).as_bytes())
+    }
 }
 
 /// Run `workloads x mechanisms` (single seed) in parallel, panicking if any
@@ -1095,8 +1076,9 @@ mod tests {
         assert_eq!(outcomes[1].attempts(), Some(2));
     }
 
-    /// Interrupted sweep: first pass checkpoints one success and one
-    /// failure; the resumed pass re-runs only the failed cell.
+    /// Interrupted sweep: first pass checkpoints its one success (the
+    /// failed cell is not written); the resumed pass re-runs only the
+    /// failed cell.
     #[test]
     fn checkpoint_resume_skips_completed_cells() {
         use std::sync::atomic::{AtomicU32, Ordering};

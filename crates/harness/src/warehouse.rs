@@ -6,20 +6,21 @@
 //! deliberately forgets: how did throughput trend across the last N sweeps,
 //! what is the PUNO-vs-baseline abort-rate delta per recorded run, did the
 //! newest sweep regress against the persisted bench baseline. It is an
-//! append-only, checksummed JSONL file (same corruption-tolerance
-//! discipline as the cache: torn lines, stale versions, and duplicates are
-//! skipped and counted, never served) holding one compact row per completed
-//! sweep cell, grouped by a per-sweep `run_id`.
+//! append-only, checksummed JSONL file kept by the record store
+//! ([`crate::store`]; torn lines, stale versions, and duplicates are
+//! skipped and counted, never served, and a bad byte costs only its row)
+//! holding one compact row per completed sweep cell, grouped by a
+//! per-sweep `run_id`.
 //!
 //! `PUNO_WAREHOUSE=<dir>` points the sweep driver at a warehouse; the
 //! `warehouse` binary answers the aggregation queries offline.
 
-use crate::cache::ENGINE_VERSION;
+use crate::cache::{decimal, split_fields, ENGINE_VERSION};
 use crate::metrics::RunMetrics;
-use puno_workloads::fnv1a_64;
+use crate::store::{self, Appender, Class, SkipStats};
+use puno_workloads::{fnv1a_64_fold, FNV1A_64_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Version of the row schema itself; bump on any field change so old rows
@@ -34,7 +35,7 @@ pub struct BlameCauseEntry {
 }
 
 /// One completed sweep cell, flattened to what cross-run queries need.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WarehouseRow {
     pub schema_version: u32,
     /// Engine version that produced the metrics; rows from another engine
@@ -69,22 +70,19 @@ pub struct WarehouseRow {
     /// Aborts by cause (zero-count causes omitted), the blame summary the
     /// paper's false-abort analysis compares on.
     pub abort_blame: Vec<BlameCauseEntry>,
-    /// FNV-1a over the row serialized with this field zeroed (see
-    /// `row_checksum`); verified on load.
+    /// FNV-1a over `warehouse|` and the row's JSON line with this field
+    /// written as `0` (see `line_checksum`); verified in place on load.
     pub checksum: u64,
 }
 
-/// Content checksum of one row: FNV-1a over the canonical JSON of the row
-/// with its checksum field zeroed (the serde shim emits fields in
-/// declaration order, so the serialization is canonical).
-fn row_checksum(row: &WarehouseRow) -> u64 {
-    let mut zeroed = row.clone();
-    zeroed.checksum = 0;
-    zeroed_json_checksum(&serde_json::to_string(&zeroed).expect("warehouse row must serialize"))
-}
-
-fn zeroed_json_checksum(json: &str) -> u64 {
-    fnv1a_64(format!("warehouse|{json}").as_bytes())
+/// FNV-1a over `warehouse|` and `pieces`, which together are a row's JSON
+/// line with its checksum value written as `0`.
+fn line_checksum(pieces: &[&str]) -> u64 {
+    pieces
+        .iter()
+        .fold(fnv1a_64_fold(FNV1A_64_OFFSET, b"warehouse|"), |h, piece| {
+            fnv1a_64_fold(h, piece.as_bytes())
+        })
 }
 
 impl WarehouseRow {
@@ -107,7 +105,7 @@ impl WarehouseRow {
                 count,
             })
             .collect();
-        let mut row = Self {
+        Self {
             schema_version: WAREHOUSE_SCHEMA_VERSION,
             engine_version: ENGINE_VERSION,
             run_id: run_id.to_string(),
@@ -128,9 +126,8 @@ impl WarehouseRow {
             events_per_sec: metrics.host.events_per_sec,
             abort_blame,
             checksum: 0,
-        };
-        row.checksum = row_checksum(&row);
-        row
+        }
+        .sealed()
     }
 
     /// Row for a cell that produced no metrics (failed or quarantined):
@@ -145,7 +142,7 @@ impl WarehouseRow {
         seed: u64,
         outcome: &str,
     ) -> Self {
-        let mut row = Self {
+        Self {
             schema_version: WAREHOUSE_SCHEMA_VERSION,
             engine_version: ENGINE_VERSION,
             run_id: run_id.to_string(),
@@ -155,73 +152,44 @@ impl WarehouseRow {
             mechanism: mechanism.to_string(),
             seed,
             outcome: outcome.to_string(),
-            cache_hit: false,
-            cycles: 0,
-            committed: 0,
-            aborts: 0,
-            abort_rate: 0.0,
-            false_abort_fraction: 0.0,
-            wall_secs: 0.0,
-            sim_cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
-            abort_blame: Vec::new(),
-            checksum: 0,
-        };
-        row.checksum = row_checksum(&row);
-        row
-    }
-}
-
-/// What [`Warehouse::load`] skipped while reading the persisted file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WarehouseLoadStats {
-    /// Rows served to the caller.
-    pub kept: u64,
-    /// Lines that failed to parse or failed their content checksum.
-    pub corrupt_skipped: u64,
-    /// Rows from another engine or schema version.
-    pub stale_skipped: u64,
-    /// Rows superseded by a later record of the same `(run_id, digest)`.
-    pub duplicate_collapsed: u64,
-}
-
-enum RowClass {
-    Valid(Box<WarehouseRow>),
-    Stale,
-    Corrupt,
-}
-
-/// Whether `row`'s stored checksum covers it, parsed from `line`. Checked
-/// against the row as this build re-serializes it, then, failing that,
-/// against the row exactly as written: a row carrying a column this build
-/// dropped (the unknown field is ignored on load) still verifies.
-fn row_checksum_valid(row: &WarehouseRow, line: &str) -> bool {
-    if row.checksum == row_checksum(row) {
-        return true;
-    }
-    let Ok(serde_json::Value::Object(mut fields)) = serde_json::from_str(line) else {
-        return false;
-    };
-    for (key, value) in &mut fields {
-        if key == "checksum" {
-            *value = serde_json::Value::U64(0);
+            ..Self::default()
         }
+        .sealed()
     }
-    let zeroed = serde::to_json_string(&serde_json::Value::Object(fields), false);
-    row.checksum == zeroed_json_checksum(&zeroed)
+
+    /// The row with its checksum set: over its serialization with the
+    /// field still `0` (the serde shim emits fields in declaration order,
+    /// so the line the row is written as differs only in that value).
+    fn sealed(mut self) -> Self {
+        self.checksum = 0;
+        let zeroed = serde_json::to_string(&self).expect("warehouse row must serialize");
+        self.checksum = line_checksum(&[&zeroed]);
+        self
+    }
 }
 
-fn classify_row_line(line: &str) -> RowClass {
+/// A row is valid only if its line splits in the writer's compact shape
+/// and the stored checksum verifies over the line exactly as written, with
+/// the checksum's own span read as `0` — so a row carrying a column this
+/// build dropped still verifies. Only verified rows are decoded.
+fn classify_row_line(line: &str) -> Class<(String, u64), WarehouseRow> {
+    let verified = split_fields(line).and_then(|fields| {
+        let (_, span) = fields.into_iter().find(|(key, _)| *key == "checksum")?;
+        let stored = decimal::<u64>(line.get(span.clone())?)?;
+        Some(line_checksum(&[&line[..span.start], "0", &line[span.end..]]) == stored)
+    });
+    if verified != Some(true) {
+        return Class::Corrupt;
+    }
     match serde_json::from_str::<WarehouseRow>(line) {
-        Ok(row) if !row_checksum_valid(&row, line) => RowClass::Corrupt,
         Ok(row)
             if row.engine_version != ENGINE_VERSION
                 || row.schema_version != WAREHOUSE_SCHEMA_VERSION =>
         {
-            RowClass::Stale
+            Class::Stale
         }
-        Ok(row) => RowClass::Valid(Box::new(row)),
-        Err(_) => RowClass::Corrupt,
+        Ok(row) => Class::Valid((row.run_id.clone(), row.digest), row),
+        Err(_) => Class::Corrupt,
     }
 }
 
@@ -245,54 +213,21 @@ impl Warehouse {
         self.dir.join("warehouse.jsonl")
     }
 
-    /// Append rows (one JSONL line each) and flush once.
+    /// Append rows (one JSONL line each) in one write.
     pub fn append(&self, rows: &[WarehouseRow]) -> std::io::Result<()> {
         if rows.is_empty() {
             return Ok(());
         }
-        let mut out = String::new();
-        for row in rows {
-            out.push_str(&serde_json::to_string(row).expect("warehouse row must serialize"));
-            out.push('\n');
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.rows_path())?;
-        f.write_all(out.as_bytes())?;
-        f.flush()
+        Appender::open(&self.rows_path())?.append(&store::to_jsonl(rows))
     }
 
     /// Read every persisted row: corrupt (torn/tampered) lines and
     /// stale-version rows are skipped and counted; duplicates of one
     /// `(run_id, digest)` collapse last-wins (first-seen order preserved).
-    pub fn load(&self) -> (Vec<WarehouseRow>, WarehouseLoadStats) {
-        let mut stats = WarehouseLoadStats::default();
-        let mut rows: Vec<WarehouseRow> = Vec::new();
-        let mut index_of: BTreeMap<(String, u64), usize> = BTreeMap::new();
-        if let Ok(text) = std::fs::read_to_string(self.rows_path()) {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                match classify_row_line(line) {
-                    RowClass::Valid(row) => {
-                        let key = (row.run_id.clone(), row.digest);
-                        match index_of.get(&key) {
-                            Some(&i) => {
-                                stats.duplicate_collapsed += 1;
-                                rows[i] = *row;
-                            }
-                            None => {
-                                index_of.insert(key, rows.len());
-                                rows.push(*row);
-                            }
-                        }
-                    }
-                    RowClass::Stale => stats.stale_skipped += 1,
-                    RowClass::Corrupt => stats.corrupt_skipped += 1,
-                }
-            }
-        }
-        stats.kept = rows.len() as u64;
-        (rows, stats)
+    pub fn load(&self) -> (Vec<WarehouseRow>, SkipStats) {
+        let text = store::read(&self.rows_path());
+        let (rows, stats) = store::load(&text, |_, line| classify_row_line(line));
+        (rows.into_values().collect(), stats)
     }
 }
 
@@ -545,7 +480,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let wh = Warehouse::open(&dir).unwrap();
         let row = sample_row("r1", 100, 1, Mechanism::Baseline, 9);
-        assert_eq!(row.checksum, row_checksum(&row));
+        assert_eq!(row.clone().sealed(), row);
         assert!(
             !row.abort_blame.is_empty(),
             "intruder must record some aborts"
@@ -555,7 +490,7 @@ mod tests {
         assert_eq!(rows, vec![row]);
         assert_eq!(
             stats,
-            WarehouseLoadStats {
+            SkipStats {
                 kept: 1,
                 ..Default::default()
             }
@@ -568,9 +503,11 @@ mod tests {
         let dir = temp_dir("tolerance");
         let wh = Warehouse::open(&dir).unwrap();
         let good = sample_row("r1", 100, 1, Mechanism::Baseline, 9);
-        let mut stale = good.clone();
-        stale.engine_version = ENGINE_VERSION + 1;
-        stale.checksum = row_checksum(&stale);
+        let stale = WarehouseRow {
+            engine_version: ENGINE_VERSION + 1,
+            ..good.clone()
+        }
+        .sealed();
         let dup = sample_row("r1", 100, 1, Mechanism::Baseline, 10);
         let mut tampered = sample_row("r1", 100, 2, Mechanism::Puno, 9);
         tampered.seed = 77; // breaks the checksum
@@ -582,18 +519,41 @@ mod tests {
         std::fs::write(wh.rows_path(), text).unwrap();
 
         let (rows, stats) = wh.load();
-        assert_eq!(stats.corrupt_skipped, 2, "tampered + torn");
-        assert_eq!(stats.stale_skipped, 1);
-        assert_eq!(stats.duplicate_collapsed, 1);
+        assert_eq!(stats.corrupt, 2, "tampered + torn");
+        assert_eq!(stats.stale, 1);
+        assert_eq!(stats.duplicate, 1);
         assert_eq!(stats.kept, 1);
         assert_eq!(rows, vec![dup], "same (run_id, digest): last wins");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A byte with its high bit set is invalid UTF-8: it costs only the
+    /// row it sits in, not the whole file.
+    #[test]
+    fn a_bad_byte_costs_only_its_row() {
+        let dir = temp_dir("badbyte");
+        let wh = Warehouse::open(&dir).unwrap();
+        let rows: Vec<WarehouseRow> = (0..4)
+            .map(|i| WarehouseRow::placeholder("r1", 100, i, "ssca2", "puno", 1, "err"))
+            .collect();
+        wh.append(&rows).unwrap();
+        let text = std::fs::read_to_string(wh.rows_path()).unwrap();
+        // The first byte of the second row's `run_id` value.
+        let tag = "\"run_id\":\"";
+        let (at, _) = text.match_indices(tag).nth(1).unwrap();
+        let mut bytes = text.into_bytes();
+        bytes[at + tag.len()] |= 0x80;
+        std::fs::write(wh.rows_path(), bytes).unwrap();
+        let (kept, stats) = wh.load();
+        assert_eq!((stats.kept, stats.corrupt), (3, 1));
+        assert_eq!(kept, [&rows[0], &rows[2], &rows[3]].map(Clone::clone));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn trend_and_delta_aggregates() {
         let mk = |run: &str, t: u64, wl: &str, mech: &str, digest: u64, rate: f64, cps: f64| {
-            let mut row = WarehouseRow {
+            WarehouseRow {
                 schema_version: WAREHOUSE_SCHEMA_VERSION,
                 engine_version: ENGINE_VERSION,
                 run_id: run.to_string(),
@@ -614,9 +574,8 @@ mod tests {
                 events_per_sec: 0.0,
                 abort_blame: Vec::new(),
                 checksum: 0,
-            };
-            row.checksum = row_checksum(&row);
-            row
+            }
+            .sealed()
         };
         let rows = vec![
             mk("b", 200, "ssca2", "baseline", 1, 0.30, 2e6),

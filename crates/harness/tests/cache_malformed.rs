@@ -1,23 +1,34 @@
-//! Malformed input against the result cache's record reader.
+//! Malformed input against the record store's three readers: the result
+//! cache, the sweep checkpoint's resume, and the warehouse.
 //!
-//! A seeded corpus is built from real records: two freshly stored cells
-//! and the legacy `prefix_digest` fixture. Each is truncated at every k-th
-//! byte, bit-flipped, given reordered keys, extra whitespace, an unknown
-//! key, an escaped `workload`, or a stale `engine_version`. For every
-//! mutant the field splitter and `ResultCache::open` must not panic, and a
+//! A seeded corpus is built from real lines of each format: two freshly
+//! stored cells per file, plus the legacy `engine4_express` fixture line
+//! (cache and warehouse) and a placeholder row for a failed cell
+//! (warehouse). Each is truncated at every k-th byte, bit-flipped, given
+//! reordered keys, extra whitespace, an unknown key, an escaped
+//! `workload`, non-canonical numbers, or a stale `engine_version`. For
+//! every mutant the field splitter and the reader must not panic, and a
 //! record may be served only if an independent reference accepts the line:
-//! a full `Value` parse, the current engine version, the checksum
-//! recomputed over the line's own `metrics` JSON, and a typed decode. Lines
-//! the reference accepts but the writer would never produce — anything
-//! outside its compact shape — classify as corrupt.
+//! a full `Value` parse, the current versions, the checksum recomputed from
+//! the parsed value, and a typed decode. Lines the reference accepts but
+//! the writer would never produce — anything outside its compact shape, or
+//! not byte-for-byte the text the checksum covers — classify as corrupt.
 
-use puno_harness::cache::{cell_digest, split_fields, ResultCache, ENGINE_VERSION};
+use puno_harness::cache::{cell_digest, split_fields, RecordFile, ResultCache, ENGINE_VERSION};
 use puno_harness::run::run_with_config;
-use puno_harness::{Mechanism, RunMetrics, SystemConfig};
+use puno_harness::store::SkipStats;
+use puno_harness::sweep::{try_sweep_with, CellOutcome, SweepOptions};
+use puno_harness::warehouse::WAREHOUSE_SCHEMA_VERSION;
+use puno_harness::{Mechanism, RunError, RunMetrics, SystemConfig, Warehouse, WarehouseRow};
 use puno_sim::rng::SimRng;
 use puno_workloads::{fnv1a_64, WorkloadId};
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+const SEED: u64 = 3;
+const SCALE: f64 = 0.05;
+const MECHANISMS: [Mechanism; 2] = [Mechanism::Baseline, Mechanism::Puno];
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("puno-malformed-{}-{tag}", std::process::id()));
@@ -26,28 +37,244 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The reference reader: what a record line means, decided the slow way.
-fn reference_accepts(line: &str) -> Option<(u64, RunMetrics)> {
-    let v: Value = serde_json::from_str(line).ok()?;
-    let num = |key: &str| v.get(key)?.as_u64();
-    let (digest, version, seed) = (num("digest")?, num("engine_version")?, num("seed")?);
-    let prefix = match v.get("prefix_digest") {
-        Some(p) => format!("p{}|", p.as_u64()?),
-        None => String::new(),
-    };
-    let (workload, mechanism) = (v.get("workload")?.as_str()?, v.get("mechanism")?.as_str()?);
-    let metrics = v.get("metrics")?;
-    let metrics_json = serde_json::to_string(metrics).ok()?;
-    let text =
-        format!("cache|{digest}|{prefix}v{version}|{workload}|{mechanism}|{seed}|{metrics_json}");
-    let verified =
-        version == u64::from(ENGINE_VERSION) && fnv1a_64(text.as_bytes()) == num("checksum")?;
-    verified.then_some(())?;
-    Some((digest, serde_json::from_value(metrics).ok()?))
+fn fixture(file: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/engine4_express")
+        .join(file);
+    std::fs::read_to_string(path)
+        .unwrap()
+        .trim_end()
+        .to_string()
 }
 
 fn json(m: &RunMetrics) -> String {
     serde_json::to_string(m).unwrap()
+}
+
+fn lines_of(path: &Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// One of the store's readers, driven through its public entry point.
+#[derive(Clone, Copy, Debug)]
+enum Format {
+    Cache,
+    Checkpoint,
+    Warehouse,
+}
+
+const FORMATS: [Format; 3] = [Format::Cache, Format::Checkpoint, Format::Warehouse];
+
+/// What a reader served from one file — `(key, value as JSON)` pairs —
+/// and what it skipped at open.
+struct Served {
+    records: BTreeMap<String, String>,
+    stats: SkipStats,
+}
+
+impl Format {
+    fn file(self) -> &'static str {
+        match self {
+            Format::Cache => "results.jsonl",
+            Format::Checkpoint => "checkpoint.jsonl",
+            Format::Warehouse => "warehouse.jsonl",
+        }
+    }
+
+    /// The reference reader: the key and value a line means, decided the
+    /// slow way.
+    fn reference_accepts(self, line: &str) -> Option<(String, String)> {
+        let v: Value = serde_json::from_str(line).ok()?;
+        let verified = self.checksum_of(&v)? == v.get("checksum")?.as_u64()?;
+        match self {
+            Format::Cache | Format::Checkpoint => {
+                let current = v.get("engine_version")?.as_u64()? == u64::from(ENGINE_VERSION);
+                (verified && current).then_some(())?;
+                let metrics: RunMetrics = serde_json::from_value(v.get("metrics")?).ok()?;
+                Some((v.get("digest")?.as_u64()?.to_string(), json(&metrics)))
+            }
+            Format::Warehouse => {
+                let version = |key: &str| v.get(key).and_then(Value::as_u64);
+                let current = version("engine_version") == Some(u64::from(ENGINE_VERSION))
+                    && version("schema_version") == Some(u64::from(WAREHOUSE_SCHEMA_VERSION));
+                (verified && current).then_some(())?;
+                let row: WarehouseRow = serde_json::from_value(&v).ok()?;
+                Some(row_entry(&row))
+            }
+        }
+    }
+
+    /// The checksum the parsed line's content calls for.
+    fn checksum_of(self, v: &Value) -> Option<u64> {
+        match self {
+            Format::Cache | Format::Checkpoint => {
+                let num = |key: &str| v.get(key)?.as_u64();
+                let prefix = match v.get("prefix_digest") {
+                    Some(p) => format!("p{}|", p.as_u64()?),
+                    None => String::new(),
+                };
+                let (workload, mechanism) =
+                    (v.get("workload")?.as_str()?, v.get("mechanism")?.as_str()?);
+                let metrics = serde_json::to_string(v.get("metrics")?).ok()?;
+                let text = format!(
+                    "cache|{}|{prefix}v{}|{workload}|{mechanism}|{}|{metrics}",
+                    num("digest")?,
+                    num("engine_version")?,
+                    num("seed")?
+                );
+                Some(fnv1a_64(text.as_bytes()))
+            }
+            Format::Warehouse => {
+                let Value::Object(mut fields) = v.clone() else {
+                    return None;
+                };
+                for (key, value) in &mut fields {
+                    if key == "checksum" {
+                        *value = Value::U64(0);
+                    }
+                }
+                let zeroed = serde_json::to_string(&Value::Object(fields)).ok()?;
+                Some(fnv1a_64(format!("warehouse|{zeroed}").as_bytes()))
+            }
+        }
+    }
+
+    /// Two fresh records (one per mechanism) as this format's writer puts
+    /// them on disk, plus the format's extra lines.
+    fn real_lines(self, tag: &str) -> Vec<String> {
+        let dir = scratch(&format!("{tag}-{self:?}-source"));
+        let params = WorkloadId::Ssca2.params().scaled(SCALE);
+        let run = |m: Mechanism| run_with_config(SystemConfig::paper(m), &params, SEED);
+        let lines = match self {
+            Format::Cache => {
+                let cache = ResultCache::open(&dir).unwrap();
+                for m in MECHANISMS {
+                    let digest = cell_digest(&SystemConfig::paper(m), &params, SEED);
+                    cache.store(digest, 0, SEED, &run(m));
+                }
+                let mut lines = lines_of(&dir.join(self.file()));
+                lines.push(fixture("results.jsonl"));
+                lines
+            }
+            Format::Checkpoint => {
+                let outcomes = try_sweep_with(
+                    &[WorkloadId::Ssca2],
+                    &MECHANISMS,
+                    &checkpointed(&dir),
+                    |m, params, seed, _| Ok(run_with_config(SystemConfig::paper(m), params, seed)),
+                );
+                assert!(outcomes.iter().all(CellOutcome::is_ok));
+                lines_of(&dir.join(self.file()))
+            }
+            Format::Warehouse => {
+                let mut rows: Vec<WarehouseRow> = MECHANISMS
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &m)| {
+                        WarehouseRow::from_metrics("corpus", 1, i as u64, "ok", false, &run(m))
+                    })
+                    .collect();
+                rows.push(WarehouseRow::placeholder(
+                    "corpus", 1, 9, "ssca2", "puno", SEED, "err",
+                ));
+                Warehouse::open(&dir).unwrap().append(&rows).unwrap();
+                let mut lines = lines_of(&dir.join(self.file()));
+                lines.push(fixture("warehouse.jsonl"));
+                lines
+            }
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(lines.len() >= 2, "{self:?}: {lines:?}");
+        lines
+    }
+
+    /// Open the file in `dir` the way its owner does and collect what it
+    /// serves.
+    fn serve(self, dir: &Path) -> Served {
+        match self {
+            Format::Cache => {
+                let cache = ResultCache::open(dir).unwrap();
+                let stats = cache.stats().skips;
+                // The cache keys a record by the digest its own splitter
+                // reads, so looking up every such digest reaches every
+                // live entry.
+                let text = String::from_utf8_lossy(&std::fs::read(dir.join(self.file())).unwrap())
+                    .into_owned();
+                let mut records = BTreeMap::new();
+                for line in text.split('\n') {
+                    let Some(digest) = split_fields(line).and_then(|fields| {
+                        let (_, span) = fields.into_iter().find(|(k, _)| *k == "digest")?;
+                        line.get(span)?.parse::<u64>().ok()
+                    }) else {
+                        continue;
+                    };
+                    if let Some(metrics) = cache.lookup(digest) {
+                        records.insert(digest.to_string(), json(&metrics));
+                    }
+                }
+                assert_eq!(
+                    cache.stats().entries,
+                    records.len() as u64,
+                    "an entry nobody could serve"
+                );
+                Served { records, stats }
+            }
+            Format::Checkpoint => {
+                let stats = RecordFile::open(&dir.join(self.file())).unwrap().stats();
+                // Only a cell resumed from the checkpoint can succeed.
+                let outcomes = try_sweep_with(
+                    &[WorkloadId::Ssca2],
+                    &MECHANISMS,
+                    &checkpointed(dir),
+                    |_, _, _, _| {
+                        Err(RunError::WorkerPanic {
+                            payload: "not in the checkpoint".into(),
+                        })
+                    },
+                );
+                let params = WorkloadId::Ssca2.params().scaled(SCALE);
+                let records = outcomes
+                    .into_iter()
+                    .filter_map(|outcome| match outcome {
+                        CellOutcome::Ok { key, mut metrics } => {
+                            let config = SystemConfig::paper(key.mechanism);
+                            // The sweep stamps its worker count after resume.
+                            metrics.host.sweep_workers = 0;
+                            let digest = cell_digest(&config, &params, key.seed);
+                            Some((digest.to_string(), json(&metrics)))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                Served { records, stats }
+            }
+            Format::Warehouse => {
+                let (rows, stats) = Warehouse::open(dir).unwrap().load();
+                assert_eq!(stats.kept, rows.len() as u64);
+                let records = rows.iter().map(row_entry).collect();
+                Served { records, stats }
+            }
+        }
+    }
+}
+
+fn row_entry(row: &WarehouseRow) -> (String, String) {
+    (
+        format!("{}|{}", row.run_id, row.digest),
+        serde_json::to_string(row).unwrap(),
+    )
+}
+
+/// Sweep options resuming from (and recording to) `dir`'s checkpoint.
+fn checkpointed(dir: &Path) -> SweepOptions {
+    let mut opts = SweepOptions::new(SEED, SCALE);
+    opts.result_cache = None;
+    opts.checkpoint = Some(dir.join(Format::Checkpoint.file()));
+    opts
 }
 
 /// What opening a file holding `bytes` did.
@@ -58,82 +285,34 @@ struct Opened {
     stale: u64,
 }
 
-/// Write `bytes` as the whole results file, open it, and look up every
-/// digest any of its lines names. Asserts the invariants that hold for
-/// every input and returns the counts.
-fn open_and_check(dir: &Path, bytes: &[u8]) -> Opened {
-    std::fs::write(dir.join("results.jsonl"), bytes).unwrap();
-    let cache = ResultCache::open(dir).unwrap();
+/// Write `bytes` as the whole file of `format`, open it through its
+/// reader, and check every served record against the reference. Asserts
+/// the invariants that hold for every input and returns the counts.
+fn open_and_check(format: Format, dir: &Path, bytes: &[u8]) -> Opened {
+    std::fs::write(dir.join(format.file()), bytes).unwrap();
+    let served = format.serve(dir);
     let text = String::from_utf8_lossy(bytes);
     let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
-    let opened = cache.stats();
+    let s = served.stats;
     assert_eq!(
-        opened.entries + opened.corrupt_skipped + opened.stale_skipped,
+        s.kept + s.corrupt + s.stale + s.duplicate,
         lines.len() as u64,
-        "every non-blank line classifies exactly once: {text}"
+        "{format:?}: every non-blank line classifies exactly once: {text}"
     );
-    let mut served = std::collections::BTreeSet::new();
-    for line in &lines {
-        // The cache keys a record by the digest its own splitter reads, so
-        // looking up every such digest reaches every live entry.
-        let Some(digest) = split_fields(line).and_then(|fields| {
-            let (_, span) = fields.into_iter().find(|(k, _)| *k == "digest")?;
-            line.get(span)?.parse::<u64>().ok()
-        }) else {
-            continue;
-        };
-        if let Some(metrics) = cache.lookup(digest) {
-            let (ref_digest, expected) = lines
-                .iter()
-                .rev()
-                .filter_map(|l| reference_accepts(l))
-                .find(|(d, _)| *d == digest)
-                .unwrap_or_else(|| panic!("served a record the reference rejects: {line}"));
-            assert_eq!(ref_digest, digest);
-            assert_eq!(json(&metrics), json(&expected), "served metrics differ");
-            served.insert(digest);
-        }
+    for (key, value) in &served.records {
+        let (_, expected) = lines
+            .iter()
+            .rev()
+            .filter_map(|l| format.reference_accepts(l))
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("{format:?}: served a record the reference rejects: {text}"));
+        assert_eq!(value, &expected, "{format:?}: served value differs");
     }
-    let stats = cache.stats();
-    assert_eq!(
-        stats.entries,
-        served.len() as u64,
-        "an entry nobody could serve"
-    );
     Opened {
-        served: served.len(),
-        corrupt: stats.corrupt_skipped,
-        stale: stats.stale_skipped,
+        served: served.records.len(),
+        corrupt: s.corrupt,
+        stale: s.stale,
     }
-}
-
-/// Two fresh records (one per mechanism) plus the legacy fixture line,
-/// stored through a scratch cache named after `tag`.
-fn real_lines(tag: &str) -> Vec<String> {
-    let dir = scratch(&format!("{tag}-source"));
-    let cache = ResultCache::open(&dir).unwrap();
-    let params = WorkloadId::Ssca2.params().scaled(0.05);
-    for mechanism in [Mechanism::Baseline, Mechanism::Puno] {
-        let config = SystemConfig::paper(mechanism);
-        let metrics = run_with_config(config, &params, 3);
-        cache.store(cell_digest(&config, &params, 3), 0, 3, &metrics);
-    }
-    let mut lines: Vec<String> = std::fs::read_to_string(dir.join("results.jsonl"))
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect();
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/engine4_express/results.jsonl");
-    lines.push(
-        std::fs::read_to_string(fixture)
-            .unwrap()
-            .trim_end()
-            .to_string(),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(lines.len(), 3);
-    lines
 }
 
 const ONE_SERVED: Opened = Opened {
@@ -149,121 +328,185 @@ const ONE_CORRUPT: Opened = Opened {
 
 #[test]
 fn real_records_serve_and_truncations_never_do() {
-    let dir = scratch("truncate");
-    for line in real_lines("truncate") {
-        let mut with_newline = line.clone().into_bytes();
-        with_newline.push(b'\n');
-        assert_eq!(open_and_check(&dir, &with_newline), ONE_SERVED, "{line}");
-        for cut in (1..line.len()).step_by(7) {
-            let opened = open_and_check(&dir, &line.as_bytes()[..cut]);
-            assert_eq!(opened, ONE_CORRUPT, "truncated at {cut}");
+    for format in FORMATS {
+        let dir = scratch(&format!("truncate-{format:?}"));
+        for line in format.real_lines("truncate") {
+            assert!(format.reference_accepts(&line).is_some(), "{line}");
+            let mut with_newline = line.clone().into_bytes();
+            with_newline.push(b'\n');
+            let whole = open_and_check(format, &dir, &with_newline);
+            assert_eq!(whole, ONE_SERVED, "{format:?}: {line}");
+            for cut in (1..line.len()).step_by(7) {
+                let opened = open_and_check(format, &dir, &line.as_bytes()[..cut]);
+                assert_eq!(opened, ONE_CORRUPT, "{format:?}: truncated at {cut}");
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bit_flips_never_serve_unverified_records() {
-    let dir = scratch("flip");
     let mut rng = SimRng::new(0xF11F);
-    let mut served = 0;
-    for line in real_lines("flip") {
-        let healthy = line.as_bytes();
-        for _ in 0..300 {
-            let mut bytes = healthy.to_vec();
-            let at = rng.gen_range(bytes.len() as u64) as usize;
-            bytes[at] ^= 1 << rng.gen_range(8);
-            served += open_and_check(&dir, &bytes).served;
+    for format in FORMATS {
+        let dir = scratch(&format!("flip-{format:?}"));
+        let mut served = 0;
+        for line in format.real_lines("flip") {
+            let healthy = line.as_bytes();
+            for _ in 0..300 {
+                let mut bytes = healthy.to_vec();
+                let at = rng.gen_range(bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << rng.gen_range(8);
+                served += open_and_check(format, &dir, &bytes).served;
+            }
         }
+        assert_eq!(served, 0, "{format:?}: a one-bit change went undetected");
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(served, 0, "a one-bit change went undetected");
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first number following `"key":` in `line`, with `edit` applied to
+/// its text.
+fn edit_number(line: &str, key: &str, edit: impl Fn(&str) -> String) -> String {
+    let tag = format!("\"{key}\":");
+    let start = line.find(&tag).expect("key present") + tag.len();
+    let len = line[start..]
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(line.len() - start);
+    format!(
+        "{}{}{}",
+        &line[..start],
+        edit(&line[start..start + len]),
+        &line[start + len..]
+    )
 }
 
 #[test]
 fn lines_outside_the_writers_shape_are_corrupt() {
-    let dir = scratch("shape");
-    for line in real_lines("shape") {
-        let v: Value = serde_json::from_str(&line).unwrap();
-        let mechanism = v.get("mechanism").unwrap().as_str().unwrap();
-        let in_order = format!("\"workload\":\"ssca2\",\"mechanism\":\"{mechanism}\"");
-        let swapped = format!("\"mechanism\":\"{mechanism}\",\"workload\":\"ssca2\"");
-        let variants = [
-            ("reordered keys", line.replacen(&in_order, &swapped, 1)),
-            (
-                "space after a colon",
-                line.replacen("\"seed\":", "\"seed\": ", 1),
-            ),
-            (
-                "space after a comma",
-                line.replacen(",\"seed\"", ", \"seed\"", 1),
-            ),
-            (
-                "space inside metrics",
-                line.replacen("\"metrics\":{", "\"metrics\":{ ", 1),
-            ),
-            ("trailing space", format!("{line} ")),
-            ("unknown key", line.replacen('{', "{\"note\":1,", 1)),
-            (
-                "escaped workload",
-                line.replacen("\"ssca2\"", "\"ssca\\u0032\"", 1),
-            ),
-        ];
-        for (what, mutant) in variants {
-            assert!(
-                reference_accepts(&mutant).is_some(),
-                "{what}: the reference must accept the variant, or the case tests nothing"
-            );
-            assert_eq!(
-                open_and_check(&dir, mutant.as_bytes()),
-                ONE_CORRUPT,
-                "{what}"
-            );
+    for format in FORMATS {
+        let dir = scratch(&format!("shape-{format:?}"));
+        let warehouse = matches!(format, Format::Warehouse);
+        for line in format.real_lines("shape") {
+            let v: Value = serde_json::from_str(&line).unwrap();
+            let mechanism = v.get("mechanism").unwrap().as_str().unwrap();
+            let in_order = format!("\"workload\":\"ssca2\",\"mechanism\":\"{mechanism}\"");
+            let swapped = format!("\"mechanism\":\"{mechanism}\",\"workload\":\"ssca2\"");
+            let nested = if warehouse {
+                "\"abort_blame\":["
+            } else {
+                "\"metrics\":{"
+            };
+            // (what, mutant, whether the reference accepts it). The
+            // warehouse reference re-serializes the parsed row, so it
+            // rejects a change of key order or key set.
+            let variants = [
+                (
+                    "reordered keys",
+                    line.replacen(&in_order, &swapped, 1),
+                    !warehouse,
+                ),
+                (
+                    "space after a colon",
+                    line.replacen("\"seed\":", "\"seed\": ", 1),
+                    true,
+                ),
+                (
+                    "space after a comma",
+                    line.replacen(",\"seed\"", ", \"seed\"", 1),
+                    true,
+                ),
+                (
+                    "space inside a nested value",
+                    line.replacen(nested, &format!("{nested} "), 1),
+                    true,
+                ),
+                ("trailing space", format!("{line} "), true),
+                (
+                    "unknown key",
+                    line.replacen('{', "{\"note\":1,", 1),
+                    !warehouse,
+                ),
+                (
+                    "escaped workload",
+                    line.replacen("\"ssca2\"", "\"ssca\\u0032\"", 1),
+                    true,
+                ),
+                (
+                    "leading zero",
+                    edit_number(&line, "seed", |n| format!("0{n}")),
+                    true,
+                ),
+                (
+                    "leading zero in cycles",
+                    edit_number(&line, "cycles", |n| format!("0{n}")),
+                    true,
+                ),
+            ];
+            for (what, mutant, accepted) in variants {
+                assert_ne!(mutant, line, "{what}: the mutation site must exist");
+                assert_eq!(
+                    format.reference_accepts(&mutant).is_some(),
+                    accepted,
+                    "{format:?} {what}: the reference's verdict is pinned"
+                );
+                assert_eq!(
+                    open_and_check(format, &dir, mutant.as_bytes()),
+                    ONE_CORRUPT,
+                    "{format:?} {what}"
+                );
+            }
+            if warehouse {
+                let trailing_zero = edit_number(&line, "abort_rate", |n| format!("{n}0"));
+                assert!(format.reference_accepts(&trailing_zero).is_some());
+                let opened = open_and_check(format, &dir, trailing_zero.as_bytes());
+                assert_eq!(opened, ONE_CORRUPT, "trailing zero");
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_verified_stale_record_is_stale_not_served() {
-    let dir = scratch("stale");
-    let line = &real_lines("stale")[0];
-    let stale_version = ENGINE_VERSION + 1;
-    let v: Value = serde_json::from_str(line).unwrap();
-    let metrics_json = serde_json::to_string(v.get("metrics").unwrap()).unwrap();
-    let digest = v.get("digest").unwrap().as_u64().unwrap();
-    let checksum = fnv1a_64(
-        format!("cache|{digest}|v{stale_version}|ssca2|baseline|3|{metrics_json}").as_bytes(),
-    );
-    let old_checksum = v.get("checksum").unwrap().as_u64().unwrap();
-    let mutant = line
-        .replacen(
+    for format in FORMATS {
+        let dir = scratch(&format!("stale-{format:?}"));
+        let line = &format.real_lines("stale")[0];
+        let stale_version = ENGINE_VERSION + 1;
+        let bumped = line.replacen(
             &format!("\"engine_version\":{ENGINE_VERSION}"),
             &format!("\"engine_version\":{stale_version}"),
             1,
-        )
-        .replacen(
+        );
+        let v: Value = serde_json::from_str(&bumped).unwrap();
+        let old_checksum = v.get("checksum").unwrap().as_u64().unwrap();
+        let checksum = format.checksum_of(&v).unwrap();
+        let mutant = bumped.replacen(
             &format!("\"checksum\":{old_checksum}"),
             &format!("\"checksum\":{checksum}"),
             1,
         );
-    let opened = open_and_check(&dir, mutant.as_bytes());
-    assert_eq!(
-        opened,
-        Opened {
-            served: 0,
-            corrupt: 0,
-            stale: 1
-        }
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let opened = open_and_check(format, &dir, mutant.as_bytes());
+        assert_eq!(
+            opened,
+            Opened {
+                served: 0,
+                corrupt: 0,
+                stale: 1
+            },
+            "{format:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn the_splitter_survives_arbitrary_input() {
     let mut rng = SimRng::new(7);
     let alphabet = b"{}[]\":,\\ a0-.e\n";
-    let real = real_lines("splitter");
+    let real: Vec<String> = FORMATS
+        .iter()
+        .flat_map(|format| format.real_lines("splitter"))
+        .collect();
     for round in 0..20_000 {
         let len = rng.gen_range(48) as usize;
         let bytes: Vec<u8> = if round % 2 == 0 {

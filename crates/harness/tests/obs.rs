@@ -7,6 +7,7 @@
 //! (separate test binaries that never call `obs::enable`) pin the obs-OFF
 //! side of the same snapshots.
 
+use puno_harness::cache::ResultCache;
 use puno_harness::obs;
 use puno_harness::sweep::{try_sweep_rows, SweepOptions};
 use puno_harness::warehouse::{abort_rate_deltas, throughput_trend, Warehouse, WarehouseRow};
@@ -16,6 +17,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const GOLDEN_SEED: u64 = 42;
 const GOLDEN_SCALE: f64 = 0.05;
@@ -154,10 +156,7 @@ fn warehouse_reproduces_cross_run_aggregates() {
 
     let (rows, stats) = wh.load();
     assert_eq!(stats.kept, 4);
-    assert_eq!(
-        stats.corrupt_skipped + stats.stale_skipped + stats.duplicate_collapsed,
-        0
-    );
+    assert_eq!(stats.corrupt + stats.stale + stats.duplicate, 0);
 
     let trend = throughput_trend(&rows);
     assert_eq!(trend.len(), 1, "one workload recorded");
@@ -187,5 +186,33 @@ fn warehouse_reproduces_cross_run_aggregates() {
         );
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What the result cache's most recent compaction dropped reaches the
+/// registry through the sweep, next to its skip counts.
+#[test]
+fn cache_compaction_is_published_as_gauges() {
+    let registry = obs::enable();
+    let dir = std::env::temp_dir().join(format!("puno-obs-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("results.jsonl"), "torn\n").unwrap();
+    let cache = ResultCache::open(&dir).unwrap();
+    assert_eq!(cache.compact().unwrap().corrupt, 1);
+    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    opts.result_cache = Some(Arc::new(cache));
+    let (outcomes, _) = try_sweep_rows(&[WorkloadId::Ssca2], &[Mechanism::Baseline], &opts);
+    assert!(outcomes[0].is_ok());
+    let body = registry.render_prometheus();
+    for line in [
+        "puno_cache_corrupt_skipped 1",
+        "puno_cache_compact_kept 0",
+        "puno_cache_compact_dropped_corrupt 1",
+        "puno_cache_compact_dropped_stale 0",
+        "puno_cache_compact_dropped_duplicate 0",
+    ] {
+        assert!(body.lines().any(|l| l == line), "missing {line:?}: {body}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

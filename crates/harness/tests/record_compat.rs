@@ -45,7 +45,7 @@ fn assert_serves_cell(dir: &Path, fresh: &RunMetrics) {
     let cache = ResultCache::open(dir).unwrap();
     let stats = cache.stats();
     assert_eq!(
-        (stats.entries, stats.corrupt_skipped, stats.stale_skipped),
+        (stats.entries, stats.skips.corrupt, stats.skips.stale),
         (1, 0, 0),
         "the earlier engine's record must verify and load"
     );
@@ -66,11 +66,7 @@ fn cache_record_with_express_counters_replays() {
     // Compaction rewrites the record in this build's shape; the rewritten
     // record verifies and serves the cell too.
     let compacted = ResultCache::open(&dir).unwrap().compact().unwrap();
-    assert_eq!(
-        (compacted.kept, compacted.dropped_corrupt),
-        (1, 0),
-        "{compacted:?}"
-    );
+    assert_eq!((compacted.kept, compacted.corrupt), (1, 0), "{compacted:?}");
     let text = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
     assert!(!text.contains("express"));
     assert!(
@@ -88,7 +84,7 @@ fn warehouse_row_with_express_column_loads() {
     let dir = scratch_with("warehouse", "warehouse.jsonl");
     let (rows, stats) = Warehouse::open(&dir).unwrap().load();
     assert_eq!(
-        (stats.kept, stats.corrupt_skipped, stats.stale_skipped),
+        (stats.kept, stats.corrupt, stats.stale),
         (1, 0, 0),
         "the earlier engine's row must verify and load"
     );

@@ -12,10 +12,13 @@
 //! divergence between fresh construction, shared programs, or cached
 //! replay fails here.
 
-use puno_harness::sweep::{try_sweep, CellOutcome, SweepOptions};
-use puno_harness::{Mechanism, ResultCache};
-use puno_workloads::WorkloadId;
-use std::path::PathBuf;
+use puno_harness::run::run_with_config;
+use puno_harness::sweep::{try_sweep, try_sweep_with, CellOutcome, SweepOptions};
+use puno_harness::{Mechanism, ResultCache, SystemConfig};
+use puno_sim::FaultPlan;
+use puno_workloads::{WorkloadId, WorkloadParams};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 const GOLDEN_SEED: u64 = 42;
@@ -125,4 +128,133 @@ fn warm_sweep_leaves_the_cost_model_untouched() {
         "cache hits fed costs.jsonl"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpointed sweep over ssca2 x {baseline, puno} at `scale` under
+/// `config`: the outcomes, and how many cells the runner simulated.
+fn checkpointed_sweep(
+    checkpoint: Option<&Path>,
+    scale: f64,
+    config: fn(Mechanism) -> SystemConfig,
+) -> (Vec<String>, u32) {
+    let mut opts = SweepOptions::new(GOLDEN_SEED, scale);
+    opts.result_cache = None;
+    opts.checkpoint = checkpoint.map(Path::to_path_buf);
+    opts.config = config;
+    let runs = AtomicU32::new(0);
+    let outcomes = try_sweep_with(
+        &[WorkloadId::Ssca2],
+        &MECHANISMS,
+        &opts,
+        |m, params, seed, _| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            Ok(run_with_config(config(m), params, seed))
+        },
+    );
+    let simulated = outcomes
+        .iter()
+        .map(|o| {
+            let metrics = o.metrics().expect("every cell succeeds");
+            serde_json::to_string(&metrics.deterministic()).unwrap()
+        })
+        .collect();
+    (simulated, runs.into_inner())
+}
+
+fn checkpoint_path(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("puno-ckpt-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("checkpoint.jsonl")
+}
+
+/// A checkpoint resumes only cells with the same full identity: cells
+/// written at scale 0.05 on the 4x4 mesh re-simulate when the sweep is
+/// resumed at scale 0.1 or on the 8x8 mesh, and match a sweep run without
+/// a checkpoint.
+#[test]
+fn checkpoint_resume_is_keyed_by_the_full_cell_identity() {
+    let path = checkpoint_path("identity");
+    let (written, runs) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
+    assert_eq!(runs, 2);
+    let (resumed, runs) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
+    assert_eq!((runs, &resumed), (0, &written), "same identity resumes");
+
+    for (label, scale, config) in [
+        (
+            "scale 0.1",
+            0.1,
+            SystemConfig::paper as fn(Mechanism) -> SystemConfig,
+        ),
+        ("mesh8", GOLDEN_SCALE, SystemConfig::mesh8),
+    ] {
+        let (resumed, runs) = checkpointed_sweep(Some(&path), scale, config);
+        assert_eq!(runs, 2, "{label}: every cell must re-simulate");
+        let (fresh, _) = checkpointed_sweep(None, scale, config);
+        assert_eq!(
+            resumed, fresh,
+            "{label}: resumed sweep differs from a fresh one"
+        );
+        assert_ne!(resumed, written, "{label}: served the 0.05 4x4 metrics");
+    }
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// Installing a fault plan changes every cell's checkpoint key: cells
+/// written without faults re-simulate under a plan.
+#[test]
+fn checkpoint_resume_is_keyed_by_the_fault_plan() {
+    let path = checkpoint_path("faults");
+    checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
+    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    opts.result_cache = None;
+    opts.checkpoint = Some(path.clone());
+    opts.fault_plan = FaultPlan::background(1, 0.5);
+    let runs = AtomicU32::new(0);
+    let count_runs = |m: Mechanism, params: &WorkloadParams, seed| {
+        runs.fetch_add(1, Ordering::SeqCst);
+        Ok(run_with_config(SystemConfig::paper(m), params, seed))
+    };
+    try_sweep_with(&[WorkloadId::Ssca2], &MECHANISMS, &opts, |m, p, s, _| {
+        count_runs(m, p, s)
+    });
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        2,
+        "a fault plan resumed fault-free cells"
+    );
+    try_sweep_with(&[WorkloadId::Ssca2], &MECHANISMS, &opts, |m, p, s, _| {
+        count_runs(m, p, s)
+    });
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        2,
+        "the same plan resumes its own cells"
+    );
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// One changed digit inside a checkpoint record's metrics fails its
+/// checksum: that cell re-simulates and the sweep matches a fresh run.
+#[test]
+fn a_damaged_checkpoint_record_re_runs_its_cell() {
+    let path = checkpoint_path("damaged");
+    let (written, _) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let metrics_at = text.find("\"metrics\":{").expect("a checkpoint record");
+    let cycles_at = metrics_at + text[metrics_at..].find("\"cycles\":").unwrap();
+    let digits_end = cycles_at
+        + "\"cycles\":".len()
+        + text[cycles_at + "\"cycles\":".len()..]
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap();
+    let last = text.as_bytes()[digits_end - 1];
+    let mut damaged = text.into_bytes();
+    damaged[digits_end - 1] = if last == b'9' { b'0' } else { last + 1 };
+    std::fs::write(&path, damaged).unwrap();
+
+    let (resumed, runs) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
+    assert_eq!(runs, 1, "exactly the damaged cell re-runs");
+    assert_eq!(resumed, written, "the damaged value was served");
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }

@@ -223,6 +223,24 @@ grep -q "ci-b.*ssca2" "$OBS_DIR/wh_delta.txt" \
     || { echo "abort-rate delta missing for the second run:"; cat "$OBS_DIR/wh_delta.txt"; exit 1; }
 echo "observability smoke OK (live scrape valid, heartbeat streamed, 2-run warehouse aggregates, stdout byte-identical)"
 
+echo "== warehouse corruption smoke (a bad byte costs only its row) =="
+# Set the high bit of one byte inside the second row of a copy of the
+# two-run warehouse. The byte is now invalid UTF-8; `stats` must count
+# exactly that row corrupt and keep every other row.
+cp -r "$OBS_DIR/wh" "$OBS_DIR/wh_bad"
+WH_FILE="$OBS_DIR/wh_bad/warehouse.jsonl"
+WH_ROWS="$(sed -n 's/^warehouse .*: \([0-9]*\) row(s) across.*/\1/p' "$OBS_DIR/wh_stats.txt")"
+BAD_AT=$(( $(head -n 1 "$WH_FILE" | wc -c) + 2 ))
+BAD_BYTE="$(od -An -tu1 -j "$BAD_AT" -N1 "$WH_FILE" | tr -d ' ')"
+printf "\\$(printf '%03o' $(( BAD_BYTE | 128 )))" \
+    | dd of="$WH_FILE" bs=1 seek="$BAD_AT" conv=notrunc status=none
+"$WAREHOUSE_BIN" --dir "$OBS_DIR/wh_bad" stats > "$OBS_DIR/wh_bad_stats.txt" 2> /dev/null
+grep -q ": $(( WH_ROWS - 1 )) row(s) across" "$OBS_DIR/wh_bad_stats.txt" \
+    || { echo "a bad byte cost more than its row ($WH_ROWS before):"; cat "$OBS_DIR/wh_bad_stats.txt"; exit 1; }
+grep -q "^load recovery: 1 corrupt," "$OBS_DIR/wh_bad_stats.txt" \
+    || { echo "the damaged row was not counted corrupt:"; cat "$OBS_DIR/wh_bad_stats.txt"; exit 1; }
+echo "warehouse corruption smoke OK ($WH_ROWS rows -> $(( WH_ROWS - 1 )) kept, 1 corrupt)"
+
 echo "== substrate bench key set (root BENCH_substrate.json vs baseline) =="
 # The root file is the published trajectory point; it must cover exactly
 # the baseline's benchmarks. Regenerate it with scripts/bench.sh.
