@@ -22,7 +22,9 @@
 //!
 //! Beyond the 16-cell paper grid, a few extra cells cover the NoC paths the
 //! grid does not reach: the 8x8 mesh (long XY routes, many routers idle at
-//! once) and a 4x4 run under link-stall and message-jitter faults. Their
+//! once), the 16x16 mesh (release builds only: `cargo test --release -p
+//! puno-harness --test golden_metrics`) and a 4x4 run under link-stall and
+//! message-jitter faults. Their
 //! snapshots hold the simulated fields only (the `host` block is dropped),
 //! so a change to the host-side counters never forces a re-bless.
 
@@ -75,6 +77,9 @@ fn noc_fault_plan() -> FaultPlan {
     }
 }
 
+/// One extended golden cell's run.
+type RunCell<'a> = dyn Fn() -> RunMetrics + 'a;
+
 #[test]
 fn extended_cells_match_golden_snapshots() {
     let bless = std::env::var("PUNO_BLESS_GOLDEN").is_ok();
@@ -89,15 +94,37 @@ fn extended_cells_match_golden_snapshots() {
         sys.try_run_recycled()
             .expect("faulted golden cell completes")
     };
-    let cells: [(&str, &dyn Fn() -> RunMetrics); 3] = [
-        ("mesh8_ssca2_baseline", &|| {
-            mesh8(WorkloadId::Ssca2, Mechanism::Baseline)
-        }),
-        ("mesh8_genome_puno", &|| {
-            mesh8(WorkloadId::Genome, Mechanism::Puno)
-        }),
-        ("faults_ssca2_puno", &faulted),
+    #[allow(unused_mut)]
+    let mut cells: Vec<(&str, Box<RunCell<'_>>)> = vec![
+        (
+            "mesh8_ssca2_baseline",
+            Box::new(|| mesh8(WorkloadId::Ssca2, Mechanism::Baseline)),
+        ),
+        (
+            "mesh8_genome_puno",
+            Box::new(|| mesh8(WorkloadId::Genome, Mechanism::Puno)),
+        ),
+        ("faults_ssca2_puno", Box::new(faulted)),
     ];
+    // The 16x16 mesh runs only in release builds: `SharerSet`'s 64-bit
+    // mask panics on a 256-node directory when debug assertions are on.
+    #[cfg(not(debug_assertions))]
+    for (stem, workload) in [
+        ("mesh16_ssca2_baseline", WorkloadId::Ssca2),
+        ("mesh16_genome_baseline", WorkloadId::Genome),
+    ] {
+        cells.push((
+            stem,
+            Box::new(move || {
+                let params = workload.params().scaled(GOLDEN_SCALE);
+                run_with_config(
+                    SystemConfig::mesh16(Mechanism::Baseline),
+                    &params,
+                    GOLDEN_SEED,
+                )
+            }),
+        ));
+    }
     let mut mismatches = Vec::new();
     for (stem, run) in cells {
         let metrics = run();

@@ -28,6 +28,12 @@ diff <(code_knobs) <(readme_knobs) \
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
+echo "== golden cells in release (adds the 16x16 mesh cells) =="
+# The 16x16 golden cells compile only without debug assertions (the
+# directory's 64-bit sharer mask panics on 256 nodes in debug builds), so
+# the debug run above skips them.
+cargo test --release --offline -q -p puno-harness --test golden_metrics
+
 echo "== benchmark-of-record tests (incl. BENCHMARK.json drift) =="
 # The benchmark is a package of its own, outside the workspace, so the
 # workspace test run above does not reach its unit tests.
