@@ -32,6 +32,6 @@ pub mod traffic;
 pub use latency::LatencyModel;
 pub use linkstats::{LinkId, LinkStats};
 pub use network::{Network, NocConfig};
-pub use packet::{Packet, VirtualNetwork, CONTROL_FLITS, DATA_FLITS};
+pub use packet::{VirtualNetwork, CONTROL_FLITS, DATA_FLITS};
 pub use topology::Mesh;
 pub use traffic::TrafficStats;

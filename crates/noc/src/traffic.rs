@@ -19,8 +19,7 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
-    pub fn record_injection(&mut self, vnet: VirtualNetwork, flits: u32) {
-        let _ = vnet;
+    pub fn record_injection(&mut self, flits: u32) {
         self.packets_injected += 1;
         self.flits_injected += flits as u64;
     }
@@ -71,7 +70,7 @@ mod tests {
     #[test]
     fn accumulates_by_vnet() {
         let mut s = TrafficStats::default();
-        s.record_injection(VirtualNetwork::Request, 1);
+        s.record_injection(1);
         s.record_traversal(VirtualNetwork::Request, 1);
         s.record_traversal(VirtualNetwork::Request, 1);
         s.record_traversal(VirtualNetwork::Response, 5);
