@@ -477,17 +477,6 @@ fn bench_tracing(h: &mut Harness) {
         let m = sys.try_run_recycled().expect("traced cell must complete");
         black_box(m.cycles ^ m.committed)
     });
-    // Snapshot ring armed at the sweep-retry auto-interval: four deep
-    // clones of the whole machine per watchdog window. The resilience
-    // layer promises this stays within a few percent of `trace/off` (the
-    // CI gate holds it to the shared regression tolerance).
-    h.bench("snapshot/ring_on/ssca2", 12, || {
-        let config = SystemConfig::paper(Mechanism::Baseline);
-        let mut sys = puno_harness::System::new(config, &params, 1);
-        sys.set_snapshot_every(config.watchdog_window / 2);
-        let m = sys.try_run_recycled().expect("armed cell must complete");
-        black_box(m.cycles ^ m.committed ^ sys.snapshot_ring_len() as u64)
-    });
     h.bench("trace/telemetry/ssca2", 12, || {
         let config = SystemConfig::paper(Mechanism::Baseline);
         let mut sys = puno_harness::System::new(config, &params, 1);
@@ -555,7 +544,7 @@ fn main() {
             for r in &failures {
                 eprintln!("  {r}");
             }
-            if std::env::var("PUNO_BENCH_ALLOW_REGRESSION").is_ok() {
+            if puno_harness::knobs::env_setting("PUNO_BENCH_ALLOW_REGRESSION").is_some() {
                 eprintln!("PUNO_BENCH_ALLOW_REGRESSION set: continuing despite regressions");
             } else {
                 std::process::exit(1);

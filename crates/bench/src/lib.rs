@@ -72,7 +72,7 @@ fn figure_json(fig: &NormalizedFigure) -> serde_json::Value {
 
 /// Save a JSON artifact when `PUNO_JSON_DIR` is set.
 pub fn save_json(name: &str, value: &serde_json::Value) {
-    let Ok(dir) = std::env::var("PUNO_JSON_DIR") else {
+    let Some(dir) = puno_harness::knobs::env_setting("PUNO_JSON_DIR") else {
         return;
     };
     let dir = PathBuf::from(dir);

@@ -40,6 +40,6 @@ pub use obs::MetricsRegistry;
 pub use oracle::FalseAbortOracle;
 pub use run::{run_with_config, run_workload};
 pub use sweep::{sweep, RetryPolicy, SweepResult};
-pub use system::{System, SystemSnapshot};
+pub use system::System;
 pub use telemetry::{TelemetryCollector, TelemetryConfig, TelemetryReport};
 pub use warehouse::{Warehouse, WarehouseRow};

@@ -541,8 +541,8 @@ pub fn env_sample_every() -> u64 {
 /// simulated cycles/events and the instantaneous rates since the previous
 /// sample, labeled by the sweep worker thread driving the run. Created at
 /// run-loop entry when the registry is enabled; the run loop calls
-/// [`RunSampler::sample`] at its existing batch boundary (the same spot the
-/// snapshot ring hooks) and [`RunSampler::finish`] on exit.
+/// [`RunSampler::sample`] at its batch boundary and [`RunSampler::finish`]
+/// on exit.
 #[derive(Debug)]
 pub struct RunSampler {
     every: u64,

@@ -2,13 +2,12 @@
 //! cached [`run_with_config_cached`], all built on one
 //! `System::new(..).try_run_recycled()`.
 //!
-//! These entry points, and only these, install the run-level environment
-//! knobs on the system they build: `PUNO_TRACE` / `PUNO_TRACE_OUT` (a
-//! tracer, see [`env_tracer`]) and `PUNO_SNAPSHOT_EVERY` (the snapshot
-//! ring). Sweeps ([`mod@crate::sweep`]), and so every figure binary, do not:
-//! they read `PUNO_SNAPSHOT_EVERY` only as the interval of the ring they
-//! auto-arm on retry attempts, and ignore `PUNO_TRACE`. To trace one sweep
-//! cell, use `sweep_all --trace <workload>:<mechanism>`.
+//! These entry points, and only these, install the run-level tracer knobs
+//! `PUNO_TRACE` / `PUNO_TRACE_OUT` (see [`env_tracer`]) on the system they
+//! build; its ring becomes the trace of a deadlock/livelock error. Sweeps
+//! ([`mod@crate::sweep`]), and so every figure binary, ignore `PUNO_TRACE`:
+//! their retry attempts run traced on their own. To trace one sweep cell,
+//! use `sweep_all --trace <workload>:<mechanism>`.
 
 use crate::cache::ResultCache;
 use crate::config::SystemConfig;
@@ -51,26 +50,13 @@ pub fn env_tracer(workload: &str, mechanism: &str, seed: u64) -> Option<Tracer> 
     Some(tracer)
 }
 
-/// Apply the run-level env knobs (`PUNO_TRACE`, `PUNO_TRACE_OUT`,
-/// `PUNO_SNAPSHOT_EVERY`) to a freshly built system.
+/// Apply the run-level env knobs (`PUNO_TRACE`, `PUNO_TRACE_OUT`) to a
+/// freshly built system.
 fn install_env_knobs(sys: &mut System, params: &WorkloadParams, seed: u64) {
     crate::obs::init_from_env();
     if let Some(tracer) = env_tracer(&params.name, sys.mechanism().name(), seed) {
         sys.install_tracer(tracer);
     }
-    if let Some(every) = env_snapshot_every().filter(|&every| every > 0) {
-        sys.set_snapshot_every(every);
-    }
-}
-
-/// Parse `PUNO_SNAPSHOT_EVERY`: the cycle interval between periodic ring
-/// snapshots (see [`System::set_snapshot_every`]). `None` when unset or
-/// unparsable; an explicit `Some(0)` means off (and overrides the sweep's
-/// auto-arming on retry attempts).
-pub fn env_snapshot_every() -> Option<u64> {
-    std::env::var("PUNO_SNAPSHOT_EVERY")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
 }
 
 /// Run `params` under `mechanism` on the paper's Table II system.

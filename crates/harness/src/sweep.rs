@@ -58,11 +58,11 @@ pub enum CellOutcome {
         attempts: u32,
     },
     /// The cell exhausted an escalating [`RetryPolicy`] — every attempt
-    /// including the traced, snapshot-armed final one failed — and was
-    /// quarantined: the sweep completed degraded around it. `error` is the
-    /// final attempt's failure (with its rewind-and-dump trace when the
-    /// snapshot ring engaged). Like failed cells, quarantined cells are not
-    /// checkpointed, so a resumed sweep re-attempts them.
+    /// including the traced final one failed — and was quarantined: the
+    /// sweep completed degraded around it. `error` is the final attempt's
+    /// failure, whose trace holds the events leading into it. Like failed
+    /// cells, quarantined cells are not checkpointed, so a resumed sweep
+    /// re-attempts them.
     Quarantined {
         key: CellKey,
         error: RunError,
@@ -113,9 +113,9 @@ impl CellOutcome {
 }
 
 /// Escalating per-cell retry policy. The first attempt runs plain; every
-/// retry runs with the message trace ring enabled and (on the cell-runner
-/// path) the snapshot ring armed, so a persistent failure's final error
-/// carries a rewind-and-dump trace of the cycles leading into the stall.
+/// retry runs with an all-channel trace ring of `RETRY_TRACE_CAPACITY`
+/// events, so a persistent failure's final error carries the events
+/// leading into the stall.
 /// Between attempts the worker sleeps a multiplicative, seed-jittered
 /// host-side backoff (never visible to simulated behaviour). A cell that
 /// exhausts a multi-attempt budget is recorded as
@@ -195,10 +195,10 @@ pub struct SweepOptions {
     /// bit-identical to a plain sweep).
     pub fault_plan: FaultPlan,
     /// Escalating retry policy (attempt budget, seed-jittered backoff).
-    /// Retries re-run with the message trace ring enabled and the snapshot
-    /// ring armed, so a persistent failure's final error carries the
-    /// rewind-and-dump trace leading up to it; cells that exhaust a
-    /// multi-attempt budget are quarantined instead of failing the sweep.
+    /// Retries re-run with the message trace ring enabled, so a persistent
+    /// failure's final error carries the trace leading up to it; cells that
+    /// exhaust a multi-attempt budget are quarantined instead of failing the
+    /// sweep.
     /// [`SweepOptions::new`] honours the `PUNO_RETRY_MAX` env override.
     pub retry: RetryPolicy,
     /// Checkpoint path: successful cells are appended as they complete, as
@@ -231,15 +231,17 @@ impl SweepOptions {
             scale,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::from_env(),
-            checkpoint: std::env::var_os("PUNO_SWEEP_CHECKPOINT").map(PathBuf::from),
+            checkpoint: crate::knobs::env_setting("PUNO_SWEEP_CHECKPOINT").map(PathBuf::from),
             result_cache: global_cache(),
             config: SystemConfig::paper,
         }
     }
 }
 
-/// Messages kept in the trace ring when a retry runs traced.
-const RETRY_TRACE_CAPACITY: usize = 512;
+/// Events kept in the all-channel trace ring when a retry runs traced. A
+/// failing run's error carries the ring as it stands when the watchdog
+/// fires, so these are the last events leading into the stall.
+const RETRY_TRACE_CAPACITY: usize = 4096;
 
 /// Run `workloads x mechanisms` under `opts`, containing per-cell failures.
 /// Outcomes come back in deterministic (workload-major) order regardless of
@@ -296,15 +298,6 @@ pub fn try_sweep_rows(
                 let mut sys = System::new_shared(config, params, seed, &program_set);
                 if traced {
                     sys.enable_trace(RETRY_TRACE_CAPACITY);
-                    // Auto-arm the snapshot ring so a persistently failing
-                    // cell's final error is a rewind-and-dump of the stalled
-                    // window. `PUNO_SNAPSHOT_EVERY` overrides the interval
-                    // (an explicit 0 keeps it off).
-                    let every = crate::run::env_snapshot_every()
-                        .unwrap_or_else(|| (config.watchdog_window / 2).max(1));
-                    if every > 0 {
-                        sys.set_snapshot_every(every);
-                    }
                 }
                 if !opts.fault_plan.is_empty() {
                     sys.set_fault_plan(opts.fault_plan.clone());
@@ -628,7 +621,7 @@ impl SweepObs {
             ),
             retries: registry.counter(
                 "puno_sweep_cell_retries_total",
-                "Escalating (traced, snapshot-armed) cell retry attempts.",
+                "Escalating (traced) cell retry attempts.",
                 &[],
             ),
             warehouse_rows: registry.counter(

@@ -23,19 +23,9 @@ use puno_sim::{
     SimRng, TraceChannel, TraceEvent, Tracer,
 };
 use puno_workloads::{ProgramSet, WorkloadParams};
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-/// How many periodic snapshots the run loop retains (oldest evicted).
-const SNAPSHOT_RING_CAPACITY: usize = 4;
-
-/// Trace-ring capacity used for the rewind-and-dump replay: large enough to
-/// hold the events of a full watchdog window in the failure regimes the
-/// rewind exists for (NACK storms cycle through a bounded message set).
-const REWIND_TRACE_CAPACITY: usize = 4096;
 
 /// Simulation events.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Event {
     /// Resume a node's core FSM (stale epochs are dropped).
     NodeWake { node: NodeId, epoch: u64 },
@@ -70,7 +60,6 @@ pub(crate) enum Event {
 
 /// Per-bank predictor: baseline banks never unicast; PUNO banks run the
 /// P-Buffer/UD machinery.
-#[derive(Clone)]
 pub(crate) enum PredictorImpl {
     Null(NullPredictor),
     Puno(Box<PunoPredictor>),
@@ -125,31 +114,6 @@ impl UnicastPredictor for PredictorImpl {
     }
 }
 
-/// A copy-on-write checkpoint of a [`System`]'s simulated state.
-///
-/// Produced by [`System::snapshot`]; [`System::restore`] rewinds the system
-/// to it exactly (bit-identical continuation, validated by the resilience
-/// property tests). The state lives behind an [`Arc`], so cloning a
-/// snapshot — the ring rotating, a caller stashing one — is a pointer copy;
-/// the deep clone happens once, at capture.
-///
-/// Host-side observability (tracer, telemetry, wall-clock and throughput
-/// counters) is deliberately *not* captured: those sinks describe the host
-/// run, not the simulated machine, and restoring keeps whatever is
-/// currently installed — which is what lets the rewind-and-dump path replay
-/// a failure window with tracing forced on without perturbing behaviour.
-#[derive(Clone)]
-pub struct SystemSnapshot {
-    state: Arc<SnapshotState>,
-}
-
-impl SystemSnapshot {
-    /// Simulated cycle at which the snapshot was taken.
-    pub fn cycle(&self) -> Cycle {
-        self.state.last_cycle
-    }
-}
-
 /// Where a pass of the batch loop stops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum StopAt {
@@ -158,26 +122,6 @@ enum StopAt {
     /// Some node is about to issue its first TX_BEGIN (see
     /// [`System::run_to_first_begin`]).
     FirstBegin,
-}
-
-/// The deep-cloned simulated state behind a [`SystemSnapshot`].
-struct SnapshotState {
-    queue: EventQueue<Event>,
-    network: Network<CoherenceMsg>,
-    nodes: Vec<NodeState>,
-    dirs: Vec<DirectoryBank>,
-    predictors: Vec<PredictorImpl>,
-    memory: MemoryImage,
-    oracle: FalseAbortOracle,
-    fault: FaultInjector,
-    pending_jitter: Vec<Cycles>,
-    net_step_armed: bool,
-    nodes_done: usize,
-    finish_cycle: Cycle,
-    last_cycle: Cycle,
-    watchdog_next: Cycle,
-    watchdog_last: u64,
-    progress_commits: u64,
 }
 
 pub struct System {
@@ -221,13 +165,6 @@ pub struct System {
     dir_scratch: Vec<DirAction>,
     /// Reused scratch for per-cycle network deliveries.
     delivery_scratch: Vec<(NodeId, CoherenceMsg)>,
-    /// Periodic-snapshot interval in cycles (0 = off; see
-    /// [`System::set_snapshot_every`]).
-    snapshot_every: Cycle,
-    /// Next cycle at or after which the run loop captures a ring snapshot.
-    next_snapshot_at: Cycle,
-    /// The retained periodic snapshots, oldest first.
-    snapshot_ring: VecDeque<SystemSnapshot>,
     /// Host-side throughput accounting (never affects simulated behaviour).
     events_dispatched: u64,
     peak_queue_depth: usize,
@@ -240,16 +177,14 @@ pub struct System {
     /// [`System::set_obs_sample_every`]). `None` = read
     /// `PUNO_OBS_SAMPLE_CYCLES` when the global registry is enabled;
     /// `Some(0)` = force off; `Some(n)` = sample every `n` cycles.
-    /// Host-side only: not part of `SystemConfig` or snapshots.
+    /// Host-side only: not part of `SystemConfig`.
     obs_sample_every: Option<Cycle>,
     /// Active per-run metrics sampler, armed by `run_loop` when the global
     /// registry is enabled. Publishes sim-cycle/event totals and rates;
-    /// never touches simulated state, so it is excluded from snapshots and
-    /// never re-armed during forensic replay (`rewind_and_dump` drives
-    /// `run_loop_inner` directly).
+    /// never touches simulated state.
     obs_sampler: Option<Box<crate::obs::RunSampler>>,
     /// Lines and event interval of the scan armed by
-    /// [`System::check_invariants_every`] (host-side; not in snapshots).
+    /// [`System::check_invariants_every`] (host-side).
     invariant_scan: Option<(Vec<LineAddr>, u64)>,
     /// `events_dispatched` value at which the next invariant scan runs;
     /// `u64::MAX` while disarmed.
@@ -359,9 +294,6 @@ impl System {
             progress_commits: 0,
             dir_scratch: Vec::with_capacity(8),
             delivery_scratch: Vec::with_capacity(nodes_n as usize),
-            snapshot_every: 0,
-            next_snapshot_at: 0,
-            snapshot_ring: VecDeque::new(),
             events_dispatched: 0,
             peak_queue_depth: 0,
             host_wall_secs: 0.0,
@@ -374,86 +306,6 @@ impl System {
         }
     }
 
-    /// Capture a copy-on-write checkpoint of the simulated state. The
-    /// clone is deep (event queue, NoC buffers, L1 ways, directory banks,
-    /// HTM units, predictor tables, RNG streams, watchdog state) but
-    /// one-time: the result shares it behind an [`Arc`], so keeping or
-    /// re-cloning snapshots afterwards is free.
-    ///
-    /// Consistent only *between* events — the run loop snapshots at cycle
-    /// boundaries, after the current cycle's batch has fully dispatched
-    /// (mid-batch, popped-but-undispatched events would be lost).
-    pub fn snapshot(&self) -> SystemSnapshot {
-        SystemSnapshot {
-            state: Arc::new(SnapshotState {
-                queue: self.queue.clone(),
-                network: self.network.clone(),
-                nodes: self.nodes.clone(),
-                dirs: self.dirs.clone(),
-                predictors: self.predictors.clone(),
-                memory: self.memory.clone(),
-                oracle: self.oracle.clone(),
-                fault: self.fault.clone(),
-                pending_jitter: self.pending_jitter.clone(),
-                net_step_armed: self.net_step_armed,
-                nodes_done: self.nodes_done,
-                finish_cycle: self.finish_cycle,
-                last_cycle: self.last_cycle,
-                watchdog_next: self.watchdog_next,
-                watchdog_last: self.watchdog_last,
-                progress_commits: self.progress_commits,
-            }),
-        }
-    }
-
-    /// Rewind the simulated state to `snap` exactly; continuing the run
-    /// from here is bit-identical to a run that never detoured (validated
-    /// by the resilience property tests). `snap` must come from this
-    /// System's current cell: the configuration, workload, and seed are not
-    /// part of the snapshot. The currently installed tracer, telemetry
-    /// collector, and host-side counters are kept — they describe the host
-    /// run, not the simulated machine.
-    pub fn restore(&mut self, snap: &SystemSnapshot) {
-        let s = &*snap.state;
-        self.queue = s.queue.clone();
-        self.network = s.network.clone();
-        self.nodes = s.nodes.clone();
-        self.dirs = s.dirs.clone();
-        self.predictors = s.predictors.clone();
-        self.memory = s.memory.clone();
-        self.oracle = s.oracle.clone();
-        self.fault = s.fault.clone();
-        self.pending_jitter.clear();
-        self.pending_jitter.extend_from_slice(&s.pending_jitter);
-        self.net_step_armed = s.net_step_armed;
-        self.nodes_done = s.nodes_done;
-        self.finish_cycle = s.finish_cycle;
-        self.last_cycle = s.last_cycle;
-        self.watchdog_next = s.watchdog_next;
-        self.watchdog_last = s.watchdog_last;
-        self.progress_commits = s.progress_commits;
-        if self.snapshot_every > 0 {
-            self.next_snapshot_at = s.last_cycle.saturating_add(self.snapshot_every);
-        }
-        // The restored nodes carry capture-time trace masks; the installed
-        // sinks are authoritative.
-        self.recompute_trace_masks();
-    }
-
-    /// Arm (or, with 0, disarm) periodic ring snapshots: the run loop
-    /// captures a [`SystemSnapshot`] every `every` cycles, keeping the last
-    /// `SNAPSHOT_RING_CAPACITY`. When the deadlock/livelock watchdog then
-    /// fires, the run rewinds to the retained snapshot preceding the stalled
-    /// window and replays it with all trace channels forced on, so the
-    /// resulting [`RunError`] carries the actual lead-up trace. Snapshots
-    /// never perturb simulated behaviour (golden-identity is tested with
-    /// the ring armed).
-    pub fn set_snapshot_every(&mut self, every: Cycle) {
-        self.snapshot_every = every;
-        self.snapshot_ring.clear();
-        self.next_snapshot_at = self.last_cycle.saturating_add(every.max(1));
-    }
-
     /// Override the live-metrics sampling interval for subsequent runs:
     /// `0` forces sampling off even when the registry is enabled; `n > 0`
     /// samples every `n` cycles regardless of `PUNO_OBS_SAMPLE_CYCLES`.
@@ -463,60 +315,6 @@ impl System {
     /// with it on or off.
     pub fn set_obs_sample_every(&mut self, every: Cycle) {
         self.obs_sample_every = Some(every);
-    }
-
-    /// Snapshots currently retained by the ring (diagnostics/tests).
-    pub fn snapshot_ring_len(&self) -> usize {
-        self.snapshot_ring.len()
-    }
-
-    /// The most recent snapshot retained by the ring, if any. Cheap: a
-    /// snapshot is an [`Arc`] handle, so this clones a pointer, not the
-    /// simulated state.
-    pub fn latest_snapshot(&self) -> Option<SystemSnapshot> {
-        self.snapshot_ring.back().cloned()
-    }
-
-    /// Rotate the ring with a fresh snapshot (called from the run loop at
-    /// a cycle boundary).
-    fn capture_ring_snapshot(&mut self, now: Cycle) {
-        if self.snapshot_ring.len() >= SNAPSHOT_RING_CAPACITY {
-            self.snapshot_ring.pop_front();
-        }
-        self.snapshot_ring.push_back(self.snapshot());
-        self.next_snapshot_at = now.saturating_add(self.snapshot_every);
-    }
-
-    /// Failure forensics: rewind to the retained snapshot preceding the
-    /// stalled window and deterministically replay into the failure with
-    /// every trace channel forced on, returning the replayed error (whose
-    /// dump now covers the cycles leading into the stall). Falls back to
-    /// `original` when the ring is empty or the replay diverges (it cannot:
-    /// tracing is behaviour-neutral, but a rewind must never turn a
-    /// structured failure into a panic).
-    fn rewind_and_dump(&mut self, original: RunError) -> RunError {
-        let stall = self.last_cycle;
-        let target = stall.saturating_sub(self.config.watchdog_window);
-        let snap = match self
-            .snapshot_ring
-            .iter()
-            .rev()
-            .find(|s| s.cycle() <= target)
-            .or_else(|| self.snapshot_ring.front())
-        {
-            Some(s) => s.clone(),
-            None => return original,
-        };
-        self.restore(&snap);
-        self.install_tracer(Tracer::ring(ChannelMask::ALL, REWIND_TRACE_CAPACITY));
-        // No further ring rotation during the replay: the failure state is
-        // already known, the replay exists only to trace it.
-        self.snapshot_every = 0;
-        self.snapshot_ring.clear();
-        match self.run_loop_inner(StopAt::Completion) {
-            Err(replayed) => replayed,
-            Ok(()) => original,
-        }
     }
 
     /// Install a fault plan. Scheduled events are enqueued immediately;
@@ -645,8 +443,7 @@ impl System {
     /// `every`-th dispatched event, [`System::check_invariants`] runs over
     /// `lines` and the run panics on the first violation. The scan only
     /// reads simulated state, so an armed run is bit-identical to an
-    /// unarmed one. Disarmed, the loop pays one compare per event. The hook
-    /// is host-side and not part of snapshots.
+    /// unarmed one. Disarmed, the loop pays one compare per event.
     pub fn check_invariants_every(&mut self, lines: &[LineAddr], every: u64) {
         assert!(every > 0);
         self.invariant_scan = Some((lines.to_vec(), every));
@@ -754,7 +551,7 @@ impl System {
     ///
     /// This is the batch loop with an early stop, checked where the loop
     /// would pop its next batch. Every piece of loop state is settled there
-    /// (the NoC step token is parked, ring snapshots taken), so a later
+    /// (the NoC step token is parked), so a later
     /// [`System::try_run_recycled`] continues exactly as a straight run
     /// would: same simulated fields, same `events_dispatched` and
     /// `quiesced_cycles`. `sweep_all --trace` uses it to skip the
@@ -767,10 +564,7 @@ impl System {
     fn run_loop(&mut self, stop: StopAt) -> Result<(), RunError> {
         let t0 = std::time::Instant::now();
         self.arm_obs_sampler();
-        let mut result = self.run_loop_inner(stop);
-        if let Err(original) = result {
-            result = Err(self.rewind_and_dump(original));
-        }
+        let result = self.run_loop_inner(stop);
         if let Some(mut sampler) = self.obs_sampler.take() {
             sampler.finish(self.last_cycle, self.events_dispatched);
         }
@@ -852,13 +646,6 @@ impl System {
                 }
             }
             self.advance_net_token();
-            // Ring rotation happens only here, after the popped batch has
-            // fully dispatched: mid-batch the queue no longer holds the
-            // current cycle's events, so an earlier capture would lose
-            // them. Capturing between events cannot perturb behaviour.
-            if self.snapshot_every > 0 && now >= self.next_snapshot_at {
-                self.capture_ring_snapshot(now);
-            }
             // Live-metrics sampling reads host counters only — it can
             // never perturb simulated behaviour (golden-gated both ways).
             if let Some(sampler) = self.obs_sampler.as_mut() {

@@ -82,7 +82,7 @@ type RunCell<'a> = dyn Fn() -> RunMetrics + 'a;
 
 #[test]
 fn extended_cells_match_golden_snapshots() {
-    let bless = std::env::var("PUNO_BLESS_GOLDEN").is_ok();
+    let bless = puno_harness::knobs::env_setting("PUNO_BLESS_GOLDEN").is_some();
     let mesh8 = |workload: WorkloadId, mechanism: Mechanism| {
         let params = workload.params().scaled(GOLDEN_SCALE);
         run_with_config(SystemConfig::mesh8(mechanism), &params, GOLDEN_SEED)
@@ -157,7 +157,7 @@ fn extended_cells_match_golden_snapshots() {
 
 #[test]
 fn run_metrics_match_golden_snapshots() {
-    let bless = std::env::var("PUNO_BLESS_GOLDEN").is_ok();
+    let bless = puno_harness::knobs::env_setting("PUNO_BLESS_GOLDEN").is_some();
     let mut mismatches = Vec::new();
     let mut fast_forwarded = 0usize;
     for &workload in &WorkloadId::ALL {

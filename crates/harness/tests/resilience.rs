@@ -1,155 +1,83 @@
-//! Property tests for the snapshot-based resilience layer.
+//! Failure forensics and degraded sweeps.
 //!
-//! The load-bearing claim is that a [`SystemSnapshot`] is *exact*: running
-//! on past a snapshot (perturbing every queue, cache, predictor, and RNG
-//! stream), rewinding with [`System::restore`], and re-running to
-//! completion must reproduce the straight-line run bit for bit. The claim
-//! is checked against the committed golden grid — with the snapshot ring
-//! armed the whole way, which simultaneously proves the ring itself never
-//! perturbs simulated behaviour — and under fault injection, whose
-//! injector RNG state also rides in the snapshot.
+//! A deadlock/livelock error carries whatever the run's trace ring holds
+//! when it fires. The simulator is deterministic, so a traced run reaches
+//! the same failure as an untraced one, and its ring is the lead-up: the
+//! tests here check that the dump reaches into the stalled watchdog window,
+//! both on a single traced run and through the sweep's traced retry.
 
-use puno_harness::{Mechanism, RunMetrics, System, SystemConfig};
-use puno_sim::FaultPlan;
+use puno_harness::{Mechanism, RetryPolicy, RunError, System, SystemConfig};
 use puno_workloads::WorkloadId;
-use std::path::PathBuf;
 
-const GOLDEN_SEED: u64 = 42;
-const GOLDEN_SCALE: f64 = 0.05;
-/// Small enough that every golden cell rotates the ring at least once.
-const SNAPSHOT_EVERY: u64 = 64;
-
-fn golden_path(workload: WorkloadId, mechanism: Mechanism) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{}_{}.json", workload.name(), mechanism.name()))
-}
-
-fn det_json(metrics: &RunMetrics) -> String {
-    serde_json::to_string(&metrics.deterministic()).expect("RunMetrics must serialize")
-}
-
-/// Run one cell with the ring armed, then rewind to the last retained
-/// snapshot (the finished system *is* the perturbed state — every
-/// structure has advanced past the capture point) and replay to
-/// completion. Returns (straight-line, replayed) metrics.
-fn snapshot_roundtrip(mut sys: System) -> (RunMetrics, RunMetrics) {
-    sys.set_snapshot_every(SNAPSHOT_EVERY);
-    let straight = sys.try_run_recycled().expect("cell completes");
+/// Check that `err` is a livelock whose trace comes from a 4096-event
+/// ring and ends inside the final `window` cycles before the stall.
+fn assert_leadup_trace(err: &RunError, window: u64) {
+    assert_eq!(err.kind(), "livelock");
+    let trace = err.trace();
     assert!(
-        sys.snapshot_ring_len() > 0,
-        "a {SNAPSHOT_EVERY}-cycle interval must capture at least one snapshot"
+        trace.contains("trace ring: capacity 4096"),
+        "expected a 4096-event ring header, got:\n{trace}"
     );
-    let snap = sys.latest_snapshot().expect("ring is non-empty");
-    assert!(snap.cycle() <= straight.cycles);
-    sys.restore(&snap);
-    let replayed = sys.try_run_recycled().expect("replay completes");
-    (straight, replayed)
-}
-
-/// All 16 golden cells: straight-line output with the ring armed matches
-/// the committed golden snapshot (snapshots are behaviour-neutral), and the
-/// rewind-and-replay output matches the straight-line run (snapshots are
-/// exact).
-#[test]
-fn snapshot_restore_replay_is_bit_identical_across_the_golden_grid() {
-    let mut mismatches = Vec::new();
-    for &workload in &WorkloadId::ALL {
-        let params = workload.params().scaled(GOLDEN_SCALE);
-        for mechanism in [Mechanism::Baseline, Mechanism::Puno] {
-            let sys = System::new(SystemConfig::paper(mechanism), &params, GOLDEN_SEED);
-            let (straight, replayed) = snapshot_roundtrip(sys);
-            let cell = format!("{}/{}", workload.name(), mechanism.name());
-            let path = golden_path(workload, mechanism);
-            let want = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("missing golden snapshot {path:?} ({e})"));
-            if want.trim_end() != det_json(&straight) {
-                mismatches.push(format!("{cell}: armed ring diverged from {path:?}"));
-            }
-            if det_json(&straight) != det_json(&replayed) {
-                mismatches.push(format!("{cell}: rewind-and-replay diverged"));
-            }
-        }
-    }
+    let RunError::Livelock { cycles: stall, .. } = *err else {
+        panic!("expected Livelock, got {err:?}");
+    };
+    // Parse the `[     cycle] event` lines and check the dump reaches into
+    // the final watchdog window.
+    let last = trace
+        .lines()
+        .rev()
+        .find_map(|l| {
+            let inner = l.strip_prefix('[')?.split(']').next()?;
+            inner.trim().parse::<u64>().ok()
+        })
+        .unwrap_or_else(|| panic!("trace retained no events:\n{trace}"));
     assert!(
-        mismatches.is_empty(),
-        "snapshot exactness broken for {} cell(s):\n  {}",
-        mismatches.len(),
-        mismatches.join("\n  ")
+        last >= stall.saturating_sub(window) && last <= stall,
+        "trace ends at cycle {last}, outside the stalled window ending at {stall}"
     );
 }
 
-/// Fault injection threads extra RNG streams and pending-fault state
-/// through the run; all of it must ride in the snapshot too.
+/// A forced livelock on a traced run comes back with the lead-up in its
+/// trace: the ring holds the events of the stalled watchdog window.
 #[test]
-fn snapshot_restore_replay_is_bit_identical_under_fault_injection() {
-    let params = WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE);
-    let plan = FaultPlan::background(7, 1.0);
-
-    // Reference: same faulted cell, no snapshot ring.
-    let mut plain = System::new(SystemConfig::paper(Mechanism::Puno), &params, GOLDEN_SEED);
-    plain.set_fault_plan(plan.clone());
-    let reference = plain.try_run_recycled().expect("faulted cell completes");
-    assert!(reference.faults.total() > 0, "the plan must actually fire");
-
-    let mut sys = System::new(SystemConfig::paper(Mechanism::Puno), &params, GOLDEN_SEED);
-    sys.set_fault_plan(plan);
-    let (straight, replayed) = snapshot_roundtrip(sys);
-    assert_eq!(
-        det_json(&reference),
-        det_json(&straight),
-        "armed ring perturbed a faulted run"
-    );
-    assert_eq!(
-        det_json(&straight),
-        det_json(&replayed),
-        "rewind-and-replay diverged under fault injection"
-    );
-}
-
-/// A forced livelock with the ring armed must come back as a
-/// rewind-and-dump error: the replayed trace (absent entirely on the
-/// untraced first pass) covers the cycles leading into the stalled
-/// watchdog window.
-#[test]
-fn watchdog_failure_rewinds_and_dumps_the_leadup_trace() {
+fn watchdog_failure_dumps_the_leadup_trace() {
     let params = puno_workloads::micro::hotspot(10);
     let mut config = SystemConfig::paper(Mechanism::Baseline);
     config.watchdog_window = 50;
     let mut sys = System::new(config, &params, 1);
-    sys.set_snapshot_every(10);
+    sys.enable_trace(4096);
     let err = sys
         .try_run_recycled()
         .expect_err("a 50-cycle progress window cannot be met");
-    assert_eq!(err.kind(), "livelock");
-    let trace = err.trace();
-    // No tracer was installed: a non-empty trace can only have come from
-    // the rewind replay, which forces every channel on.
-    assert!(
-        trace.contains("trace ring: capacity 4096"),
-        "expected the rewind tracer's ring header, got:\n{trace}"
-    );
-    let stall = match &err {
-        puno_harness::RunError::Livelock { cycles, .. } => *cycles,
-        other => panic!("expected Livelock, got {other:?}"),
-    };
-    // Parse the `[     cycle] event` lines and check the dump reaches into
-    // the final watchdog window.
-    let cycles: Vec<u64> = trace
-        .lines()
-        .filter_map(|l| {
-            let inner = l.strip_prefix('[')?.split(']').next()?;
-            inner.trim().parse().ok()
-        })
-        .collect();
-    assert!(
-        !cycles.is_empty(),
-        "rewind dump retained no events:\n{trace}"
-    );
-    let last = *cycles.last().unwrap();
-    assert!(
-        last >= stall.saturating_sub(config.watchdog_window) && last <= stall,
-        "trace ends at cycle {last}, outside the stalled window ending at {stall}"
+    assert_leadup_trace(&err, config.watchdog_window);
+}
+
+/// The real sweep cell body, end to end: a cell that livelocks on every
+/// attempt is quarantined, and the error kept is the traced retry's, with
+/// the lead-up in its trace.
+#[test]
+fn a_quarantined_sweep_retry_ends_with_a_leadup_trace() {
+    use puno_harness::sweep::{try_sweep, SweepOptions};
+
+    const WINDOW: u64 = 50;
+    fn config(mechanism: Mechanism) -> SystemConfig {
+        let mut config = SystemConfig::paper(mechanism);
+        config.watchdog_window = WINDOW;
+        config
+    }
+    let mut opts = SweepOptions::new(3, 0.05);
+    opts.retry = RetryPolicy::new(2);
+    opts.result_cache = None;
+    opts.checkpoint = None;
+    opts.config = config;
+    let outcomes = try_sweep(&[WorkloadId::Ssca2], &[Mechanism::Puno], &opts);
+    assert_eq!(outcomes.len(), 1);
+    let cell = &outcomes[0];
+    assert!(cell.is_quarantined(), "exhausted budget must quarantine");
+    assert_eq!(cell.attempts(), Some(2));
+    assert_leadup_trace(
+        cell.error().expect("quarantined cell keeps its error"),
+        WINDOW,
     );
 }
 
@@ -160,7 +88,6 @@ fn watchdog_failure_rewinds_and_dumps_the_leadup_trace() {
 fn degraded_sweep_quarantines_the_failing_cell_and_reports_it() {
     use puno_harness::report::render_quarantine;
     use puno_harness::sweep::{try_sweep_with, SweepOptions};
-    use puno_harness::{RetryPolicy, RunError};
 
     let workloads = [WorkloadId::Ssca2];
     let mechanisms = [Mechanism::Baseline, Mechanism::Puno];

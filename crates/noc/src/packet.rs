@@ -58,7 +58,7 @@ impl VirtualNetwork {
 /// A packet parked in the network's slab from injection to delivery. `P` is
 /// the protocol payload; the network treats it as opaque freight. Only the
 /// delivery reads it: every queue in between carries a [`Header`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Packet<P> {
     pub injected_at: Cycle,
     pub payload: P,

@@ -28,7 +28,6 @@ pub(crate) fn slot(port: Port, vnet_idx: usize) -> usize {
 
 /// Router state. Ports: 0 = Local (injection/ejection), 1..=4 = E/W/N/S.
 /// Every per-buffer array is indexed by [`slot`].
-#[derive(Clone)]
 pub(crate) struct Router {
     /// Non-empty-buffer bitmask over the flattened (input port, vnet)
     /// space: bit [`slot`] is set iff that input FIFO holds at least one

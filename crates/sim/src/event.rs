@@ -30,7 +30,6 @@ use std::collections::{BinaryHeap, VecDeque};
 /// the occupancy bitmask fits one machine word.
 const BUCKETS: u64 = 64;
 
-#[derive(Clone)]
 struct Entry<E> {
     cycle: Cycle,
     seq: u64,
@@ -66,7 +65,6 @@ enum FrontSource {
 }
 
 /// Priority queue of simulation events with deterministic tie-breaking.
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Far-future events (cycle >= insertion-time `now + BUCKETS`).
     heap: BinaryHeap<Entry<E>>,
@@ -529,15 +527,6 @@ mod tests {
         q.schedule_at(300, 2); // far -> heap
         assert_eq!(q.peek_cycle_ignoring_token(), Some(10));
         assert_eq!(q.peek_cycle(), Some(2));
-    }
-
-    #[test]
-    fn clone_carries_the_token_state() {
-        let mut q = EventQueue::new();
-        q.schedule_token(6, "t");
-        let mut cloned = q.clone();
-        assert_eq!(cloned.pop(), Some((6, "t")));
-        assert_eq!(q.token_cycle(), Some(6));
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl FaultStats {
 
 /// Stateful fault source for one run. Construct from a plan; the hosting
 /// simulator calls the probe methods at its hook points.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
     jitter_rng: SimRng,

@@ -20,7 +20,7 @@ echo "== knob inventory (PUNO_* names in code vs README's table) =="
 # Every PUNO_* variable the crates read needs a row in README's
 # environment-variable table, and every row must name a variable some
 # crate still reads. "<" lines are undocumented, ">" lines are stale.
-code_knobs() { grep -rhoE 'PUNO_[A-Z0-9_]+' crates/*/src crates/*/benches | sort -u; }
+code_knobs() { grep -rhoE 'PUNO_[A-Z0-9_]+' crates/*/src crates/*/benches crates/*/tests | sort -u; }
 readme_knobs() { grep -oE '^\| `PUNO_[A-Z0-9_]+' README.md | grep -oE 'PUNO_[A-Z0-9_]+' | sort -u; }
 diff <(code_knobs) <(readme_knobs) \
     || { echo "PUNO_* knobs in crates/ and README's table differ"; exit 1; }
