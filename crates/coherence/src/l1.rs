@@ -92,6 +92,11 @@ pub struct L1Cache {
     /// construction — a fill or invalidation never allocates, and a set scan
     /// is a short linear walk over adjacent slots.
     ways: Vec<Option<Way>>,
+    /// Slots whose way went from unpinned to pinned since the last
+    /// `unpin_all`, so unpinning visits only those. A slot may be listed
+    /// twice, or now hold an unpinned line (its pinned way was evicted or
+    /// invalidated); clearing such a slot again is harmless.
+    pinned_slots: Vec<usize>,
     tick: u64,
 }
 
@@ -101,6 +106,7 @@ impl L1Cache {
         Self {
             config,
             ways: vec![None; (config.sets * config.ways) as usize],
+            pinned_slots: Vec::new(),
             tick: 0,
         }
     }
@@ -118,11 +124,18 @@ impl L1Cache {
     }
 
     fn way_mut(&mut self, addr: LineAddr) -> Option<&mut Way> {
+        let slot = self.slot_of(addr)?;
+        self.ways[slot].as_mut()
+    }
+
+    /// Slot holding `addr`, if resident.
+    fn slot_of(&self, addr: LineAddr) -> Option<usize> {
         let range = self.set_range(addr);
+        let start = range.start;
         self.ways[range]
-            .iter_mut()
-            .filter_map(|s| s.as_mut())
-            .find(|w| w.addr == addr)
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|w| w.addr == addr))
+            .map(|i| start + i)
     }
 
     fn way(&self, addr: LineAddr) -> Option<&Way> {
@@ -259,17 +272,27 @@ impl L1Cache {
         }
     }
 
-    /// Pin a transactional write-set line against eviction.
+    /// Pin a transactional write-set line against eviction. The only way a
+    /// line becomes pinned, so `pinned_slots` sees every pinned way.
     pub fn pin(&mut self, addr: LineAddr) {
-        if let Some(w) = self.way_mut(addr) {
+        let Some(slot) = self.slot_of(addr) else {
+            return;
+        };
+        let w = self.ways[slot]
+            .as_mut()
+            .expect("slot_of names a resident way");
+        if !w.pinned {
             w.pinned = true;
+            self.pinned_slots.push(slot);
         }
     }
 
     /// Unpin every pinned line (commit or abort finished).
     pub fn unpin_all(&mut self) {
-        for w in self.ways.iter_mut().flatten() {
-            w.pinned = false;
+        for slot in self.pinned_slots.drain(..) {
+            if let Some(w) = &mut self.ways[slot] {
+                w.pinned = false;
+            }
         }
     }
 
@@ -362,6 +385,78 @@ mod tests {
         );
         c.unpin_all();
         assert!(c.fill(LineAddr(4), LineState::Shared).is_ok());
+    }
+
+    #[test]
+    fn unpin_all_clears_exactly_the_pinned_lines_under_random_traffic() {
+        use puno_sim::SimRng;
+        use std::collections::BTreeSet;
+
+        fn scan(c: &L1Cache) -> BTreeSet<LineAddr> {
+            c.ways
+                .iter()
+                .flatten()
+                .filter(|w| w.pinned)
+                .map(|w| w.addr)
+                .collect()
+        }
+        fn evicted(ev: Eviction) -> Option<LineAddr> {
+            match ev {
+                Eviction::None => None,
+                Eviction::Silent(a) | Eviction::CleanOwned(a) | Eviction::Dirty(a) => Some(a),
+            }
+        }
+
+        let states = [LineState::Shared, LineState::Exclusive, LineState::Modified];
+        for seed in 0..16 {
+            let mut rng = SimRng::new(seed);
+            let mut c = L1Cache::new(L1Config { sets: 4, ways: 2 });
+            // Which lines should be pinned, tracked independently of the cache.
+            let mut model = BTreeSet::new();
+            let mut forced = 0;
+            for _ in 0..2_000 {
+                let addr = LineAddr(rng.gen_range(24));
+                match rng.gen_range(10) {
+                    0..=3 => {
+                        let state = *rng.choose(&states);
+                        let ev = match c.fill(addr, state) {
+                            Ok(ev) => ev,
+                            Err(CapacityConflict) => {
+                                forced += 1;
+                                c.fill_forced(addr, state)
+                            }
+                        };
+                        if let Some(victim) = evicted(ev) {
+                            model.remove(&victim);
+                        }
+                    }
+                    4..=6 => {
+                        c.pin(addr);
+                        if c.state(addr).is_some() {
+                            model.insert(addr);
+                        }
+                    }
+                    7..=8 => {
+                        c.invalidate(addr);
+                        model.remove(&addr);
+                    }
+                    _ => {
+                        c.unpin_all();
+                        model.clear();
+                        assert!(scan(&c).is_empty(), "seed {seed}: a way stayed pinned");
+                    }
+                }
+                assert_eq!(scan(&c), model, "seed {seed}");
+                for a in 0..24 {
+                    let a = LineAddr(a);
+                    assert_eq!(c.is_pinned(a), model.contains(&a), "seed {seed}: {a:?}");
+                }
+            }
+            assert!(
+                forced > 0,
+                "seed {seed}: no pinned victim was force-evicted"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::pbuffer::PBuffer;
 use crate::rollover::RolloverCounter;
 use crate::stats::PunoStats;
 use puno_coherence::{PredictedTarget, SharerSet, TxInfo, UnicastPredictor};
-use puno_sim::{Cycle, LineAddr, NodeId};
-use std::collections::HashMap;
+use puno_sim::{Cycle, LineAddr, LineMap, NodeId};
 
 #[derive(Clone)]
 pub struct PunoPredictor {
@@ -27,7 +26,7 @@ pub struct PunoPredictor {
     pbuffer: PBuffer,
     rollover: RolloverCounter,
     /// UD pointer per directory entry this bank has served.
-    ud: HashMap<LineAddr, NodeId>,
+    ud: LineMap<LineAddr, NodeId>,
     stats: PunoStats,
 }
 
@@ -40,7 +39,7 @@ impl PunoPredictor {
                 config.rollover_max,
                 config.rollover_factor.max(1),
             ),
-            ud: HashMap::new(),
+            ud: LineMap::new(),
             stats: PunoStats::default(),
             config,
         }
@@ -56,7 +55,7 @@ impl PunoPredictor {
 
     /// Test/diagnostic access to an entry's UD pointer.
     pub fn ud_pointer(&self, addr: LineAddr) -> Option<NodeId> {
-        self.ud.get(&addr).copied()
+        self.ud.get(addr).copied()
     }
 
     fn tick_rollover(&mut self, now: Cycle) {
@@ -73,7 +72,7 @@ impl PunoPredictor {
                 self.ud.insert(addr, node);
             }
             None => {
-                self.ud.remove(&addr);
+                self.ud.remove(addr);
             }
         }
     }
@@ -110,7 +109,7 @@ impl UnicastPredictor for PunoPredictor {
         // this line) or the pointer went stale against the holder set.
         let candidate = self
             .ud
-            .get(&addr)
+            .get(addr)
             .copied()
             .filter(|n| holders.contains(*n))
             .or_else(|| {
@@ -171,8 +170,8 @@ impl UnicastPredictor for PunoPredictor {
         // The UD pointer that pointed at the stale node is refreshed on the
         // next after_service; drop it eagerly so an immediate retry does not
         // re-unicast to the same stale target.
-        if self.ud.get(&addr) == Some(&node) {
-            self.ud.remove(&addr);
+        if self.ud.get(addr) == Some(&node) {
+            self.ud.remove(addr);
         }
     }
 

@@ -126,22 +126,19 @@ impl Mesh {
     /// Mean Manhattan distance over all ordered pairs of distinct nodes.
     /// Feeds the notification backoff rule's "average cache-to-cache latency"
     /// (paper Section III-D: `T_est` minus twice this latency).
+    ///
+    /// Closed form: the ordered pairs of one `W`-wide row hold
+    /// `(W³ − W) / 3` total X distance, and each row pair repeats it for all
+    /// `H²` pairs of Y coordinates (likewise for Y). The total is an exact
+    /// integer, so the quotient has the same bits as summing every pair.
     pub fn mean_hops(&self) -> f64 {
-        let n = self.nodes();
+        let n = self.nodes() as u64;
         if n < 2 {
             return 0.0;
         }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    total += self.hops(NodeId(a as u16), NodeId(b as u16)) as u64;
-                    pairs += 1;
-                }
-            }
-        }
-        total as f64 / pairs as f64
+        let (w, h) = (self.width as u64, self.height as u64);
+        let total = h * h * (w * w * w - w) / 3 + w * w * (h * h * h - h) / 3;
+        total as f64 / (n * (n - 1)) as f64
     }
 }
 
@@ -214,6 +211,29 @@ mod tests {
             "{}",
             m.mean_hops()
         );
+    }
+
+    #[test]
+    fn mean_hops_matches_the_pair_sum_bit_for_bit() {
+        for width in 1..=16u16 {
+            for height in 1..=16u16 {
+                let m = Mesh::new(width, height);
+                let n = m.nodes() as u16;
+                let (mut total, mut pairs) = (0u64, 0u64);
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        total += m.hops(NodeId(a), NodeId(b)) as u64;
+                        pairs += 1;
+                    }
+                }
+                let brute = if pairs == 0 {
+                    0.0
+                } else {
+                    total as f64 / pairs as f64
+                };
+                assert_eq!(m.mean_hops().to_bits(), brute.to_bits(), "{width}x{height}");
+            }
+        }
     }
 
     #[test]

@@ -297,17 +297,46 @@ impl<E> EventQueue<E> {
     /// same-cycle batch would need — events scheduled *while the batch is
     /// being processed* land at later seq numbers and are picked up by the
     /// next call, exactly as they would be by one-at-a-time popping.
+    ///
+    /// The front is found once per batch. With the clock at `cycle`, bucket
+    /// `cycle % BUCKETS` holds only that cycle's events, already in seq
+    /// order; the far heap and the token can add events at the same cycle
+    /// with seqs in between. So the bucket drains in runs, each bounded by
+    /// the lower of two seqs: the heap front's (when it is at `cycle`) and
+    /// the token's (when it is at `cycle`). The event holding that bound
+    /// goes next, and the next run starts.
     pub fn pop_cycle_into(&mut self, out: &mut Vec<E>) -> Option<Cycle> {
         out.clear();
         let (cycle, _, _) = self.front_key()?;
         self.now = cycle;
-        while let Some((c, _, source)) = self.front_key() {
-            if c != cycle {
+        let idx = (cycle % BUCKETS) as usize;
+        let bucket = &mut self.buckets[idx];
+        let drained_before = bucket.len();
+        loop {
+            let heap_seq = self.heap.peek().filter(|e| e.cycle == cycle).map(|e| e.seq);
+            let token_seq = self
+                .token
+                .as_ref()
+                .filter(|(c, _, _)| *c == cycle)
+                .map(|(_, s, _)| *s);
+            let bound = heap_seq
+                .unwrap_or(u64::MAX)
+                .min(token_seq.unwrap_or(u64::MAX));
+            while bucket.front().is_some_and(|(seq, _)| *seq < bound) {
+                let (_, payload) = bucket.pop_front().expect("checked front");
+                out.push(payload);
+            }
+            if heap_seq == Some(bound) {
+                out.push(self.heap.pop().expect("peeked heap entry").payload);
+            } else if token_seq == Some(bound) {
+                out.push(self.token.take().expect("armed token").2);
+            } else {
                 break;
             }
-            let payload = self.take_front(cycle, source);
-            out.push(payload);
         }
+        self.bucket_len -= drained_before;
+        self.bucket_mask &= !(1 << idx);
+        debug_assert!(bucket.is_empty());
         Some(cycle)
     }
 
@@ -515,6 +544,94 @@ mod tests {
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(q.pop_cycle_into(&mut out), Some(8));
         assert_eq!(out, vec![4]);
+    }
+
+    #[test]
+    fn batch_pops_equal_one_at_a_time_pops_under_random_schedules() {
+        use crate::rng::SimRng;
+
+        // Pop `single` one event at a time for as long as its front is at
+        // `cycle`: the sequence one `pop_cycle_into` must reproduce.
+        fn pop_cycle_singly(single: &mut EventQueue<u64>, cycle: Cycle) -> Vec<u64> {
+            let mut events = Vec::new();
+            while single.peek_cycle() == Some(cycle) {
+                events.push(single.pop().expect("peeked").1);
+            }
+            events
+        }
+
+        // Batches where bucket entries share their cycle with a far-heap
+        // entry, with the token, and with both at once.
+        let (mut with_heap, mut with_token, mut with_both) = (0, 0, 0);
+        for seed in 0..32 {
+            let mut rng = SimRng::new(seed);
+            let mut batch = EventQueue::new();
+            let mut single = EventQueue::new();
+            let mut out = Vec::new();
+            let mut next_id = 0u64;
+            for round in 0..400 {
+                let schedules = if round < 350 { rng.gen_range(6) } else { 0 };
+                for _ in 0..schedules {
+                    let now = batch.now();
+                    // Near schedules land in the buckets and far ones in the
+                    // heap; both windows are narrow, so a far entry's cycle
+                    // later comes into reach of near schedules and the token.
+                    let near = now + rng.gen_range(8);
+                    let far = now + BUCKETS + rng.gen_range(16);
+                    match rng.gen_range(5) {
+                        0 | 1 => {
+                            batch.schedule_at(near, next_id);
+                            single.schedule_at(near, next_id);
+                            next_id += 1;
+                        }
+                        2 => {
+                            batch.schedule_at(far, next_id);
+                            single.schedule_at(far, next_id);
+                            next_id += 1;
+                        }
+                        3 if batch.token_cycle().is_none() => {
+                            let at = now + rng.gen_range(BUCKETS + 16);
+                            batch.schedule_token(at, next_id);
+                            single.schedule_token(at, next_id);
+                            next_id += 1;
+                        }
+                        _ if batch.token_cycle().is_some() => {
+                            let at = now + rng.gen_range(BUCKETS + 16);
+                            batch.retime_token(at);
+                            single.retime_token(at);
+                        }
+                        _ => {}
+                    }
+                }
+                let Some(cycle) = batch.peek_cycle() else {
+                    continue;
+                };
+                if !batch.buckets[(cycle % BUCKETS) as usize].is_empty() {
+                    let heap = batch.heap.peek().is_some_and(|e| e.cycle == cycle);
+                    let token = batch.token_cycle() == Some(cycle);
+                    with_heap += usize::from(heap);
+                    with_token += usize::from(token);
+                    with_both += usize::from(heap && token);
+                }
+                assert_eq!(batch.pop_cycle_into(&mut out), Some(cycle));
+                assert_eq!(
+                    out,
+                    pop_cycle_singly(&mut single, cycle),
+                    "seed {seed} cycle {cycle}"
+                );
+                assert_eq!((batch.now(), batch.len()), (single.now(), single.len()));
+            }
+            assert!(
+                batch.is_empty() && single.is_empty(),
+                "seed {seed}: drained"
+            );
+        }
+        assert!(with_heap > 0, "no far-heap entry met a bucket's cycle");
+        assert!(with_token > 0, "no token met a bucket's cycle");
+        assert!(
+            with_both > 0,
+            "heap entry and token never met a bucket's cycle"
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The simulator implements its own small generator — `xoshiro256**` seeded
 //! through `SplitMix64` — instead of depending on `rand`'s default engines so
 //! that experiment outputs can never change under us when a dependency bumps
-//! its algorithm. The workload crates layer distribution helpers (ranges,
-//! geometric, Zipf) on top.
+//! its algorithm. The distributions the workload generator draws from sit
+//! beside it: ranges and geometric samples on [`SimRng`], Zipf through a
+//! [`ZipfSampler`] built once per distribution.
 
 /// `xoshiro256**` generator with `SplitMix64` seeding.
 ///
@@ -119,16 +120,6 @@ impl SimRng {
         (-mean * u.ln()).ceil() as u64
     }
 
-    /// Zipf-distributed sample in `[0, n)` with exponent `theta` (0 =
-    /// uniform; ~0.8-1.2 models skewed hot-spot sharing).
-    ///
-    /// Convenience wrapper that rebuilds the distribution constants on every
-    /// call; loops should hoist a [`ZipfSampler`] instead (identical bits,
-    /// without re-deriving the O(n) harmonic sum per sample).
-    pub fn gen_zipf(&mut self, n: u64, theta: f64) -> u64 {
-        ZipfSampler::new(n, theta).sample(self)
-    }
-
     /// Fisher-Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         let n = items.len();
@@ -145,11 +136,11 @@ impl SimRng {
     }
 }
 
-/// Precomputed Zipf distribution over `[0, n)` with exponent `theta` —
-/// the rejection-free approximation of Gray et al., with the generalized
-/// harmonic constants derived once at construction. Sampling through this
-/// struct is bit-identical to [`SimRng::gen_zipf`] (same arithmetic, same
-/// single `gen_f64` draw) but O(1) per sample instead of O(n).
+/// Precomputed Zipf distribution over `[0, n)` with exponent `theta` (0 =
+/// uniform; ~0.8-1.2 models skewed hot-spot sharing) — the rejection-free
+/// approximation of Gray et al. Construction derives the generalized
+/// harmonic constants, an O(n) sum; each sample is then O(1) with one
+/// `gen_f64` draw. Build one per distribution and reuse it.
 #[derive(Clone, Copy, Debug)]
 pub struct ZipfSampler {
     n: u64,
@@ -291,8 +282,9 @@ mod tests {
     fn zipf_is_skewed_toward_small_indices() {
         let mut rng = SimRng::new(8);
         let mut hits = [0u64; 16];
+        let zipf = ZipfSampler::new(16, 0.99);
         for _ in 0..20_000 {
-            let v = rng.gen_zipf(16, 0.99);
+            let v = zipf.sample(&mut rng);
             hits[v as usize] += 1;
         }
         assert!(
@@ -307,8 +299,9 @@ mod tests {
     fn zipf_theta_zero_is_uniformish() {
         let mut rng = SimRng::new(9);
         let mut hits = [0u64; 4];
+        let zipf = ZipfSampler::new(4, 0.0);
         for _ in 0..8000 {
-            hits[rng.gen_zipf(4, 0.0) as usize] += 1;
+            hits[zipf.sample(&mut rng) as usize] += 1;
         }
         for &h in &hits {
             assert!((1500..2500).contains(&h), "bucket {h} not uniform");

@@ -5,16 +5,20 @@
 //! mechanism cells — and across retries of the same cell. [`ProgramSet`]
 //! generates them once and hands out immutable [`Arc`] clones, eliminating
 //! the dominant per-cell setup cost without any behavioural change: each
-//! program is produced by the exact same [`generate_program`] call a fresh
-//! `System` would have made.
+//! program is bit-identical to the [`generate_program`] call a fresh
+//! `System` would have made. Within one set, the per-params constants
+//! (address map, Zipf harmonic sum, weight total) are built once, not once
+//! per node.
 //!
 //! [`params_digest`] gives a stable content digest of a `WorkloadParams`
 //! used both as the program-cache key and as one component of the
 //! persistent result-cache key in `puno-harness`.
+//!
+//! [`generate_program`]: crate::generate_program
 
 use std::sync::Arc;
 
-use crate::genprog::generate_program;
+use crate::genprog::ProgramGen;
 use crate::op::NodeProgram;
 use crate::params::WorkloadParams;
 use puno_sim::NodeId;
@@ -63,10 +67,14 @@ pub struct ProgramSet {
 
 impl ProgramSet {
     /// Generate the per-node programs for `nodes` nodes. Bit-identical to
-    /// calling [`generate_program`] per node, by construction.
+    /// calling [`generate_program`] per node: both run one `ProgramGen`,
+    /// which this builds once for every node.
+    ///
+    /// [`generate_program`]: crate::generate_program
     pub fn generate(params: &WorkloadParams, nodes: u16, seed: u64) -> Self {
+        let mut gen = ProgramGen::new(params);
         let programs = (0..nodes)
-            .map(|i| Arc::new(generate_program(params, NodeId(i), seed)))
+            .map(|i| Arc::new(gen.program(NodeId(i), seed)))
             .collect();
         ProgramSet {
             params_digest: params_digest(params),
@@ -89,6 +97,7 @@ impl ProgramSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genprog::generate_program;
     use crate::stamp::WorkloadId;
 
     #[test]
@@ -102,15 +111,32 @@ mod tests {
         assert_eq!(fnv1a_64(b""), FNV1A_64_OFFSET);
     }
 
+    fn assert_matches_per_node(params: &WorkloadParams, nodes: u16, seed: u64) {
+        let set = ProgramSet::generate(params, nodes, seed);
+        assert_eq!(set.nodes(), nodes);
+        for i in 0..nodes {
+            let fresh = generate_program(params, NodeId(i), seed);
+            assert_eq!(
+                *set.node(NodeId(i)),
+                fresh,
+                "{}: node {i} program must match",
+                params.name
+            );
+        }
+    }
+
     #[test]
     fn program_set_matches_fresh_generation() {
-        let params = WorkloadId::Genome.params().scaled(0.05);
-        let set = ProgramSet::generate(&params, 4, 42);
-        assert_eq!(set.nodes(), 4);
-        for i in 0..4 {
-            let fresh = generate_program(&params, NodeId(i), 42);
-            assert_eq!(*set.node(NodeId(i)), fresh, "node {i} program must match");
+        for w in WorkloadId::ALL {
+            assert_matches_per_node(&w.params().scaled(0.05), 16, 42);
         }
+    }
+
+    #[test]
+    fn program_set_matches_fresh_generation_on_16x16() {
+        let params = WorkloadId::Genome.params().scaled(0.05);
+        assert_eq!((params.shared_lines, params.zipf_theta), (4096, 0.1));
+        assert_matches_per_node(&params, 256, 1);
     }
 
     #[test]
