@@ -489,32 +489,6 @@ fn bench_tracing(h: &mut Harness) {
     });
 }
 
-/// Cost of the live metrics layer on one end-to-end cell: `obs/off` runs
-/// with the global registry disabled (the per-run check is one relaxed
-/// atomic load, so this must track `trace/off` — the CI gate holds it to
-/// the shared tolerance), then `obs/registry_on` enables the process-wide
-/// registry with a sample cadence ~5x tighter than the default. Enabling
-/// is sticky for the process, so this family must run LAST in `main`:
-/// everything before it measures the registry-disabled path.
-fn bench_obs(h: &mut Harness) {
-    let params = WorkloadId::Ssca2.params().scaled(0.05);
-    h.bench("obs/off/ssca2", 12, || {
-        let config = SystemConfig::paper(Mechanism::Baseline);
-        let m = puno_harness::System::new(config, &params, 1)
-            .try_run_recycled()
-            .unwrap();
-        black_box(m.cycles ^ m.committed)
-    });
-    puno_harness::obs::enable();
-    h.bench("obs/registry_on/ssca2", 12, || {
-        let config = SystemConfig::paper(Mechanism::Baseline);
-        let mut sys = puno_harness::System::new(config, &params, 1);
-        sys.set_obs_sample_every(1000);
-        let m = sys.try_run_recycled().expect("obs cell must complete");
-        black_box(m.cycles ^ m.committed)
-    });
-}
-
 fn main() {
     let mut h = Harness::new();
     bench_event_queue(&mut h);
@@ -528,9 +502,6 @@ fn main() {
     bench_mesh_sparse(&mut h);
     bench_sweep(&mut h);
     bench_tracing(&mut h);
-    // Must stay last: `bench_obs` enables the process-wide metrics
-    // registry, and enabling is sticky.
-    bench_obs(&mut h);
 
     if let Ok(path) = std::env::var("BENCH_SUBSTRATE_JSON") {
         h.write_json(&path);

@@ -27,10 +27,10 @@
 //! `--json <path>` additionally writes one machine-readable JSON row per
 //! swept cell (the warehouse row schema — see
 //! `puno_harness::warehouse::WarehouseRow`) as JSONL; `--json -` prints the
-//! rows to stdout *instead of* the human report. Live observability (the
-//! Prometheus endpoint, progress heartbeat, and warehouse sink) is armed
-//! from the environment: see `PUNO_METRICS_ADDR`, `PUNO_PROGRESS`, and
-//! `PUNO_WAREHOUSE` in README.md.
+//! rows to stdout *instead of* the human report. With `PUNO_WAREHOUSE`
+//! set, the same rows are also appended to the cross-run result warehouse
+//! (query it with the `warehouse` binary; see README.md). Neither changes
+//! the human report on stdout.
 //!
 //! `--trace` re-runs exactly one cell with full tracing and telemetry
 //! instead of sweeping: the JSONL event stream goes to `PUNO_TRACE_OUT`
@@ -404,9 +404,6 @@ fn run_pair_cells(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    // Arm the observability layer (metrics endpoint, heartbeat, warehouse)
-    // before any simulation starts so a scraper sees the sweep from cell 0.
-    puno_harness::obs::init_from_env();
     if args.compact_cache {
         run_compact_cache();
     }

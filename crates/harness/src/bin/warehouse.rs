@@ -1,5 +1,5 @@
-//! Offline queries over the cross-run result warehouse (sink 3 of the
-//! observability layer — see `puno_harness::warehouse`).
+//! Offline queries over the cross-run result warehouse (see
+//! `puno_harness::warehouse`).
 //!
 //! Usage: `warehouse [--dir <path>] <trend|delta|regress|stats|rows>
 //! [--baseline <path>]`

@@ -445,8 +445,6 @@ pub struct ResultCache {
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
-    /// What the most recent [`ResultCache::compact`] on this handle did.
-    last_compact: Mutex<Option<SkipStats>>,
 }
 
 impl ResultCache {
@@ -472,7 +470,6 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            last_compact: Mutex::new(None),
         })
     }
 
@@ -535,16 +532,7 @@ impl ResultCache {
         })?;
         stats.kept = live.len() as u64;
         *entries = live;
-        *store::lock(&self.last_compact) = Some(stats);
         Ok(stats)
-    }
-
-    /// What the most recent [`ResultCache::compact`] on this handle did
-    /// (`None` if it never ran). The compaction performed at open by
-    /// `PUNO_RESULT_CACHE_COMPACT` lands here too, so a sweep can report
-    /// maintenance it did not itself trigger.
-    pub fn last_compact(&self) -> Option<SkipStats> {
-        *store::lock(&self.last_compact)
     }
 
     /// Fold the persisted cost observations into a [`CostModel`]; lines

@@ -18,7 +18,6 @@ pub mod mechanism;
 pub mod memory;
 pub mod metrics;
 pub mod node;
-pub mod obs;
 pub mod oracle;
 pub mod report;
 pub mod run;
@@ -36,7 +35,6 @@ pub use error::RunError;
 pub use mechanism::Mechanism;
 pub use memory::MemoryImage;
 pub use metrics::{HostPerf, RunMetrics};
-pub use obs::MetricsRegistry;
 pub use oracle::FalseAbortOracle;
 pub use run::{run_with_config, run_workload};
 pub use sweep::{sweep, RetryPolicy, SweepResult};

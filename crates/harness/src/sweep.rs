@@ -14,7 +14,6 @@
 use crate::cache::{cell_digest, global_cache, CostRecord, RecordFile, ResultCache};
 use crate::error::RunError;
 use crate::metrics::RunMetrics;
-use crate::obs;
 use crate::system::System;
 use crate::warehouse::{self, WarehouseRow};
 use crate::{Mechanism, SystemConfig};
@@ -23,7 +22,7 @@ use puno_workloads::{fnv1a_64_fold, params_digest, ProgramSet, WorkloadId, Workl
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// One sweep cell: the workload, the mechanism, and the run result.
 #[derive(Clone, Debug)]
@@ -325,15 +324,11 @@ where
 }
 
 /// [`try_sweep_with`] additionally returning one [`WarehouseRow`] per cell.
-/// Also the home of the live-observability publication: with the registry
-/// enabled (see [`crate::obs`]) the sweep publishes cells started/
-/// completed/cache-hit/retry counters, per-worker busy gauges, done/total
-/// progress gauges, and a cell wall-clock histogram *while running*; with
-/// `PUNO_PROGRESS` set it additionally prints a throttled stderr heartbeat
-/// whose ETA comes from the same LPT cost estimates that order the job
-/// queue; with `PUNO_WAREHOUSE` set the rows are appended to the cross-run
-/// warehouse. All of it is host-side only — cell outcomes are bit-identical
-/// with every sink on or off.
+/// A row is flagged `cache_hit` when [`try_sweep_rows`]'s runner replayed
+/// the cell from the result cache; such a cell's wall-clock is also kept
+/// out of the persisted cost model. With `PUNO_WAREHOUSE` set the rows are
+/// appended to the cross-run warehouse. Recording is host-side only — cell
+/// outcomes are bit-identical with the sink on or off.
 pub fn try_sweep_with_rows<F>(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
@@ -343,8 +338,6 @@ pub fn try_sweep_with_rows<F>(
 where
     F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
 {
-    obs::init_from_env();
-    let registry = obs::global();
     let cells: Vec<(CellKey, WorkloadParams)> = workloads
         .iter()
         .flat_map(|&w| {
@@ -404,77 +397,27 @@ where
 
     let done: Mutex<Vec<(usize, CellOutcome, bool)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let started = std::sync::atomic::AtomicUsize::new(0);
     let threads = effective_workers(jobs.len());
 
-    // Registered up front so a scrape early in the sweep already sees every
-    // family; `None` (the default) keeps every publish site to one branch.
-    let sweep_obs = registry.map(|reg| SweepObs::new(reg, cells.len(), jobs.len()));
-    let heartbeat = obs::env_progress().map(|interval| Heartbeat {
-        interval,
-        alive: Mutex::new(threads),
-        cv: Condvar::new(),
-    });
-    let job_weight_total: f64 = jobs.iter().map(|&i| estimates[i]).sum();
-    let resumed_count = cells.len() - jobs.len();
-    let sweep_start = std::time::Instant::now();
-
     std::thread::scope(|s| {
-        let (jobs, cells, done, next, started) = (&jobs, &cells, &done, &next, &started);
+        let (jobs, cells, done, next) = (&jobs, &cells, &done, &next);
         let (runner, checkpoint, retry) = (&runner, &checkpoint, &opts.retry);
-        let (sweep_obs, heartbeat, estimates) =
-            (sweep_obs.as_ref(), heartbeat.as_ref(), &estimates);
-        for w in 0..threads {
-            s.spawn(move || {
-                obs::set_worker(&format!("s{w}"));
-                let busy = sweep_obs.map(|o| o.worker_busy(w));
-                loop {
-                    let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if j >= jobs.len() {
-                        break;
-                    }
-                    let i = jobs[j];
-                    let (key, ref params) = cells[i];
-                    started.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if let Some(o) = sweep_obs {
-                        o.cells_started.inc();
-                    }
-                    if let Some(b) = &busy {
-                        b.set(1.0);
-                    }
-                    let t0 = std::time::Instant::now();
-                    let outcome =
-                        run_cell(runner, key, params, retry, sweep_obs.map(|o| &o.retries));
-                    let cache_hit = obs::take_cache_hit();
-                    if let Some(o) = sweep_obs {
-                        o.observe_outcome(&outcome, cache_hit, t0.elapsed().as_secs_f64());
-                    }
-                    if let Some(b) = &busy {
-                        b.set(0.0);
-                    }
-                    if let (Some(file), CellOutcome::Ok { metrics, .. }) = (checkpoint, &outcome) {
-                        file.put(checkpoint_key(opts, &key, params), key.seed, metrics);
-                    }
-                    done.lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((i, outcome, cache_hit));
+        for _ in 0..threads {
+            s.spawn(move || loop {
+                let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if j >= jobs.len() {
+                    break;
                 }
-                if let Some(hb) = heartbeat {
-                    hb.worker_done();
+                let i = jobs[j];
+                let (key, ref params) = cells[i];
+                let outcome = run_cell(runner, key, params, retry);
+                let cache_hit = crate::run::take_cache_hit();
+                if let (Some(file), CellOutcome::Ok { metrics, .. }) = (checkpoint, &outcome) {
+                    file.put(checkpoint_key(opts, &key, params), key.seed, metrics);
                 }
-            });
-        }
-        if let Some(hb) = heartbeat {
-            s.spawn(move || {
-                hb.run(
-                    sweep_start,
-                    resumed_count,
-                    cells.len(),
-                    job_weight_total,
-                    started,
-                    done,
-                    estimates,
-                );
+                done.lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push((i, outcome, cache_hit));
             });
         }
     });
@@ -556,251 +499,15 @@ where
         .collect();
     if let Some(dir) = warehouse::env_warehouse() {
         let appended = warehouse::Warehouse::open(&dir).and_then(|wh| wh.append(&rows));
-        match appended {
-            Ok(()) => {
-                if let Some(o) = &sweep_obs {
-                    o.warehouse_rows.add(rows.len() as u64);
-                }
-            }
-            Err(e) => eprintln!(
+        if let Err(e) = appended {
+            eprintln!(
                 "warning: PUNO_WAREHOUSE={} unusable ({e}); rows not recorded",
                 dir.display()
-            ),
+            );
         }
-    }
-
-    // Surface the result cache's maintenance history (corrupt/stale skips
-    // at open, last compaction) through the registry — previously these
-    // totals were only visible on stderr at open time.
-    if let (Some(reg), Some(cache)) = (registry, opts.result_cache.as_deref()) {
-        publish_cache_stats(reg, cache);
     }
 
     (outcomes, rows)
-}
-
-/// The sweep driver's registered metric families (see [`crate::obs`]).
-struct SweepObs {
-    registry: &'static obs::MetricsRegistry,
-    cells_started: obs::Counter,
-    done_ok: obs::Counter,
-    done_err: obs::Counter,
-    done_quarantined: obs::Counter,
-    cache_hits: obs::Counter,
-    retries: obs::Counter,
-    warehouse_rows: obs::Counter,
-    quiesced_cycles: obs::Counter,
-    cells_total: obs::Gauge,
-    cells_done: obs::Gauge,
-    cell_wall: obs::Histogram,
-}
-
-impl SweepObs {
-    fn new(registry: &'static obs::MetricsRegistry, total: usize, jobs: usize) -> Self {
-        let outcome_counter = |outcome: &str| {
-            registry.counter(
-                "puno_sweep_cells_completed_total",
-                "Sweep cells finished, by outcome.",
-                &[("outcome", outcome)],
-            )
-        };
-        let o = Self {
-            registry,
-            cells_started: registry.counter(
-                "puno_sweep_cells_started_total",
-                "Sweep cells handed to a worker (attempt 1).",
-                &[],
-            ),
-            done_ok: outcome_counter("ok"),
-            done_err: outcome_counter("err"),
-            done_quarantined: outcome_counter("quarantined"),
-            cache_hits: registry.counter(
-                "puno_sweep_cache_hits_total",
-                "Sweep cells replayed from the result cache without simulating.",
-                &[],
-            ),
-            retries: registry.counter(
-                "puno_sweep_cell_retries_total",
-                "Escalating (traced) cell retry attempts.",
-                &[],
-            ),
-            warehouse_rows: registry.counter(
-                "puno_warehouse_rows_total",
-                "Rows appended to the PUNO_WAREHOUSE result warehouse.",
-                &[],
-            ),
-            quiesced_cycles: registry.counter(
-                "puno_net_quiesced_cycles_total",
-                "Simulated cycles the NoC step token skipped with nothing to do.",
-                &[],
-            ),
-            cells_total: registry.gauge(
-                "puno_sweep_cells",
-                "Cells in the current sweep grid (resumed cells included).",
-                &[],
-            ),
-            cells_done: registry.gauge(
-                "puno_sweep_cells_done",
-                "Cells resolved so far (resumed cells included).",
-                &[],
-            ),
-            cell_wall: registry.histogram(
-                "puno_sweep_cell_wall_seconds",
-                "Wall-clock per resolved sweep cell (cache hits included).",
-                &[],
-                &[0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0],
-            ),
-        };
-        o.cells_total.set(total as f64);
-        o.cells_done.set((total - jobs) as f64);
-        o
-    }
-
-    fn worker_busy(&self, w: usize) -> obs::Gauge {
-        let label = format!("s{w}");
-        self.registry.gauge(
-            "puno_sweep_worker_busy",
-            "1 while this sweep worker is running a cell, else 0.",
-            &[("worker", label.as_str())],
-        )
-    }
-
-    fn observe_outcome(&self, outcome: &CellOutcome, cache_hit: bool, wall_secs: f64) {
-        match outcome {
-            CellOutcome::Ok { metrics, .. } => {
-                self.done_ok.inc();
-                self.quiesced_cycles.add(metrics.host.quiesced_cycles);
-            }
-            CellOutcome::Err { .. } => self.done_err.inc(),
-            CellOutcome::Quarantined { .. } => self.done_quarantined.inc(),
-        }
-        if cache_hit {
-            self.cache_hits.inc();
-        }
-        self.cells_done.add(1.0);
-        self.cell_wall.observe(wall_secs);
-    }
-}
-
-/// Publish the result cache's hit/skip/compaction totals as gauges (set,
-/// not added — the cache is process-wide and its stats are cumulative, so
-/// repeated sweeps republish the current totals idempotently).
-fn publish_cache_stats(registry: &obs::MetricsRegistry, cache: &ResultCache) {
-    let set = |name: &str, help: &str, v: f64| registry.gauge(name, help, &[]).set(v);
-    let s = cache.stats();
-    set(
-        "puno_cache_entries",
-        "Live records in the result cache.",
-        s.entries as f64,
-    );
-    set(
-        "puno_cache_hits",
-        "Result-cache lookups served from memory.",
-        s.hits as f64,
-    );
-    set(
-        "puno_cache_misses",
-        "Result-cache lookups that missed.",
-        s.misses as f64,
-    );
-    set(
-        "puno_cache_stores",
-        "Fresh results appended to the cache.",
-        s.stores as f64,
-    );
-    set(
-        "puno_cache_corrupt_skipped",
-        "Corrupt records skipped: torn, misshapen or checksum-failed at open, undecodable at first lookup.",
-        s.skips.corrupt as f64,
-    );
-    set(
-        "puno_cache_stale_skipped",
-        "Stale-engine-version records skipped at cache open.",
-        s.skips.stale as f64,
-    );
-    if let Some(c) = cache.last_compact() {
-        for (name, what, v) in [
-            ("kept", "Records kept", c.kept),
-            ("dropped_corrupt", "Corrupt lines dropped", c.corrupt),
-            ("dropped_stale", "Stale records dropped", c.stale),
-            (
-                "dropped_duplicate",
-                "Superseded duplicates dropped",
-                c.duplicate,
-            ),
-        ] {
-            let help = format!("{what} by the most recent cache compaction.");
-            set(&format!("puno_cache_compact_{name}"), &help, v as f64);
-        }
-    }
-}
-
-/// The sweep's stderr progress sink: a dedicated thread beating every
-/// `interval` until the last worker signals, with an ETA extrapolated from
-/// the LPT cost estimates (work-weighted, so a long straggler cell keeps
-/// the ETA honest where a plain cells/second rate would not).
-struct Heartbeat {
-    interval: std::time::Duration,
-    /// Workers still running; the last one out notifies the condvar.
-    alive: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Heartbeat {
-    fn worker_done(&self) {
-        let mut alive = self.alive.lock().unwrap_or_else(|e| e.into_inner());
-        *alive = alive.saturating_sub(1);
-        if *alive == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &self,
-        start: std::time::Instant,
-        resumed: usize,
-        total: usize,
-        job_weight_total: f64,
-        started: &std::sync::atomic::AtomicUsize,
-        done: &Mutex<Vec<(usize, CellOutcome, bool)>>,
-        estimates: &[f64],
-    ) {
-        loop {
-            let finished = {
-                let alive = self.alive.lock().unwrap_or_else(|e| e.into_inner());
-                if *alive == 0 {
-                    true
-                } else {
-                    let (alive, _) = self
-                        .cv
-                        .wait_timeout(alive, self.interval)
-                        .unwrap_or_else(|e| e.into_inner());
-                    *alive == 0
-                }
-            };
-            let (finished_jobs, done_weight) = {
-                let d = done.lock().unwrap_or_else(|e| e.into_inner());
-                (
-                    d.len(),
-                    d.iter().map(|(i, _, _)| estimates[*i]).sum::<f64>(),
-                )
-            };
-            let running = started
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .saturating_sub(finished_jobs);
-            let elapsed = start.elapsed().as_secs_f64();
-            let eta = (done_weight > 0.0 && elapsed > 0.0)
-                .then(|| (job_weight_total - done_weight).max(0.0) * elapsed / done_weight);
-            eprintln!(
-                "{}",
-                obs::render_heartbeat(resumed + finished_jobs, total, running, elapsed, eta)
-            );
-            if finished {
-                return;
-            }
-        }
-    }
 }
 
 /// Effective sweep worker count — the single place it is decided.
@@ -835,7 +542,6 @@ fn run_cell<F>(
     key: CellKey,
     params: &WorkloadParams,
     policy: &RetryPolicy,
-    obs_retries: Option<&obs::Counter>,
 ) -> CellOutcome
 where
     F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
@@ -868,9 +574,6 @@ where
                     attempts,
                 }
             };
-        }
-        if let Some(counter) = obs_retries {
-            counter.inc();
         }
         let delay = policy.backoff(attempts + 1, key.seed);
         if !delay.is_zero() {

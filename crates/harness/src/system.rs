@@ -173,16 +173,6 @@ pub struct System {
     /// queue had anything to do (host-side accounting; see
     /// `advance_net_token`).
     quiesced_cycles: u64,
-    /// Live-observability sampling interval override (see
-    /// [`System::set_obs_sample_every`]). `None` = read
-    /// `PUNO_OBS_SAMPLE_CYCLES` when the global registry is enabled;
-    /// `Some(0)` = force off; `Some(n)` = sample every `n` cycles.
-    /// Host-side only: not part of `SystemConfig`.
-    obs_sample_every: Option<Cycle>,
-    /// Active per-run metrics sampler, armed by `run_loop` when the global
-    /// registry is enabled. Publishes sim-cycle/event totals and rates;
-    /// never touches simulated state.
-    obs_sampler: Option<Box<crate::obs::RunSampler>>,
     /// Lines and event interval of the scan armed by
     /// [`System::check_invariants_every`] (host-side).
     invariant_scan: Option<(Vec<LineAddr>, u64)>,
@@ -298,23 +288,10 @@ impl System {
             peak_queue_depth: 0,
             host_wall_secs: 0.0,
             quiesced_cycles: 0,
-            obs_sample_every: None,
-            obs_sampler: None,
             invariant_scan: None,
             next_invariant_scan: u64::MAX,
             config,
         }
-    }
-
-    /// Override the live-metrics sampling interval for subsequent runs:
-    /// `0` forces sampling off even when the registry is enabled; `n > 0`
-    /// samples every `n` cycles regardless of `PUNO_OBS_SAMPLE_CYCLES`.
-    /// Without an override, runs read the env var (default
-    /// [`crate::obs::DEFAULT_SAMPLE_CYCLES`]). Sampling only ever reads
-    /// host-side counters; `RunMetrics::deterministic()` is bit-identical
-    /// with it on or off.
-    pub fn set_obs_sample_every(&mut self, every: Cycle) {
-        self.obs_sample_every = Some(every);
     }
 
     /// Install a fault plan. Scheduled events are enqueued immediately;
@@ -563,35 +540,9 @@ impl System {
 
     fn run_loop(&mut self, stop: StopAt) -> Result<(), RunError> {
         let t0 = std::time::Instant::now();
-        self.arm_obs_sampler();
         let result = self.run_loop_inner(stop);
-        if let Some(mut sampler) = self.obs_sampler.take() {
-            sampler.finish(self.last_cycle, self.events_dispatched);
-        }
         self.host_wall_secs += t0.elapsed().as_secs_f64();
         result
-    }
-
-    /// Arm the live-metrics sampler for this run, if the global registry
-    /// is enabled (see [`crate::obs`]). A disabled registry costs exactly
-    /// one relaxed atomic load here and nothing in the hot loop.
-    fn arm_obs_sampler(&mut self) {
-        self.obs_sampler = None;
-        let Some(registry) = crate::obs::global() else {
-            return;
-        };
-        let every = self
-            .obs_sample_every
-            .unwrap_or_else(crate::obs::env_sample_every);
-        if every == 0 {
-            return;
-        }
-        self.obs_sampler = Some(Box::new(crate::obs::RunSampler::new(
-            registry,
-            every,
-            self.last_cycle,
-            self.events_dispatched,
-        )));
     }
 
     /// The loop's pop preamble: record the pre-pop queue depth, pop the
@@ -646,13 +597,6 @@ impl System {
                 }
             }
             self.advance_net_token();
-            // Live-metrics sampling reads host counters only — it can
-            // never perturb simulated behaviour (golden-gated both ways).
-            if let Some(sampler) = self.obs_sampler.as_mut() {
-                if now >= sampler.next_at {
-                    sampler.sample(now, self.events_dispatched);
-                }
-            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Sink 3 of the observability layer: the cross-run result warehouse.
+//! The cross-run result warehouse.
 //!
 //! The result cache ([`crate::cache`]) answers "have I simulated this exact
 //! cell already?" — it keys on the content digest and keeps only the latest
@@ -459,7 +459,11 @@ mod tests {
     use super::*;
     use crate::mechanism::Mechanism;
     use crate::run::run_workload;
+    use crate::{System, SystemConfig};
     use puno_workloads::WorkloadId;
+
+    const GOLDEN_SEED: u64 = 42;
+    const GOLDEN_SCALE: f64 = 0.05;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("puno-wh-{}-{tag}", std::process::id()));
@@ -618,5 +622,66 @@ mod tests {
         // formatting only.
         let id = format!("{}-{}", 1700000000u64, std::process::id());
         assert!(id.starts_with("1700000000-"));
+    }
+
+    /// Record two sweeps of the same cells under different run ids, then
+    /// reproduce the cross-run aggregates (throughput trend, PUNO-vs-baseline
+    /// abort delta) from the persisted warehouse alone.
+    #[test]
+    fn warehouse_reproduces_cross_run_aggregates() {
+        let dir = temp_dir("cross-run");
+        let wh = Warehouse::open(&dir).expect("open warehouse");
+
+        for (run_id, recorded_unix) in [("run-a", 1_000u64), ("run-b", 2_000u64)] {
+            for (digest, mechanism) in [(1u64, Mechanism::Baseline), (2, Mechanism::Puno)] {
+                let params = WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE);
+                let metrics = System::new(SystemConfig::paper(mechanism), &params, GOLDEN_SEED)
+                    .try_run_recycled()
+                    .expect("cell must run");
+                let row = WarehouseRow::from_metrics(
+                    run_id,
+                    recorded_unix,
+                    digest,
+                    "ok",
+                    false,
+                    &metrics,
+                );
+                wh.append(&[row]).expect("append row");
+            }
+        }
+
+        let (rows, stats) = wh.load();
+        assert_eq!(stats.kept, 4);
+        assert_eq!(stats.corrupt + stats.stale + stats.duplicate, 0);
+
+        let trend = throughput_trend(&rows);
+        assert_eq!(trend.len(), 1, "one workload recorded");
+        let (workload, points) = &trend[0];
+        assert_eq!(workload, "ssca2");
+        assert_eq!(
+            points.iter().map(|p| p.run_id.as_str()).collect::<Vec<_>>(),
+            ["run-a", "run-b"],
+            "runs ordered by recording time"
+        );
+        for p in points {
+            assert_eq!(p.cells, 2);
+            assert!(
+                p.mean_mcycles_per_sec.is_finite() && p.mean_mcycles_per_sec > 0.0,
+                "throughput must come from the recorded host counters"
+            );
+        }
+
+        let deltas = abort_rate_deltas(&rows);
+        assert_eq!(deltas.len(), 2, "one delta per recorded run");
+        for d in &deltas {
+            assert_eq!(d.workload, "ssca2");
+            assert!(d.baseline_rate.is_finite() && d.puno_rate.is_finite());
+            assert!(
+                (d.delta_pp - (d.puno_rate - d.baseline_rate) * 100.0).abs() < 1e-9,
+                "delta is derived from the recorded rates"
+            );
+        }
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

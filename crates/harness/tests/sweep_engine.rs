@@ -13,7 +13,7 @@
 //! replay fails here.
 
 use puno_harness::run::run_with_config;
-use puno_harness::sweep::{try_sweep, try_sweep_with, CellOutcome, SweepOptions};
+use puno_harness::sweep::{try_sweep, try_sweep_rows, try_sweep_with, CellOutcome, SweepOptions};
 use puno_harness::{Mechanism, ResultCache, SystemConfig};
 use puno_sim::FaultPlan;
 use puno_workloads::{WorkloadId, WorkloadParams};
@@ -101,8 +101,9 @@ fn sweep_engine_paths_are_bit_identical_to_fresh_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A fully warm sweep simulates nothing, so it has no wall-clocks to teach
-/// the cost model: `costs.jsonl` must come out byte-identical.
+/// A fully warm sweep simulates nothing: every warehouse row is flagged as
+/// a cache hit, and with no wall-clocks to teach the cost model,
+/// `costs.jsonl` must come out byte-identical.
 #[test]
 fn warm_sweep_leaves_the_cost_model_untouched() {
     let dir = std::env::temp_dir().join(format!("puno-sweep-costs-{}", std::process::id()));
@@ -112,16 +113,25 @@ fn warm_sweep_leaves_the_cost_model_untouched() {
         let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
         let cache = Arc::new(ResultCache::open(&dir).expect("cache dir"));
         opts.result_cache = Some(cache.clone());
-        try_sweep(&workloads, &MECHANISMS, &opts);
-        cache.stats()
+        let (_, rows) = try_sweep_rows(&workloads, &MECHANISMS, &opts);
+        let hit_flags: Vec<bool> = rows.iter().map(|r| r.cache_hit).collect();
+        (cache.stats(), hit_flags)
     };
     let costs = dir.join("costs.jsonl");
 
-    assert_eq!(sweep_with_fresh_handle().stores, 2);
+    let (stats, hit_flags) = sweep_with_fresh_handle();
+    assert_eq!(stats.stores, 2);
+    assert_eq!(hit_flags, [false, false], "cold rows flagged as cache hits");
     let cold = std::fs::read(&costs).expect("the cold sweep records its costs");
     assert_eq!(cold.iter().filter(|&&b| b == b'\n').count(), 2);
 
-    assert_eq!(sweep_with_fresh_handle().hits, 2);
+    let (stats, hit_flags) = sweep_with_fresh_handle();
+    assert_eq!(stats.hits, 2);
+    assert_eq!(
+        hit_flags,
+        [true, true],
+        "warm rows not flagged as cache hits"
+    );
     assert_eq!(
         std::fs::read(&costs).unwrap(),
         cold,

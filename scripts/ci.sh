@@ -175,76 +175,51 @@ grep -q "abort blame" "$CACHE_DIR/traced.txt" \
     || { echo "traced cell printed no telemetry summary"; exit 1; }
 echo "traced smoke OK"
 
-echo "== observability smoke (mid-flight scrape, heartbeat, warehouse, byte-diff) =="
-# A metrics-enabled sweep must serve valid Prometheus exposition text while
-# it runs, stream progress heartbeats to stderr, record one warehouse row
-# per cell — and leave the deterministic stdout byte-identical to the plain
-# sweep captured above (ref.det.txt). The scrape uses bash's /dev/tcp so
-# the gate needs no extra tooling.
-OBS_DIR="$RES_DIR/obs"
-mkdir -p "$OBS_DIR"
-METRICS_PORT=$((20000 + RANDOM % 20000))
-PUNO_METRICS_ADDR="127.0.0.1:$METRICS_PORT" PUNO_PROGRESS=0.2 \
-    PUNO_WAREHOUSE="$OBS_DIR/wh" PUNO_RUN_ID=ci-a PUNO_SWEEP_THREADS=1 \
-    "$SWEEP_BIN" 0.05 1 > "$OBS_DIR/obs_on.txt" 2> "$OBS_DIR/obs_on.err" &
-OBS_PID=$!
-GOT_EXPO=0
-GOT_SERIES=0
-while kill -0 "$OBS_PID" 2>/dev/null; do
-    BODY="$( (exec 3<>"/dev/tcp/127.0.0.1/$METRICS_PORT" \
-        && printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3 && cat <&3) 2>/dev/null || true)"
-    if printf '%s' "$BODY" | grep -q '# TYPE puno_sweep_cells_started_total counter'; then
-        GOT_EXPO=1
-    fi
-    if printf '%s' "$BODY" | grep -Eq '^puno_sim_cycles_total\{[^}]*\} [1-9]'; then
-        GOT_SERIES=1
-    fi
-    if [ "$GOT_EXPO" = 1 ] && [ "$GOT_SERIES" = 1 ]; then break; fi
-    sleep 0.05
-done
-wait "$OBS_PID" || { echo "metrics-enabled sweep failed"; cat "$OBS_DIR/obs_on.err"; exit 1; }
-[ "$GOT_EXPO" = 1 ] \
-    || { echo "never scraped valid exposition text from the live sweep"; exit 1; }
-[ "$GOT_SERIES" = 1 ] \
-    || { echo "never saw a nonzero puno_sim_cycles_total series mid-flight"; exit 1; }
-grep -q '^progress: ' "$OBS_DIR/obs_on.err" \
-    || { echo "no progress heartbeat on stderr:"; cat "$OBS_DIR/obs_on.err"; exit 1; }
-sed '/^simulator throughput/,$d' "$OBS_DIR/obs_on.txt" > "$OBS_DIR/obs_on.det.txt"
-diff "$RES_DIR/ref.det.txt" "$OBS_DIR/obs_on.det.txt" \
-    || { echo "observability changed the deterministic sweep output"; exit 1; }
+echo "== warehouse smoke (two recorded runs, cross-run queries, byte-diff) =="
+# A sweep with the warehouse sink on must record one row per cell and leave
+# the deterministic stdout byte-identical to the plain sweep captured above
+# (ref.det.txt).
+WH_DIR="$RES_DIR/wh"
+mkdir -p "$WH_DIR"
+PUNO_WAREHOUSE="$WH_DIR/wh" PUNO_RUN_ID=ci-a PUNO_SWEEP_THREADS=1 \
+    "$SWEEP_BIN" 0.05 1 > "$WH_DIR/wh_on.txt" 2> "$WH_DIR/wh_on.err" \
+    || { echo "warehouse-enabled sweep failed"; cat "$WH_DIR/wh_on.err"; exit 1; }
+sed '/^simulator throughput/,$d' "$WH_DIR/wh_on.txt" > "$WH_DIR/wh_on.det.txt"
+diff "$RES_DIR/ref.det.txt" "$WH_DIR/wh_on.det.txt" \
+    || { echo "the warehouse sink changed the deterministic sweep output"; exit 1; }
 # Record a second (filtered) run under another run id, then reproduce the
 # cross-run aggregates from the persisted warehouse alone.
-PUNO_WAREHOUSE="$OBS_DIR/wh" PUNO_RUN_ID=ci-b PUNO_SWEEP_THREADS=1 \
+PUNO_WAREHOUSE="$WH_DIR/wh" PUNO_RUN_ID=ci-b PUNO_SWEEP_THREADS=1 \
     "$SWEEP_BIN" 0.05 1 --filter ssca2 > /dev/null 2>/dev/null
 cargo build --offline --release -q -p puno-harness --bin warehouse
 WAREHOUSE_BIN="target/release/warehouse"
-"$WAREHOUSE_BIN" --dir "$OBS_DIR/wh" stats > "$OBS_DIR/wh_stats.txt"
-grep -q "across 2 run(s)" "$OBS_DIR/wh_stats.txt" \
-    || { echo "warehouse did not record both runs:"; cat "$OBS_DIR/wh_stats.txt"; exit 1; }
-"$WAREHOUSE_BIN" --dir "$OBS_DIR/wh" trend > "$OBS_DIR/wh_trend.txt"
-grep -q "ci-a" "$OBS_DIR/wh_trend.txt" && grep -q "ci-b" "$OBS_DIR/wh_trend.txt" \
-    || { echo "throughput trend is missing a recorded run:"; cat "$OBS_DIR/wh_trend.txt"; exit 1; }
-"$WAREHOUSE_BIN" --dir "$OBS_DIR/wh" delta > "$OBS_DIR/wh_delta.txt"
-grep -q "ci-b.*ssca2" "$OBS_DIR/wh_delta.txt" \
-    || { echo "abort-rate delta missing for the second run:"; cat "$OBS_DIR/wh_delta.txt"; exit 1; }
-echo "observability smoke OK (live scrape valid, heartbeat streamed, 2-run warehouse aggregates, stdout byte-identical)"
+"$WAREHOUSE_BIN" --dir "$WH_DIR/wh" stats > "$WH_DIR/wh_stats.txt"
+grep -q "across 2 run(s)" "$WH_DIR/wh_stats.txt" \
+    || { echo "warehouse did not record both runs:"; cat "$WH_DIR/wh_stats.txt"; exit 1; }
+"$WAREHOUSE_BIN" --dir "$WH_DIR/wh" trend > "$WH_DIR/wh_trend.txt"
+grep -q "ci-a" "$WH_DIR/wh_trend.txt" && grep -q "ci-b" "$WH_DIR/wh_trend.txt" \
+    || { echo "throughput trend is missing a recorded run:"; cat "$WH_DIR/wh_trend.txt"; exit 1; }
+"$WAREHOUSE_BIN" --dir "$WH_DIR/wh" delta > "$WH_DIR/wh_delta.txt"
+grep -q "ci-b.*ssca2" "$WH_DIR/wh_delta.txt" \
+    || { echo "abort-rate delta missing for the second run:"; cat "$WH_DIR/wh_delta.txt"; exit 1; }
+echo "warehouse smoke OK (2-run warehouse aggregates, stdout byte-identical)"
 
 echo "== warehouse corruption smoke (a bad byte costs only its row) =="
 # Set the high bit of one byte inside the second row of a copy of the
 # two-run warehouse. The byte is now invalid UTF-8; `stats` must count
 # exactly that row corrupt and keep every other row.
-cp -r "$OBS_DIR/wh" "$OBS_DIR/wh_bad"
-WH_FILE="$OBS_DIR/wh_bad/warehouse.jsonl"
-WH_ROWS="$(sed -n 's/^warehouse .*: \([0-9]*\) row(s) across.*/\1/p' "$OBS_DIR/wh_stats.txt")"
+cp -r "$WH_DIR/wh" "$WH_DIR/wh_bad"
+WH_FILE="$WH_DIR/wh_bad/warehouse.jsonl"
+WH_ROWS="$(sed -n 's/^warehouse .*: \([0-9]*\) row(s) across.*/\1/p' "$WH_DIR/wh_stats.txt")"
 BAD_AT=$(( $(head -n 1 "$WH_FILE" | wc -c) + 2 ))
 BAD_BYTE="$(od -An -tu1 -j "$BAD_AT" -N1 "$WH_FILE" | tr -d ' ')"
 printf "\\$(printf '%03o' $(( BAD_BYTE | 128 )))" \
     | dd of="$WH_FILE" bs=1 seek="$BAD_AT" conv=notrunc status=none
-"$WAREHOUSE_BIN" --dir "$OBS_DIR/wh_bad" stats > "$OBS_DIR/wh_bad_stats.txt" 2> /dev/null
-grep -q ": $(( WH_ROWS - 1 )) row(s) across" "$OBS_DIR/wh_bad_stats.txt" \
-    || { echo "a bad byte cost more than its row ($WH_ROWS before):"; cat "$OBS_DIR/wh_bad_stats.txt"; exit 1; }
-grep -q "^load recovery: 1 corrupt," "$OBS_DIR/wh_bad_stats.txt" \
-    || { echo "the damaged row was not counted corrupt:"; cat "$OBS_DIR/wh_bad_stats.txt"; exit 1; }
+"$WAREHOUSE_BIN" --dir "$WH_DIR/wh_bad" stats > "$WH_DIR/wh_bad_stats.txt" 2> /dev/null
+grep -q ": $(( WH_ROWS - 1 )) row(s) across" "$WH_DIR/wh_bad_stats.txt" \
+    || { echo "a bad byte cost more than its row ($WH_ROWS before):"; cat "$WH_DIR/wh_bad_stats.txt"; exit 1; }
+grep -q "^load recovery: 1 corrupt," "$WH_DIR/wh_bad_stats.txt" \
+    || { echo "the damaged row was not counted corrupt:"; cat "$WH_DIR/wh_bad_stats.txt"; exit 1; }
 echo "warehouse corruption smoke OK ($WH_ROWS rows -> $(( WH_ROWS - 1 )) kept, 1 corrupt)"
 
 echo "== substrate bench key set (root BENCH_substrate.json vs baseline) =="
