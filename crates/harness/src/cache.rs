@@ -19,7 +19,7 @@ use crate::config::SystemConfig;
 use crate::knobs::env_setting;
 use crate::metrics::RunMetrics;
 use crate::store::{self, Appender, Class, Records, SkipStats};
-use puno_workloads::{fnv1a_64, fnv1a_64_fold, WorkloadParams, FNV1A_64_OFFSET};
+use puno_workloads::{fnv1a_64_fold, fnv1a_64_fold_x4, WorkloadParams, FNV1A_64_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -36,13 +36,29 @@ pub const ENGINE_VERSION: u32 = 4;
 
 /// Content digest identifying one simulation cell: the full system
 /// configuration, the workload parameters, the seed, and the engine
-/// version, hashed FNV-1a over their canonical `Debug` representations
-/// (every field of both structs appears in `Debug`, so any perturbation —
+/// version, hashed FNV-1a over
+/// `engine-v{ENGINE_VERSION}|{config:?}|{params:?}|seed={seed}` (every
+/// field of both structs appears in `Debug`, so any perturbation —
 /// including ones that cannot change behaviour, which merely over-
 /// invalidates — changes the digest).
 pub fn cell_digest(config: &SystemConfig, params: &WorkloadParams, seed: u64) -> u64 {
-    let repr = format!("engine-v{ENGINE_VERSION}|{config:?}|{params:?}|seed={seed}");
-    fnv1a_64(repr.as_bytes())
+    finish_cell_digest(config_digest_state(config), &format!("{params:?}"), seed)
+}
+
+/// The FNV-1a state of [`cell_digest`] once it has folded the engine
+/// version and `config`: what every cell on one configuration shares, so
+/// a sweep formats and folds each mechanism's configuration once.
+pub(crate) fn config_digest_state(config: &SystemConfig) -> u64 {
+    let head = format!("engine-v{ENGINE_VERSION}|{config:?}|");
+    fnv1a_64_fold(FNV1A_64_OFFSET, head.as_bytes())
+}
+
+/// [`cell_digest`] finished from a [`config_digest_state`] and the
+/// parameters' `Debug` text. FNV-1a of pieces folded in order is FNV-1a of
+/// their concatenation, so this is the digest of the joined string.
+pub(crate) fn finish_cell_digest(config_state: u64, params_debug: &str, seed: u64) -> u64 {
+    let h = fnv1a_64_fold(config_state, params_debug.as_bytes());
+    fnv1a_64_fold(h, format!("|seed={seed}").as_bytes())
 }
 
 /// One persisted cache entry (one JSONL line): the on-disk schema. The
@@ -86,6 +102,13 @@ struct RecordText<'a> {
 /// folded piece by piece so neither the writer nor the verifier builds
 /// that string.
 fn record_checksum(t: &RecordText) -> u64 {
+    fnv1a_64_fold(checksum_head(t), t.metrics.as_bytes())
+}
+
+/// [`record_checksum`]'s state before `metrics`, the one long piece: open
+/// folds the short head of each record on its own and the `metrics` of
+/// four records side by side.
+fn checksum_head(t: &RecordText) -> u64 {
     let (p, prefix, bar) = match t.prefix_digest {
         Some(prefix) => ("p", prefix, "|"),
         None => ("", "", ""),
@@ -106,7 +129,6 @@ fn record_checksum(t: &RecordText) -> u64 {
         "|",
         t.seed,
         "|",
-        t.metrics,
     ]
     .iter()
     .fold(FNV1A_64_OFFSET, |h, piece| {
@@ -175,6 +197,33 @@ pub fn split_fields(line: &str) -> Option<Vec<(&str, Range<usize>)>> {
     }
 }
 
+/// A byte-indexed membership table: the bytes a scan stops at.
+const fn byte_set(members: &[u8]) -> [bool; 256] {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < members.len() {
+        table[members[i] as usize] = true;
+        i += 1;
+    }
+    table
+}
+
+/// Inside a string: its closing quote and the escape introducer.
+const STRING_STOPS: [bool; 256] = byte_set(b"\"\\");
+
+/// Inside a nested object or array: whatever opens a string, opens or
+/// closes a level, or is whitespace the compact shape never holds.
+const NESTED_STOPS: [bool; 256] = byte_set(b"\"{[]} \t\n\r");
+
+/// Index of the first byte at or after `from` that `stops` holds.
+fn next_stop(bytes: &[u8], from: usize, stops: &[bool; 256]) -> Option<usize> {
+    let skipped = bytes
+        .get(from..)?
+        .iter()
+        .position(|&b| stops[usize::from(b)])?;
+    Some(from + skipped)
+}
+
 /// Index just past the JSON string opening at `bytes[start]`.
 fn string_end(bytes: &[u8], start: usize) -> Option<usize> {
     if bytes.get(start) != Some(&b'"') {
@@ -182,11 +231,11 @@ fn string_end(bytes: &[u8], start: usize) -> Option<usize> {
     }
     let mut i = start + 1;
     loop {
-        match *bytes.get(i)? {
-            b'"' => return Some(i + 1),
-            b'\\' => i += 2,
-            _ => i += 1,
+        i = next_stop(bytes, i, &STRING_STOPS)?;
+        if bytes[i] == b'"' {
+            return Some(i + 1);
         }
+        i += 2;
     }
 }
 
@@ -198,20 +247,20 @@ fn value_end(bytes: &[u8], start: usize) -> Option<usize> {
             let mut depth = 0usize;
             let mut i = start;
             loop {
-                match *bytes.get(i)? {
+                i = next_stop(bytes, i, &NESTED_STOPS)?;
+                match bytes[i] {
                     b'"' => {
                         i = string_end(bytes, i)?;
                         continue;
                     }
                     b'{' | b'[' => depth += 1,
-                    b' ' | b'\t' | b'\n' | b'\r' => return None,
                     b'}' | b']' => {
                         depth -= 1;
                         if depth == 0 {
                             return Some(i + 1);
                         }
                     }
-                    _ => {}
+                    _ => return None,
                 }
                 i += 1;
             }
@@ -290,23 +339,53 @@ impl<'a> RawRecord<'a> {
             text,
         })
     }
-
-    fn checksum_valid(&self) -> bool {
-        record_checksum(&self.text) == self.checksum
-    }
 }
 
-/// The one classifier `open` and `compact` share: a line is valid only if
-/// it has the writer's shape and its checksum verifies against the bytes
-/// as they sit in the line; `keep` maps a valid record to what the caller
-/// holds. Nothing is decoded here.
-fn classify_line<'a, V>(line: &'a str, keep: impl FnOnce(RawRecord<'a>) -> V) -> Class<u64, V> {
-    match RawRecord::parse(line) {
-        Some(rec) if !rec.checksum_valid() => Class::Corrupt,
-        Some(rec) if rec.engine_version != ENGINE_VERSION => Class::Stale,
-        Some(rec) => Class::Valid(rec.digest, keep(rec)),
-        None => Class::Corrupt,
-    }
+/// Lines whose checksums one pass of [`fnv1a_64_fold_x4`] folds side by
+/// side.
+const WINDOW: usize = 4;
+
+/// The one classifier `open` and `compact` share: every non-blank line of
+/// `text`, in file order, with its byte offset and class. A line is valid
+/// only if it has the writer's shape and its checksum verifies against the
+/// bytes as they sit in the line; nothing is decoded here. Lines are taken
+/// [`WINDOW`] at a time and the checksums of a window are folded side by
+/// side, so one window of records is all that is held at once.
+fn classify_lines(text: &str) -> impl Iterator<Item = (usize, Class<u64, RawRecord<'_>>)> {
+    let mut lines = store::lines(text).fuse();
+    std::iter::from_fn(move || {
+        let window: [Option<(usize, &str)>; WINDOW] = std::array::from_fn(|_| lines.next());
+        window[0].is_some().then(|| classify_window(window))
+    })
+    .flatten()
+}
+
+/// [`classify_lines`] of one window; `None` slots are past the end.
+fn classify_window<'a>(
+    window: [Option<(usize, &'a str)>; WINDOW],
+) -> impl Iterator<Item = (usize, Class<u64, RawRecord<'a>>)> {
+    let records = window.map(|line| RawRecord::parse(line?.1));
+    let heads = records.each_ref().map(|rec| {
+        rec.as_ref()
+            .map_or(FNV1A_64_OFFSET, |r| checksum_head(&r.text))
+    });
+    let metrics = records
+        .each_ref()
+        .map(|rec| rec.as_ref().map_or(&[][..], |r| r.text.metrics.as_bytes()));
+    let sums = fnv1a_64_fold_x4(heads, metrics);
+    window
+        .into_iter()
+        .zip(records)
+        .zip(sums)
+        .filter_map(|((line, rec), sum)| {
+            let class = match rec {
+                Some(rec) if rec.checksum != sum => Class::Corrupt,
+                Some(rec) if rec.engine_version != ENGINE_VERSION => Class::Stale,
+                Some(rec) => Class::Valid(rec.digest, rec),
+                None => Class::Corrupt,
+            };
+            Some((line?.0, class))
+        })
 }
 
 /// One persisted cost observation (one JSONL line in `costs.jsonl`).
@@ -365,11 +444,9 @@ impl RecordFile {
     /// Open (creating if needed) the record file at `path`.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let text = store::read(path);
-        let (entries, opened) = store::load(&text, |at, line| {
-            classify_line(line, |rec| {
-                Entry::Raw(at + rec.metrics.start..at + rec.metrics.end)
-            })
-        });
+        let (entries, opened) = store::tally(classify_lines(&text).map(|(at, class)| {
+            class.map(|rec| Entry::Raw(at + rec.metrics.start..at + rec.metrics.end))
+        }));
         Ok(Self {
             log: Appender::open(path)?,
             text,
@@ -517,7 +594,7 @@ impl ResultCache {
         let mut stats = SkipStats::default();
         let mut live = Records::default();
         self.records.log.rewrite(|text| {
-            let (kept, loaded) = store::load(text, |_, line| classify_line(line, |rec| rec));
+            let (kept, loaded) = store::tally(classify_lines(text).map(|(_, class)| class));
             stats = loaded;
             let mut out = String::new();
             for rec in kept.into_values() {
@@ -667,7 +744,7 @@ mod tests {
     use super::*;
     use crate::mechanism::Mechanism;
     use crate::run::run_workload;
-    use puno_workloads::WorkloadId;
+    use puno_workloads::{fnv1a_64, WorkloadId};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("puno-cache-{}-{tag}", std::process::id()));
@@ -1047,6 +1124,82 @@ mod tests {
         let params = WorkloadId::Genome.params();
         let est = model.estimate("genome", "puno", &params);
         assert!((est - 0.03 * params.tx_per_node as f64).abs() < 1e-9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn four_chain_kernel_is_four_serial_folds() {
+        let text: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        let states = [FNV1A_64_OFFSET, 1, 0xDEAD_BEEF, u64::MAX];
+        for lens in [
+            [0, 0, 0, 0],
+            [0, 5, 9, 300],
+            [7, 7, 7, 7],
+            [300, 299, 1, 0],
+            [64, 200, 128, 3],
+        ] {
+            let chains =
+                [0, 1, 2, 3].map(|k| &text[k * 3..k * 3 + lens[k].min(text.len() - k * 3)]);
+            let serial = [0, 1, 2, 3].map(|k| fnv1a_64_fold(states[k], chains[k]));
+            assert_eq!(fnv1a_64_fold_x4(states, chains), serial, "{lens:?}");
+        }
+    }
+
+    /// Open the old way, one line at a time: every line split and its
+    /// checksum folded serially, last record per key kept.
+    fn serial_reference(text: &str) -> (Records<u64, String>, SkipStats) {
+        store::load(text, |_, line| match RawRecord::parse(line) {
+            Some(rec) if record_checksum(&rec.text) != rec.checksum => Class::Corrupt,
+            Some(rec) if rec.engine_version != ENGINE_VERSION => Class::Stale,
+            Some(rec) => Class::Valid(rec.digest, rec.text.metrics.to_string()),
+            None => Class::Corrupt,
+        })
+    }
+
+    /// Files of 1 to 9 records with one corrupt, stale or duplicate record
+    /// at each position (so at every offset within, and across, the
+    /// windows of four that open checks together): what open kept and
+    /// skipped, and every lookup, match the serial reference.
+    #[test]
+    fn windowed_open_matches_a_serial_reference() {
+        let dir = temp_dir("windowed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("results.jsonl");
+        let base = run_workload(
+            Mechanism::Baseline,
+            &WorkloadId::Ssca2.params().scaled(0.05),
+            9,
+        );
+        let metrics = |k: u64| RunMetrics {
+            cycles: base.cycles + k,
+            ..base.clone()
+        };
+        let line = |digest: u64, k: u64| record_line(digest, 9, &metrics(k));
+        for n in 1..=9u64 {
+            for at in 0..n {
+                for odd in ["corrupt", "torn", "stale", "duplicate"] {
+                    let mut lines: Vec<String> = (0..n).map(|d| line(d, d)).collect();
+                    lines[at as usize] = match odd {
+                        "corrupt" => line(at, at).replacen("\"cycles\":", "\"cycles\":1", 1),
+                        "torn" => line(at, at)[..40].to_string(),
+                        "stale" => {
+                            serde_json::to_string(&record(at, ENGINE_VERSION + 1, 9, &metrics(at)))
+                                .unwrap()
+                        }
+                        _ => line((at + 1) % n, 100 + at),
+                    };
+                    let text = lines.join("\n") + "\n";
+                    std::fs::write(&path, &text).unwrap();
+                    let file = RecordFile::open(&path).unwrap();
+                    let (reference, stats) = serial_reference(&text);
+                    assert_eq!(file.stats(), stats, "{n} records, {odd} at {at}");
+                    for digest in 0..=n {
+                        let got = file.get(digest).map(|m| serde_json::to_string(&m).unwrap());
+                        assert_eq!(got.as_ref(), reference.get(&digest), "{n}, {odd} at {at}");
+                    }
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

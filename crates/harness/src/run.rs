@@ -92,31 +92,16 @@ pub fn run_with_config_cached(
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
-thread_local! {
-    /// Set by [`cache_through`] when it serves a cell from the cache,
-    /// consumed by the sweep driver through [`take_cache_hit`].
-    static CACHE_HIT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Consume this thread's note that the cell it just ran was served from
-/// the result cache. The sweep reads it after each cell to flag the cell's
-/// warehouse row and to keep the replayed wall-clock out of the cost model.
-pub(crate) fn take_cache_hit() -> bool {
-    CACHE_HIT.with(|c| c.replace(false))
-}
-
-/// The cache-through path of one cell, shared by [`run_with_config_cached`]
-/// and the sweep cell body: serve `digest` from `cache` when it is stored
-/// (noting the hit for [`take_cache_hit`]), else `run` the cell and store a
-/// successful result. A failed run is never stored.
-pub(crate) fn cache_through(
+/// The cache-through path of one cell behind [`run_with_config_cached`]:
+/// serve `digest` from `cache` when it is stored, else `run` the cell and
+/// store a successful result. A failed run is never stored.
+fn cache_through(
     cache: Option<&ResultCache>,
     digest: u64,
     seed: u64,
     run: impl FnOnce() -> Result<RunMetrics, RunError>,
 ) -> Result<RunMetrics, RunError> {
     if let Some(metrics) = cache.and_then(|c| c.lookup(digest)) {
-        CACHE_HIT.with(|c| c.set(true));
         return Ok(metrics);
     }
     let metrics = run()?;
@@ -140,18 +125,5 @@ mod tests {
             committed.push(m.committed);
         }
         assert!(committed.windows(2).all(|w| w[0] == w[1]), "{committed:?}");
-    }
-
-    #[test]
-    fn cache_hit_note_is_per_thread_and_consumed() {
-        assert!(!take_cache_hit());
-        CACHE_HIT.with(|c| c.set(true));
-        assert!(take_cache_hit());
-        assert!(!take_cache_hit());
-        std::thread::spawn(|| {
-            assert!(!take_cache_hit());
-        })
-        .join()
-        .unwrap();
     }
 }

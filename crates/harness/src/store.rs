@@ -34,6 +34,17 @@ pub enum Class<K, V> {
     Corrupt,
 }
 
+impl<K, V> Class<K, V> {
+    /// The same class, holding `keep` of a valid record's value.
+    pub fn map<W>(self, keep: impl FnOnce(V) -> W) -> Class<K, W> {
+        match self {
+            Class::Valid(key, value) => Class::Valid(key, keep(value)),
+            Class::Stale => Class::Stale,
+            Class::Corrupt => Class::Corrupt,
+        }
+    }
+}
+
 /// Poison-tolerant lock, for data that every critical section leaves valid
 /// (a single insert, remove, push or write): a worker that panicked holding
 /// the lock left nothing half-done, so recover the guard instead of
@@ -75,10 +86,19 @@ pub fn load<'t, K: Eq + Hash, V>(
     text: &'t str,
     mut classify: impl FnMut(usize, &'t str) -> Class<K, V>,
 ) -> (Records<K, V>, SkipStats) {
+    tally(lines(text).map(|(at, line)| classify(at, line)))
+}
+
+/// Keep the valid records of `classes`, one class per line in file order,
+/// last-wins per key, and count what was skipped: [`load`] for a format
+/// that classifies its lines itself.
+pub fn tally<K: Eq + Hash, V>(
+    classes: impl IntoIterator<Item = Class<K, V>>,
+) -> (Records<K, V>, SkipStats) {
     let mut records = Records::default();
     let mut stats = SkipStats::default();
-    for (at, line) in lines(text) {
-        match classify(at, line) {
+    for class in classes {
+        match class {
             Class::Valid(key, value) => stats.duplicate += u64::from(records.insert(key, value)),
             Class::Stale => stats.stale += 1,
             Class::Corrupt => stats.corrupt += 1,

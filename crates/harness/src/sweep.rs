@@ -11,18 +11,21 @@
 //! [`RecordFile`]) as they complete, keyed by their full cell identity,
 //! and a re-run resumes from it, skipping cells that already succeeded.
 
-use crate::cache::{cell_digest, global_cache, CostRecord, RecordFile, ResultCache};
+use crate::cache::{
+    config_digest_state, finish_cell_digest, global_cache, CostRecord, RecordFile, ResultCache,
+};
 use crate::error::RunError;
 use crate::metrics::RunMetrics;
+use crate::store;
 use crate::system::System;
 use crate::warehouse::{self, WarehouseRow};
 use crate::{Mechanism, SystemConfig};
 use puno_sim::FaultPlan;
-use puno_workloads::{fnv1a_64_fold, params_digest, ProgramSet, WorkloadId, WorkloadParams};
-use std::collections::HashMap;
+use puno_workloads::{fnv1a_64_fold, ProgramSet, WorkloadId, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One sweep cell: the workload, the mechanism, and the run result.
 #[derive(Clone, Debug)]
@@ -247,62 +250,67 @@ const RETRY_TRACE_CAPACITY: usize = 4096;
 /// worker scheduling or resume state.
 ///
 /// The cell body is the sweep-scale fast path: each workload's trace is
-/// generated once per `(params, seed)` and shared immutably across its
-/// mechanism cells and retries (each cell builds its `System` with
+/// generated once per sweep and shared immutably across its mechanism
+/// cells and retries (each cell builds its `System` with
 /// [`System::new_shared`]); and with a result cache configured, fault-free
 /// cells whose inputs are unchanged replay their stored metrics without
 /// simulating at all. Both paths are bit-identical to a fresh
-/// `System::new(..).try_run_recycled()` per cell.
+/// `System::new(..).try_run_recycled()` per cell. Warehouse rows are built
+/// only for the `PUNO_WAREHOUSE` sink; [`try_sweep_rows`] returns them.
 pub fn try_sweep(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
     opts: &SweepOptions,
 ) -> Vec<CellOutcome> {
-    try_sweep_rows(workloads, mechanisms, opts).0
+    simulating_sweep(workloads, mechanisms, opts, false).0
 }
 
 /// [`try_sweep`] additionally returning one flattened [`WarehouseRow`] per
 /// cell (deterministic cell order, same `run_id` for the whole sweep) —
 /// what `sweep_all --json` emits and what the `PUNO_WAREHOUSE` sink
-/// records.
+/// records. A row is flagged `cache_hit` when the cell was replayed from
+/// the result cache.
 pub fn try_sweep_rows(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
     opts: &SweepOptions,
 ) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
-    let programs: Mutex<HashMap<(u64, u64), Arc<ProgramSet>>> = Mutex::new(HashMap::new());
+    simulating_sweep(workloads, mechanisms, opts, true)
+}
+
+/// The sweep behind [`try_sweep`] and [`try_sweep_rows`]: the result cache
+/// serves what it holds, and the rest simulates on shared programs.
+fn simulating_sweep(
+    workloads: &[WorkloadId],
+    mechanisms: &[Mechanism],
+    opts: &SweepOptions,
+    want_rows: bool,
+) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
+    let programs: Vec<OnceLock<ProgramSet>> = workloads.iter().map(|_| OnceLock::new()).collect();
     // Fault plans perturb simulated behaviour, so those runs are neither
     // served from nor stored into the cache.
     let cache = opts
         .result_cache
         .as_deref()
         .filter(|_| opts.fault_plan.is_empty());
-    try_sweep_with_rows(
+    run_sweep(
         workloads,
         mechanisms,
         opts,
-        move |mechanism, params, seed, traced| {
-            let config = (opts.config)(mechanism);
-            let digest = cell_digest(&config, params, seed);
-            crate::run::cache_through(cache, digest, seed, || {
-                let program_set = {
-                    let key = (params_digest(params), seed);
-                    let mut map = programs.lock().unwrap_or_else(|e| e.into_inner());
-                    map.entry(key)
-                        .or_insert_with(|| {
-                            Arc::new(ProgramSet::generate(params, config.nodes(), seed))
-                        })
-                        .clone()
-                };
-                let mut sys = System::new_shared(config, params, seed, &program_set);
-                if traced {
-                    sys.enable_trace(RETRY_TRACE_CAPACITY);
-                }
-                if !opts.fault_plan.is_empty() {
-                    sys.set_fault_plan(opts.fault_plan.clone());
-                }
-                sys.try_run_recycled()
-            })
+        cache,
+        want_rows,
+        |cell, params, traced| {
+            let config = (opts.config)(cell.key.mechanism);
+            let program_set = programs[cell.workload]
+                .get_or_init(|| ProgramSet::generate(params, config.nodes(), cell.key.seed));
+            let mut sys = System::new_shared(config, params, cell.key.seed, program_set);
+            if traced {
+                sys.enable_trace(RETRY_TRACE_CAPACITY);
+            }
+            if !opts.fault_plan.is_empty() {
+                sys.set_fault_plan(opts.fault_plan.clone());
+            }
+            sys.try_run_recycled()
         },
     )
 }
@@ -310,7 +318,8 @@ pub fn try_sweep_rows(
 /// [`try_sweep`] parameterized over the per-cell runner — the containment,
 /// retry, and checkpoint machinery is identical, but tests (and custom
 /// harnesses) can substitute their own cell body. The runner's `traced`
-/// flag is false on the first attempt and true on retries.
+/// flag is false on the first attempt and true on retries. The result
+/// cache is left to the runner: none is consulted here.
 pub fn try_sweep_with<F>(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
@@ -320,15 +329,21 @@ pub fn try_sweep_with<F>(
 where
     F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
 {
-    try_sweep_with_rows(workloads, mechanisms, opts, runner).0
+    run_sweep(
+        workloads,
+        mechanisms,
+        opts,
+        None,
+        false,
+        |cell, params, traced| runner(cell.key.mechanism, params, cell.key.seed, traced),
+    )
+    .0
 }
 
 /// [`try_sweep_with`] additionally returning one [`WarehouseRow`] per cell.
-/// A row is flagged `cache_hit` when [`try_sweep_rows`]'s runner replayed
-/// the cell from the result cache; such a cell's wall-clock is also kept
-/// out of the persisted cost model. With `PUNO_WAREHOUSE` set the rows are
-/// appended to the cross-run warehouse. Recording is host-side only — cell
-/// outcomes are bit-identical with the sink on or off.
+/// With `PUNO_WAREHOUSE` set the rows are appended to the cross-run
+/// warehouse. Recording is host-side only — cell outcomes are
+/// bit-identical with the sink on or off.
 pub fn try_sweep_with_rows<F>(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
@@ -338,38 +353,120 @@ pub fn try_sweep_with_rows<F>(
 where
     F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
 {
-    let cells: Vec<(CellKey, WorkloadParams)> = workloads
+    run_sweep(
+        workloads,
+        mechanisms,
+        opts,
+        None,
+        true,
+        |cell, params, traced| runner(cell.key.mechanism, params, cell.key.seed, traced),
+    )
+}
+
+/// One sweep cell with its identity resolved once per sweep.
+struct Cell {
+    key: CellKey,
+    /// Index of the cell's workload in the sweep (and its parameters).
+    workload: usize,
+    /// The cell's [`crate::cache::cell_digest`]: its result-cache key, the
+    /// base of its checkpoint key, and its warehouse row's `digest`.
+    digest: u64,
+}
+
+/// Each workload's scaled parameters, and the `workloads x mechanisms`
+/// cells in workload-major order. Each mechanism's configuration and each
+/// workload's parameters are `Debug`-formatted once for the whole grid,
+/// and every cell digest is folded from those pieces.
+fn grid(
+    workloads: &[WorkloadId],
+    mechanisms: &[Mechanism],
+    opts: &SweepOptions,
+) -> (Vec<WorkloadParams>, Vec<Cell>) {
+    let config_states: Vec<u64> = mechanisms
         .iter()
-        .flat_map(|&w| {
-            let params = w.params().scaled(opts.scale);
-            mechanisms.iter().map(move |&m| {
-                (
-                    CellKey {
-                        workload: w,
-                        mechanism: m,
+        .map(|&m| config_digest_state(&(opts.config)(m)))
+        .collect();
+    let mut params = Vec::with_capacity(workloads.len());
+    let mut cells = Vec::with_capacity(workloads.len() * mechanisms.len());
+    for (index, &workload) in workloads.iter().enumerate() {
+        let scaled = workload.params().scaled(opts.scale);
+        let debug = format!("{scaled:?}");
+        cells.extend(
+            mechanisms
+                .iter()
+                .zip(&config_states)
+                .map(|(&mechanism, &state)| Cell {
+                    key: CellKey {
+                        workload,
+                        mechanism,
                         seed: opts.seed,
                     },
-                    params.clone(),
-                )
-            })
-        })
-        .collect();
+                    workload: index,
+                    digest: finish_cell_digest(state, &debug, opts.seed),
+                }),
+        );
+        params.push(scaled);
+    }
+    (params, cells)
+}
+
+/// The sweep machinery every entry point shares. Checkpoint resumes, then
+/// `cache` hits, are served on the calling thread; only the cells left
+/// over are scheduled onto workers, so a fully served sweep loads no cost
+/// model and spawns no thread. A cell that `runner` completes is stored
+/// into `cache` and the checkpoint. Rows are built when `want_rows` is set
+/// or the `PUNO_WAREHOUSE` sink is on.
+fn run_sweep<F>(
+    workloads: &[WorkloadId],
+    mechanisms: &[Mechanism],
+    opts: &SweepOptions,
+    cache: Option<&ResultCache>,
+    want_rows: bool,
+    runner: F,
+) -> (Vec<CellOutcome>, Vec<WarehouseRow>)
+where
+    F: Fn(&Cell, &WorkloadParams, bool) -> Result<RunMetrics, RunError> + Sync,
+{
+    let (params, cells) = grid(workloads, mechanisms, opts);
 
     let checkpoint: Option<RecordFile> = opts.checkpoint.as_deref().map(|path| {
         RecordFile::open(path)
             .unwrap_or_else(|e| panic!("cannot open sweep checkpoint {path:?}: {e}"))
     });
 
-    // Slot per cell; resumed successes are filled in up front, the rest run.
+    // Slot per cell. Checkpoint resumes, then cache hits, are filled in
+    // here; a cache hit is checkpointed like a finished cell and flagged
+    // for its warehouse row.
+    let mut cache_hits = vec![false; cells.len()];
+    let mut unresumed = 0;
     let mut slots: Vec<Option<CellOutcome>> = cells
         .iter()
-        .map(|(key, params)| {
-            let metrics = checkpoint
-                .as_ref()?
-                .get(checkpoint_key(opts, key, params))?;
-            Some(CellOutcome::Ok { key: *key, metrics })
+        .zip(&mut cache_hits)
+        .map(|(cell, hit)| {
+            let resume_key = || checkpoint_key(opts, cell.digest);
+            let resumed = checkpoint.as_ref().and_then(|file| file.get(resume_key()));
+            let metrics = match resumed {
+                Some(metrics) => metrics,
+                None => {
+                    unresumed += 1;
+                    let metrics = cache?.lookup(cell.digest)?;
+                    if let Some(file) = &checkpoint {
+                        file.put(resume_key(), cell.key.seed, &metrics);
+                    }
+                    *hit = true;
+                    metrics
+                }
+            };
+            Some(CellOutcome::Ok {
+                key: cell.key,
+                metrics,
+            })
         })
         .collect();
+    // The worker count is decided over every cell the checkpoint did not
+    // resume, cache hits included, so a warm replay reports the count its
+    // cold run did.
+    let workers = effective_workers(unresumed);
     let mut jobs: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
 
     // Cost-aware scheduling: order the queue longest-estimated-first (LPT)
@@ -378,64 +475,69 @@ where
     // Estimates come from prior cell wall-clocks persisted next to the
     // result cache, falling back to a parameter-derived heuristic for
     // never-seen cells; ties (and the no-information case) preserve the
-    // original deterministic cell order. Output order is unaffected.
-    let cost_model = opts
-        .result_cache
-        .as_deref()
-        .map(ResultCache::load_costs)
-        .unwrap_or_default();
-    let estimates: Vec<f64> = cells
-        .iter()
-        .map(|(key, params)| cost_model.estimate(key.workload.name(), key.mechanism.name(), params))
-        .collect();
-    jobs.sort_by(|&a, &b| {
-        estimates[b]
-            .partial_cmp(&estimates[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    // original deterministic cell order. Output order is unaffected. The
+    // model is loaded only when some cell is left to simulate.
+    if !jobs.is_empty() {
+        let cost_model = opts
+            .result_cache
+            .as_deref()
+            .map(ResultCache::load_costs)
+            .unwrap_or_default();
+        let estimates: Vec<f64> = cells
+            .iter()
+            .map(|cell| {
+                let (workload, mechanism) = (cell.key.workload.name(), cell.key.mechanism.name());
+                cost_model.estimate(workload, mechanism, &params[cell.workload])
+            })
+            .collect();
+        jobs.sort_by(|&a, &b| {
+            estimates[b]
+                .partial_cmp(&estimates[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+    }
 
-    let done: Mutex<Vec<(usize, CellOutcome, bool)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let threads = effective_workers(jobs.len());
-
+    let done: Mutex<Vec<(usize, CellOutcome)>> = Mutex::new(Vec::with_capacity(jobs.len()));
+    let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        let (jobs, cells, done, next) = (&jobs, &cells, &done, &next);
+        let (jobs, cells, params, done, next) = (&jobs, &cells, &params, &done, &next);
         let (runner, checkpoint, retry) = (&runner, &checkpoint, &opts.retry);
-        for _ in 0..threads {
+        for _ in 0..workers.min(jobs.len()) {
             s.spawn(move || loop {
-                let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let j = next.fetch_add(1, Ordering::Relaxed);
                 if j >= jobs.len() {
                     break;
                 }
                 let i = jobs[j];
-                let (key, ref params) = cells[i];
-                let outcome = run_cell(runner, key, params, retry);
-                let cache_hit = crate::run::take_cache_hit();
-                if let (Some(file), CellOutcome::Ok { metrics, .. }) = (checkpoint, &outcome) {
-                    file.put(checkpoint_key(opts, &key, params), key.seed, metrics);
+                let cell = &cells[i];
+                let params = &params[cell.workload];
+                let outcome = run_cell(cell.key, retry, |traced| runner(cell, params, traced));
+                if let CellOutcome::Ok { metrics, .. } = &outcome {
+                    if let Some(cache) = cache {
+                        cache.store(cell.digest, 0, cell.key.seed, metrics);
+                    }
+                    if let Some(file) = checkpoint {
+                        file.put(checkpoint_key(opts, cell.digest), cell.key.seed, metrics);
+                    }
                 }
-                done.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push((i, outcome, cache_hit));
+                store::lock(done).push((i, outcome));
             });
         }
     });
 
-    // Feed observed wall-clocks back into the persisted cost model (only
-    // cells that actually simulated this sweep: resumed cells are skipped,
-    // and a cache hit carries the wall-clock of the run that stored it,
-    // which the model has already seen).
+    // Feed observed wall-clocks back into the persisted cost model. Only
+    // cells that simulated in this sweep are here: a resumed cell or a
+    // cache hit carries the wall-clock of the run that stored it, which
+    // the model has already seen.
     let mut cost_records: Vec<CostRecord> = Vec::new();
-    let mut cache_hits = vec![false; cells.len()];
-    for (i, outcome, cache_hit) in done.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        cache_hits[i] = cache_hit;
+    for (i, outcome) in done.into_inner().unwrap_or_else(|e| e.into_inner()) {
         if let CellOutcome::Ok { key, metrics } = &outcome {
-            if !cache_hit && metrics.host.wall_secs > 0.0 {
+            if metrics.host.wall_secs > 0.0 {
                 cost_records.push(CostRecord {
                     workload: key.workload.name().to_string(),
                     mechanism: key.mechanism.name().to_string(),
-                    tx_per_node: cells[i].1.tx_per_node,
+                    tx_per_node: params[cells[i].workload].tx_per_node,
                     wall_secs: metrics.host.wall_secs,
                 });
             }
@@ -454,50 +556,18 @@ where
             // host-side perf block (non-deterministic observability only —
             // excluded from golden comparisons like the rest of HostPerf).
             if let CellOutcome::Ok { metrics, .. } = &mut outcome {
-                metrics.host.sweep_workers = threads as u64;
+                metrics.host.sweep_workers = workers as u64;
             }
             outcome
         })
         .collect();
 
-    // Flatten every cell into a warehouse row (deterministic order, one
-    // run_id for the whole sweep) and record them when the sink is on.
-    let recorded_unix = warehouse::unix_now();
-    let run_id = warehouse::run_id_from_env(recorded_unix);
-    let rows: Vec<WarehouseRow> = outcomes
-        .iter()
-        .zip(cells.iter())
-        .enumerate()
-        .map(|(i, (outcome, (key, params)))| {
-            let digest = cell_digest(&(opts.config)(key.mechanism), params, key.seed);
-            match outcome {
-                CellOutcome::Ok { metrics, .. } => WarehouseRow::from_metrics(
-                    &run_id,
-                    recorded_unix,
-                    digest,
-                    "ok",
-                    cache_hits[i],
-                    metrics,
-                ),
-                CellOutcome::Err { .. } | CellOutcome::Quarantined { .. } => {
-                    WarehouseRow::placeholder(
-                        &run_id,
-                        recorded_unix,
-                        digest,
-                        key.workload.name(),
-                        key.mechanism.name(),
-                        key.seed,
-                        if outcome.is_quarantined() {
-                            "quarantined"
-                        } else {
-                            "err"
-                        },
-                    )
-                }
-            }
-        })
-        .collect();
-    if let Some(dir) = warehouse::env_warehouse() {
+    let sink = warehouse::env_warehouse();
+    if !want_rows && sink.is_none() {
+        return (outcomes, Vec::new());
+    }
+    let rows = warehouse_rows(&outcomes, &cells, &cache_hits);
+    if let Some(dir) = sink {
         let appended = warehouse::Warehouse::open(&dir).and_then(|wh| wh.append(&rows));
         if let Err(e) = appended {
             eprintln!(
@@ -506,8 +576,46 @@ where
             );
         }
     }
-
     (outcomes, rows)
+}
+
+/// Flatten every cell into a warehouse row: deterministic order, one
+/// `run_id` for the whole sweep.
+fn warehouse_rows(
+    outcomes: &[CellOutcome],
+    cells: &[Cell],
+    cache_hits: &[bool],
+) -> Vec<WarehouseRow> {
+    let recorded_unix = warehouse::unix_now();
+    let run_id = warehouse::run_id_from_env(recorded_unix);
+    outcomes
+        .iter()
+        .zip(cells)
+        .zip(cache_hits)
+        .map(|((outcome, cell), &cache_hit)| match outcome {
+            CellOutcome::Ok { metrics, .. } => WarehouseRow::from_metrics(
+                &run_id,
+                recorded_unix,
+                cell.digest,
+                "ok",
+                cache_hit,
+                metrics,
+            ),
+            CellOutcome::Err { .. } | CellOutcome::Quarantined { .. } => WarehouseRow::placeholder(
+                &run_id,
+                recorded_unix,
+                cell.digest,
+                cell.key.workload.name(),
+                cell.key.mechanism.name(),
+                cell.key.seed,
+                if outcome.is_quarantined() {
+                    "quarantined"
+                } else {
+                    "err"
+                },
+            ),
+        })
+        .collect()
 }
 
 /// Effective sweep worker count — the single place it is decided.
@@ -533,26 +641,20 @@ pub fn effective_workers(jobs: usize) -> usize {
     capped.min(jobs.max(1))
 }
 
-/// Run one cell with panic containment under the escalating retry policy.
-/// A cell that exhausts a multi-attempt budget comes back
-/// [`CellOutcome::Quarantined`]; with no retry budget a failure stays a
-/// plain [`CellOutcome::Err`].
-fn run_cell<F>(
-    runner: &F,
+/// Run one cell (`attempt`, given whether it runs traced) with panic
+/// containment under the escalating retry policy. A cell that exhausts a
+/// multi-attempt budget comes back [`CellOutcome::Quarantined`]; with no
+/// retry budget a failure stays a plain [`CellOutcome::Err`].
+fn run_cell(
     key: CellKey,
-    params: &WorkloadParams,
     policy: &RetryPolicy,
-) -> CellOutcome
-where
-    F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
-{
+    attempt: impl Fn(bool) -> Result<RunMetrics, RunError>,
+) -> CellOutcome {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         let traced = attempts > 1;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            runner(key.mechanism, params, key.seed, traced)
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| attempt(traced)));
         let error = match result {
             Ok(Ok(metrics)) => return CellOutcome::Ok { key, metrics },
             Ok(Err(error)) => error,
@@ -593,11 +695,10 @@ fn panic_payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// A cell's key in the sweep checkpoint: its full identity, the
-/// [`cell_digest`] of the sweep's configuration, parameters and seed, with
+/// [`crate::cache::cell_digest`] of the sweep's configuration, parameters and seed, with
 /// the fault plan folded in when one is installed. A checkpoint written at
 /// another scale, configuration or fault plan resumes nothing.
-fn checkpoint_key(opts: &SweepOptions, key: &CellKey, params: &WorkloadParams) -> u64 {
-    let digest = cell_digest(&(opts.config)(key.mechanism), params, key.seed);
+fn checkpoint_key(opts: &SweepOptions, digest: u64) -> u64 {
     if opts.fault_plan.is_empty() {
         digest
     } else {

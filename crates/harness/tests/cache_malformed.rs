@@ -13,6 +13,8 @@
 //! the parsed value, and a typed decode. Lines the reference accepts but
 //! the writer would never produce — anything outside its compact shape, or
 //! not byte-for-byte the text the checksum covers — classify as corrupt.
+//! The field splitter itself must agree with a plain byte-by-byte walker
+//! on every corpus line and on seeded mutations of them.
 
 use puno_harness::cache::{cell_digest, split_fields, RecordFile, ResultCache, ENGINE_VERSION};
 use puno_harness::run::run_with_config;
@@ -526,6 +528,128 @@ fn the_splitter_survives_arbitrary_input() {
             for (_, span) in fields {
                 assert!(text.get(span).is_some(), "span off a char boundary");
             }
+        }
+    }
+}
+
+/// [`split_fields`] the plain way: one `match` per byte. The splitter
+/// skips ordinary bytes through a table instead; the two must agree on
+/// every input.
+fn reference_split_fields(line: &str) -> Option<Vec<(&str, std::ops::Range<usize>)>> {
+    fn string_end(bytes: &[u8], start: usize) -> Option<usize> {
+        if bytes.get(start) != Some(&b'"') {
+            return None;
+        }
+        let mut i = start + 1;
+        loop {
+            match *bytes.get(i)? {
+                b'"' => return Some(i + 1),
+                b'\\' => i += 2,
+                _ => i += 1,
+            }
+        }
+    }
+    fn value_end(bytes: &[u8], start: usize) -> Option<usize> {
+        match *bytes.get(start)? {
+            b'"' => string_end(bytes, start),
+            b'{' | b'[' => {
+                let mut depth = 0usize;
+                let mut i = start;
+                loop {
+                    match *bytes.get(i)? {
+                        b'"' => {
+                            i = string_end(bytes, i)?;
+                            continue;
+                        }
+                        b'{' | b'[' => depth += 1,
+                        b' ' | b'\t' | b'\n' | b'\r' => return None,
+                        b'}' | b']' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                return Some(i + 1);
+                            }
+                        }
+                        _ => {}
+                    }
+                    i += 1;
+                }
+            }
+            _ => {
+                let len = bytes
+                    .get(start..)?
+                    .iter()
+                    .take_while(|&&b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'+' | b'.'))
+                    .count();
+                (len > 0).then_some(start + len)
+            }
+        }
+    }
+    let bytes = line.as_bytes();
+    if bytes.first() != Some(&b'{') {
+        return None;
+    }
+    let mut fields = Vec::new();
+    if bytes.get(1) == Some(&b'}') {
+        return (bytes.len() == 2).then_some(fields);
+    }
+    let mut pos = 1;
+    loop {
+        let key_end = string_end(bytes, pos)?;
+        let key = line.get(pos + 1..key_end - 1)?;
+        if key.contains('\\') || bytes.get(key_end) != Some(&b':') {
+            return None;
+        }
+        let start = key_end + 1;
+        let end = value_end(bytes, start)?;
+        fields.push((key, start..end));
+        match bytes.get(end) {
+            Some(b',') => pos = end + 1,
+            Some(b'}') if end + 1 == bytes.len() => return Some(fields),
+            _ => return None,
+        }
+    }
+}
+
+#[test]
+fn the_splitter_agrees_with_a_byte_walker() {
+    let mut rng = SimRng::new(0x5911);
+    let real: Vec<String> = FORMATS
+        .iter()
+        .flat_map(|format| format.real_lines("walker"))
+        .collect();
+    let agree = |bytes: &[u8]| {
+        let text = String::from_utf8_lossy(bytes);
+        assert_eq!(
+            split_fields(&text),
+            reference_split_fields(&text),
+            "splitter and byte walker disagree on {text}"
+        );
+    };
+    // What a mutation inserts: whitespace, escapes, brackets and quotes.
+    let inserts: [&[u8]; 12] = [
+        b" ", b"\t", b"\n", b"\r", b"\\", b"\\\"", b"\"", b"{", b"}", b"[", b"]", b"\\u0041",
+    ];
+    for line in &real {
+        let healthy = line.as_bytes();
+        agree(healthy);
+        assert!(split_fields(line).is_some(), "a real line splits: {line}");
+        for cut in 0..healthy.len() {
+            agree(&healthy[..cut]);
+        }
+        for _ in 0..400 {
+            let mut bytes = healthy.to_vec();
+            let at = rng.gen_range(bytes.len() as u64) as usize;
+            match rng.gen_range(3) {
+                0 => bytes[at] ^= 1 << rng.gen_range(8),
+                1 => {
+                    let insert = inserts[rng.gen_range(inserts.len() as u64) as usize];
+                    bytes.splice(at..at, insert.iter().copied());
+                }
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+            agree(&bytes);
         }
     }
 }

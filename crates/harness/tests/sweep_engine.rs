@@ -13,10 +13,12 @@
 //! replay fails here.
 
 use puno_harness::run::run_with_config;
-use puno_harness::sweep::{try_sweep, try_sweep_rows, try_sweep_with, CellOutcome, SweepOptions};
-use puno_harness::{Mechanism, ResultCache, SystemConfig};
+use puno_harness::sweep::{
+    try_sweep, try_sweep_rows, try_sweep_with, try_sweep_with_rows, CellOutcome, SweepOptions,
+};
+use puno_harness::{cell_digest, Mechanism, ResultCache, SystemConfig, ENGINE_VERSION};
 use puno_sim::FaultPlan;
-use puno_workloads::{WorkloadId, WorkloadParams};
+use puno_workloads::{fnv1a_64, WorkloadId, WorkloadParams};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -267,4 +269,120 @@ fn a_damaged_checkpoint_record_re_runs_its_cell() {
     assert_eq!(runs, 1, "exactly the damaged cell re-runs");
     assert_eq!(resumed, written, "the damaged value was served");
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+/// Every row's digest — the sweep folds it from each mechanism's
+/// configuration and each workload's parameters, formatted once per sweep
+/// — equals `cell_digest` and the FNV-1a of the joined string it is
+/// defined as, for the whole grid on all three meshes at two seeds. A
+/// changed digest would silently orphan every cache already on disk.
+#[test]
+fn sweep_digests_are_cell_digests() {
+    let canned = run_with_config(
+        SystemConfig::paper(Mechanism::Baseline),
+        &WorkloadId::Ssca2.params().scaled(GOLDEN_SCALE),
+        GOLDEN_SEED,
+    );
+    for (label, config) in [
+        (
+            "paper",
+            SystemConfig::paper as fn(Mechanism) -> SystemConfig,
+        ),
+        ("mesh8", SystemConfig::mesh8),
+        ("mesh16", SystemConfig::mesh16),
+    ] {
+        for seed in [1, GOLDEN_SEED] {
+            let mut opts = SweepOptions::new(seed, GOLDEN_SCALE);
+            opts.result_cache = None;
+            opts.checkpoint = None;
+            opts.config = config;
+            let (outcomes, rows) =
+                try_sweep_with_rows(&WorkloadId::ALL, &Mechanism::ALL, &opts, |_, _, _, _| {
+                    Ok(canned.clone())
+                });
+            assert_eq!(rows.len(), WorkloadId::ALL.len() * Mechanism::ALL.len());
+            for (outcome, row) in outcomes.iter().zip(&rows) {
+                let key = outcome.key();
+                let params = key.workload.params().scaled(GOLDEN_SCALE);
+                let joined = format!(
+                    "engine-v{ENGINE_VERSION}|{:?}|{params:?}|seed={seed}",
+                    config(key.mechanism)
+                );
+                let expected = cell_digest(&config(key.mechanism), &params, seed);
+                assert_eq!(expected, fnv1a_64(joined.as_bytes()), "{label} {key:?}");
+                assert_eq!(row.digest, expected, "{label} {key:?}");
+            }
+        }
+    }
+}
+
+fn cache_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("puno-sweep-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A sweep of ssca2 and kmeans x {baseline, puno} on a fresh handle over
+/// `dir`'s cache, through `try_sweep_rows` or `try_sweep`.
+fn cached_sweep(dir: &Path, rows: bool) -> (Vec<CellOutcome>, u64) {
+    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    let cache = Arc::new(ResultCache::open(dir).expect("cache dir"));
+    opts.result_cache = Some(cache.clone());
+    opts.checkpoint = None;
+    let workloads = [WorkloadId::Ssca2, WorkloadId::Kmeans];
+    let outcomes = if rows {
+        try_sweep_rows(&workloads, &MECHANISMS, &opts).0
+    } else {
+        try_sweep(&workloads, &MECHANISMS, &opts)
+    };
+    (outcomes, cache.stats().hits)
+}
+
+fn as_json(outcomes: &[CellOutcome], deterministic: bool) -> Vec<String> {
+    outcomes
+        .iter()
+        .map(|o| {
+            let metrics = o.metrics().expect("every cell succeeds");
+            if deterministic {
+                serde_json::to_string(&metrics.deterministic()).unwrap()
+            } else {
+                serde_json::to_string(metrics).unwrap()
+            }
+        })
+        .collect()
+}
+
+/// `try_sweep`, which builds no warehouse rows, and `try_sweep_rows`
+/// return the same outcomes: cold (the simulated part; wall-clocks differ
+/// between runs) and warm (byte for byte, host block included). A fully
+/// warm sweep gives those outcomes even when `costs.jsonl` holds garbage,
+/// and leaves the garbage as it found it.
+#[test]
+fn both_sweep_entry_points_agree_cold_and_warm() {
+    let (a, b) = (cache_dir("entry-a"), cache_dir("entry-b"));
+    let (cold, hits) = cached_sweep(&a, false);
+    assert_eq!(hits, 0);
+    let (cold_rows, hits) = cached_sweep(&b, true);
+    assert_eq!(hits, 0);
+    assert_eq!(
+        cold.iter().map(CellOutcome::key).collect::<Vec<_>>(),
+        cold_rows.iter().map(CellOutcome::key).collect::<Vec<_>>()
+    );
+    assert_eq!(as_json(&cold, true), as_json(&cold_rows, true));
+
+    let (warm, hits) = cached_sweep(&a, false);
+    assert_eq!(hits, 4);
+    let (warm_rows, hits) = cached_sweep(&a, true);
+    assert_eq!(hits, 4);
+    assert_eq!(as_json(&warm, false), as_json(&warm_rows, false));
+    assert_eq!(as_json(&warm, false), as_json(&cold, false));
+
+    let garbage = b"not json\n{\"workload\":\n\x00\xff{{{\n".to_vec();
+    std::fs::write(a.join("costs.jsonl"), &garbage).unwrap();
+    let (warm_on_garbage, hits) = cached_sweep(&a, false);
+    assert_eq!(hits, 4);
+    assert_eq!(as_json(&warm_on_garbage, false), as_json(&warm, false));
+    assert_eq!(std::fs::read(a.join("costs.jsonl")).unwrap(), garbage);
+    let _ = std::fs::remove_dir_all(&a);
+    let _ = std::fs::remove_dir_all(&b);
 }

@@ -41,6 +41,8 @@ pub use addresses::AddressMap;
 pub use genprog::generate_program;
 pub use op::{DynTxSpec, NodeProgram, TxOp, WorkItem};
 pub use params::{StaticTxParams, WorkloadParams};
-pub use progcache::{fnv1a_64, fnv1a_64_fold, params_digest, ProgramSet, FNV1A_64_OFFSET};
+pub use progcache::{
+    fnv1a_64, fnv1a_64_fold, fnv1a_64_fold_x4, params_digest, ProgramSet, FNV1A_64_OFFSET,
+};
 pub use stamp::{table1_rows, Table1Row, WorkloadId};
 pub use stats::{characterize, ProgramStats};

@@ -37,12 +37,43 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// string one after another gives the hash of their concatenation, so a
 /// caller can hash text that sits in several places without joining it.
 pub fn fnv1a_64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
     for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(PRIME);
+        hash = fnv1a_64_step(hash, b);
     }
     hash
+}
+
+#[inline(always)]
+fn fnv1a_64_step(hash: u64, byte: u8) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    (hash ^ u64::from(byte)).wrapping_mul(PRIME)
+}
+
+/// [`fnv1a_64_fold`] of four independent chains at once: lane `k` of the
+/// result is `fnv1a_64_fold(states[k], chains[k])`. Each byte of one chain
+/// waits on the multiply before it, so the hash is bound by multiply
+/// latency; interleaving four chains keeps four multiplies in flight and
+/// hashes them in about the time of one. Chains may differ in length (or
+/// be empty): the common length runs interleaved, the tails one by one.
+pub fn fnv1a_64_fold_x4(states: [u64; 4], chains: [&[u8]; 4]) -> [u64; 4] {
+    let common = chains.iter().map(|c| c.len()).min().unwrap_or(0);
+    let [mut a, mut b, mut c, mut d] = states;
+    let lanes = chains[0][..common]
+        .iter()
+        .zip(&chains[1][..common])
+        .zip(&chains[2][..common])
+        .zip(&chains[3][..common]);
+    for (((&x, &y), &z), &w) in lanes {
+        a = fnv1a_64_step(a, x);
+        b = fnv1a_64_step(b, y);
+        c = fnv1a_64_step(c, z);
+        d = fnv1a_64_step(d, w);
+    }
+    let mut out = [a, b, c, d];
+    for (state, chain) in out.iter_mut().zip(chains) {
+        *state = fnv1a_64_fold(*state, &chain[common..]);
+    }
+    out
 }
 
 /// Stable content digest of a `WorkloadParams`.

@@ -82,7 +82,25 @@ grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/warm.err" \
     || { echo "warm pass did not hit the cache:"; cat "$CACHE_DIR/warm.err"; exit 1; }
 cmp "$RES_DIR/costs.cold.jsonl" "$CACHE_DIR/costs.jsonl" \
     || { echo "warm pass fed cache hits into costs.jsonl"; exit 1; }
-echo "cache smoke OK (4/4 warm hits, byte-identical output, costs.jsonl unchanged)"
+# One more cold cell in the same cache makes results.jsonl five records.
+# Open checks checksums four records at a time, so its last group is only
+# partly filled; the warm ssca2 pass must still replay byte-for-byte,
+# worker count included, with nothing skipped at open.
+PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
+    cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 \
+    --filter genome:baseline > /dev/null 2> "$CACHE_DIR/genome.err"
+[ "$(grep -c . "$CACHE_DIR/results.jsonl")" -eq 5 ] \
+    || { echo "the genome cell did not make a fifth record"; exit 1; }
+PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
+    cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 --filter ssca2 \
+    > "$CACHE_DIR/warm5.txt" 2> "$CACHE_DIR/warm5.err"
+diff "$CACHE_DIR/cold.txt" "$CACHE_DIR/warm5.txt" \
+    || { echo "warm sweep over five records differs from cold sweep"; exit 1; }
+grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/warm5.err" \
+    || { echo "warm pass over five records missed:"; cat "$CACHE_DIR/warm5.err"; exit 1; }
+! grep -q "result cache recovered" "$CACHE_DIR/warm5.err" \
+    || { echo "open skipped a healthy record:"; cat "$CACHE_DIR/warm5.err"; exit 1; }
+echo "cache smoke OK (4/4 warm hits over 4 and 5 records, byte-identical output, costs.jsonl unchanged)"
 
 echo "== resilience smoke (corrupt cache record: skip-and-count, then compact) =="
 # Tamper with a field inside the FIRST persisted record: the JSON still
@@ -115,7 +133,8 @@ PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_RESULT_CACHE_COMPACT=1 \
 sed '/^simulator throughput/,$d' "$CACHE_DIR/compact.txt" > "$CACHE_DIR/compact.det.txt"
 diff "$CACHE_DIR/cold.det.txt" "$CACHE_DIR/compact.det.txt" \
     || { echo "sweep output changed after compaction"; exit 1; }
-grep -q "result cache compacted: 4 kept, 1 corrupt, 0 stale" "$CACHE_DIR/compact.err" \
+# Five records kept: the four ssca2 cells and the genome cell added above.
+grep -q "result cache compacted: 5 kept, 1 corrupt, 0 stale" "$CACHE_DIR/compact.err" \
     || { echo "compaction did not drop the corrupt record:"; cat "$CACHE_DIR/compact.err"; exit 1; }
 grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/compact.err" \
     || { echo "compacted cache missed a warm cell:"; cat "$CACHE_DIR/compact.err"; exit 1; }
