@@ -168,7 +168,7 @@ fn record_line(digest: u64, seed: u64, metrics: &RunMetrics) -> String {
 /// `None`. Scalars and strings are read directly; nested objects and
 /// arrays are skipped by bracket matching that steps over strings and
 /// their escapes, without checking the grammar inside (a record's checksum
-/// covers those bytes, and decoding them goes through the strict parser).
+/// covers those bytes, and decoding them checks the full grammar).
 /// Never panics.
 pub fn split_fields(line: &str) -> Option<Vec<(&str, Range<usize>)>> {
     let bytes = line.as_bytes();

@@ -620,17 +620,22 @@ fn warehouse_rows(
 
 /// Effective sweep worker count — the single place it is decided.
 ///
-/// Starts from `available_parallelism`. The `PUNO_SWEEP_THREADS` env
-/// override can only lower that count, never raise it: it is a cap, not a
-/// pin, so a request for 4 workers runs 2 on a 2-core host (per-cell
+/// Starts from `available_parallelism`, read once per process (it reads
+/// the cgroup quota files on every call, and the answer does not change
+/// while the process runs). The `PUNO_SWEEP_THREADS` env override, read on
+/// every call, can only lower that count, never raise it: it is a cap, not
+/// a pin, so a request for 4 workers runs 2 on a 2-core host (per-cell
 /// results are deterministic at any thread count). The result is then
 /// clamped to the number of runnable jobs so a small or mostly-resumed
 /// sweep does not spawn idle threads. Unparsable or zero overrides fall
 /// back to the hardware count.
 pub fn effective_workers(jobs: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
     let capped = match std::env::var("PUNO_SWEEP_THREADS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())

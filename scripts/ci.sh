@@ -102,6 +102,28 @@ grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/warm5.err" \
     || { echo "open skipped a healthy record:"; cat "$CACHE_DIR/warm5.err"; exit 1; }
 echo "cache smoke OK (4/4 warm hits over 4 and 5 records, byte-identical output, costs.jsonl unchanged)"
 
+echo "== full-grid warm-replay smoke (8x4 grid cold, then replayed from the cache) =="
+# The smoke above decodes four ssca2 records. This one sends every
+# workload x mechanism's RunMetrics through the JSON reader: the warm pass
+# must serve all 32 cells from the cache, skip nothing at open, and print
+# the cold pass's report byte for byte above the host-perf section.
+GRID_DIR="$RES_DIR/grid"
+mkdir -p "$GRID_DIR"
+for pass in cold warm; do
+    PUNO_RESULT_CACHE="$GRID_DIR" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
+        cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 \
+        > "$GRID_DIR/$pass.txt" 2> "$GRID_DIR/$pass.err"
+    sed '/^simulator throughput/,$d' "$GRID_DIR/$pass.txt" > "$GRID_DIR/$pass.det.txt"
+done
+grep -q "Table I check" "$GRID_DIR/cold.det.txt" || { echo "cold grid printed no report"; exit 1; }
+diff "$GRID_DIR/cold.det.txt" "$GRID_DIR/warm.det.txt" \
+    || { echo "warm grid replay differs from the cold sweep"; exit 1; }
+grep -q "result cache: 32 hits, 0 misses" "$GRID_DIR/warm.err" \
+    || { echo "warm grid replay missed the cache:"; cat "$GRID_DIR/warm.err"; exit 1; }
+! grep -q "result cache recovered" "$GRID_DIR/warm.err" \
+    || { echo "open skipped a healthy grid record:"; cat "$GRID_DIR/warm.err"; exit 1; }
+echo "grid replay smoke OK (32/32 warm hits, report byte-identical above host perf)"
+
 echo "== resilience smoke (corrupt cache record: skip-and-count, then compact) =="
 # Tamper with a field inside the FIRST persisted record: the JSON still
 # parses but its content checksum no longer verifies, so the next open
