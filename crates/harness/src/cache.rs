@@ -1,19 +1,14 @@
-//! Persistent result cache and sweep cost model.
+//! Persistent result cache.
 //!
 //! Every simulated cell is a pure function of `(SystemConfig, WorkloadParams,
 //! seed)` — so once a cell has run, re-running it (another `regen_all.sh`
-//! figure binary, a resumed sweep, a sensitivity point sharing a
-//! configuration) is pure waste. The [`ResultCache`] memoizes fault-free
+//! figure binary, a sweep resumed after a kill, a sensitivity point sharing
+//! a configuration) is pure waste. The [`ResultCache`] memoizes fault-free
 //! successful runs in an append-only JSONL file keyed by a content digest of
 //! the full cell identity plus [`ENGINE_VERSION`]; bumping the version
 //! invalidates every cached cell at once, which is the required response to
 //! *any* change in simulated behaviour (the golden snapshots catch those).
-//!
-//! Alongside the results, the cache directory accumulates per-cell host
-//! wall-clocks (`costs.jsonl`). The [`CostModel`] folds them into
-//! per-(workload, mechanism) per-transaction cost estimates used by the
-//! sweep driver to order its job queue longest-first (LPT), so the most
-//! expensive cells start first and stragglers do not serialize the tail.
+//! It is the only state a sweep keeps on disk.
 
 use crate::config::SystemConfig;
 use crate::knobs::env_setting;
@@ -21,7 +16,6 @@ use crate::metrics::RunMetrics;
 use crate::store::{self, Appender, Class, Records, SkipStats};
 use puno_workloads::{fnv1a_64_fold, fnv1a_64_fold_x4, WorkloadParams, FNV1A_64_OFFSET};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,10 +130,11 @@ fn checksum_head(t: &RecordText) -> u64 {
     })
 }
 
-/// The persisted line for one cell: [`CacheRecord`]'s compact JSON, built
-/// around the single serialization of `metrics` that its checksum covers,
-/// so the `metrics` span as written is the checksummed text.
-fn record_line(digest: u64, seed: u64, metrics: &RunMetrics) -> String {
+/// The persisted line for one cell, newline-terminated, and the byte range
+/// of its `metrics` object: [`CacheRecord`]'s compact JSON, built around
+/// the single serialization of `metrics` that its checksum covers, so the
+/// `metrics` span as written is the checksummed text.
+fn record_line(digest: u64, seed: u64, metrics: &RunMetrics) -> (String, Range<usize>) {
     let metrics_json = serde_json::to_string(metrics).expect("cache record metrics must serialize");
     let checksum = record_checksum(&RecordText {
         digest: &digest.to_string(),
@@ -151,12 +146,15 @@ fn record_line(digest: u64, seed: u64, metrics: &RunMetrics) -> String {
         metrics: &metrics_json,
     });
     let quoted = |s: &String| serde_json::to_string(s).expect("strings serialize");
-    format!(
+    let head = format!(
         "{{\"digest\":{digest},\"engine_version\":{ENGINE_VERSION},\"workload\":{},\
-         \"mechanism\":{},\"seed\":{seed},\"metrics\":{metrics_json},\"checksum\":{checksum}}}",
+         \"mechanism\":{},\"seed\":{seed},\"metrics\":",
         quoted(&metrics.workload),
         quoted(&metrics.mechanism),
-    )
+    );
+    let span = head.len()..head.len() + metrics_json.len();
+    let tail = format!(",\"checksum\":{checksum}}}\n");
+    ([head.as_str(), &metrics_json, &tail].concat(), span)
 }
 
 /// Split a JSON line holding one object into `(key, value span)` pairs,
@@ -388,18 +386,6 @@ fn classify_window<'a>(
         })
 }
 
-/// One persisted cost observation (one JSONL line in `costs.jsonl`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CostRecord {
-    pub workload: String,
-    pub mechanism: String,
-    /// Transactions per node of the observed run — wall-clock is stored
-    /// alongside it so the model learns a *per-transaction* cost and stays
-    /// scale-invariant across sweeps at different `--scale` values.
-    pub tx_per_node: u32,
-    pub wall_secs: f64,
-}
-
 /// Cache hit/miss/store counters (host-side observability only).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -407,118 +393,34 @@ pub struct CacheStats {
     pub misses: u64,
     pub stores: u64,
     pub entries: u64,
-    /// What `results.jsonl` skipped: see [`RecordFile::stats`].
+    /// What `results.jsonl` skipped: what open skipped, plus the verified
+    /// records that later failed to decode (as corrupt).
     pub skips: SkipStats,
 }
 
-/// One live cell in memory.
-#[derive(Debug)]
-enum Entry {
-    /// A checksum-verified `metrics` object, as a byte range of the text
-    /// read at open; decoded by the first lookup that wants it.
-    Raw(Range<usize>),
-    Decoded(Box<RunMetrics>),
+/// One live cell in memory: its checksum-verified `metrics` JSON text, a
+/// span of `text`. Records kept at open share the file text read at open;
+/// a record stored since holds the line written for it.
+#[derive(Clone, Debug)]
+struct Entry {
+    text: Arc<String>,
+    metrics: Range<usize>,
 }
 
-/// A verified `results.jsonl`-format file: every line is checked in place
-/// at open (last record wins; torn, tampered and stale lines skipped and
-/// counted), a record's metrics are decoded only by the first lookup that
-/// wants them, and new records are appended as they come. The result cache
-/// and the sweep checkpoint are two instances of it. Thread-safe: a
-/// sweep's worker threads share one instance.
+/// Persistent store of fault-free run results, keyed by [`cell_digest`],
+/// in `results.jsonl`: every line is checked in place at open (last record
+/// wins; torn, tampered and stale lines skipped and counted), every lookup
+/// decodes the record's verified text, and new records are appended as
+/// they come. Thread-safe: a sweep's worker threads share one instance.
 #[derive(Debug)]
-pub struct RecordFile {
-    /// The file as read at open: the one copy every `Entry::Raw` range
-    /// points into.
-    text: String,
+pub struct ResultCache {
     entries: Mutex<Records<u64, Entry>>,
     log: Appender,
     /// What open kept and skipped.
     opened: SkipStats,
     /// Verified records whose metrics failed to decode, counted at the
-    /// lookup that tried; [`RecordFile::stats`] reports them as corrupt.
+    /// lookup that tried; [`ResultCache::stats`] reports them as corrupt.
     decode_failures: AtomicU64,
-}
-
-impl RecordFile {
-    /// Open (creating if needed) the record file at `path`.
-    pub fn open(path: &Path) -> std::io::Result<Self> {
-        let text = store::read(path);
-        let (entries, opened) = store::tally(classify_lines(&text).map(|(at, class)| {
-            class.map(|rec| Entry::Raw(at + rec.metrics.start..at + rec.metrics.end))
-        }));
-        Ok(Self {
-            log: Appender::open(path)?,
-            text,
-            entries: Mutex::new(entries),
-            opened,
-            decode_failures: AtomicU64::new(0),
-        })
-    }
-
-    /// The metrics stored under `digest`, decoding a raw entry on its first
-    /// lookup. Decoding runs outside the map lock; its result is memoized
-    /// only if the entry is still the raw span that was decoded. A record
-    /// that verified at open but does not decode is dropped and counted as
-    /// corrupt, and the lookup misses.
-    pub fn get(&self, digest: u64) -> Option<RunMetrics> {
-        let span = match store::lock(&self.entries).get(&digest)? {
-            Entry::Decoded(metrics) => return Some(RunMetrics::clone(metrics)),
-            Entry::Raw(span) => span.clone(),
-        };
-        let decoded = serde_json::from_str::<RunMetrics>(&self.text[span.clone()]);
-        let mut entries = store::lock(&self.entries);
-        let still_raw = matches!(entries.get(&digest), Some(Entry::Raw(s)) if *s == span);
-        match decoded {
-            Ok(metrics) => {
-                if still_raw {
-                    entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
-                }
-                Some(metrics)
-            }
-            Err(_) => {
-                if still_raw {
-                    entries.remove(&digest);
-                    self.decode_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        }
-    }
-
-    /// Append one cell under `digest`; false (and nothing written) when the
-    /// digest is already live, which keeps warm re-runs from growing the
-    /// file.
-    pub fn put(&self, digest: u64, seed: u64, metrics: &RunMetrics) -> bool {
-        {
-            let mut entries = store::lock(&self.entries);
-            if entries.get(&digest).is_some() {
-                return false;
-            }
-            entries.insert(digest, Entry::Decoded(Box::new(metrics.clone())));
-        }
-        let line = record_line(digest, seed, metrics) + "\n";
-        let _ = self.log.append(&line);
-        true
-    }
-
-    /// Live records now, and what open skipped.
-    pub fn stats(&self) -> SkipStats {
-        SkipStats {
-            kept: store::lock(&self.entries).len() as u64,
-            corrupt: self.opened.corrupt + self.decode_failures.load(Ordering::Relaxed),
-            ..self.opened
-        }
-    }
-}
-
-/// Persistent store of fault-free run results, keyed by [`cell_digest`]:
-/// a [`RecordFile`] (`results.jsonl`) plus hit/miss counters, the cost log
-/// (`costs.jsonl`) and compaction.
-#[derive(Debug)]
-pub struct ResultCache {
-    dir: PathBuf,
-    records: RecordFile,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -529,10 +431,6 @@ impl ResultCache {
         dir.join("results.jsonl")
     }
 
-    fn costs_path(&self) -> PathBuf {
-        self.dir.join("costs.jsonl")
-    }
-
     /// Open (creating if needed) the cache rooted at `dir`. Every line is
     /// checksum-verified here; lines outside the writer's shape or failing
     /// their checksum anywhere in the file — torn trailing appends, bit
@@ -541,9 +439,19 @@ impl ResultCache {
     /// rewrites the file without them.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
+        let path = Self::results_path(dir);
+        let text = Arc::new(store::read(&path));
+        let (entries, opened) = store::tally(classify_lines(&text).map(|(at, class)| {
+            class.map(|rec| Entry {
+                text: Arc::clone(&text),
+                metrics: at + rec.metrics.start..at + rec.metrics.end,
+            })
+        }));
         Ok(Self {
-            dir: dir.to_path_buf(),
-            records: RecordFile::open(&Self::results_path(dir))?,
+            entries: Mutex::new(entries),
+            log: Appender::open(&path)?,
+            opened,
+            decode_failures: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -552,7 +460,7 @@ impl ResultCache {
 
     /// Look a cell up by digest; counts a hit or a miss.
     pub fn lookup(&self, digest: u64) -> Option<RunMetrics> {
-        let found = self.records.get(digest);
+        let found = self.decode(digest);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -560,26 +468,60 @@ impl ResultCache {
         found
     }
 
+    /// The metrics stored under `digest`, decoded from the entry's text
+    /// outside the map lock. A record that verified but does not decode is
+    /// dropped (if it is still the entry that was read) and counted as
+    /// corrupt, and the lookup misses.
+    fn decode(&self, digest: u64) -> Option<RunMetrics> {
+        let entry = store::lock(&self.entries).get(&digest)?.clone();
+        let decoded = serde_json::from_str::<RunMetrics>(&entry.text[entry.metrics.clone()]).ok();
+        if decoded.is_none() {
+            let mut entries = store::lock(&self.entries);
+            let still = |e: &Entry| Arc::ptr_eq(&e.text, &entry.text) && e.metrics == entry.metrics;
+            if entries.get(&digest).is_some_and(still) {
+                entries.remove(&digest);
+                self.decode_failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        decoded
+    }
+
     /// Persist one finished cell under its cell digest. Idempotent per
-    /// digest: a digest already in memory is not re-appended.
+    /// digest: a digest already live is not re-appended, which keeps warm
+    /// re-runs from growing the file.
     ///
     /// `_group` is ignored. It carried the retired prefix-fork group key and
     /// stays only so the separately versioned `benchmark/` crate keeps
     /// building; drop it together with that caller's argument.
     pub fn store(&self, digest: u64, _group: u64, seed: u64, metrics: &RunMetrics) {
-        if self.records.put(digest, seed, metrics) {
-            self.stores.fetch_add(1, Ordering::Relaxed);
+        let (line, span) = record_line(digest, seed, metrics);
+        let entry = Entry {
+            text: Arc::new(line),
+            metrics: span,
+        };
+        {
+            let mut entries = store::lock(&self.entries);
+            if entries.get(&digest).is_some() {
+                return;
+            }
+            entries.insert(digest, entry.clone());
         }
+        let _ = self.log.append(&entry.text);
+        self.stores.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> CacheStats {
-        let skips = self.records.stats();
+        let entries = store::lock(&self.entries).len() as u64;
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
-            entries: skips.kept,
-            skips,
+            entries,
+            skips: SkipStats {
+                kept: entries,
+                corrupt: self.opened.corrupt + self.decode_failures.load(Ordering::Relaxed),
+                ..self.opened
+            },
         }
     }
 
@@ -587,13 +529,13 @@ impl ResultCache {
     /// records (last-wins deduped) that decode, dropping corrupt and stale
     /// lines for good. Only the kept records are decoded, and each is
     /// rebuilt in this build's shape. The in-memory map is refreshed from
-    /// what was kept; its lock, and the append handle's, are held across
-    /// the read and the rewrite.
+    /// the rewritten text; its lock, and the append handle's, are held
+    /// across the read and the rewrite.
     pub fn compact(&self) -> std::io::Result<SkipStats> {
-        let mut entries = store::lock(&self.records.entries);
+        let mut entries = store::lock(&self.entries);
         let mut stats = SkipStats::default();
-        let mut live = Records::default();
-        self.records.log.rewrite(|text| {
+        let mut spans = Vec::new();
+        let text = self.log.rewrite(|text| {
             let (kept, loaded) = store::tally(classify_lines(text).map(|(_, class)| class));
             stats = loaded;
             let mut out = String::new();
@@ -602,40 +544,21 @@ impl ResultCache {
                     stats.corrupt += 1;
                     continue;
                 };
-                out += &(record_line(rec.digest, rec.seed, &metrics) + "\n");
-                live.insert(rec.digest, Entry::Decoded(Box::new(metrics)));
+                let (line, span) = record_line(rec.digest, rec.seed, &metrics);
+                spans.push((rec.digest, out.len() + span.start..out.len() + span.end));
+                out += &line;
             }
             out
         })?;
+        let text = Arc::new(text);
+        let mut live = Records::default();
+        for (digest, metrics) in spans {
+            let text = Arc::clone(&text);
+            live.insert(digest, Entry { text, metrics });
+        }
         stats.kept = live.len() as u64;
         *entries = live;
         Ok(stats)
-    }
-
-    /// Fold the persisted cost observations into a [`CostModel`]; lines
-    /// that do not parse are skipped.
-    pub fn load_costs(&self) -> CostModel {
-        let mut model = CostModel::default();
-        for (_, line) in store::lines(&store::read(&self.costs_path())) {
-            if let Ok(rec) = serde_json::from_str::<CostRecord>(line) {
-                model.observe(
-                    &rec.workload,
-                    &rec.mechanism,
-                    rec.tx_per_node,
-                    rec.wall_secs,
-                );
-            }
-        }
-        model
-    }
-
-    /// Append cost observations from a finished sweep.
-    pub fn append_costs(&self, records: &[CostRecord]) {
-        if records.is_empty() {
-            return;
-        }
-        let out = store::to_jsonl(records);
-        let _ = Appender::open(&self.costs_path()).and_then(|log| log.append(&out));
     }
 }
 
@@ -669,74 +592,6 @@ pub fn global_cache() -> Option<Arc<ResultCache>> {
             Some(Arc::new(cache))
         })
         .clone()
-}
-
-/// Per-(workload, mechanism) cost estimator for sweep job ordering. Learned
-/// observations dominate; cells never seen before fall back to a
-/// parameter-derived heuristic (expected transactional operations per run),
-/// scaled into pseudo-seconds so mixed observed/heuristic queues still
-/// order sensibly. Only *relative* order matters to the scheduler.
-#[derive(Clone, Debug, Default)]
-pub struct CostModel {
-    /// (workload, mechanism) -> (sum of per-transaction wall secs, count).
-    per_tx: HashMap<(String, String), (f64, u64)>,
-}
-
-/// Rough host seconds per simulated transactional operation (heuristic
-/// fallback scale; commensurate with observed costs only to first order).
-const HEURISTIC_SECS_PER_OP: f64 = 2e-6;
-
-impl CostModel {
-    /// Record one observed cell wall-clock.
-    pub fn observe(&mut self, workload: &str, mechanism: &str, tx_per_node: u32, wall_secs: f64) {
-        if tx_per_node == 0 || !wall_secs.is_finite() || wall_secs <= 0.0 {
-            return;
-        }
-        let entry = self
-            .per_tx
-            .entry((workload.to_string(), mechanism.to_string()))
-            .or_insert((0.0, 0));
-        entry.0 += wall_secs / tx_per_node as f64;
-        entry.1 += 1;
-    }
-
-    /// Estimated wall-clock for one cell, in (pseudo-)seconds.
-    pub fn estimate(&self, workload: &str, mechanism: &str, params: &WorkloadParams) -> f64 {
-        let key = (workload.to_string(), mechanism.to_string());
-        if let Some(&(sum, n)) = self.per_tx.get(&key) {
-            if n > 0 {
-                return (sum / n as f64) * params.tx_per_node as f64;
-            }
-        }
-        Self::heuristic(params)
-    }
-
-    /// Parameter-derived fallback: expected transactional + non-transactional
-    /// operations per node-run, scaled to pseudo-seconds.
-    fn heuristic(params: &WorkloadParams) -> f64 {
-        let weight_sum: f64 = params
-            .static_txs
-            .iter()
-            .map(|t| t.weight)
-            .sum::<f64>()
-            .max(1e-9);
-        let ops_per_tx: f64 = params
-            .static_txs
-            .iter()
-            .map(|t| {
-                let reads = (t.reads.0 + t.reads.1) as f64 / 2.0;
-                let writes = (t.writes.0 + t.writes.1) as f64 / 2.0;
-                t.weight * (reads + writes)
-            })
-            .sum::<f64>()
-            / weight_sum;
-        let ops = params.tx_per_node as f64 * (ops_per_tx + params.non_tx_accesses as f64);
-        ops * HEURISTIC_SECS_PER_OP
-    }
-
-    pub fn observation_count(&self) -> u64 {
-        self.per_tx.values().map(|&(_, n)| n).sum()
-    }
 }
 
 #[cfg(test)]
@@ -1070,15 +925,12 @@ mod tests {
         // Poison both mutexes the way a panicking worker would: the entry
         // map and the append handle's file lock.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _entries = cache.records.entries.lock().unwrap();
-            let _file = cache.records.log.file_lock().lock();
+            let _entries = cache.entries.lock().unwrap();
+            let _file = cache.log.file_lock().lock();
             panic!("worker died holding the cache locks");
         }));
-        assert!(
-            cache.records.entries.is_poisoned(),
-            "test must actually poison"
-        );
-        assert!(cache.records.log.file_lock().is_poisoned());
+        assert!(cache.entries.is_poisoned(), "test must actually poison");
+        assert!(cache.log.file_lock().is_poisoned());
         // Lookups, stores, stats, and compaction all still function.
         assert!(cache.lookup(digest).is_some());
         let m2 = run_workload(Mechanism::Baseline, &params, 12);
@@ -1087,43 +939,6 @@ mod tests {
         assert!(cache.lookup(d2).is_some());
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.compact().unwrap().kept, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cost_model_learns_per_transaction_costs() {
-        let mut model = CostModel::default();
-        let params_small = WorkloadId::Genome.params().scaled(0.05);
-        let params_large = WorkloadId::Genome.params().scaled(0.5);
-        // Heuristic fallback scales with tx_per_node.
-        let h_small = model.estimate("genome", "baseline", &params_small);
-        let h_large = model.estimate("genome", "baseline", &params_large);
-        assert!(h_large > h_small);
-
-        // An observation at one scale predicts proportionally at another.
-        model.observe("genome", "baseline", params_small.tx_per_node, 2.0);
-        let per_tx = 2.0 / params_small.tx_per_node as f64;
-        let predicted = model.estimate("genome", "baseline", &params_large);
-        let expected = per_tx * params_large.tx_per_node as f64;
-        assert!((predicted - expected).abs() < 1e-9);
-        assert_eq!(model.observation_count(), 1);
-    }
-
-    #[test]
-    fn costs_persist_through_the_cache_dir() {
-        let dir = temp_dir("costs");
-        let cache = ResultCache::open(&dir).unwrap();
-        cache.append_costs(&[CostRecord {
-            workload: "genome".into(),
-            mechanism: "puno".into(),
-            tx_per_node: 100,
-            wall_secs: 3.0,
-        }]);
-        let model = ResultCache::open(&dir).unwrap().load_costs();
-        assert_eq!(model.observation_count(), 1);
-        let params = WorkloadId::Genome.params();
-        let est = model.estimate("genome", "puno", &params);
-        assert!((est - 0.03 * params.tx_per_node as f64).abs() < 1e-9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1164,7 +979,7 @@ mod tests {
     fn windowed_open_matches_a_serial_reference() {
         let dir = temp_dir("windowed");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.jsonl");
+        let path = ResultCache::results_path(&dir);
         let base = run_workload(
             Mechanism::Baseline,
             &WorkloadId::Ssca2.params().scaled(0.05),
@@ -1174,7 +989,10 @@ mod tests {
             cycles: base.cycles + k,
             ..base.clone()
         };
-        let line = |digest: u64, k: u64| record_line(digest, 9, &metrics(k));
+        let line = |digest: u64, k: u64| {
+            let (line, _) = record_line(digest, 9, &metrics(k));
+            line.trim_end().to_string()
+        };
         for n in 1..=9u64 {
             for at in 0..n {
                 for odd in ["corrupt", "torn", "stale", "duplicate"] {
@@ -1190,11 +1008,13 @@ mod tests {
                     };
                     let text = lines.join("\n") + "\n";
                     std::fs::write(&path, &text).unwrap();
-                    let file = RecordFile::open(&path).unwrap();
+                    let cache = ResultCache::open(&dir).unwrap();
                     let (reference, stats) = serial_reference(&text);
-                    assert_eq!(file.stats(), stats, "{n} records, {odd} at {at}");
+                    assert_eq!(cache.stats().skips, stats, "{n} records, {odd} at {at}");
                     for digest in 0..=n {
-                        let got = file.get(digest).map(|m| serde_json::to_string(&m).unwrap());
+                        let got = cache
+                            .lookup(digest)
+                            .map(|m| serde_json::to_string(&m).unwrap());
                         assert_eq!(got.as_ref(), reference.get(&digest), "{n}, {odd} at {at}");
                     }
                 }

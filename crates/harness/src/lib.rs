@@ -29,7 +29,7 @@ pub mod telemetry;
 pub mod tracefmt;
 pub mod warehouse;
 
-pub use cache::{cell_digest, global_cache, CostModel, ResultCache, ENGINE_VERSION};
+pub use cache::{cell_digest, global_cache, ResultCache, ENGINE_VERSION};
 pub use config::SystemConfig;
 pub use error::RunError;
 pub use mechanism::Mechanism;

@@ -1,9 +1,8 @@
-//! The record store: the file mechanics of every append-only JSONL file
-//! the harness keeps — the result cache and sweep checkpoint
-//! (`results.jsonl`, see [`crate::cache`]), the cost log (`costs.jsonl`)
-//! and the warehouse (`warehouse.jsonl`, see [`crate::warehouse`]). What a
-//! line means — its shape, checksum and key — stays with its format, which
-//! supplies the classifier.
+//! The record store: the file mechanics of both append-only JSONL files
+//! the harness keeps — the result cache (`results.jsonl`, see
+//! [`crate::cache`]) and the warehouse (`warehouse.jsonl`, see
+//! [`crate::warehouse`]). What a line means — its shape, checksum and key —
+//! stays with its format, which supplies the classifier.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -192,15 +191,17 @@ impl Appender {
 
     /// Replace the whole file with `edit` of its current text through a
     /// temp file and an atomic rename, then re-point the append handle at
-    /// the new file. The handle's lock is held from the read to the swap,
-    /// so no append can land in the old file after it was read.
-    pub fn rewrite(&self, edit: impl FnOnce(&str) -> String) -> std::io::Result<()> {
+    /// the new file, and return the new text. The handle's lock is held
+    /// from the read to the swap, so no append can land in the old file
+    /// after it was read.
+    pub fn rewrite(&self, edit: impl FnOnce(&str) -> String) -> std::io::Result<String> {
         let mut file = lock(&self.file);
         let tmp = self.path.with_extension("jsonl.tmp");
-        std::fs::write(&tmp, edit(&read(&self.path)))?;
+        let text = edit(&read(&self.path));
+        std::fs::write(&tmp, &text)?;
         std::fs::rename(&tmp, &self.path)?;
         *file = open_append(&self.path)?;
-        Ok(())
+        Ok(text)
     }
 }
 

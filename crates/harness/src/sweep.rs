@@ -6,14 +6,12 @@
 //! [`RunError`] or outright panic — no longer takes the process (and every
 //! sibling cell) down: it is caught, optionally retried with the message
 //! trace ring enabled, and reported as a [`CellOutcome::Err`] while the
-//! remaining cells complete. With a checkpoint path set, successful cells
-//! are appended to a checksummed `results.jsonl`-format file (a
-//! [`RecordFile`]) as they complete, keyed by their full cell identity,
-//! and a re-run resumes from it, skipping cells that already succeeded.
+//! remaining cells complete. The result cache is the sweep's only on-disk
+//! state: each fault-free cell is stored into it as it completes, so a
+//! killed sweep re-run over the same cache replays the cells that finished
+//! and simulates only the rest.
 
-use crate::cache::{
-    config_digest_state, finish_cell_digest, global_cache, CostRecord, RecordFile, ResultCache,
-};
+use crate::cache::{config_digest_state, finish_cell_digest, global_cache, ResultCache};
 use crate::error::RunError;
 use crate::metrics::RunMetrics;
 use crate::store;
@@ -21,9 +19,8 @@ use crate::system::System;
 use crate::warehouse::{self, WarehouseRow};
 use crate::{Mechanism, SystemConfig};
 use puno_sim::FaultPlan;
-use puno_workloads::{fnv1a_64_fold, ProgramSet, WorkloadId, WorkloadParams};
+use puno_workloads::{ProgramSet, WorkloadId, WorkloadParams};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -63,8 +60,8 @@ pub enum CellOutcome {
     /// including the traced final one failed — and was quarantined: the
     /// sweep completed degraded around it. `error` is the final attempt's
     /// failure, whose trace holds the events leading into it. Like failed
-    /// cells, quarantined cells are not checkpointed, so a resumed sweep
-    /// re-attempts them.
+    /// cells, quarantined cells are not stored in the result cache, so a
+    /// re-run sweep re-attempts them.
     Quarantined {
         key: CellKey,
         error: RunError,
@@ -115,26 +112,16 @@ impl CellOutcome {
 }
 
 /// Escalating per-cell retry policy. The first attempt runs plain; every
-/// retry runs with an all-channel trace ring of `RETRY_TRACE_CAPACITY`
-/// events, so a persistent failure's final error carries the events
-/// leading into the stall.
-/// Between attempts the worker sleeps a multiplicative, seed-jittered
-/// host-side backoff (never visible to simulated behaviour). A cell that
-/// exhausts a multi-attempt budget is recorded as
-/// [`CellOutcome::Quarantined`] and the sweep completes degraded.
+/// retry runs at once, with an all-channel trace ring of
+/// `RETRY_TRACE_CAPACITY` events, so a persistent failure's final error
+/// carries the events leading into the stall. A cell that exhausts a
+/// multi-attempt budget is recorded as [`CellOutcome::Quarantined`] and the
+/// sweep completes degraded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum total attempts per cell (clamped to >= 1; 1 = no retries).
     pub max_attempts: u32,
-    /// Host-side backoff before the first retry, in milliseconds (0
-    /// disables sleeping — the default, so tests and CI stay fast).
-    pub backoff_base_ms: u64,
-    /// Backoff multiplier per further attempt.
-    pub backoff_multiplier: u32,
 }
-
-/// Ceiling on one backoff sleep regardless of attempt count.
-const RETRY_BACKOFF_CAP_MS: u64 = 5_000;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
@@ -146,8 +133,6 @@ impl RetryPolicy {
     pub fn new(max_attempts: u32) -> Self {
         Self {
             max_attempts: max_attempts.max(1),
-            backoff_base_ms: 0,
-            backoff_multiplier: 2,
         }
     }
 
@@ -165,25 +150,6 @@ impl RetryPolicy {
             .unwrap_or(1);
         Self::new(max)
     }
-
-    /// Host-side sleep before attempt `next_attempt` (2-based): the base
-    /// backoff multiplied per prior retry, scaled by a deterministic
-    /// ±25% jitter derived from the cell seed so workers retrying
-    /// simultaneously spread out, and capped.
-    fn backoff(&self, next_attempt: u32, seed: u64) -> std::time::Duration {
-        if self.backoff_base_ms == 0 {
-            return std::time::Duration::ZERO;
-        }
-        let exp = next_attempt.saturating_sub(2).min(16);
-        let base = self
-            .backoff_base_ms
-            .saturating_mul((self.backoff_multiplier.max(1) as u64).saturating_pow(exp));
-        let jitter_src =
-            puno_workloads::fnv1a_64(format!("retry|{seed}|{next_attempt}").as_bytes());
-        // Scale into [0.75, 1.25) of the base.
-        let ms = (base.saturating_mul(768 + jitter_src % 512) / 1024).min(RETRY_BACKOFF_CAP_MS);
-        std::time::Duration::from_millis(ms)
-    }
 }
 
 /// Options for a resilient sweep.
@@ -196,27 +162,19 @@ pub struct SweepOptions {
     /// Fault plan installed in every cell (empty = fault-free and
     /// bit-identical to a plain sweep).
     pub fault_plan: FaultPlan,
-    /// Escalating retry policy (attempt budget, seed-jittered backoff).
-    /// Retries re-run with the message trace ring enabled, so a persistent
-    /// failure's final error carries the trace leading up to it; cells that
-    /// exhaust a multi-attempt budget are quarantined instead of failing the
-    /// sweep.
+    /// Escalating retry policy (attempt budget). Retries re-run with the
+    /// message trace ring enabled, so a persistent failure's final error
+    /// carries the trace leading up to it; cells that exhaust a
+    /// multi-attempt budget are quarantined instead of failing the sweep.
     /// [`SweepOptions::new`] honours the `PUNO_RETRY_MAX` env override.
     pub retry: RetryPolicy,
-    /// Checkpoint path: successful cells are appended as they complete, as
-    /// `results.jsonl`-format records keyed by the full cell identity (see
-    /// `checkpoint_key`), and a cell whose record verifies there is not
-    /// re-run. Failed and quarantined cells are not written, so they are
-    /// re-attempted. [`SweepOptions::new`] takes the path from
-    /// `PUNO_SWEEP_CHECKPOINT`, so a killed `sweep_all` can resume where it
-    /// died.
-    pub checkpoint: Option<PathBuf>,
     /// Persistent result cache (see [`crate::cache`]): fault-free cells
     /// whose digest is present replay the stored metrics instead of
-    /// simulating; fresh results are stored as they complete. Also the
-    /// source of the cost model behind the longest-first job ordering.
-    /// [`SweepOptions::new`] wires in the process-wide `PUNO_RESULT_CACHE`
-    /// cache; tests inject their own.
+    /// simulating; fresh results are stored as they complete, so a killed
+    /// sweep resumes from it. Failed and quarantined cells are not stored,
+    /// so they re-attempt. Sweeps with a fault plan neither read nor write
+    /// it. [`SweepOptions::new`] wires in the process-wide
+    /// `PUNO_RESULT_CACHE` cache; tests inject their own.
     pub result_cache: Option<Arc<ResultCache>>,
     /// System configuration per mechanism — [`SystemConfig::paper`] (the
     /// 4x4 Table II machine) by default; big-mesh scaling sweeps substitute
@@ -233,7 +191,6 @@ impl SweepOptions {
             scale,
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::from_env(),
-            checkpoint: crate::knobs::env_setting("PUNO_SWEEP_CHECKPOINT").map(PathBuf::from),
             result_cache: global_cache(),
             config: SystemConfig::paper,
         }
@@ -247,7 +204,7 @@ const RETRY_TRACE_CAPACITY: usize = 4096;
 
 /// Run `workloads x mechanisms` under `opts`, containing per-cell failures.
 /// Outcomes come back in deterministic (workload-major) order regardless of
-/// worker scheduling or resume state.
+/// worker scheduling or cache state.
 ///
 /// The cell body is the sweep-scale fast path: each workload's trace is
 /// generated once per sweep and shared immutably across its mechanism
@@ -315,8 +272,8 @@ fn simulating_sweep(
     )
 }
 
-/// [`try_sweep`] parameterized over the per-cell runner — the containment,
-/// retry, and checkpoint machinery is identical, but tests (and custom
+/// [`try_sweep`] parameterized over the per-cell runner — the containment
+/// and retry machinery is identical, but tests (and custom
 /// harnesses) can substitute their own cell body. The runner's `traced`
 /// flag is false on the first attempt and true on retries. The result
 /// cache is left to the runner: none is consulted here.
@@ -368,8 +325,8 @@ struct Cell {
     key: CellKey,
     /// Index of the cell's workload in the sweep (and its parameters).
     workload: usize,
-    /// The cell's [`crate::cache::cell_digest`]: its result-cache key, the
-    /// base of its checkpoint key, and its warehouse row's `digest`.
+    /// The cell's [`crate::cache::cell_digest`]: its result-cache key and
+    /// its warehouse row's `digest`.
     digest: u64,
 }
 
@@ -410,11 +367,10 @@ fn grid(
     (params, cells)
 }
 
-/// The sweep machinery every entry point shares. Checkpoint resumes, then
-/// `cache` hits, are served on the calling thread; only the cells left
-/// over are scheduled onto workers, so a fully served sweep loads no cost
-/// model and spawns no thread. A cell that `runner` completes is stored
-/// into `cache` and the checkpoint. Rows are built when `want_rows` is set
+/// The sweep machinery every entry point shares. `cache` hits are served
+/// on the calling thread; only the cells left over are scheduled onto
+/// workers, so a fully served sweep spawns no thread. A cell that `runner`
+/// completes is stored into `cache`. Rows are built when `want_rows` is set
 /// or the `PUNO_WAREHOUSE` sink is on.
 fn run_sweep<F>(
     workloads: &[WorkloadId],
@@ -429,80 +385,42 @@ where
 {
     let (params, cells) = grid(workloads, mechanisms, opts);
 
-    let checkpoint: Option<RecordFile> = opts.checkpoint.as_deref().map(|path| {
-        RecordFile::open(path)
-            .unwrap_or_else(|e| panic!("cannot open sweep checkpoint {path:?}: {e}"))
-    });
-
-    // Slot per cell. Checkpoint resumes, then cache hits, are filled in
-    // here; a cache hit is checkpointed like a finished cell and flagged
-    // for its warehouse row.
+    // Slot per cell. Cache hits are filled in here and flagged for their
+    // warehouse rows.
     let mut cache_hits = vec![false; cells.len()];
-    let mut unresumed = 0;
     let mut slots: Vec<Option<CellOutcome>> = cells
         .iter()
         .zip(&mut cache_hits)
         .map(|(cell, hit)| {
-            let resume_key = || checkpoint_key(opts, cell.digest);
-            let resumed = checkpoint.as_ref().and_then(|file| file.get(resume_key()));
-            let metrics = match resumed {
-                Some(metrics) => metrics,
-                None => {
-                    unresumed += 1;
-                    let metrics = cache?.lookup(cell.digest)?;
-                    if let Some(file) = &checkpoint {
-                        file.put(resume_key(), cell.key.seed, &metrics);
-                    }
-                    *hit = true;
-                    metrics
-                }
-            };
+            let metrics = cache?.lookup(cell.digest)?;
+            *hit = true;
             Some(CellOutcome::Ok {
                 key: cell.key,
                 metrics,
             })
         })
         .collect();
-    // The worker count is decided over every cell the checkpoint did not
-    // resume, cache hits included, so a warm replay reports the count its
-    // cold run did.
-    let workers = effective_workers(unresumed);
+    // The worker count is decided over every cell, cache hits included, so
+    // a warm replay reports the count its cold run did.
+    let workers = effective_workers(cells.len());
     let mut jobs: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
 
-    // Cost-aware scheduling: order the queue longest-estimated-first (LPT)
-    // so the expensive cells start immediately and a straggler cannot end
-    // up alone at the tail of the sweep with every other worker idle.
-    // Estimates come from prior cell wall-clocks persisted next to the
-    // result cache, falling back to a parameter-derived heuristic for
-    // never-seen cells; ties (and the no-information case) preserve the
-    // original deterministic cell order. Output order is unaffected. The
-    // model is loaded only when some cell is left to simulate.
-    if !jobs.is_empty() {
-        let cost_model = opts
-            .result_cache
-            .as_deref()
-            .map(ResultCache::load_costs)
-            .unwrap_or_default();
-        let estimates: Vec<f64> = cells
-            .iter()
-            .map(|cell| {
-                let (workload, mechanism) = (cell.key.workload.name(), cell.key.mechanism.name());
-                cost_model.estimate(workload, mechanism, &params[cell.workload])
-            })
-            .collect();
-        jobs.sort_by(|&a, &b| {
-            estimates[b]
-                .partial_cmp(&estimates[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-    }
+    // Longest-first (LPT): the cells expected to run longest start first,
+    // so a straggler cannot end up alone at the tail of the sweep with
+    // every other worker idle. Ties keep the deterministic cell order;
+    // output order is unaffected.
+    let ops: Vec<f64> = params.iter().map(expected_ops).collect();
+    jobs.sort_by(|&a, &b| {
+        ops[cells[b].workload]
+            .total_cmp(&ops[cells[a].workload])
+            .then(a.cmp(&b))
+    });
 
     let done: Mutex<Vec<(usize, CellOutcome)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         let (jobs, cells, params, done, next) = (&jobs, &cells, &params, &done, &next);
-        let (runner, checkpoint, retry) = (&runner, &checkpoint, &opts.retry);
+        let (runner, retry) = (&runner, &opts.retry);
         for _ in 0..workers.min(jobs.len()) {
             s.spawn(move || loop {
                 let j = next.fetch_add(1, Ordering::Relaxed);
@@ -513,39 +431,15 @@ where
                 let cell = &cells[i];
                 let params = &params[cell.workload];
                 let outcome = run_cell(cell.key, retry, |traced| runner(cell, params, traced));
-                if let CellOutcome::Ok { metrics, .. } = &outcome {
-                    if let Some(cache) = cache {
-                        cache.store(cell.digest, 0, cell.key.seed, metrics);
-                    }
-                    if let Some(file) = checkpoint {
-                        file.put(checkpoint_key(opts, cell.digest), cell.key.seed, metrics);
-                    }
+                if let (CellOutcome::Ok { metrics, .. }, Some(cache)) = (&outcome, cache) {
+                    cache.store(cell.digest, 0, cell.key.seed, metrics);
                 }
                 store::lock(done).push((i, outcome));
             });
         }
     });
-
-    // Feed observed wall-clocks back into the persisted cost model. Only
-    // cells that simulated in this sweep are here: a resumed cell or a
-    // cache hit carries the wall-clock of the run that stored it, which
-    // the model has already seen.
-    let mut cost_records: Vec<CostRecord> = Vec::new();
     for (i, outcome) in done.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        if let CellOutcome::Ok { key, metrics } = &outcome {
-            if metrics.host.wall_secs > 0.0 {
-                cost_records.push(CostRecord {
-                    workload: key.workload.name().to_string(),
-                    mechanism: key.mechanism.name().to_string(),
-                    tx_per_node: params[cells[i].workload].tx_per_node,
-                    wall_secs: metrics.host.wall_secs,
-                });
-            }
-        }
         slots[i] = Some(outcome);
-    }
-    if let Some(cache) = &opts.result_cache {
-        cache.append_costs(&cost_records);
     }
 
     let outcomes: Vec<CellOutcome> = slots
@@ -646,6 +540,29 @@ pub fn effective_workers(jobs: usize) -> usize {
     capped.min(jobs.max(1))
 }
 
+/// A cell's expected length for job ordering: transactional plus
+/// non-transactional operations per node, from its parameters alone. Only
+/// the relative order of two cells matters.
+fn expected_ops(params: &WorkloadParams) -> f64 {
+    let weight_sum: f64 = params
+        .static_txs
+        .iter()
+        .map(|t| t.weight)
+        .sum::<f64>()
+        .max(1e-9);
+    let ops_per_tx: f64 = params
+        .static_txs
+        .iter()
+        .map(|t| {
+            let reads = (t.reads.0 + t.reads.1) as f64 / 2.0;
+            let writes = (t.writes.0 + t.writes.1) as f64 / 2.0;
+            t.weight * (reads + writes)
+        })
+        .sum::<f64>()
+        / weight_sum;
+    params.tx_per_node as f64 * (ops_per_tx + params.non_tx_accesses as f64)
+}
+
 /// Run one cell (`attempt`, given whether it runs traced) with panic
 /// containment under the escalating retry policy. A cell that exhausts a
 /// multi-attempt budget comes back [`CellOutcome::Quarantined`]; with no
@@ -682,10 +599,6 @@ fn run_cell(
                 }
             };
         }
-        let delay = policy.backoff(attempts + 1, key.seed);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
     }
 }
 
@@ -696,18 +609,6 @@ fn panic_payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "(non-string panic payload)".to_string()
-    }
-}
-
-/// A cell's key in the sweep checkpoint: its full identity, the
-/// [`crate::cache::cell_digest`] of the sweep's configuration, parameters and seed, with
-/// the fault plan folded in when one is installed. A checkpoint written at
-/// another scale, configuration or fault plan resumes nothing.
-fn checkpoint_key(opts: &SweepOptions, digest: u64) -> u64 {
-    if opts.fault_plan.is_empty() {
-        digest
-    } else {
-        fnv1a_64_fold(digest, format!("|faults={:?}", opts.fault_plan).as_bytes())
     }
 }
 
@@ -876,56 +777,5 @@ mod tests {
             "an exhausted retry budget must quarantine the cell"
         );
         assert_eq!(outcomes[1].attempts(), Some(2));
-    }
-
-    /// Interrupted sweep: first pass checkpoints its one success (the
-    /// failed cell is not written); the resumed pass re-runs only the
-    /// failed cell.
-    #[test]
-    fn checkpoint_resume_skips_completed_cells() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let dir = std::env::temp_dir().join(format!(
-            "puno-sweep-ckpt-{}-{}",
-            std::process::id(),
-            "resume"
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let workloads = [WorkloadId::Ssca2, WorkloadId::Kmeans];
-        let mechanisms = [Mechanism::Baseline];
-        let mut opts = SweepOptions::new(3, 0.05);
-        opts.checkpoint = Some(path.clone());
-
-        let first = try_sweep_with(&workloads, &mechanisms, &opts, |m, params, seed, _| {
-            if params.name.contains("kmeans") {
-                panic!("fails on the first pass");
-            }
-            Ok(crate::run::run_workload(m, params, seed))
-        });
-        assert!(first[0].is_ok());
-        assert!(!first[1].is_ok());
-
-        // Second pass: the healthy cell must NOT re-run (it would trip the
-        // counter), the failed one runs and now succeeds.
-        let reruns = AtomicU32::new(0);
-        let second = try_sweep_with(&workloads, &mechanisms, &opts, |m, params, seed, _| {
-            reruns.fetch_add(1, Ordering::SeqCst);
-            assert!(
-                params.name.contains("kmeans"),
-                "resume re-ran an already-successful cell"
-            );
-            Ok(crate::run::run_workload(m, params, seed))
-        });
-        assert_eq!(reruns.load(Ordering::SeqCst), 1);
-        assert!(second[0].is_ok() && second[1].is_ok());
-        assert_eq!(
-            second[0].metrics().unwrap().workload,
-            WorkloadId::Ssca2.name()
-        );
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -1,5 +1,5 @@
-//! Malformed input against the record store's three readers: the result
-//! cache, the sweep checkpoint's resume, and the warehouse.
+//! Malformed input against the record store's two readers: the result
+//! cache and the warehouse.
 //!
 //! A seeded corpus is built from real lines of each format: two freshly
 //! stored cells per file, plus the legacy `engine4_express` fixture line
@@ -16,12 +16,11 @@
 //! The field splitter itself must agree with a plain byte-by-byte walker
 //! on every corpus line and on seeded mutations of them.
 
-use puno_harness::cache::{cell_digest, split_fields, RecordFile, ResultCache, ENGINE_VERSION};
+use puno_harness::cache::{cell_digest, split_fields, ResultCache, ENGINE_VERSION};
 use puno_harness::run::run_with_config;
 use puno_harness::store::SkipStats;
-use puno_harness::sweep::{try_sweep_with, CellOutcome, SweepOptions};
 use puno_harness::warehouse::WAREHOUSE_SCHEMA_VERSION;
-use puno_harness::{Mechanism, RunError, RunMetrics, SystemConfig, Warehouse, WarehouseRow};
+use puno_harness::{Mechanism, RunMetrics, SystemConfig, Warehouse, WarehouseRow};
 use puno_sim::rng::SimRng;
 use puno_workloads::{fnv1a_64, WorkloadId};
 use serde_json::Value;
@@ -65,11 +64,10 @@ fn lines_of(path: &Path) -> Vec<String> {
 #[derive(Clone, Copy, Debug)]
 enum Format {
     Cache,
-    Checkpoint,
     Warehouse,
 }
 
-const FORMATS: [Format; 3] = [Format::Cache, Format::Checkpoint, Format::Warehouse];
+const FORMATS: [Format; 2] = [Format::Cache, Format::Warehouse];
 
 /// What a reader served from one file — `(key, value as JSON)` pairs —
 /// and what it skipped at open.
@@ -82,7 +80,6 @@ impl Format {
     fn file(self) -> &'static str {
         match self {
             Format::Cache => "results.jsonl",
-            Format::Checkpoint => "checkpoint.jsonl",
             Format::Warehouse => "warehouse.jsonl",
         }
     }
@@ -93,7 +90,7 @@ impl Format {
         let v: Value = serde_json::from_str(line).ok()?;
         let verified = self.checksum_of(&v)? == v.get("checksum")?.as_u64()?;
         match self {
-            Format::Cache | Format::Checkpoint => {
+            Format::Cache => {
                 let current = v.get("engine_version")?.as_u64()? == u64::from(ENGINE_VERSION);
                 (verified && current).then_some(())?;
                 let metrics: RunMetrics = serde_json::from_value(v.get("metrics")?).ok()?;
@@ -113,7 +110,7 @@ impl Format {
     /// The checksum the parsed line's content calls for.
     fn checksum_of(self, v: &Value) -> Option<u64> {
         match self {
-            Format::Cache | Format::Checkpoint => {
+            Format::Cache => {
                 let num = |key: &str| v.get(key)?.as_u64();
                 let prefix = match v.get("prefix_digest") {
                     Some(p) => format!("p{}|", p.as_u64()?),
@@ -161,16 +158,6 @@ impl Format {
                 let mut lines = lines_of(&dir.join(self.file()));
                 lines.push(fixture("results.jsonl"));
                 lines
-            }
-            Format::Checkpoint => {
-                let outcomes = try_sweep_with(
-                    &[WorkloadId::Ssca2],
-                    &MECHANISMS,
-                    &checkpointed(&dir),
-                    |m, params, seed, _| Ok(run_with_config(SystemConfig::paper(m), params, seed)),
-                );
-                assert!(outcomes.iter().all(CellOutcome::is_ok));
-                lines_of(&dir.join(self.file()))
             }
             Format::Warehouse => {
                 let mut rows: Vec<WarehouseRow> = MECHANISMS
@@ -225,35 +212,6 @@ impl Format {
                 );
                 Served { records, stats }
             }
-            Format::Checkpoint => {
-                let stats = RecordFile::open(&dir.join(self.file())).unwrap().stats();
-                // Only a cell resumed from the checkpoint can succeed.
-                let outcomes = try_sweep_with(
-                    &[WorkloadId::Ssca2],
-                    &MECHANISMS,
-                    &checkpointed(dir),
-                    |_, _, _, _| {
-                        Err(RunError::WorkerPanic {
-                            payload: "not in the checkpoint".into(),
-                        })
-                    },
-                );
-                let params = WorkloadId::Ssca2.params().scaled(SCALE);
-                let records = outcomes
-                    .into_iter()
-                    .filter_map(|outcome| match outcome {
-                        CellOutcome::Ok { key, mut metrics } => {
-                            let config = SystemConfig::paper(key.mechanism);
-                            // The sweep stamps its worker count after resume.
-                            metrics.host.sweep_workers = 0;
-                            let digest = cell_digest(&config, &params, key.seed);
-                            Some((digest.to_string(), json(&metrics)))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                Served { records, stats }
-            }
             Format::Warehouse => {
                 let (rows, stats) = Warehouse::open(dir).unwrap().load();
                 assert_eq!(stats.kept, rows.len() as u64);
@@ -269,14 +227,6 @@ fn row_entry(row: &WarehouseRow) -> (String, String) {
         format!("{}|{}", row.run_id, row.digest),
         serde_json::to_string(row).unwrap(),
     )
-}
-
-/// Sweep options resuming from (and recording to) `dir`'s checkpoint.
-fn checkpointed(dir: &Path) -> SweepOptions {
-    let mut opts = SweepOptions::new(SEED, SCALE);
-    opts.result_cache = None;
-    opts.checkpoint = Some(dir.join(Format::Checkpoint.file()));
-    opts
 }
 
 /// What opening a file holding `bytes` did.

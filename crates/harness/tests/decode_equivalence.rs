@@ -18,7 +18,7 @@
 //! `record_expectations`, while `serde_json::from_str` still built a
 //! `Value` tree and walked it; they are not meant to be re-recorded.
 
-use puno_harness::cache::{cell_digest, split_fields, CacheRecord, CostRecord, ResultCache};
+use puno_harness::cache::{cell_digest, split_fields, CacheRecord, ResultCache};
 use puno_harness::{HostPerf, Mechanism, RunMetrics, System, SystemConfig, TelemetryConfig};
 use puno_harness::{Warehouse, WarehouseRow};
 use puno_sim::rng::SimRng;
@@ -26,6 +26,17 @@ use puno_sim::{ChannelMask, TraceRecord, Tracer};
 use puno_workloads::{fnv1a_64, micro, WorkloadId};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
+
+/// The shape of a line of the retired sweep cost log: its corpus lines and
+/// its column of outcomes stay, so derived decoding of a struct of strings,
+/// a `u32` and an `f64` stays pinned.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct CostRecord {
+    workload: String,
+    mechanism: String,
+    tx_per_node: u32,
+    wall_secs: f64,
+}
 
 const SCALE: f64 = 0.05;
 const GRID_SEEDS: [u64; 2] = [1, 42];

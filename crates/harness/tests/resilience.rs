@@ -68,7 +68,6 @@ fn a_quarantined_sweep_retry_ends_with_a_leadup_trace() {
     let mut opts = SweepOptions::new(3, 0.05);
     opts.retry = RetryPolicy::new(2);
     opts.result_cache = None;
-    opts.checkpoint = None;
     opts.config = config;
     let outcomes = try_sweep(&[WorkloadId::Ssca2], &[Mechanism::Puno], &opts);
     assert_eq!(outcomes.len(), 1);

@@ -12,15 +12,15 @@
 //! divergence between fresh construction, shared programs, or cached
 //! replay fails here.
 
+use puno_harness::cache::CacheStats;
 use puno_harness::run::run_with_config;
 use puno_harness::sweep::{
-    try_sweep, try_sweep_rows, try_sweep_with, try_sweep_with_rows, CellOutcome, SweepOptions,
+    try_sweep, try_sweep_rows, try_sweep_with_rows, CellOutcome, SweepOptions,
 };
 use puno_harness::{cell_digest, Mechanism, ResultCache, SystemConfig, ENGINE_VERSION};
 use puno_sim::FaultPlan;
-use puno_workloads::{fnv1a_64, WorkloadId, WorkloadParams};
+use puno_workloads::{fnv1a_64, WorkloadId};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 const GOLDEN_SEED: u64 = 42;
@@ -103,174 +103,6 @@ fn sweep_engine_paths_are_bit_identical_to_fresh_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A fully warm sweep simulates nothing: every warehouse row is flagged as
-/// a cache hit, and with no wall-clocks to teach the cost model,
-/// `costs.jsonl` must come out byte-identical.
-#[test]
-fn warm_sweep_leaves_the_cost_model_untouched() {
-    let dir = std::env::temp_dir().join(format!("puno-sweep-costs-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let workloads = [WorkloadId::Ssca2];
-    let sweep_with_fresh_handle = || {
-        let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
-        let cache = Arc::new(ResultCache::open(&dir).expect("cache dir"));
-        opts.result_cache = Some(cache.clone());
-        let (_, rows) = try_sweep_rows(&workloads, &MECHANISMS, &opts);
-        let hit_flags: Vec<bool> = rows.iter().map(|r| r.cache_hit).collect();
-        (cache.stats(), hit_flags)
-    };
-    let costs = dir.join("costs.jsonl");
-
-    let (stats, hit_flags) = sweep_with_fresh_handle();
-    assert_eq!(stats.stores, 2);
-    assert_eq!(hit_flags, [false, false], "cold rows flagged as cache hits");
-    let cold = std::fs::read(&costs).expect("the cold sweep records its costs");
-    assert_eq!(cold.iter().filter(|&&b| b == b'\n').count(), 2);
-
-    let (stats, hit_flags) = sweep_with_fresh_handle();
-    assert_eq!(stats.hits, 2);
-    assert_eq!(
-        hit_flags,
-        [true, true],
-        "warm rows not flagged as cache hits"
-    );
-    assert_eq!(
-        std::fs::read(&costs).unwrap(),
-        cold,
-        "cache hits fed costs.jsonl"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A checkpointed sweep over ssca2 x {baseline, puno} at `scale` under
-/// `config`: the outcomes, and how many cells the runner simulated.
-fn checkpointed_sweep(
-    checkpoint: Option<&Path>,
-    scale: f64,
-    config: fn(Mechanism) -> SystemConfig,
-) -> (Vec<String>, u32) {
-    let mut opts = SweepOptions::new(GOLDEN_SEED, scale);
-    opts.result_cache = None;
-    opts.checkpoint = checkpoint.map(Path::to_path_buf);
-    opts.config = config;
-    let runs = AtomicU32::new(0);
-    let outcomes = try_sweep_with(
-        &[WorkloadId::Ssca2],
-        &MECHANISMS,
-        &opts,
-        |m, params, seed, _| {
-            runs.fetch_add(1, Ordering::SeqCst);
-            Ok(run_with_config(config(m), params, seed))
-        },
-    );
-    let simulated = outcomes
-        .iter()
-        .map(|o| {
-            let metrics = o.metrics().expect("every cell succeeds");
-            serde_json::to_string(&metrics.deterministic()).unwrap()
-        })
-        .collect();
-    (simulated, runs.into_inner())
-}
-
-fn checkpoint_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("puno-ckpt-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("checkpoint.jsonl")
-}
-
-/// A checkpoint resumes only cells with the same full identity: cells
-/// written at scale 0.05 on the 4x4 mesh re-simulate when the sweep is
-/// resumed at scale 0.1 or on the 8x8 mesh, and match a sweep run without
-/// a checkpoint.
-#[test]
-fn checkpoint_resume_is_keyed_by_the_full_cell_identity() {
-    let path = checkpoint_path("identity");
-    let (written, runs) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
-    assert_eq!(runs, 2);
-    let (resumed, runs) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
-    assert_eq!((runs, &resumed), (0, &written), "same identity resumes");
-
-    for (label, scale, config) in [
-        (
-            "scale 0.1",
-            0.1,
-            SystemConfig::paper as fn(Mechanism) -> SystemConfig,
-        ),
-        ("mesh8", GOLDEN_SCALE, SystemConfig::mesh8),
-    ] {
-        let (resumed, runs) = checkpointed_sweep(Some(&path), scale, config);
-        assert_eq!(runs, 2, "{label}: every cell must re-simulate");
-        let (fresh, _) = checkpointed_sweep(None, scale, config);
-        assert_eq!(
-            resumed, fresh,
-            "{label}: resumed sweep differs from a fresh one"
-        );
-        assert_ne!(resumed, written, "{label}: served the 0.05 4x4 metrics");
-    }
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
-}
-
-/// Installing a fault plan changes every cell's checkpoint key: cells
-/// written without faults re-simulate under a plan.
-#[test]
-fn checkpoint_resume_is_keyed_by_the_fault_plan() {
-    let path = checkpoint_path("faults");
-    checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
-    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
-    opts.result_cache = None;
-    opts.checkpoint = Some(path.clone());
-    opts.fault_plan = FaultPlan::background(1, 0.5);
-    let runs = AtomicU32::new(0);
-    let count_runs = |m: Mechanism, params: &WorkloadParams, seed| {
-        runs.fetch_add(1, Ordering::SeqCst);
-        Ok(run_with_config(SystemConfig::paper(m), params, seed))
-    };
-    try_sweep_with(&[WorkloadId::Ssca2], &MECHANISMS, &opts, |m, p, s, _| {
-        count_runs(m, p, s)
-    });
-    assert_eq!(
-        runs.load(Ordering::SeqCst),
-        2,
-        "a fault plan resumed fault-free cells"
-    );
-    try_sweep_with(&[WorkloadId::Ssca2], &MECHANISMS, &opts, |m, p, s, _| {
-        count_runs(m, p, s)
-    });
-    assert_eq!(
-        runs.load(Ordering::SeqCst),
-        2,
-        "the same plan resumes its own cells"
-    );
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
-}
-
-/// One changed digit inside a checkpoint record's metrics fails its
-/// checksum: that cell re-simulates and the sweep matches a fresh run.
-#[test]
-fn a_damaged_checkpoint_record_re_runs_its_cell() {
-    let path = checkpoint_path("damaged");
-    let (written, _) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let metrics_at = text.find("\"metrics\":{").expect("a checkpoint record");
-    let cycles_at = metrics_at + text[metrics_at..].find("\"cycles\":").unwrap();
-    let digits_end = cycles_at
-        + "\"cycles\":".len()
-        + text[cycles_at + "\"cycles\":".len()..]
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap();
-    let last = text.as_bytes()[digits_end - 1];
-    let mut damaged = text.into_bytes();
-    damaged[digits_end - 1] = if last == b'9' { b'0' } else { last + 1 };
-    std::fs::write(&path, damaged).unwrap();
-
-    let (resumed, runs) = checkpointed_sweep(Some(&path), GOLDEN_SCALE, SystemConfig::paper);
-    assert_eq!(runs, 1, "exactly the damaged cell re-runs");
-    assert_eq!(resumed, written, "the damaged value was served");
-    let _ = std::fs::remove_dir_all(path.parent().unwrap());
-}
-
 /// Every row's digest — the sweep folds it from each mechanism's
 /// configuration and each workload's parameters, formatted once per sweep
 /// — equals `cell_digest` and the FNV-1a of the joined string it is
@@ -294,7 +126,6 @@ fn sweep_digests_are_cell_digests() {
         for seed in [1, GOLDEN_SEED] {
             let mut opts = SweepOptions::new(seed, GOLDEN_SCALE);
             opts.result_cache = None;
-            opts.checkpoint = None;
             opts.config = config;
             let (outcomes, rows) =
                 try_sweep_with_rows(&WorkloadId::ALL, &Mechanism::ALL, &opts, |_, _, _, _| {
@@ -322,20 +153,29 @@ fn cache_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A sweep of ssca2 and kmeans x {baseline, puno} on a fresh handle over
-/// `dir`'s cache, through `try_sweep_rows` or `try_sweep`.
-fn cached_sweep(dir: &Path, rows: bool) -> (Vec<CellOutcome>, u64) {
+const SSCA2_KMEANS: [WorkloadId; 2] = [WorkloadId::Ssca2, WorkloadId::Kmeans];
+
+/// A sweep of `workloads` x {baseline, puno} under `faults` on a fresh
+/// handle over `dir`'s cache, through `try_sweep_rows` or (`rows` false)
+/// `try_sweep`: the outcomes, each row's cache-hit flag (none without
+/// rows), and the handle's counters.
+fn cached_sweep(
+    dir: &Path,
+    workloads: &[WorkloadId],
+    faults: FaultPlan,
+    rows: bool,
+) -> (Vec<CellOutcome>, Vec<bool>, CacheStats) {
     let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
     let cache = Arc::new(ResultCache::open(dir).expect("cache dir"));
     opts.result_cache = Some(cache.clone());
-    opts.checkpoint = None;
-    let workloads = [WorkloadId::Ssca2, WorkloadId::Kmeans];
-    let outcomes = if rows {
-        try_sweep_rows(&workloads, &MECHANISMS, &opts).0
+    opts.fault_plan = faults;
+    let (outcomes, hit_flags) = if rows {
+        let (outcomes, rows) = try_sweep_rows(workloads, &MECHANISMS, &opts);
+        (outcomes, rows.iter().map(|r| r.cache_hit).collect())
     } else {
-        try_sweep(&workloads, &MECHANISMS, &opts)
+        (try_sweep(workloads, &MECHANISMS, &opts), Vec::new())
     };
-    (outcomes, cache.stats().hits)
+    (outcomes, hit_flags, cache.stats())
 }
 
 fn as_json(outcomes: &[CellOutcome], deterministic: bool) -> Vec<String> {
@@ -354,35 +194,81 @@ fn as_json(outcomes: &[CellOutcome], deterministic: bool) -> Vec<String> {
 
 /// `try_sweep`, which builds no warehouse rows, and `try_sweep_rows`
 /// return the same outcomes: cold (the simulated part; wall-clocks differ
-/// between runs) and warm (byte for byte, host block included). A fully
-/// warm sweep gives those outcomes even when `costs.jsonl` holds garbage,
-/// and leaves the garbage as it found it.
+/// between runs) and warm (byte for byte, host block included).
 #[test]
 fn both_sweep_entry_points_agree_cold_and_warm() {
     let (a, b) = (cache_dir("entry-a"), cache_dir("entry-b"));
-    let (cold, hits) = cached_sweep(&a, false);
-    assert_eq!(hits, 0);
-    let (cold_rows, hits) = cached_sweep(&b, true);
-    assert_eq!(hits, 0);
+    let (cold, _, stats) = cached_sweep(&a, &SSCA2_KMEANS, FaultPlan::none(), false);
+    assert_eq!(stats.hits, 0);
+    let (cold_rows, _, stats) = cached_sweep(&b, &SSCA2_KMEANS, FaultPlan::none(), true);
+    assert_eq!(stats.hits, 0);
     assert_eq!(
         cold.iter().map(CellOutcome::key).collect::<Vec<_>>(),
         cold_rows.iter().map(CellOutcome::key).collect::<Vec<_>>()
     );
     assert_eq!(as_json(&cold, true), as_json(&cold_rows, true));
 
-    let (warm, hits) = cached_sweep(&a, false);
-    assert_eq!(hits, 4);
-    let (warm_rows, hits) = cached_sweep(&a, true);
-    assert_eq!(hits, 4);
+    let (warm, _, stats) = cached_sweep(&a, &SSCA2_KMEANS, FaultPlan::none(), false);
+    assert_eq!(stats.hits, 4);
+    let (warm_rows, _, stats) = cached_sweep(&a, &SSCA2_KMEANS, FaultPlan::none(), true);
+    assert_eq!(stats.hits, 4);
     assert_eq!(as_json(&warm, false), as_json(&warm_rows, false));
     assert_eq!(as_json(&warm, false), as_json(&cold, false));
-
-    let garbage = b"not json\n{\"workload\":\n\x00\xff{{{\n".to_vec();
-    std::fs::write(a.join("costs.jsonl"), &garbage).unwrap();
-    let (warm_on_garbage, hits) = cached_sweep(&a, false);
-    assert_eq!(hits, 4);
-    assert_eq!(as_json(&warm_on_garbage, false), as_json(&warm, false));
-    assert_eq!(std::fs::read(a.join("costs.jsonl")).unwrap(), garbage);
     let _ = std::fs::remove_dir_all(&a);
     let _ = std::fs::remove_dir_all(&b);
+}
+
+/// A killed sweep resumes from the result cache: the cells a first sweep
+/// over ssca2 stored are served to a second sweep over ssca2 and kmeans,
+/// which simulates only kmeans. Warehouse rows flag exactly the served
+/// cells.
+#[test]
+fn a_re_run_sweep_resumes_from_the_cache() {
+    let dir = cache_dir("resume");
+    let (first, hit_flags, stats) =
+        cached_sweep(&dir, &[WorkloadId::Ssca2], FaultPlan::none(), true);
+    assert_eq!((stats.hits, stats.stores), (0, 2));
+    assert_eq!(hit_flags, [false, false], "cold rows flagged as cache hits");
+
+    let (second, hit_flags, stats) = cached_sweep(&dir, &SSCA2_KMEANS, FaultPlan::none(), true);
+    assert_eq!(
+        (stats.hits, stats.misses, stats.stores),
+        (2, 2, 2),
+        "only the kmeans cells simulate"
+    );
+    assert_eq!(hit_flags, [true, true, false, false]);
+    assert_eq!(as_json(&second[..2], true), as_json(&first, true));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fault plans change simulated behaviour, so a faulted sweep neither reads
+/// nor writes the cache: over a warm fault-free cache it hits nothing,
+/// stores nothing and really runs faulted. A fault-free sweep afterwards
+/// still replays the golden metrics.
+#[test]
+fn a_faulted_sweep_bypasses_the_result_cache() {
+    let dir = cache_dir("faulted");
+    let (_, _, stats) = cached_sweep(&dir, &WorkloadId::ALL, FaultPlan::none(), false);
+    assert_eq!(stats.stores, 16);
+
+    let (faulted, _, stats) =
+        cached_sweep(&dir, &WorkloadId::ALL, FaultPlan::background(1, 0.5), false);
+    assert_eq!(
+        (stats.hits, stats.stores),
+        (0, 0),
+        "a faulted sweep used the cache"
+    );
+    for outcome in &faulted {
+        let metrics = outcome.metrics().expect("faulted cells complete");
+        assert!(
+            metrics.faults.total() > 0,
+            "{:?} ran without faults",
+            outcome.key()
+        );
+    }
+
+    let (warm, _, stats) = cached_sweep(&dir, &WorkloadId::ALL, FaultPlan::none(), false);
+    assert_eq!((stats.hits, stats.stores), (16, 0));
+    assert_outcomes_match_golden(&warm, "fault-free sweep after a faulted one");
+    let _ = std::fs::remove_dir_all(&dir);
 }
