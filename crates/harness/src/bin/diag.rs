@@ -1,4 +1,6 @@
-//! Quick diagnostic: dump mechanism-comparison stats for one workload.
+//! Quick diagnostic: dump mechanism-comparison stats for one workload on
+//! the paper's Table II system. Parameter curves are the `figures`
+//! sensitivity artifact's job.
 //! Usage: `diag [workload|micro-name] [scale]`
 
 use puno_harness::Mechanism;
@@ -22,21 +24,9 @@ fn main() {
     let name = args.get(1).map(String::as_str).unwrap_or("hotspot");
     let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1.0);
     let params = params_by_name(name).scaled(scale);
-    let ncap: u64 = std::env::var("PUNO_NCAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(u64::MAX);
-    println!("== {} (scale {scale}, ncap {ncap}) ==", params.name);
+    println!("== {} (scale {scale}) ==", params.name);
     for mech in Mechanism::ALL {
-        let mut config = puno_harness::SystemConfig::paper(mech);
-        config.backoff.notification_cap = ncap;
-        if let Ok(f) = std::env::var("PUNO_RFACTOR") {
-            config.puno.rollover_factor = f.parse().unwrap();
-        }
-        if let Ok(v) = std::env::var("PUNO_VTH") {
-            config.puno.validity_threshold = v.parse().unwrap();
-        }
-        let m = puno_harness::run::run_with_config(config, &params, 5);
+        let m = puno_harness::run_workload(mech, &params, 5);
         println!(
             "{:>9}: cycles {:>9} commits {:>6} aborts {:>7} (rate {:.1}%) nacks {:>7} retries {:>7}",
             mech.name(),

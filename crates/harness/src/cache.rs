@@ -1,13 +1,14 @@
 //! Persistent result cache.
 //!
 //! Every simulated cell is a pure function of `(SystemConfig, WorkloadParams,
-//! seed)` — so once a cell has run, re-running it (another `regen_all.sh`
-//! figure binary, a sweep resumed after a kill, a sensitivity point sharing
-//! a configuration) is pure waste. The [`ResultCache`] memoizes fault-free
-//! successful runs in an append-only JSONL file keyed by a content digest of
-//! the full cell identity plus [`ENGINE_VERSION`]; bumping the version
-//! invalidates every cached cell at once, which is the required response to
-//! *any* change in simulated behaviour (the golden snapshots catch those).
+//! seed)` — so once a cell has run, re-running it (a second `regen_all.sh`
+//! at unchanged inputs, a sweep resumed after a kill, a `sweep_all` over
+//! the grid `figures` already swept) is pure waste. The [`ResultCache`]
+//! memoizes fault-free successful runs in an append-only JSONL file keyed
+//! by a content digest of the full cell identity plus [`ENGINE_VERSION`];
+//! bumping the version invalidates every cached cell at once, which is the
+//! required response to *any* change in simulated behaviour (the golden
+//! snapshots catch those).
 //! It is the only state a sweep keeps on disk.
 
 use crate::config::SystemConfig;

@@ -5,9 +5,9 @@
 //! These entry points, and only these, install the run-level tracer knobs
 //! `PUNO_TRACE` / `PUNO_TRACE_OUT` (see [`env_tracer`]) on the system they
 //! build; its ring becomes the trace of a deadlock/livelock error. Sweeps
-//! ([`mod@crate::sweep`]), and so every figure binary, ignore `PUNO_TRACE`:
-//! their retry attempts run traced on their own. To trace one sweep cell,
-//! use `sweep_all --trace <workload>:<mechanism>`.
+//! ([`mod@crate::sweep`]), and so the grid of the `figures` binary, ignore
+//! `PUNO_TRACE`: their retry attempts run traced on their own. To trace one
+//! sweep cell, use `sweep_all --trace <workload>:<mechanism>`.
 
 use crate::cache::ResultCache;
 use crate::config::SystemConfig;

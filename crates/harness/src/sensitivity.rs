@@ -1,11 +1,14 @@
 //! Sensitivity sweeps over PUNO's design parameters — the design-space
-//! exploration behind the ablation binary and the tuning notes in
-//! DESIGN.md.
+//! exploration behind the `figures` ablation and sensitivity artifacts and
+//! the tuning notes in DESIGN.md.
+//!
+//! Each sweep takes the caller's cell runner, `run(config, workload)`, so
+//! the caller decides scale, seed and where a cell's metrics come from (a
+//! fresh run, the result cache, or a grid it already swept).
 
 use crate::config::SystemConfig;
 use crate::mechanism::Mechanism;
 use crate::metrics::RunMetrics;
-use crate::run::run_with_config_cached;
 use puno_workloads::WorkloadId;
 use serde::Serialize;
 
@@ -47,35 +50,27 @@ impl SensitivityPoint {
 }
 
 fn run_point(
-    label: &str,
+    label: String,
     config: SystemConfig,
     workloads: &[WorkloadId],
-    scale: f64,
-    seed: u64,
+    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
 ) -> SensitivityPoint {
-    // Cache-aware: sensitivity grids share many cells with prior sweeps and
-    // with each other (every grid includes the paper-default point), so a
-    // populated `PUNO_RESULT_CACHE` skips the overlap.
-    let runs: Vec<RunMetrics> = workloads
-        .iter()
-        .map(|w| run_with_config_cached(config, &w.params().scaled(scale), seed))
-        .collect();
-    SensitivityPoint::from_runs(label.to_string(), &runs)
+    let runs: Vec<RunMetrics> = workloads.iter().map(|&w| run(config, w)).collect();
+    SensitivityPoint::from_runs(label, &runs)
 }
 
 /// Sweep the rollover factor (priority freshness window).
 pub fn sweep_rollover_factor(
     factors: &[u64],
     workloads: &[WorkloadId],
-    scale: f64,
-    seed: u64,
+    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
 ) -> Vec<SensitivityPoint> {
     factors
         .iter()
         .map(|&f| {
             let mut c = SystemConfig::paper(Mechanism::Puno);
             c.puno.rollover_factor = f;
-            run_point(&format!("rollover-{f}x"), c, workloads, scale, seed)
+            run_point(format!("rollover-{f}x"), c, workloads, run)
         })
         .collect()
 }
@@ -84,15 +79,14 @@ pub fn sweep_rollover_factor(
 pub fn sweep_validity_threshold(
     thresholds: &[u8],
     workloads: &[WorkloadId],
-    scale: f64,
-    seed: u64,
+    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
 ) -> Vec<SensitivityPoint> {
     thresholds
         .iter()
         .map(|&t| {
             let mut c = SystemConfig::paper(Mechanism::Puno);
             c.puno.validity_threshold = t;
-            run_point(&format!("validity-{t}"), c, workloads, scale, seed)
+            run_point(format!("validity-{t}"), c, workloads, run)
         })
         .collect()
 }
@@ -101,8 +95,7 @@ pub fn sweep_validity_threshold(
 pub fn sweep_notification_cap(
     caps: &[u64],
     workloads: &[WorkloadId],
-    scale: f64,
-    seed: u64,
+    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
 ) -> Vec<SensitivityPoint> {
     caps.iter()
         .map(|&cap| {
@@ -113,7 +106,7 @@ pub fn sweep_notification_cap(
             } else {
                 format!("ncap-{cap}")
             };
-            run_point(&label, c, workloads, scale, seed)
+            run_point(label, c, workloads, run)
         })
         .collect()
 }
@@ -121,10 +114,15 @@ pub fn sweep_notification_cap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_with_config;
+
+    fn small_cell(config: SystemConfig, w: WorkloadId) -> RunMetrics {
+        run_with_config(config, &w.params().scaled(0.05), 1)
+    }
 
     #[test]
     fn rollover_sweep_produces_distinct_behaviour() {
-        let pts = sweep_rollover_factor(&[1, 8], &[WorkloadId::Intruder], 0.05, 1);
+        let pts = sweep_rollover_factor(&[1, 8], &[WorkloadId::Intruder], &mut small_cell);
         assert_eq!(pts.len(), 2);
         // A longer freshness window must not reduce unicast volume.
         assert!(
@@ -141,7 +139,7 @@ mod tests {
 
     #[test]
     fn validity_sweep_trades_coverage_for_accuracy() {
-        let pts = sweep_validity_threshold(&[2, 3], &[WorkloadId::Intruder], 0.05, 1);
+        let pts = sweep_validity_threshold(&[2, 3], &[WorkloadId::Intruder], &mut small_cell);
         assert!(
             pts[1].unicasts <= pts[0].unicasts,
             "stricter threshold cannot unicast more"

@@ -118,6 +118,31 @@ grep -q "result cache: 32 hits, 0 misses" "$GRID_DIR/warm.err" \
     || { echo "open skipped a healthy grid record:"; cat "$GRID_DIR/warm.err"; exit 1; }
 echo "grid replay smoke OK (32/32 warm hits, report byte-identical above host perf)"
 
+echo "== figures smoke (every paper artifact at 0.05 scale, cold then warm) =="
+# The figures binary writes every table and figure from one swept grid.
+# The cold pass into a fresh result cache must write all 13 .txt files and
+# the 12 .json files (Table II is text only), none empty, and store each of
+# its 80 distinct cells once: the 32 grid cells plus 12 ablation and
+# sensitivity configurations on the 4 high-contention workloads. The warm
+# pass over the same cache must store nothing new and rewrite every file
+# byte for byte.
+FIG_DIR="$RES_DIR/figures"
+mkdir -p "$FIG_DIR"
+for pass in cold warm; do
+    PUNO_RESULT_CACHE="$FIG_DIR/cache" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
+        cargo run --offline --release -q -p puno-bench --bin figures -- 0.05 1 \
+        --out "$FIG_DIR/$pass" 2> "$FIG_DIR/$pass.err"
+    [ "$(grep -c . "$FIG_DIR/cache/results.jsonl")" -eq 80 ] \
+        || { echo "the $pass figures pass did not leave 80 cached cells"; exit 1; }
+done
+[ "$(find "$FIG_DIR/cold" -name '*.txt' -size +0 | wc -l)" -eq 13 ] \
+    && [ "$(find "$FIG_DIR/cold" -name '*.json' -size +0 | wc -l)" -eq 12 ] \
+    && [ "$(find "$FIG_DIR/cold" -type f | wc -l)" -eq 25 ] \
+    || { echo "figures did not write 13 .txt and 12 .json artifacts:"; ls -l "$FIG_DIR/cold"; exit 1; }
+diff -r "$FIG_DIR/cold" "$FIG_DIR/warm" \
+    || { echo "warm figures artifacts differ from the cold pass"; exit 1; }
+echo "figures smoke OK (25 artifacts, warm pass byte-identical)"
+
 echo "== resilience smoke (corrupt cache record: skip-and-count, then compact) =="
 # Tamper with a field inside the FIRST persisted record: the JSON still
 # parses but its content checksum no longer verifies, so the next open

@@ -1,42 +1,23 @@
 #!/usr/bin/env bash
-# Regenerate every paper artifact at full scale into results/.
+# Regenerate every paper artifact into results/: the `figures` binary
+# sweeps the workload x mechanism grid once and writes each table and
+# figure as results/<name>.txt and results/<name>.json.
 # Usage: scripts/regen_all.sh [scale] [seed]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALE="${1:-1.0}"
 SEED="${2:-1}"
-export PUNO_JSON_DIR="$PWD/results"
-# Persistent result cache: every figure binary sweeps the same grid, so
-# after the first binary populates the cache the rest replay their cells
-# (and a re-run at unchanged inputs skips simulation entirely). Set
-# PUNO_RESULT_CACHE=off to force cold runs; delete results/cache (or bump
-# ENGINE_VERSION in crates/harness/src/cache.rs) to invalidate.
+# Persistent result cache: a re-run at unchanged inputs replays every cell
+# instead of simulating it. Set PUNO_RESULT_CACHE=off to force a cold run;
+# delete results/cache (or bump ENGINE_VERSION in
+# crates/harness/src/cache.rs) to invalidate.
 export PUNO_RESULT_CACHE="${PUNO_RESULT_CACHE:-$PWD/results/cache}"
-mkdir -p results
 
 echo "== building =="
-cargo build --release -q -p puno-bench -p puno-harness
+cargo build --release -q -p puno-bench --bin figures
 
-run() {
-    local bin="$1"
-    echo "== $bin (scale $SCALE, seed $SEED) =="
-    cargo run --release -q -p puno-bench --bin "$bin" -- "$SCALE" "$SEED" \
-        | tee "results/${bin}.txt"
-}
-
-run table1
-cargo run --release -q -p puno-bench --bin table2 | tee results/table2.txt
-cargo run --release -q -p puno-bench --bin table3 | tee results/table3.txt
-run fig2
-run fig3
-run fig10
-run fig11
-run fig12
-run fig13
-run fig14
-run ablation
-run sensitivity
-run characterize
+echo "== figures (scale $SCALE, seed $SEED) =="
+cargo run --release -q -p puno-bench --bin figures -- "$SCALE" "$SEED" --out results
 
 echo "== done; artifacts in results/ =="
