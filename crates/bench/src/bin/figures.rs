@@ -17,6 +17,9 @@
 
 #![forbid(unsafe_code)]
 
+#[path = "../../../harness/src/bin/args/mod.rs"]
+mod args;
+
 use puno_harness::cache::cell_digest;
 use puno_harness::report::{FigureMetric, NormalizedFigure};
 use puno_harness::run::run_with_config_cached;
@@ -30,7 +33,6 @@ use puno_workloads::{characterize, generate_program, table1_rows, WorkloadId};
 use serde_json::{json, Value};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 
 /// One artifact: its file stem, its text, and its JSON if it has one.
 struct Artifact {
@@ -565,21 +567,13 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if positional.len() > 3 {
         return Err(format!("unexpected argument {}", positional[3]));
     }
-    fn field<T: FromStr>(value: Option<&String>, name: &str, default: T) -> Result<T, String> {
-        value.map_or(Ok(default), |v| {
-            v.parse()
-                .map_err(|_| format!("{name} must be a number, not {v:?}"))
-        })
-    }
+    let arg = |i: usize| positional.get(i).map(String::as_str);
     let args = Args {
-        scale: field(positional.first(), "scale", 0.5)?,
-        seed: field(positional.get(1), "seed", 1)?,
-        nseeds: field(positional.get(2), "nseeds", 1u64)?.max(1),
+        scale: args::scale(arg(0), 0.5)?,
+        seed: args::number(arg(1), "seed", 1)?,
+        nseeds: args::number(arg(2), "nseeds", 1u64)?.max(1),
         out,
     };
-    if !(args.scale.is_finite() && args.scale > 0.0) {
-        return Err(format!("scale must be positive, not {}", args.scale));
-    }
     if args.seed.checked_add(args.nseeds).is_none() {
         return Err("seed + nseeds overflows".to_string());
     }
@@ -588,8 +582,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("figures: {e}\nusage: figures [scale] [seed] [nseeds] [--out DIR]");
-        std::process::exit(2);
+        args::exit_usage("figures", "figures [scale] [seed] [nseeds] [--out DIR]", &e)
     });
     let grids: Vec<Vec<SweepResult>> = (args.seed..args.seed + args.nseeds)
         .map(|seed| sweep(&WorkloadId::ALL, &Mechanism::ALL, seed, args.scale))

@@ -85,13 +85,16 @@ struct Busy {
     tx_getx: bool,
 }
 
+/// One line's directory state. Requests queued behind a busy entry live
+/// out of line in [`DirectoryBank::waiting`]: few entries ever have any, and
+/// keeping them out keeps a map slot (key + entry) within one 64 B cache
+/// line.
 #[derive(Clone, Debug)]
 struct Entry {
     state: Stable,
     sharers: SharerSet,
     owner: Option<NodeId>,
     busy: Option<Busy>,
-    waiting: VecDeque<CoherenceMsg>,
 }
 
 impl Entry {
@@ -101,7 +104,6 @@ impl Entry {
             sharers: SharerSet::EMPTY,
             owner: None,
             busy: None,
-            waiting: VecDeque::new(),
         }
     }
 
@@ -139,6 +141,9 @@ pub struct DirectoryBank {
     home: NodeId,
     config: DirConfig,
     entries: LineMap<LineAddr, Entry>,
+    /// FIFO of requests that arrived while their line was busy, per line.
+    /// A line's queue is kept once made, so a contended line reuses it.
+    waiting: LineMap<LineAddr, VecDeque<CoherenceMsg>>,
     stats: DirStats,
 }
 
@@ -147,10 +152,10 @@ impl DirectoryBank {
         Self {
             home,
             config,
-            // Modest pre-size: banks are long-lived and grow amortized; a
-            // large up-front table would make bank construction itself hot
-            // (entries are wide — the microbench constructs banks per-iter).
-            entries: LineMap::with_capacity(64),
+            // Both maps start at the minimum and grow amortized to the lines
+            // this bank is home to: most banks of a big mesh see few.
+            entries: LineMap::new(),
+            waiting: LineMap::new(),
             stats: DirStats::default(),
         }
     }
@@ -311,7 +316,9 @@ impl DirectoryBank {
                 let addr = msg.addr();
                 let entry = self.entries.get_or_insert_with(addr, Entry::new);
                 if entry.busy.is_some() {
-                    entry.waiting.push_back(msg);
+                    self.waiting
+                        .get_or_insert_with(addr, VecDeque::new)
+                        .push_back(msg);
                     self.stats.queued_requests.inc();
                 } else {
                     self.service(now, msg, predictor, actions);
@@ -823,12 +830,8 @@ impl DirectoryBank {
         predictor.after_service(now, addr, holders);
 
         // Drain queued requests until one blocks the entry again.
-        loop {
-            let entry = self.entries.get_mut(addr).unwrap();
-            if entry.busy.is_some() {
-                break;
-            }
-            let Some(next) = entry.waiting.pop_front() else {
+        while self.entries.get(addr).unwrap().busy.is_none() {
+            let Some(next) = self.waiting.get_mut(addr).and_then(VecDeque::pop_front) else {
                 break;
             };
             self.service(now, next, predictor, actions);
@@ -844,6 +847,11 @@ mod tests {
     use puno_sim::{StaticTxId, Timestamp, TxId};
 
     const HOME: NodeId = NodeId(0);
+
+    #[test]
+    fn a_directory_slot_fits_one_cache_line() {
+        assert!(LineMap::<LineAddr, Entry>::slot_bytes() <= 64);
+    }
 
     fn bank() -> DirectoryBank {
         DirectoryBank::new(HOME, DirConfig::default())

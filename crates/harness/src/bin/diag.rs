@@ -3,27 +3,33 @@
 //! sensitivity artifact's job.
 //! Usage: `diag [workload|micro-name] [scale]`
 
+mod args;
+
 use puno_harness::Mechanism;
 use puno_workloads::{micro, WorkloadId, WorkloadParams};
 
-fn params_by_name(name: &str) -> WorkloadParams {
+const USAGE: &str = "diag [workload|hotspot|counter|read-mostly] [scale]";
+
+fn params_by_name(name: &str) -> Option<WorkloadParams> {
     match name {
-        "hotspot" => micro::hotspot(30),
-        "counter" => micro::counter(4, 25),
-        "read-mostly" => micro::read_mostly(30),
+        "hotspot" => Some(micro::hotspot(30)),
+        "counter" => Some(micro::counter(4, 25)),
+        "read-mostly" => Some(micro::read_mostly(30)),
         other => WorkloadId::ALL
             .iter()
             .find(|w| w.name() == other)
-            .map(|w| w.params())
-            .unwrap_or_else(|| panic!("unknown workload {other}")),
+            .map(|w| w.params()),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("hotspot");
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let params = params_by_name(name).scaled(scale);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map(String::as_str).unwrap_or("hotspot");
+    let scale = args::scale(argv.get(1).map(String::as_str), 1.0)
+        .unwrap_or_else(|e| args::exit_usage("diag", USAGE, &e));
+    let params = params_by_name(name)
+        .unwrap_or_else(|| args::exit_usage("diag", USAGE, &format!("unknown workload {name}")))
+        .scaled(scale);
     println!("== {} (scale {scale}) ==", params.name);
     for mech in Mechanism::ALL {
         let m = puno_harness::run_workload(mech, &params, 5);

@@ -3,16 +3,27 @@
 //! must actually have fired. Exits non-zero (for CI) on any failed cell.
 //! Usage: `fault_smoke [scale] [intensity] [seed]`
 
+mod args;
+
 use puno_harness::sweep::{try_sweep, SweepOptions};
 use puno_harness::Mechanism;
 use puno_sim::FaultPlan;
 use puno_workloads::WorkloadId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(0.05);
-    let intensity: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1.0);
-    let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let arg = |i: usize| argv.get(i).map(String::as_str);
+    let parsed = (|| {
+        let scale = args::scale(arg(0), 0.05)?;
+        let intensity: f64 = args::number(arg(1), "intensity", 1.0)?;
+        if !(intensity.is_finite() && intensity >= 0.0) {
+            return Err(format!("intensity must be at least 0, not {intensity}"));
+        }
+        Ok((scale, intensity, args::number(arg(2), "seed", 1u64)?))
+    })();
+    let (scale, intensity, seed) = parsed.unwrap_or_else(|e: String| {
+        args::exit_usage("fault_smoke", "fault_smoke [scale] [intensity] [seed]", &e)
+    });
 
     let workloads = [WorkloadId::Ssca2, WorkloadId::Kmeans, WorkloadId::Intruder];
     let mechanisms = [Mechanism::Baseline, Mechanism::Puno];

@@ -43,11 +43,17 @@
 //! sinks detached and attaches them there: metrics are unchanged, but
 //! pre-transaction NoC/memory records are absent from the stream.
 
+mod args;
+
 use puno_harness::report::{render_host_perf, render_quarantine, FigureMetric, NormalizedFigure};
 use puno_harness::sweep::{try_sweep_rows, CellOutcome, SweepOptions};
 use puno_harness::{Mechanism, SweepResult, System, SystemConfig, TelemetryConfig, WarehouseRow};
 use puno_workloads::{table1_rows, WorkloadId};
 use std::path::PathBuf;
+
+const USAGE: &str = "sweep_all [scale] [seed] [--filter <workload|mechanism|workload:mechanism>] \
+                     [--trace <workload>:<mechanism>] [--mesh <4|8|16>] [--compact-cache] \
+                     [--json <path|->]";
 
 struct Args {
     scale: f64,
@@ -186,12 +192,13 @@ fn parse_args() -> Args {
             std::process::exit(2);
         }
     }
+    let arg = |i: usize| positional.get(i).map(String::as_str);
+    let (scale, seed) = args::scale(arg(0), 0.5)
+        .and_then(|scale| Ok((scale, args::number(arg(1), "seed", 1)?)))
+        .unwrap_or_else(|e| args::exit_usage("sweep_all", USAGE, &e));
     Args {
-        scale: positional
-            .first()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.5),
-        seed: positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(1),
+        scale,
+        seed,
         workloads,
         mechanisms,
         pairs,

@@ -210,9 +210,9 @@ impl System {
             "program set generated for another seed"
         );
         let root_rng = SimRng::new(seed);
-        // Steady state holds roughly one wake per node plus in-flight
-        // protocol events; pre-size so the hot loop never grows the queue.
-        let mut queue = EventQueue::with_capacity(4 * nodes_n as usize);
+        // The queue's depth peaks at about one event per node (256 on the
+        // 16x16 mesh); anything beyond grows once and is kept.
+        let mut queue = EventQueue::with_capacity(nodes_n as usize);
         let mut nodes = Vec::with_capacity(nodes_n as usize);
         for i in 0..nodes_n {
             let id = NodeId(i);

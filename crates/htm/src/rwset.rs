@@ -57,7 +57,7 @@ impl Default for TrackedSet {
             filter: Signature::new(FILTER),
             inline: [0; INLINE],
             inline_len: 0,
-            spill: LineSet::with_capacity(64),
+            spill: LineSet::new(),
         }
     }
 }

@@ -77,7 +77,7 @@ impl TxScratch {
         Self {
             sets: ReadWriteSets::new(),
             undo: UndoLog::new(),
-            loads: LineMap::with_capacity(64),
+            loads: LineMap::new(),
             signatures: None,
         }
     }

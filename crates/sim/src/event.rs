@@ -70,6 +70,9 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Near-future ring: bucket `c % BUCKETS` holds `(seq, payload)` pairs
     /// for one cycle `c` in `[now, now + BUCKETS)`, in seq (FIFO) order.
+    /// A drained bucket is cleared, which restarts it at its buffer front:
+    /// `pop_front` alone never rewinds, so the head would walk the bucket's
+    /// whole allocation and make all of it resident.
     buckets: Vec<VecDeque<(u64, E)>>,
     /// Bit `b` set iff `buckets[b]` is non-empty.
     bucket_mask: u64,
@@ -94,13 +97,14 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Pre-size the queue for a system of roughly `capacity` concurrently
-    /// scheduled events (e.g. the node count): the far heap and each front
-    /// bucket reserve enough to avoid rehashing growth in the hot loop.
+    /// Pre-size the queue for about `capacity` concurrently scheduled
+    /// events (e.g. the node count), `capacity` entries in all: half for the
+    /// far heap, half spread over the front buckets. A store that needs more
+    /// grows once and keeps it, so each bucket settles at its peak depth.
     pub fn with_capacity(capacity: usize) -> Self {
-        let per_bucket = capacity.div_ceil(4);
+        let per_bucket = capacity.div_ceil(2 * BUCKETS as usize);
         Self {
-            heap: BinaryHeap::with_capacity(capacity),
+            heap: BinaryHeap::with_capacity(capacity / 2),
             buckets: (0..BUCKETS as usize)
                 .map(|_| VecDeque::with_capacity(per_bucket))
                 .collect(),
@@ -269,8 +273,10 @@ impl<E> EventQueue<E> {
         match source {
             FrontSource::Bucket => {
                 let idx = (cycle % BUCKETS) as usize;
-                let (_, payload) = self.buckets[idx].pop_front().expect("front bucket entry");
-                if self.buckets[idx].is_empty() {
+                let bucket = &mut self.buckets[idx];
+                let (_, payload) = bucket.pop_front().expect("front bucket entry");
+                if bucket.is_empty() {
+                    bucket.clear();
                     self.bucket_mask &= !(1 << idx);
                 }
                 self.bucket_len -= 1;
@@ -334,9 +340,10 @@ impl<E> EventQueue<E> {
                 break;
             }
         }
+        debug_assert!(bucket.is_empty());
+        bucket.clear();
         self.bucket_len -= drained_before;
         self.bucket_mask &= !(1 << idx);
-        debug_assert!(bucket.is_empty());
         Some(cycle)
     }
 
@@ -661,5 +668,57 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// Entries reserved across the far heap and every front bucket.
+    fn reserved<E>(q: &EventQueue<E>) -> usize {
+        q.heap.capacity() + q.buckets.iter().map(VecDeque::capacity).sum::<usize>()
+    }
+
+    #[test]
+    fn with_capacity_reserves_about_n_entries_in_total() {
+        for n in [0, 16, 256, 1024, 4096] {
+            let q = EventQueue::<u64>::with_capacity(n);
+            let total = reserved(&q);
+            assert!(
+                (n..=n + BUCKETS as usize).contains(&total),
+                "with_capacity({n}) reserved {total} entries"
+            );
+        }
+    }
+
+    #[test]
+    fn a_drained_bucket_keeps_its_peak_capacity_and_restarts_at_its_front() {
+        const PEAK: usize = 40;
+        let mut q = EventQueue::<u64>::with_capacity(0);
+        let idx = 0;
+        let mut out = Vec::new();
+        let mut settled = None;
+        for round in 0..1_000 {
+            // Cycle 0's bucket, drained and refilled at a depth that reaches
+            // PEAK on the first round; alternate batch and single pops.
+            let depth = if round == 0 { PEAK } else { 1 + round % PEAK };
+            for i in 0..depth as u64 {
+                q.schedule_at(0, i);
+            }
+            let front = q.buckets[idx].as_slices().0.as_ptr();
+            let (cap, first) = *settled.get_or_insert((q.buckets[idx].capacity(), front));
+            assert_eq!(q.buckets[idx].capacity(), cap, "round {round} regrew");
+            assert_eq!(front, first, "round {round} did not restart at the front");
+            if round % 2 == 0 {
+                assert_eq!(q.pop_cycle_into(&mut out), Some(0));
+                assert_eq!(out.len(), depth);
+            } else {
+                for i in 0..depth as u64 {
+                    assert_eq!(q.pop(), Some((0, i)));
+                }
+            }
+            assert!(q.is_empty());
+        }
+        let (cap, _) = settled.expect("at least one round");
+        assert!(
+            (PEAK..2 * PEAK).contains(&cap),
+            "settled at {cap} for a peak of {PEAK}"
+        );
     }
 }

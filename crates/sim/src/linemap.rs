@@ -99,6 +99,11 @@ impl<K: LineKey, V> Default for LineMap<K, V> {
 }
 
 impl<K: LineKey, V> LineMap<K, V> {
+    /// Bytes one slot occupies, occupied or not (layout budgets).
+    pub const fn slot_bytes() -> usize {
+        std::mem::size_of::<Option<(u64, V)>>()
+    }
+
     pub fn new() -> Self {
         Self::with_pow2(MIN_CAPACITY)
     }

@@ -6,13 +6,21 @@
 //! cargo run --release --example mechanism_shootout [workload] [scale] [seed]
 //! ```
 
+#[path = "../crates/harness/src/bin/args/mod.rs"]
+mod args;
+
 use puno_repro::prelude::*;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("bayes");
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.25);
-    let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let arg = |i: usize| argv.get(i).map(String::as_str);
+    let name = arg(0).unwrap_or("bayes");
+    let (scale, seed) = args::scale(arg(1), 0.25)
+        .and_then(|scale| Ok((scale, args::number(arg(2), "seed", 1u64)?)))
+        .unwrap_or_else(|e| {
+            let usage = "mechanism_shootout [workload] [scale] [seed]";
+            args::exit_usage("mechanism_shootout", usage, &e)
+        });
 
     let workload = WorkloadId::ALL
         .into_iter()

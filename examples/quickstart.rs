@@ -5,12 +5,16 @@
 //! cargo run --release --example quickstart [workload] [scale]
 //! ```
 
+#[path = "../crates/harness/src/bin/args/mod.rs"]
+mod args;
+
 use puno_repro::prelude::*;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("intruder");
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.25);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map(String::as_str).unwrap_or("intruder");
+    let scale = args::scale(argv.get(1).map(String::as_str), 0.25)
+        .unwrap_or_else(|e| args::exit_usage("quickstart", "quickstart [workload] [scale]", &e));
 
     let workload = WorkloadId::ALL
         .into_iter()

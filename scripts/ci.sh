@@ -59,6 +59,22 @@ echo "== fault smoke (0.05 scale, intensity 1.0) =="
 PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
     cargo run --offline --release -q -p puno-harness --bin fault_smoke -- 0.05 1.0 1
 
+echo "== CLI-argument smoke (a bad number exits 2 with a usage line) =="
+# A scale or seed that does not parse, and a scale that is not positive,
+# must be refused before anything is simulated: exit status 2, a usage
+# line on stderr, nothing on stdout (each binary prints its report header
+# only once it starts simulating).
+cargo build --offline --release -q -p puno-harness --bin sweep_all --bin diag --bin fault_smoke
+ARG_ERR="$(mktemp)"
+for cmd in "sweep_all 0 1" "sweep_all x" "diag hotspot half" "fault_smoke nan"; do
+    status=0
+    out="$(timeout 60 target/release/$cmd 2> "$ARG_ERR")" || status=$?
+    [ "$status" -eq 2 ] && [ -z "$out" ] && grep -q "^usage: " "$ARG_ERR" \
+        || { echo "'$cmd' exited $status (want 2, a usage line, no output):"; cat "$ARG_ERR"; exit 1; }
+done
+rm -f "$ARG_ERR"
+echo "CLI-argument smoke OK (4 bad invocations refused with a usage line)"
+
 echo "== result-cache smoke (4-cell sweep twice; warm pass must replay byte-for-byte) =="
 # Cold pass simulates and stores every cell; the warm pass must serve all
 # four cells from the cache and produce byte-identical stdout (cached
