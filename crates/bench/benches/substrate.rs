@@ -515,7 +515,8 @@ fn main() {
             for r in &failures {
                 eprintln!("  {r}");
             }
-            if puno_harness::knobs::env_setting("PUNO_BENCH_ALLOW_REGRESSION").is_some() {
+            let allow = std::env::var("PUNO_BENCH_ALLOW_REGRESSION").ok();
+            if puno_harness::knobs::parse_setting(allow.as_deref()).is_some() {
                 eprintln!("PUNO_BENCH_ALLOW_REGRESSION set: continuing despite regressions");
             } else {
                 std::process::exit(1);

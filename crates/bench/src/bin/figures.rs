@@ -584,6 +584,7 @@ fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         args::exit_usage("figures", "figures [scale] [seed] [nseeds] [--out DIR]", &e)
     });
+    puno_harness::knobs::HostOptions::for_main("figures");
     let grids: Vec<Vec<SweepResult>> = (args.seed..args.seed + args.nseeds)
         .map(|seed| sweep(&WorkloadId::ALL, &Mechanism::ALL, seed, args.scale))
         .collect();

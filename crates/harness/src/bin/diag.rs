@@ -30,6 +30,7 @@ fn main() {
     let params = params_by_name(name)
         .unwrap_or_else(|| args::exit_usage("diag", USAGE, &format!("unknown workload {name}")))
         .scaled(scale);
+    puno_harness::knobs::HostOptions::for_main("diag");
     println!("== {} (scale {scale}) ==", params.name);
     for mech in Mechanism::ALL {
         let m = puno_harness::run_workload(mech, &params, 5);

@@ -24,6 +24,7 @@ fn main() {
     let (scale, intensity, seed) = parsed.unwrap_or_else(|e: String| {
         args::exit_usage("fault_smoke", "fault_smoke [scale] [intensity] [seed]", &e)
     });
+    puno_harness::knobs::HostOptions::for_main("fault_smoke");
 
     let workloads = [WorkloadId::Ssca2, WorkloadId::Kmeans, WorkloadId::Intruder];
     let mechanisms = [Mechanism::Baseline, Mechanism::Puno];

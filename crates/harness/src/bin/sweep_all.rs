@@ -34,22 +34,28 @@
 //!
 //! `--trace` re-runs exactly one cell with full tracing and telemetry
 //! instead of sweeping: the JSONL event stream goes to `PUNO_TRACE_OUT`
-//! (default: `trace_<workload>_<mechanism>_s<seed>.jsonl` in the current
-//! directory), the channel filter honours `PUNO_TRACE` (default: all
+//! (off: `trace_<workload>_<mechanism>_s<seed>.jsonl` in the current
+//! directory), the channel filter honours `PUNO_TRACE` (off: all
 //! channels), and the abort-blame / contention-heat / time-series summary
 //! prints to stdout. The result cache is bypassed — a cache hit replays no
 //! events, so it could never produce a trace. The traced run
 //! fast-forwards through everything before the first transaction with the
 //! sinks detached and attaches them there: metrics are unchanged, but
 //! pre-transaction NoC/memory records are absent from the stream.
+//!
+//! The `PUNO_*` knobs are read once, after the arguments
+//! (`puno_harness::knobs::HostOptions`): a value that does not parse exits
+//! 2 naming the variable before anything runs, and the effective values
+//! print as one line on stderr.
 
 mod args;
 
+use puno_harness::knobs::{trace_path, HostOptions};
 use puno_harness::report::{render_host_perf, render_quarantine, FigureMetric, NormalizedFigure};
 use puno_harness::sweep::{try_sweep_rows, CellOutcome, SweepOptions};
 use puno_harness::{Mechanism, SweepResult, System, SystemConfig, TelemetryConfig, WarehouseRow};
 use puno_workloads::{table1_rows, WorkloadId};
-use std::path::PathBuf;
+use std::path::Path;
 
 const USAGE: &str = "sweep_all [scale] [seed] [--filter <workload|mechanism|workload:mechanism>] \
                      [--trace <workload>:<mechanism>] [--mesh <4|8|16>] [--compact-cache] \
@@ -83,17 +89,32 @@ impl Args {
     }
 }
 
-fn lookup_cell(spec: &str) -> Option<(WorkloadId, Mechanism)> {
-    let (wl_name, mech_name) = spec.split_once(':')?;
-    let wl = WorkloadId::ALL
-        .iter()
-        .copied()
-        .find(|w| w.name().eq_ignore_ascii_case(wl_name))?;
-    let mech = Mechanism::ALL
-        .iter()
-        .copied()
-        .find(|m| m.name().eq_ignore_ascii_case(mech_name))?;
-    Some((wl, mech))
+/// The valid workload and mechanism names, for an error message.
+fn grid_names() -> String {
+    let w_names: Vec<&str> = WorkloadId::ALL.iter().map(|w| w.name()).collect();
+    let m_names: Vec<&str> = Mechanism::ALL.iter().map(|m| m.name()).collect();
+    format!("(workloads {w_names:?}, mechanisms {m_names:?})")
+}
+
+/// The cell a `workload:mechanism` value of `flag` names (exact names,
+/// case-insensitive); exits 2 when it names none.
+fn lookup_cell(flag: &str, spec: &str) -> (WorkloadId, Mechanism) {
+    let cell = spec.split_once(':').and_then(|(wl_name, mech_name)| {
+        let wl = WorkloadId::ALL
+            .into_iter()
+            .find(|w| w.name().eq_ignore_ascii_case(wl_name))?;
+        let mech = Mechanism::ALL
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(mech_name))?;
+        Some((wl, mech))
+    });
+    cell.unwrap_or_else(|| {
+        eprintln!(
+            "{flag} {spec:?} is not <workload>:<mechanism> {}",
+            grid_names()
+        );
+        std::process::exit(2);
+    })
 }
 
 fn parse_args() -> Args {
@@ -132,15 +153,7 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             };
             if value.contains(':') {
-                let Some(cell) = lookup_cell(&value) else {
-                    let w_names: Vec<&str> = WorkloadId::ALL.iter().map(|w| w.name()).collect();
-                    let m_names: Vec<&str> = Mechanism::ALL.iter().map(|m| m.name()).collect();
-                    eprintln!(
-                        "--filter {value:?} is not <workload>:<mechanism> with workload in \
-                         {w_names:?} and mechanism in {m_names:?}"
-                    );
-                    std::process::exit(2);
-                };
+                let cell = lookup_cell("--filter", &value);
                 if !pairs.contains(&cell) {
                     pairs.push(cell);
                 }
@@ -152,16 +165,7 @@ fn parse_args() -> Args {
                 eprintln!("--trace requires <workload>:<mechanism>");
                 std::process::exit(2);
             };
-            let Some(cell) = lookup_cell(&value) else {
-                let w_names: Vec<&str> = WorkloadId::ALL.iter().map(|w| w.name()).collect();
-                let m_names: Vec<&str> = Mechanism::ALL.iter().map(|m| m.name()).collect();
-                eprintln!(
-                    "--trace {value:?} is not <workload>:<mechanism> with workload in {w_names:?} \
-                     and mechanism in {m_names:?}"
-                );
-                std::process::exit(2);
-            };
-            trace = Some(cell);
+            trace = Some(lookup_cell("--trace", &value));
         } else {
             positional.push(arg);
         }
@@ -184,10 +188,9 @@ fn parse_args() -> Args {
         } else if !mech.is_empty() {
             mechanisms.retain(|m| mech.contains(m));
         } else {
-            let w_names: Vec<&str> = WorkloadId::ALL.iter().map(|w| w.name()).collect();
-            let m_names: Vec<&str> = Mechanism::ALL.iter().map(|m| m.name()).collect();
             eprintln!(
-                "--filter {f:?} matches no workload {w_names:?} and no mechanism {m_names:?}"
+                "--filter {f:?} matches no workload or mechanism {}",
+                grid_names()
             );
             std::process::exit(2);
         }
@@ -239,19 +242,18 @@ fn run_traced_cell(args: &Args, wl: WorkloadId, mech: Mechanism) {
             std::process::exit(1);
         }
     };
-    let mask = match puno_sim::TraceConfig::from_env() {
-        Ok(Some(cfg)) => cfg.mask,
-        Ok(None) => puno_sim::ChannelMask::ALL,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    // Unlike a single run, a traced cell traces every channel when
+    // `PUNO_TRACE` is off, and writes to the current directory when
+    // `PUNO_TRACE_OUT` is.
+    let host = HostOptions::get();
+    let mask = if host.trace.is_empty() {
+        puno_sim::ChannelMask::ALL
+    } else {
+        host.trace
     };
     let mut tracer = puno_sim::Tracer::ring(mask, puno_sim::trace::DEFAULT_RING_CAPACITY);
-    let out = std::env::var_os("PUNO_TRACE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    let path = puno_harness::run::resolve_trace_out(&out, wl.name(), mech.name(), args.seed);
+    let out = host.trace_out.as_deref().unwrap_or(Path::new("."));
+    let path = trace_path(out, wl.name(), mech.name(), args.seed);
     if let Err(e) = tracer.set_jsonl_path(&path) {
         eprintln!("cannot open trace output {}: {e}", path.display());
         std::process::exit(2);
@@ -297,6 +299,34 @@ fn run_traced_cell(args: &Args, wl: WorkloadId, mech: Mechanism) {
     }
 }
 
+/// The cells that completed, in sweep order.
+fn completed(outcomes: &[CellOutcome]) -> Vec<SweepResult> {
+    let result = |o: &CellOutcome| {
+        let key = o.key();
+        Some(SweepResult {
+            workload: key.workload,
+            mechanism: key.mechanism,
+            metrics: o.metrics()?.clone(),
+        })
+    };
+    outcomes.iter().filter_map(result).collect()
+}
+
+/// One summary line per cell: what a selection the figures cannot show
+/// prints instead.
+fn print_cells(results: &[SweepResult]) {
+    for r in results {
+        println!(
+            "{:<10} {:<9} cycles {:>9}  commits {:>7}  aborts {:>7}",
+            r.workload.name(),
+            r.mechanism.name(),
+            r.metrics.cycles,
+            r.metrics.committed,
+            r.metrics.htm.aborts.get()
+        );
+    }
+}
+
 /// Report the process-wide result cache's hit/miss/recovery counters on
 /// stderr (stdout stays reserved for the deterministic report).
 fn print_cache_stats() {
@@ -338,79 +368,34 @@ fn run_compact_cache() -> ! {
     }
 }
 
-/// `--filter workload:mechanism` mode: run exactly the selected cells —
-/// grouped per workload, one sweep each — and print the raw per-cell
-/// summary plus host perf (the tables and baseline-normalized figures need
-/// the full grid).
-fn run_pair_cells(args: &Args) {
-    let t0 = std::time::Instant::now();
-    let mut opts = SweepOptions::new(args.seed, args.scale);
-    opts.config = args.config_fn();
-    let mut outcomes: Vec<CellOutcome> = Vec::new();
-    let mut rows: Vec<WarehouseRow> = Vec::new();
+/// `--filter workload:mechanism` mode: run exactly the selected cells,
+/// grouped per workload, one sweep each.
+fn sweep_pairs(
+    pairs: &[(WorkloadId, Mechanism)],
+    opts: &SweepOptions,
+) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
+    let (mut outcomes, mut rows) = (Vec::new(), Vec::new());
     let mut seen: Vec<WorkloadId> = Vec::new();
-    for &(wl, _) in &args.pairs {
+    for &(wl, _) in pairs {
         if seen.contains(&wl) {
             continue;
         }
         seen.push(wl);
-        let mechs: Vec<Mechanism> = args
-            .pairs
+        let mechs: Vec<Mechanism> = pairs
             .iter()
             .filter(|&&(w, _)| w == wl)
             .map(|&(_, m)| m)
             .collect();
-        let (group_outcomes, group_rows) = try_sweep_rows(&[wl], &mechs, &opts);
+        let (group_outcomes, group_rows) = try_sweep_rows(&[wl], &mechs, opts);
         outcomes.extend(group_outcomes);
         rows.extend(group_rows);
     }
-    eprintln!("sweep took {:.1}s", t0.elapsed().as_secs_f64());
-    let results: Vec<SweepResult> = outcomes
-        .iter()
-        .filter_map(|o| match o {
-            CellOutcome::Ok { key, metrics } => Some(SweepResult {
-                workload: key.workload,
-                mechanism: key.mechanism,
-                metrics: metrics.clone(),
-            }),
-            _ => None,
-        })
-        .collect();
-    print_cache_stats();
-    if let Some(dest) = &args.json {
-        write_json_rows(dest, &rows);
-        if dest == "-" {
-            if render_quarantine(&outcomes).is_some() {
-                std::process::exit(1);
-            }
-            return;
-        }
-    }
-    println!(
-        "== cell sweep ({} selected cell(s), seed {}, scale {}) ==",
-        args.pairs.len(),
-        args.seed,
-        args.scale
-    );
-    for r in &results {
-        println!(
-            "{:<10} {:<9} cycles {:>9}  commits {:>7}  aborts {:>7}",
-            r.workload.name(),
-            r.mechanism.name(),
-            r.metrics.cycles,
-            r.metrics.committed,
-            r.metrics.htm.aborts.get()
-        );
-    }
-    println!("{}", render_host_perf(&results));
-    if let Some(section) = render_quarantine(&outcomes) {
-        print!("\n{section}");
-        std::process::exit(1);
-    }
+    (outcomes, rows)
 }
 
 fn main() {
     let args = parse_args();
+    HostOptions::for_main("sweep_all");
     if args.compact_cache {
         run_compact_cache();
     }
@@ -418,26 +403,16 @@ fn main() {
         run_traced_cell(&args, wl, mech);
         return;
     }
-    if !args.pairs.is_empty() {
-        run_pair_cells(&args);
-        return;
-    }
     let t0 = std::time::Instant::now();
     let mut opts = SweepOptions::new(args.seed, args.scale);
     opts.config = args.config_fn();
-    let (outcomes, rows) = try_sweep_rows(&args.workloads, &args.mechanisms, &opts);
+    let (outcomes, rows) = if args.pairs.is_empty() {
+        try_sweep_rows(&args.workloads, &args.mechanisms, &opts)
+    } else {
+        sweep_pairs(&args.pairs, &opts)
+    };
     eprintln!("sweep took {:.1}s", t0.elapsed().as_secs_f64());
-    let results: Vec<SweepResult> = outcomes
-        .iter()
-        .filter_map(|o| match o {
-            CellOutcome::Ok { key, metrics } => Some(SweepResult {
-                workload: key.workload,
-                mechanism: key.mechanism,
-                metrics: metrics.clone(),
-            }),
-            _ => None,
-        })
-        .collect();
+    let results = completed(&outcomes);
     let quarantine = render_quarantine(&outcomes);
     // A degraded sweep leaves holes in the grid: keep the figures (which
     // index cells by workload x mechanism) to fully-populated workloads and
@@ -461,10 +436,20 @@ fn main() {
         }
     }
 
-    // Table I bands and the baseline-normalized figures are calibrated
-    // against the 4x4 paper machine; big-mesh sweeps print a raw per-cell
-    // summary instead.
-    if args.mesh != 4 {
+    // Selected cells print the raw per-cell summary and host perf only:
+    // the tables and baseline-normalized figures need the full grid. They
+    // are also calibrated against the 4x4 paper machine, so big-mesh
+    // sweeps print the raw summary too, and they normalize against the
+    // baseline, so a mechanism filter that drops it leaves them out.
+    if !args.pairs.is_empty() {
+        println!(
+            "== cell sweep ({} selected cell(s), seed {}, scale {}) ==",
+            args.pairs.len(),
+            args.seed,
+            args.scale
+        );
+        print_cells(&results);
+    } else if args.mesh != 4 {
         println!(
             "== {0}x{0} mesh sweep ({1} nodes, seed {2}, scale {3}) ==",
             args.mesh,
@@ -472,18 +457,8 @@ fn main() {
             args.seed,
             args.scale
         );
-        for r in &results {
-            println!(
-                "{:<10} {:<9} cycles {:>9}  commits {:>7}  aborts {:>7}",
-                r.workload.name(),
-                r.mechanism.name(),
-                r.metrics.cycles,
-                r.metrics.committed,
-                r.metrics.htm.aborts.get()
-            );
-        }
-    }
-    if args.mesh == 4 && args.mechanisms.contains(&Mechanism::Baseline) {
+        print_cells(&results);
+    } else if args.mechanisms.contains(&Mechanism::Baseline) {
         println!("== Table I check (baseline abort rates) ==");
         for row in table1_rows() {
             if !workloads.contains(&row.workload) {
@@ -513,10 +488,6 @@ fn main() {
                 m.oracle.victims_per_episode.mean()
             );
         }
-    }
-    // The figures are baseline-normalized; a mechanism filter that drops
-    // the baseline leaves nothing to normalize against.
-    if args.mesh == 4 && args.mechanisms.contains(&Mechanism::Baseline) {
         for metric in [
             FigureMetric::Aborts,
             FigureMetric::NetworkTraffic,

@@ -20,8 +20,9 @@
 //!   duplicate records skipped).
 //! - `rows`: dump every valid row as JSONL (for ad-hoc downstream tooling).
 
+use puno_harness::knobs::HostOptions;
 use puno_harness::warehouse::{
-    self, abort_rate_deltas, compare_vs_bench_baseline, runs_in_order, throughput_trend, Warehouse,
+    abort_rate_deltas, compare_vs_bench_baseline, runs_in_order, throughput_trend, Warehouse,
 };
 use std::path::PathBuf;
 
@@ -40,7 +41,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut dir: Option<PathBuf> = warehouse::env_warehouse();
+    let mut dir: Option<PathBuf> = None;
     let mut baseline = PathBuf::from(DEFAULT_BASELINE);
     let mut command: Option<String> = None;
     let mut argv = std::env::args().skip(1);
@@ -61,7 +62,8 @@ fn main() {
         }
     }
     let Some(command) = command else { usage() };
-    let Some(dir) = dir else {
+    let host = HostOptions::for_main("warehouse");
+    let Some(dir) = dir.or_else(|| host.warehouse.clone()) else {
         eprintln!("no warehouse directory: pass --dir <path> or set PUNO_WAREHOUSE");
         std::process::exit(2);
     };

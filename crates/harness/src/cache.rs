@@ -12,7 +12,7 @@
 //! It is the only state a sweep keeps on disk.
 
 use crate::config::SystemConfig;
-use crate::knobs::env_setting;
+use crate::knobs::HostOptions;
 use crate::metrics::RunMetrics;
 use crate::store::{self, Appender, Class, Records, SkipStats};
 use puno_workloads::{fnv1a_64_fold, fnv1a_64_fold_x4, WorkloadParams, FNV1A_64_OFFSET};
@@ -563,33 +563,22 @@ impl ResultCache {
     }
 }
 
-/// The process-wide cache configured by the `PUNO_RESULT_CACHE` environment
-/// variable (a directory path; an off value, see
-/// [`crate::knobs::parse_setting`], disables it). Resolved once per
-/// process: scripts set the variable before launch. With
-/// `PUNO_RESULT_CACHE_COMPACT` additionally set to an on value, the
-/// persisted file is compacted at open — corrupt, stale-version, and
-/// superseded records are rewritten away (summary on stderr).
+/// The process-wide cache in the directory `PUNO_RESULT_CACHE` names (see
+/// [`HostOptions`]), opened once per process; `None` when the knob is off
+/// or the directory is unusable.
 pub fn global_cache() -> Option<Arc<ResultCache>> {
     static CACHE: OnceLock<Option<Arc<ResultCache>>> = OnceLock::new();
     CACHE
         .get_or_init(|| {
-            let dir = env_setting("PUNO_RESULT_CACHE")?;
-            let cache = ResultCache::open(Path::new(&dir))
+            let dir = HostOptions::get().result_cache.as_ref()?;
+            let cache = ResultCache::open(dir)
                 .map_err(|e| {
-                    eprintln!("warning: PUNO_RESULT_CACHE={dir} unusable ({e}); caching disabled")
+                    eprintln!(
+                        "warning: PUNO_RESULT_CACHE={} unusable ({e}); caching disabled",
+                        dir.display()
+                    )
                 })
                 .ok()?;
-            if env_setting("PUNO_RESULT_CACHE_COMPACT").is_some() {
-                match cache.compact() {
-                    Ok(c) => eprintln!(
-                        "result cache compacted: {} kept, {} corrupt, {} stale, \
-                         {} duplicate dropped",
-                        c.kept, c.corrupt, c.stale, c.duplicate
-                    ),
-                    Err(e) => eprintln!("warning: result cache compaction failed: {e}"),
-                }
-            }
             Some(Arc::new(cache))
         })
         .clone()

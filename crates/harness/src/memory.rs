@@ -17,7 +17,7 @@ pub struct MemoryImage {
 impl MemoryImage {
     pub fn new() -> Self {
         Self {
-            values: LineMap::with_capacity(4096),
+            values: LineMap::new(),
         }
     }
 
@@ -36,10 +36,6 @@ impl MemoryImage {
         for e in entries {
             self.write(e.addr, e.old_value);
         }
-    }
-
-    pub fn touched_lines(&self) -> usize {
-        self.values.len()
     }
 }
 

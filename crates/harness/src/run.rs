@@ -2,61 +2,22 @@
 //! cached [`run_with_config_cached`], all built on one
 //! `System::new(..).try_run_recycled()`.
 //!
-//! These entry points, and only these, install the run-level tracer knobs
-//! `PUNO_TRACE` / `PUNO_TRACE_OUT` (see [`env_tracer`]) on the system they
-//! build; its ring becomes the trace of a deadlock/livelock error. Sweeps
-//! ([`mod@crate::sweep`]), and so the grid of the `figures` binary, ignore
-//! `PUNO_TRACE`: their retry attempts run traced on their own. To trace one
-//! sweep cell, use `sweep_all --trace <workload>:<mechanism>`.
+//! These entry points, and only these, attach the tracer that `PUNO_TRACE`
+//! / `PUNO_TRACE_OUT` ask for (see [`HostOptions::install_tracer`]) to the
+//! system they build; its ring becomes the trace of a deadlock/livelock
+//! error. Sweeps ([`mod@crate::sweep`]), and so the grid of the `figures`
+//! binary, ignore `PUNO_TRACE`: their retry attempts run traced on their
+//! own. To trace one sweep cell, use `sweep_all --trace
+//! <workload>:<mechanism>`.
 
 use crate::cache::ResultCache;
 use crate::config::SystemConfig;
 use crate::error::RunError;
+use crate::knobs::HostOptions;
 use crate::mechanism::Mechanism;
 use crate::metrics::RunMetrics;
 use crate::system::System;
-use puno_sim::{TraceConfig, Tracer};
 use puno_workloads::WorkloadParams;
-use std::path::{Path, PathBuf};
-
-/// Where the JSONL stream for one run goes. `out` set as an existing
-/// directory gets a per-cell file name inside it; anything else is taken
-/// verbatim as the file path.
-pub fn resolve_trace_out(out: &Path, workload: &str, mechanism: &str, seed: u64) -> PathBuf {
-    if out.is_dir() {
-        out.join(format!("trace_{workload}_{mechanism}_s{seed}.jsonl"))
-    } else {
-        out.to_path_buf()
-    }
-}
-
-/// Build the tracer described by `PUNO_TRACE` / `PUNO_TRACE_OUT`, or `None`
-/// when tracing is off (read by this module's entry points only). Panics on
-/// a malformed channel spec — a typo must not silently run untraced — and
-/// reports (but survives) an unwritable JSONL path.
-pub fn env_tracer(workload: &str, mechanism: &str, seed: u64) -> Option<Tracer> {
-    let cfg = match TraceConfig::from_env() {
-        Ok(Some(cfg)) => cfg,
-        Ok(None) => return None,
-        Err(e) => panic!("{e}"),
-    };
-    let mut tracer = Tracer::ring(cfg.mask, puno_sim::trace::DEFAULT_RING_CAPACITY);
-    if let Some(out) = &cfg.out {
-        let path = resolve_trace_out(out, workload, mechanism, seed);
-        if let Err(e) = tracer.set_jsonl_path(&path) {
-            eprintln!("warning: cannot open trace output {}: {e}", path.display());
-        }
-    }
-    Some(tracer)
-}
-
-/// Apply the run-level env knobs (`PUNO_TRACE`, `PUNO_TRACE_OUT`) to a
-/// freshly built system.
-fn install_env_knobs(sys: &mut System, params: &WorkloadParams, seed: u64) {
-    if let Some(tracer) = env_tracer(&params.name, sys.mechanism().name(), seed) {
-        sys.install_tracer(tracer);
-    }
-}
 
 /// Run `params` under `mechanism` on the paper's Table II system.
 pub fn run_workload(mechanism: Mechanism, params: &WorkloadParams, seed: u64) -> RunMetrics {
@@ -67,7 +28,7 @@ pub fn run_workload(mechanism: Mechanism, params: &WorkloadParams, seed: u64) ->
 /// Panics on deadlock/livelock with the rendered [`RunError`].
 pub fn run_with_config(config: SystemConfig, params: &WorkloadParams, seed: u64) -> RunMetrics {
     let mut sys = System::new(config, params, seed);
-    install_env_knobs(&mut sys, params, seed);
+    HostOptions::get().install_tracer(&mut sys, &params.name, seed);
     sys.try_run_recycled().unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -75,7 +36,7 @@ pub fn run_with_config(config: SystemConfig, params: &WorkloadParams, seed: u64)
 /// [`crate::cache::global_cache`]): with `PUNO_RESULT_CACHE` set, a cell
 /// whose `(config, params, seed, engine-version)` digest is already stored
 /// replays the persisted metrics without simulating; fresh results are
-/// stored on completion. Without the env var this is exactly
+/// stored on completion. Without the cache this is exactly
 /// [`run_with_config`]. A cache hit replays no events, so it emits no
 /// trace — use `sweep_all --trace` (which bypasses the cache) to trace a
 /// cached cell.

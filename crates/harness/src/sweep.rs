@@ -13,6 +13,7 @@
 
 use crate::cache::{config_digest_state, finish_cell_digest, global_cache, ResultCache};
 use crate::error::RunError;
+use crate::knobs::HostOptions;
 use crate::metrics::RunMetrics;
 use crate::store;
 use crate::system::System;
@@ -117,16 +118,10 @@ impl CellOutcome {
 /// carries the events leading into the stall. A cell that exhausts a
 /// multi-attempt budget is recorded as [`CellOutcome::Quarantined`] and the
 /// sweep completes degraded.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum total attempts per cell (clamped to >= 1; 1 = no retries).
     pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::new(1)
-    }
 }
 
 impl RetryPolicy {
@@ -134,21 +129,6 @@ impl RetryPolicy {
         Self {
             max_attempts: max_attempts.max(1),
         }
-    }
-
-    /// Extra attempts after the first.
-    pub fn retries(&self) -> u32 {
-        self.max_attempts - 1
-    }
-
-    /// Policy from the `PUNO_RETRY_MAX` environment variable (maximum
-    /// total attempts per cell; unset or unparsable = 1, i.e. no retries).
-    pub fn from_env() -> Self {
-        let max = std::env::var("PUNO_RETRY_MAX")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .unwrap_or(1);
-        Self::new(max)
     }
 }
 
@@ -166,7 +146,7 @@ pub struct SweepOptions {
     /// message trace ring enabled, so a persistent failure's final error
     /// carries the trace leading up to it; cells that exhaust a
     /// multi-attempt budget are quarantined instead of failing the sweep.
-    /// [`SweepOptions::new`] honours the `PUNO_RETRY_MAX` env override.
+    /// [`SweepOptions::new`] takes `PUNO_RETRY_MAX` from [`HostOptions`].
     pub retry: RetryPolicy,
     /// Persistent result cache (see [`crate::cache`]): fault-free cells
     /// whose digest is present replay the stored metrics instead of
@@ -190,7 +170,7 @@ impl SweepOptions {
             seed,
             scale,
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::from_env(),
+            retry: HostOptions::get().retry,
             result_cache: global_cache(),
             config: SystemConfig::paper,
         }
@@ -456,13 +436,13 @@ where
         })
         .collect();
 
-    let sink = warehouse::env_warehouse();
-    if !want_rows && sink.is_none() {
+    let host = HostOptions::get();
+    if !want_rows && host.warehouse.is_none() {
         return (outcomes, Vec::new());
     }
-    let rows = warehouse_rows(&outcomes, &cells, &cache_hits);
-    if let Some(dir) = sink {
-        let appended = warehouse::Warehouse::open(&dir).and_then(|wh| wh.append(&rows));
+    let rows = warehouse_rows(&host.run_id, &outcomes, &cells, &cache_hits);
+    if let Some(dir) = &host.warehouse {
+        let appended = warehouse::Warehouse::open(dir).and_then(|wh| wh.append(&rows));
         if let Err(e) = appended {
             eprintln!(
                 "warning: PUNO_WAREHOUSE={} unusable ({e}); rows not recorded",
@@ -476,19 +456,19 @@ where
 /// Flatten every cell into a warehouse row: deterministic order, one
 /// `run_id` for the whole sweep.
 fn warehouse_rows(
+    run_id: &str,
     outcomes: &[CellOutcome],
     cells: &[Cell],
     cache_hits: &[bool],
 ) -> Vec<WarehouseRow> {
     let recorded_unix = warehouse::unix_now();
-    let run_id = warehouse::run_id_from_env(recorded_unix);
     outcomes
         .iter()
         .zip(cells)
         .zip(cache_hits)
         .map(|((outcome, cell), &cache_hit)| match outcome {
             CellOutcome::Ok { metrics, .. } => WarehouseRow::from_metrics(
-                &run_id,
+                run_id,
                 recorded_unix,
                 cell.digest,
                 "ok",
@@ -496,7 +476,7 @@ fn warehouse_rows(
                 metrics,
             ),
             CellOutcome::Err { .. } | CellOutcome::Quarantined { .. } => WarehouseRow::placeholder(
-                &run_id,
+                run_id,
                 recorded_unix,
                 cell.digest,
                 cell.key.workload.name(),
@@ -516,13 +496,12 @@ fn warehouse_rows(
 ///
 /// Starts from `available_parallelism`, read once per process (it reads
 /// the cgroup quota files on every call, and the answer does not change
-/// while the process runs). The `PUNO_SWEEP_THREADS` env override, read on
-/// every call, can only lower that count, never raise it: it is a cap, not
-/// a pin, so a request for 4 workers runs 2 on a 2-core host (per-cell
-/// results are deterministic at any thread count). The result is then
-/// clamped to the number of runnable jobs so a small or mostly-resumed
-/// sweep does not spawn idle threads. Unparsable or zero overrides fall
-/// back to the hardware count.
+/// while the process runs). `PUNO_SWEEP_THREADS` ([`HostOptions`]) can
+/// only lower that count, never raise it: it is a cap, not a pin, so a
+/// request for 4 workers runs 2 on a 2-core host (per-cell results are
+/// deterministic at any thread count). The result is then clamped to the
+/// number of runnable jobs so a small or mostly-resumed sweep does not
+/// spawn idle threads.
 pub fn effective_workers(jobs: usize) -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     let hw = *HW.get_or_init(|| {
@@ -530,13 +509,9 @@ pub fn effective_workers(jobs: usize) -> usize {
             .map(|n| n.get())
             .unwrap_or(4)
     });
-    let capped = match std::env::var("PUNO_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => hw.min(n),
-        _ => hw,
-    };
+    let capped = HostOptions::get()
+        .sweep_threads
+        .map_or(hw, |n| hw.min(n.get()));
     capped.min(jobs.max(1))
 }
 

@@ -9,8 +9,8 @@
 //! append-only, checksummed JSONL file kept by the record store
 //! ([`crate::store`]; torn lines, stale versions, and duplicates are
 //! skipped and counted, never served, and a bad byte costs only its row)
-//! holding one compact row per completed sweep cell, grouped by a
-//! per-sweep `run_id`.
+//! holding one compact row per completed sweep cell, grouped by the
+//! recording process's `run_id`.
 //!
 //! `PUNO_WAREHOUSE=<dir>` points the sweep driver at a warehouse; the
 //! `warehouse` binary answers the aggregation queries offline.
@@ -41,8 +41,8 @@ pub struct WarehouseRow {
     /// Engine version that produced the metrics; rows from another engine
     /// never mix into aggregates (simulated behaviour differs by design).
     pub engine_version: u32,
-    /// Identifier of the sweep that recorded this row (`PUNO_RUN_ID` or a
-    /// `<unix-secs>-<pid>` default); one sweep = one run_id.
+    /// Identifier of the process that recorded this row (`PUNO_RUN_ID` or
+    /// a `<unix-secs>-<pid>` default); all of its sweeps share it.
     pub run_id: String,
     /// Unix seconds when the recording sweep started (shared by all of its
     /// rows, so a run orders as one point in a trend).
@@ -228,21 +228,6 @@ impl Warehouse {
         let text = store::read(&self.rows_path());
         let (rows, stats) = store::load(&text, |_, line| classify_row_line(line));
         (rows.into_values().collect(), stats)
-    }
-}
-
-/// The warehouse directory requested by `PUNO_WAREHOUSE` (an off value,
-/// see [`crate::knobs::parse_setting`], disables the sink).
-pub fn env_warehouse() -> Option<PathBuf> {
-    crate::knobs::env_setting("PUNO_WAREHOUSE").map(PathBuf::from)
-}
-
-/// The run identifier for one sweep's rows: `PUNO_RUN_ID` verbatim when
-/// set, else `<unix-secs>-<pid>`.
-pub fn run_id_from_env(now_unix: u64) -> String {
-    match std::env::var("PUNO_RUN_ID") {
-        Ok(id) if !id.trim().is_empty() => id.trim().to_string(),
-        _ => format!("{now_unix}-{}", std::process::id()),
     }
 }
 
@@ -614,14 +599,6 @@ mod tests {
         assert_eq!(cmp[0].run_id, "b");
         assert!((cmp[0].mean_wall_us - 500000.0).abs() < 1e-6);
         assert!((cmp[0].ratio - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn run_id_default_and_override() {
-        // No env manipulation (tests run threaded): exercise the fallback
-        // formatting only.
-        let id = format!("{}-{}", 1700000000u64, std::process::id());
-        assert!(id.starts_with("1700000000-"));
     }
 
     /// Record two sweeps of the same cells under different run ids, then

@@ -37,6 +37,13 @@ use std::path::PathBuf;
 const GOLDEN_SEED: u64 = 42;
 const GOLDEN_SCALE: f64 = 0.05;
 
+/// `PUNO_BLESS_GOLDEN` set to an on value: rewrite the snapshots instead
+/// of comparing against them.
+fn bless() -> bool {
+    let value = std::env::var("PUNO_BLESS_GOLDEN").ok();
+    puno_harness::knobs::parse_setting(value.as_deref()).is_some()
+}
+
 fn golden_path(workload: WorkloadId, mechanism: Mechanism) -> PathBuf {
     golden_file(&format!("{}_{}", workload.name(), mechanism.name()))
 }
@@ -82,7 +89,7 @@ type RunCell<'a> = dyn Fn() -> RunMetrics + 'a;
 
 #[test]
 fn extended_cells_match_golden_snapshots() {
-    let bless = puno_harness::knobs::env_setting("PUNO_BLESS_GOLDEN").is_some();
+    let bless = bless();
     let mesh8 = |workload: WorkloadId, mechanism: Mechanism| {
         let params = workload.params().scaled(GOLDEN_SCALE);
         run_with_config(SystemConfig::mesh8(mechanism), &params, GOLDEN_SEED)
@@ -157,7 +164,7 @@ fn extended_cells_match_golden_snapshots() {
 
 #[test]
 fn run_metrics_match_golden_snapshots() {
-    let bless = puno_harness::knobs::env_setting("PUNO_BLESS_GOLDEN").is_some();
+    let bless = bless();
     let mut mismatches = Vec::new();
     let mut fast_forwarded = 0usize;
     for &workload in &WorkloadId::ALL {

@@ -3,7 +3,7 @@
 //! the telemetry aggregates must reconcile with the independently counted
 //! `HtmStats` and `FalseAbortOracle`.
 
-use puno_harness::run::run_workload;
+use puno_harness::knobs::HostOptions;
 use puno_harness::tracefmt;
 use puno_harness::{Mechanism, System, SystemConfig, TelemetryConfig};
 use puno_htm::AbortCause;
@@ -21,21 +21,26 @@ fn golden_path(workload: WorkloadId, mechanism: Mechanism) -> PathBuf {
 }
 
 /// The full 16-cell golden grid re-run with every trace channel enabled and
-/// a JSONL sink attached: `RunMetrics` must stay bit-identical to the
-/// committed (tracing-off) snapshots, and every emitted stream must
-/// validate. The ONLY test in this binary allowed to touch the environment:
-/// integration tests in one binary share the process, so the env-var
-/// surface is exercised exactly once.
+/// a JSONL sink attached, through the tracer `run_with_config` installs from
+/// `PUNO_TRACE=all PUNO_TRACE_OUT=<dir>`: `RunMetrics` must stay
+/// bit-identical to the committed (tracing-off) snapshots, and every
+/// emitted stream must validate.
 #[test]
 fn traced_goldens_are_bit_identical_and_streams_validate() {
     let dir = std::env::temp_dir().join(format!("puno_trace_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("PUNO_TRACE", "all");
-    std::env::set_var("PUNO_TRACE_OUT", &dir);
+    let host = HostOptions {
+        trace: ChannelMask::ALL,
+        trace_out: Some(dir.clone()),
+        ..HostOptions::from_lookup(|_| None).unwrap()
+    };
     for &workload in &WorkloadId::ALL {
         let params = workload.params().scaled(GOLDEN_SCALE);
         for mechanism in [Mechanism::Baseline, Mechanism::Puno] {
-            let metrics = run_workload(mechanism, &params, GOLDEN_SEED);
+            let mut sys = System::new(SystemConfig::paper(mechanism), &params, GOLDEN_SEED);
+            host.install_tracer(&mut sys, &params.name, GOLDEN_SEED);
+            let metrics = sys.try_run_recycled().unwrap();
+            drop(sys); // flushes the JSONL stream
             let got = serde_json::to_string(&metrics.deterministic()).unwrap();
             let want = std::fs::read_to_string(golden_path(workload, mechanism)).unwrap();
             assert_eq!(
@@ -61,12 +66,10 @@ fn traced_goldens_are_bit_identical_and_streams_validate() {
             );
         }
     }
-    std::env::remove_var("PUNO_TRACE");
-    std::env::remove_var("PUNO_TRACE_OUT");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Tracing through the System API (no env): a fully instrumented run —
+/// Tracing through the System API: a fully instrumented run —
 /// all-channel ring tracer AND telemetry — produces the same deterministic
 /// metrics as a bare run, except for the attached telemetry report.
 #[test]

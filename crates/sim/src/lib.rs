@@ -35,6 +35,6 @@ pub use linemap::{LineKey, LineMap, LineSet};
 pub use rng::{SimRng, ZipfSampler};
 pub use stats::{Counter, Ewma, Histogram, RunningStats};
 pub use trace::{
-    AbortCauseCode, ChannelMask, CohMsgKind, DirLineState, TraceChannel, TraceConfig, TraceEvent,
-    TraceRecord, TraceRing, Tracer,
+    AbortCauseCode, ChannelMask, CohMsgKind, DirLineState, TraceChannel, TraceEvent, TraceRecord,
+    TraceRing, Tracer,
 };

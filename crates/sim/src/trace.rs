@@ -549,11 +549,6 @@ impl TraceRing {
         }
     }
 
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an event, evicting the oldest when full.
     #[inline]
     pub fn record(&mut self, now: Cycle, event: TraceEvent) {
@@ -735,11 +730,6 @@ impl Tracer {
         self.jsonl.as_ref().map_or(0, |s| s.lines)
     }
 
-    /// Path of the attached JSONL sink, if any.
-    pub fn jsonl_path(&self) -> Option<&Path> {
-        self.jsonl.as_ref().map(|s| s.path.as_path())
-    }
-
     /// Flush the JSONL stream (also happens on drop).
     pub fn flush(&mut self) {
         if let Some(sink) = self.jsonl.as_mut() {
@@ -756,32 +746,6 @@ impl Tracer {
 impl Drop for Tracer {
     fn drop(&mut self) {
         self.flush();
-    }
-}
-
-/// Environment-driven trace configuration (`PUNO_TRACE`, `PUNO_TRACE_OUT`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceConfig {
-    pub mask: ChannelMask,
-    /// Raw `PUNO_TRACE_OUT` value: a JSONL file path, or a directory to
-    /// place per-run files in (the caller resolves which).
-    pub out: Option<PathBuf>,
-}
-
-impl TraceConfig {
-    /// Read `PUNO_TRACE`/`PUNO_TRACE_OUT`. Returns `Ok(None)` when tracing
-    /// is off (unset or an empty/`off` spec), `Err` on an invalid spec.
-    pub fn from_env() -> Result<Option<TraceConfig>, String> {
-        let spec = match std::env::var("PUNO_TRACE") {
-            Ok(s) => s,
-            Err(_) => return Ok(None),
-        };
-        let mask = ChannelMask::parse(&spec).map_err(|e| format!("PUNO_TRACE: {e}"))?;
-        if mask.is_empty() {
-            return Ok(None);
-        }
-        let out = std::env::var("PUNO_TRACE_OUT").ok().map(PathBuf::from);
-        Ok(Some(TraceConfig { mask, out }))
     }
 }
 

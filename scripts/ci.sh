@@ -59,7 +59,7 @@ echo "== fault smoke (0.05 scale, intensity 1.0) =="
 PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
     cargo run --offline --release -q -p puno-harness --bin fault_smoke -- 0.05 1.0 1
 
-echo "== CLI-argument smoke (a bad number exits 2 with a usage line) =="
+echo "== CLI-argument smoke (a bad number or knob value exits 2) =="
 # A scale or seed that does not parse, and a scale that is not positive,
 # must be refused before anything is simulated: exit status 2, a usage
 # line on stderr, nothing on stdout (each binary prints its report header
@@ -72,8 +72,18 @@ for cmd in "sweep_all 0 1" "sweep_all x" "diag hotspot half" "fault_smoke nan"; 
     [ "$status" -eq 2 ] && [ -z "$out" ] && grep -q "^usage: " "$ARG_ERR" \
         || { echo "'$cmd' exited $status (want 2, a usage line, no output):"; cat "$ARG_ERR"; exit 1; }
 done
+# A PUNO_* knob whose value does not parse is refused the same way, before
+# anything prints: exit status 2, the variable named on stderr, nothing on
+# stdout.
+for cmd in "PUNO_SWEEP_THREADS=two sweep_all 0.05 1" "PUNO_TRACE=bogus diag hotspot 0.05"; do
+    var="${cmd%%=*}"
+    status=0
+    out="$(timeout 60 env ${cmd%% *} target/release/${cmd#* } 2> "$ARG_ERR")" || status=$?
+    [ "$status" -eq 2 ] && [ -z "$out" ] && grep -q "$var" "$ARG_ERR" \
+        || { echo "'$cmd' exited $status (want 2, $var named, no output):"; cat "$ARG_ERR"; exit 1; }
+done
 rm -f "$ARG_ERR"
-echo "CLI-argument smoke OK (4 bad invocations refused with a usage line)"
+echo "CLI-argument smoke OK (4 bad arguments and 2 bad knobs refused)"
 
 echo "== result-cache smoke (4-cell sweep twice; warm pass must replay byte-for-byte) =="
 # Cold pass simulates and stores every cell; the warm pass must serve all
@@ -181,25 +191,22 @@ grep -q "result cache recovered: 1 corrupt, 0 stale" "$CACHE_DIR/corrupt.err" \
     || { echo "corrupt record was not skip-and-counted:"; cat "$CACHE_DIR/corrupt.err"; exit 1; }
 grep -q "result cache: 3 hits, 1 misses" "$CACHE_DIR/corrupt.err" \
     || { echo "corrupted cell was not re-simulated:"; cat "$CACHE_DIR/corrupt.err"; exit 1; }
-# A compacting open must rewrite the file without the corrupt line; the
-# following warm pass then serves every cell with nothing left to skip.
-PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_RESULT_CACHE_COMPACT=1 \
-    PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
-    cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 --filter ssca2 \
+# `--compact-cache` must rewrite the file without the corrupt line and
+# keep the five other records: the four ssca2 cells and the genome cell
+# added above.
+PUNO_RESULT_CACHE="$CACHE_DIR" \
+    cargo run --offline --release -q -p puno-harness --bin sweep_all -- --compact-cache \
     > "$CACHE_DIR/compact.txt" 2> "$CACHE_DIR/compact.err"
-sed '/^simulator throughput/,$d' "$CACHE_DIR/compact.txt" > "$CACHE_DIR/compact.det.txt"
-diff "$CACHE_DIR/cold.det.txt" "$CACHE_DIR/compact.det.txt" \
-    || { echo "sweep output changed after compaction"; exit 1; }
-# Five records kept: the four ssca2 cells and the genome cell added above.
-grep -q "result cache compacted: 5 kept, 1 corrupt, 0 stale" "$CACHE_DIR/compact.err" \
-    || { echo "compaction did not drop the corrupt record:"; cat "$CACHE_DIR/compact.err"; exit 1; }
-grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/compact.err" \
-    || { echo "compacted cache missed a warm cell:"; cat "$CACHE_DIR/compact.err"; exit 1; }
-# A final plain pass proves the compacted file is clean: every cell warm,
-# nothing left to skip at open.
+grep -q "result cache compacted: 5 record(s) kept; dropped 1 corrupt, 0 stale" "$CACHE_DIR/compact.txt" \
+    || { echo "compaction did not drop the corrupt record:"; cat "$CACHE_DIR/compact.txt" "$CACHE_DIR/compact.err"; exit 1; }
+# A plain pass over the compacted file serves every cell warm, with
+# nothing left to skip at open, and prints the cold run's report.
 PUNO_RESULT_CACHE="$CACHE_DIR" PUNO_SWEEP_THREADS="${PUNO_SWEEP_THREADS:-4}" \
     cargo run --offline --release -q -p puno-harness --bin sweep_all -- 0.05 1 --filter ssca2 \
-    > /dev/null 2> "$CACHE_DIR/clean.err"
+    > "$CACHE_DIR/clean.txt" 2> "$CACHE_DIR/clean.err"
+sed '/^simulator throughput/,$d' "$CACHE_DIR/clean.txt" > "$CACHE_DIR/clean.det.txt"
+diff "$CACHE_DIR/cold.det.txt" "$CACHE_DIR/clean.det.txt" \
+    || { echo "sweep output changed after compaction"; exit 1; }
 grep -q "result cache: 4 hits, 0 misses" "$CACHE_DIR/clean.err" \
     || { echo "post-compaction cache missed a warm cell:"; cat "$CACHE_DIR/clean.err"; exit 1; }
 ! grep -q "result cache recovered" "$CACHE_DIR/clean.err" \
