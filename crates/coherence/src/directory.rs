@@ -377,9 +377,6 @@ impl DirectoryBank {
                 tx,
             } => {
                 self.stats.getx_received.inc();
-                if tx.is_some() {
-                    self.stats.tx_getx_received.inc();
-                }
                 self.service_getx(now, addr, requester, tx, predictor, actions);
             }
             CoherenceMsg::Putx {
@@ -820,10 +817,11 @@ impl DirectoryBank {
             (entry.holders(), busy.tx_getx, blocked_for)
         };
 
-        self.stats.record_blocking(blocked_for, tx_getx);
+        if tx_getx {
+            self.stats.blocking_cycles_tx_getx.record(blocked_for);
+        }
 
         if let Some(node) = mp_node {
-            self.stats.mispredict_feedback.inc();
             predictor.on_mispredict_feedback(now, addr, node);
         }
         // Off the critical path: refresh the UD pointer for this entry.

@@ -7,17 +7,12 @@ use serde::{Deserialize, Serialize};
 pub struct DirStats {
     pub gets_received: Counter,
     pub getx_received: Counter,
-    pub tx_getx_received: Counter,
     pub putx_received: Counter,
     pub mem_fetches: Counter,
     /// Multicast invalidation fan-out (number of Inv messages sent).
     pub invalidations_sent: Counter,
     /// Transactional GETX episodes serviced by PUNO unicast.
     pub unicasts_sent: Counter,
-    /// Misprediction feedback events received through UNBLOCK.
-    pub mispredict_feedback: Counter,
-    /// Cycles entries spent in a blocking transient state, all causes.
-    pub blocking_cycles_all: RunningStats,
     /// Cycles entries spent blocked while servicing *transactional GETX* —
     /// the quantity averaged in the paper's Figure 12.
     pub blocking_cycles_tx_getx: RunningStats,
@@ -26,24 +21,13 @@ pub struct DirStats {
 }
 
 impl DirStats {
-    pub fn record_blocking(&mut self, cycles: u64, tx_getx: bool) {
-        self.blocking_cycles_all.record(cycles);
-        if tx_getx {
-            self.blocking_cycles_tx_getx.record(cycles);
-        }
-    }
-
     pub fn merge(&mut self, other: &DirStats) {
         self.gets_received.add(other.gets_received.get());
         self.getx_received.add(other.getx_received.get());
-        self.tx_getx_received.add(other.tx_getx_received.get());
         self.putx_received.add(other.putx_received.get());
         self.mem_fetches.add(other.mem_fetches.get());
         self.invalidations_sent.add(other.invalidations_sent.get());
         self.unicasts_sent.add(other.unicasts_sent.get());
-        self.mispredict_feedback
-            .add(other.mispredict_feedback.get());
-        self.blocking_cycles_all.merge(&other.blocking_cycles_all);
         self.blocking_cycles_tx_getx
             .merge(&other.blocking_cycles_tx_getx);
         self.queued_requests.add(other.queued_requests.get());
@@ -55,23 +39,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn blocking_split_by_cause() {
-        let mut s = DirStats::default();
-        s.record_blocking(100, true);
-        s.record_blocking(50, false);
-        assert_eq!(s.blocking_cycles_all.count(), 2);
-        assert_eq!(s.blocking_cycles_all.sum(), 150);
-        assert_eq!(s.blocking_cycles_tx_getx.count(), 1);
-        assert_eq!(s.blocking_cycles_tx_getx.sum(), 100);
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = DirStats::default();
         let mut b = DirStats::default();
         a.gets_received.inc();
         b.gets_received.add(2);
-        b.record_blocking(10, true);
+        b.blocking_cycles_tx_getx.record(10);
         a.merge(&b);
         assert_eq!(a.gets_received.get(), 3);
         assert_eq!(a.blocking_cycles_tx_getx.sum(), 10);

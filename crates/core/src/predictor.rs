@@ -82,7 +82,6 @@ impl UnicastPredictor for PunoPredictor {
     fn observe_request(&mut self, now: Cycle, node: NodeId, info: &TxInfo) {
         self.tick_rollover(now);
         self.pbuffer.update(node, info.timestamp);
-        self.stats.pbuffer_updates.inc();
         self.rollover.observe_tx_len(info.avg_len_hint);
     }
 

@@ -5,8 +5,6 @@ use serde::{Deserialize, Serialize};
 
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PunoStats {
-    /// P-Buffer priority updates observed.
-    pub pbuffer_updates: Counter,
     /// Rollover timeouts fired.
     pub timeouts: Counter,
     /// Prediction opportunities (transactional GETX with holders).
@@ -17,8 +15,9 @@ pub struct PunoStats {
     pub declined: Counter,
     /// Misprediction feedback received (stale priority invalidated).
     pub mispredictions: Counter,
-    /// Notifications attached to unicast NACKs (counted node-side; kept
-    /// here for the merged report).
+    /// Notifications attached to unicast NACKs. The nodes count them (as
+    /// `HtmStats::notifications_sent`); the run copies that merged count
+    /// here, so per-bank predictor stats leave it at zero.
     pub notifications: Counter,
 }
 
@@ -33,13 +32,11 @@ impl PunoStats {
     }
 
     pub fn merge(&mut self, other: &PunoStats) {
-        self.pbuffer_updates.add(other.pbuffer_updates.get());
         self.timeouts.add(other.timeouts.get());
         self.opportunities.add(other.opportunities.get());
         self.unicasts.add(other.unicasts.get());
         self.declined.add(other.declined.get());
         self.mispredictions.add(other.mispredictions.get());
-        self.notifications.add(other.notifications.get());
     }
 }
 

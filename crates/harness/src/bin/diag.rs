@@ -51,6 +51,7 @@ fn main() {
             m.htm.gd_ratio(),
             m.htm.backoff_cycles.get(),
         );
+        // The `htm.aborts_by_cause` split.
         println!(
             "           causes: inv {:>6} rdconf {:>6} nontx {:>4} capacity {:>4}",
             m.htm.aborts_for(puno_htm::AbortCause::TxWriteInvalidation),

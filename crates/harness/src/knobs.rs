@@ -1,9 +1,10 @@
 //! Every runtime `PUNO_*` knob, read in one place: [`HostOptions`], one
 //! typed field per knob. [`HostOptions::get`] reads the environment once,
 //! lazily, and is the only code in the library that touches it. Every knob
-//! says "off" the same way ([`parse_setting`]); a value that does not parse
-//! is refused with an error naming the variable, never replaced by a
-//! default. No knob changes a simulated bit.
+//! says "off" the same way ([`parse_setting`], by the rule
+//! [`puno_sim::is_off`] that `PUNO_TRACE`'s channel specs share); a value
+//! that does not parse is refused with an error naming the variable, never
+//! replaced by a default. No knob changes a simulated bit.
 
 use crate::sweep::RetryPolicy;
 use crate::system::System;
@@ -14,17 +15,13 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-/// A setting's value, or `None` when it is unset or spelled off: empty,
-/// `0`, `off`, `false` or `no` (case-insensitive, surrounding whitespace
-/// ignored). Any other value is returned trimmed.
+/// A setting's value, or `None` when it is unset or spelled off
+/// ([`puno_sim::is_off`]: empty, `0`, `off`, `false`, `no` or `none`,
+/// case-insensitive, surrounding whitespace ignored). Any other value is
+/// returned trimmed.
 pub fn parse_setting(value: Option<&str>) -> Option<&str> {
-    let v = value?.trim();
-    let off = v.is_empty()
-        || v == "0"
-        || ["off", "false", "no"]
-            .iter()
-            .any(|s| v.eq_ignore_ascii_case(s));
-    (!off).then_some(v)
+    let v = value?;
+    (!puno_sim::is_off(v)).then(|| v.trim())
 }
 
 /// The host-side settings of one process, one field per runtime knob.
@@ -167,7 +164,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    const OFF: [Option<&str>; 10] = [
+    const OFF: [Option<&str>; 12] = [
         None,
         Some(""),
         Some("  "),
@@ -178,6 +175,8 @@ mod tests {
         Some("False"),
         Some("no"),
         Some(" NO "),
+        Some("none"),
+        Some("None"),
     ];
 
     fn parse(vars: &[(&str, &str)]) -> Result<HostOptions, String> {
@@ -189,6 +188,25 @@ mod tests {
     fn every_off_spelling_is_off() {
         for off in OFF {
             assert_eq!(parse_setting(off), None, "{off:?} must read as off");
+        }
+    }
+
+    #[test]
+    fn knobs_and_channel_specs_share_one_off_rule() {
+        let spellings = OFF.into_iter().flatten().chain([
+            "1",
+            "on",
+            "all",
+            "htm",
+            " htm,coh ",
+            "nope",
+            "offline",
+            "n0",
+        ]);
+        for spelling in spellings {
+            let knob_off = parse_setting(Some(spelling)).is_none();
+            let channels_off = ChannelMask::parse(spelling).map(|m| m.is_empty());
+            assert_eq!(channels_off.unwrap_or(false), knob_off, "{spelling:?}");
         }
     }
 

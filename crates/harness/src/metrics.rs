@@ -69,7 +69,6 @@ pub struct RunMetrics {
     /// Network statistics (Figure 11).
     pub traffic_router_traversals: u64,
     pub traffic_flits_injected: u64,
-    pub traffic_mean_latency: f64,
     /// Max/mean utilization over non-idle directed links (hotspot skew).
     pub traffic_link_skew: f64,
     /// False-abort oracle (Figures 2, 3).
@@ -115,7 +114,6 @@ impl RunMetrics {
             dir,
             traffic_router_traversals: traffic.router_traversals(),
             traffic_flits_injected: traffic.flits_injected(),
-            traffic_mean_latency: traffic.mean_latency(),
             traffic_link_skew: link_skew,
             oracle,
             puno,

@@ -633,9 +633,6 @@ impl NodeState {
                 if notification.is_some() {
                     stats.notifications_sent.inc();
                 }
-                if mispredict {
-                    stats.mp_nacks_sent.inc();
-                }
                 if self.wakeup_hints && notification.is_some() {
                     // Remember the requester; poke it when we finish.
                     if self.pending_wakeups.len() >= 4 {

@@ -996,6 +996,8 @@ impl System {
                 puno.merge(pp.stats());
             }
         }
+        // The nodes attach the notifications; the predictors never see them.
+        puno.notifications = htm.notifications_sent.clone();
         RunMetrics::from_parts(
             &self.workload_name,
             self.config.mechanism.name(),
@@ -1067,6 +1069,14 @@ mod tests {
             m.oracle.false_abort_episodes > 0,
             "multicast under contention must produce false aborts"
         );
+    }
+
+    #[test]
+    fn puno_reports_every_notification_the_nodes_sent() {
+        let params = puno_workloads::WorkloadId::Intruder.params().scaled(0.05);
+        let m = run(Mechanism::Puno, &params, 1);
+        assert!(m.htm.notifications_sent.get() > 0, "no notification sent");
+        assert_eq!(m.puno.notifications, m.htm.notifications_sent);
     }
 
     #[test]

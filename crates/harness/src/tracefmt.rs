@@ -118,8 +118,9 @@ fn chrome_event(
 
 /// Convert trace records into Chrome-trace JSON (the object form with a
 /// `traceEvents` array). One "process" per node; one "thread" per trace
-/// channel. Transaction lifecycles are rendered as complete slices; every
-/// other record becomes an instant with the full event as `args`.
+/// channel (htm, coh, dir, noc, pred, fault). Transaction lifecycles are
+/// rendered as complete slices; every other record becomes an instant with
+/// the full event as `args`.
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
     // (ts, seq) keyed so the output is sorted and stable.
     let mut events: Vec<(u64, Value)> = Vec::new();

@@ -1,11 +1,12 @@
 //! Typed JSON decoding gives the same verdict and the same value for every
 //! input in a fixed corpus, pinned by `decode_equivalence.expected`.
 //!
-//! The corpus is built from real lines of every persisted format — the
-//! 8 × 4 paper grid's cache records at scale 0.05 for seeds 1 and 42 and
-//! their `metrics` spans, warehouse rows and cost lines of those cells,
-//! the `engine4_express` fixture lines, trace records and one record with
-//! telemetry — plus seeded mutations of them: bit flips, truncations,
+//! The corpus is built from real lines of every persisted format, kept in
+//! `fixtures/decode_corpus.jsonl` — the 8 × 4 paper grid's cache records at
+//! scale 0.05 for seeds 1 and 42 and their `metrics` spans, warehouse rows
+//! and cost lines of those cells, the `engine4_express` fixture lines,
+//! trace records and one record with telemetry — plus seeded mutations of
+//! them: bit flips, truncations,
 //! whitespace, escaped, duplicate, reordered and unknown keys, floats,
 //! negatives and out-of-range numbers in integer fields, `null`s, array
 //! lengths, enum shapes and nesting at depths 127, 128 and 129, and a set
@@ -16,16 +17,19 @@
 //! or FNV-1a of the decoded value's `to_string` text. Error wording is not
 //! pinned. The expectations were recorded once, by the ignored
 //! `record_expectations`, while `serde_json::from_str` still built a
-//! `Value` tree and walked it; they are not meant to be re-recorded.
+//! `Value` tree and walked it; they are not meant to be re-recorded. The
+//! one exception is a field removed from `RunMetrics`: it changes the
+//! `RunMetrics` and `CacheRecord` columns only, and each new outcome must
+//! equal the old decoded text with the removed keys deleted (see
+//! EXPERIMENTS.md for the one such re-derivation).
 
-use puno_harness::cache::{cell_digest, split_fields, CacheRecord, ResultCache};
-use puno_harness::{HostPerf, Mechanism, RunMetrics, System, SystemConfig, TelemetryConfig};
-use puno_harness::{Warehouse, WarehouseRow};
+use puno_harness::cache::{split_fields, CacheRecord};
+use puno_harness::{RunMetrics, WarehouseRow};
 use puno_sim::rng::SimRng;
-use puno_sim::{ChannelMask, TraceRecord, Tracer};
-use puno_workloads::{fnv1a_64, micro, WorkloadId};
+use puno_sim::TraceRecord;
+use puno_workloads::fnv1a_64;
 use serde_json::Value;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The shape of a line of the retired sweep cost log: its corpus lines and
 /// its column of outcomes stay, so derived decoding of a struct of strings,
@@ -38,69 +42,23 @@ struct CostRecord {
     wall_secs: f64,
 }
 
-const SCALE: f64 = 0.05;
-const GRID_SEEDS: [u64; 2] = [1, 42];
-/// The seed `cache_malformed` builds its corpus at.
-const CORPUS_SEED: u64 = 3;
+/// Base lines that come from the 8 × 4 grid, four per cell (the metrics
+/// span, the cache line, the warehouse row and the cost line); they lead
+/// the corpus fixture.
+const GRID_LINES: usize = 2 * 8 * 4 * 4;
 
 fn expected_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/decode_equivalence.expected")
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("puno-decode-eq-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn fixture(file: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/engine4_express")
+        .join("tests/fixtures")
         .join(file);
     std::fs::read_to_string(path)
         .unwrap()
         .trim_end()
         .to_string()
-}
-
-/// One cell's metrics with its host counters replaced by values derived
-/// from `salt`, so the corpus is the same on every machine and still
-/// carries non-trivial floats.
-fn cell(mechanism: Mechanism, workload: WorkloadId, seed: u64, salt: u64) -> RunMetrics {
-    let params = workload.params().scaled(SCALE);
-    let mut m = System::new(SystemConfig::paper(mechanism), &params, seed)
-        .try_run_recycled()
-        .unwrap();
-    let x = salt as f64 + 1.0;
-    m.host = HostPerf {
-        wall_secs: 0.001 / x,
-        sim_cycles_per_sec: 1.0e7 * x / 3.0,
-        events_dispatched: 1000 + salt,
-        events_per_sec: 2.5e6 / x,
-        peak_queue_depth: 17 + salt,
-        noc_active_scan_ratio: 1.0 / (x + 2.0),
-        quiesced_cycles: salt * 11,
-        sweep_workers: 1 + salt % 4,
-    };
-    m
-}
-
-/// The line the result cache stores for `metrics`.
-fn cache_line(
-    dir: &Path,
-    metrics: &RunMetrics,
-    mechanism: Mechanism,
-    workload: WorkloadId,
-) -> String {
-    let params = workload.params().scaled(SCALE);
-    let digest = cell_digest(&SystemConfig::paper(mechanism), &params, metrics.seed);
-    let _ = std::fs::remove_file(dir.join("results.jsonl"));
-    let cache = ResultCache::open(dir).unwrap();
-    cache.store(digest, 0, metrics.seed, metrics);
-    drop(cache);
-    let text = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
-    text.trim_end().to_string()
 }
 
 fn metrics_span(line: &str) -> Option<String> {
@@ -109,99 +67,22 @@ fn metrics_span(line: &str) -> Option<String> {
     Some(line[span].to_string())
 }
 
-fn warehouse_line(dir: &Path, row: &WarehouseRow) -> String {
-    let _ = std::fs::remove_file(dir.join("warehouse.jsonl"));
-    Warehouse::open(dir)
-        .unwrap()
-        .append(std::slice::from_ref(row))
-        .unwrap();
-    let text = std::fs::read_to_string(dir.join("warehouse.jsonl")).unwrap();
-    text.trim_end().to_string()
-}
-
-/// Up to one trace line per distinct event kind of a short traced run.
-fn trace_lines(dir: &Path) -> Vec<String> {
-    let path = dir.join("trace.jsonl");
-    let mut tracer = Tracer::ring(ChannelMask::ALL, 16);
-    tracer.set_jsonl_path(&path).unwrap();
-    let mut sys = System::new(SystemConfig::paper(Mechanism::Puno), &micro::hotspot(6), 7);
-    sys.install_tracer(tracer);
-    sys.try_run_recycled().unwrap();
-    drop(sys);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut lines = Vec::new();
-    for line in text.lines() {
-        // The event's variant name is the first key inside `"event":{`.
-        let kind = line
-            .split("\"event\":")
-            .nth(1)
-            .and_then(|rest| rest.split(':').next())
-            .map(str::to_string)
-            .unwrap_or_default();
-        if seen.insert(kind) {
-            lines.push(line.to_string());
-        }
-    }
-    assert!(lines.len() >= 4, "too few trace kinds: {lines:?}");
-    lines
-}
-
-/// Every unmutated line of the corpus.
+/// Every unmutated line of the corpus, read from `decode_corpus.jsonl`.
+///
+/// The lines were written once from live runs, so that a change to what a
+/// run emits leaves the corpus as it is and shows only in the decoded
+/// columns. In order: for seeds 1 and 42 and every cell of the 8 × 4 grid
+/// at scale 0.05 (host counters replaced by values derived from a running
+/// salt), the cell's `metrics` span, its cache line, its warehouse row and
+/// its cost line; then two ssca2 cells at seed 3 with the same four lines
+/// less the cost line, a placeholder warehouse row for a failed cell, the
+/// `engine4_express` fixture lines, a PUNO hotspot record carrying
+/// telemetry, and one trace line per event kind of a traced hotspot run.
 fn base_lines() -> Vec<String> {
-    let dir = scratch("base");
-    let mut lines = Vec::new();
-    let mut salt = 0;
-    for seed in GRID_SEEDS {
-        for workload in WorkloadId::ALL {
-            for mechanism in Mechanism::ALL {
-                let metrics = cell(mechanism, workload, seed, salt);
-                let line = cache_line(&dir, &metrics, mechanism, workload);
-                lines.push(metrics_span(&line).unwrap());
-                lines.push(line);
-                let row =
-                    WarehouseRow::from_metrics("grid", 7, salt, "ok", salt % 3 == 0, &metrics);
-                lines.push(warehouse_line(&dir, &row));
-                let cost = CostRecord {
-                    workload: workload.name().to_string(),
-                    mechanism: mechanism.name().to_string(),
-                    tx_per_node: 10 + salt as u32,
-                    wall_secs: metrics.host.wall_secs,
-                };
-                lines.push(serde_json::to_string(&cost).unwrap());
-                salt += 1;
-            }
-        }
-    }
-    // The `cache_malformed` corpus: two stored ssca2 cells, a placeholder
-    // row for a failed cell, and the legacy fixture lines.
-    for (i, mechanism) in [Mechanism::Baseline, Mechanism::Puno]
-        .into_iter()
-        .enumerate()
-    {
-        let metrics = cell(mechanism, WorkloadId::Ssca2, CORPUS_SEED, 100 + i as u64);
-        let line = cache_line(&dir, &metrics, mechanism, WorkloadId::Ssca2);
-        lines.push(metrics_span(&line).unwrap());
-        lines.push(line);
-        let row = WarehouseRow::from_metrics("corpus", 1, i as u64, "ok", false, &metrics);
-        lines.push(warehouse_line(&dir, &row));
-    }
-    let placeholder =
-        WarehouseRow::placeholder("corpus", 1, 9, "ssca2", "puno", CORPUS_SEED, "err");
-    lines.push(warehouse_line(&dir, &placeholder));
-    let legacy = fixture("results.jsonl");
-    lines.push(metrics_span(&legacy).unwrap());
-    lines.push(legacy);
-    lines.push(fixture("warehouse.jsonl"));
-    // A record whose telemetry is present rather than `null`.
-    let mut sys = System::new(SystemConfig::paper(Mechanism::Puno), &micro::hotspot(8), 5);
-    sys.enable_telemetry(TelemetryConfig::default());
-    let mut telemetered = sys.try_run_recycled().unwrap();
-    telemetered.host = HostPerf::default();
-    lines.push(serde_json::to_string(&telemetered).unwrap());
-    lines.extend(trace_lines(&dir));
-    let _ = std::fs::remove_dir_all(&dir);
-    lines
+    fixture("decode_corpus.jsonl")
+        .lines()
+        .map(str::to_string)
+        .collect()
 }
 
 /// Hand-written inputs at the edges of the grammar and of number
@@ -448,9 +329,8 @@ fn corpus() -> Vec<String> {
     inputs.extend(base.iter().cloned());
     // Mutate a spread of the base lines: the four lines of every eighth grid cell plus
     // everything after the grid (the corpus, fixtures and traces).
-    let grid = GRID_SEEDS.len() * WorkloadId::ALL.len() * Mechanism::ALL.len() * 4;
     for (i, line) in base.iter().enumerate() {
-        if i >= grid || i % 32 < 4 {
+        if i >= GRID_LINES || i % 32 < 4 {
             mutants(line, &mut rng, &mut inputs);
         }
     }
@@ -523,7 +403,7 @@ fn record_expectations() {
 
 #[test]
 fn a_megabyte_of_brackets_in_a_run_metrics_record_is_an_error_not_a_crash() {
-    let metrics = metrics_span(&fixture("results.jsonl")).unwrap();
+    let metrics = metrics_span(&fixture("engine4_express/results.jsonl")).unwrap();
     assert!(serde_json::from_str::<RunMetrics>(&metrics).is_ok());
     let brackets = "[".repeat(1 << 20);
     for mutant in [

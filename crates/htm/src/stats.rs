@@ -1,7 +1,7 @@
 //! Per-node HTM statistics: abort causes, the false-abort oracle inputs,
 //! and the good/discarded effort accounting of Figure 14.
 
-use puno_sim::{Counter, Cycles, RunningStats};
+use puno_sim::{Counter, Cycles};
 use serde::{Deserialize, Serialize};
 
 /// Why a transaction aborted.
@@ -59,7 +59,7 @@ impl AbortCause {
 }
 
 /// Per-node (mergeable) HTM statistics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct HtmStats {
     pub commits: Counter,
     pub aborts: Counter,
@@ -68,8 +68,6 @@ pub struct HtmStats {
     pub nacks_sent: Counter,
     /// NACKs sent that carried a PUNO notification.
     pub notifications_sent: Counter,
-    /// NACKs sent with the MP-bit (misprediction feedback).
-    pub mp_nacks_sent: Counter,
     /// Request retries after a nack.
     pub retries: Counter,
     /// Cycles spent inside attempts that eventually committed ("good
@@ -87,29 +85,6 @@ pub struct HtmStats {
     /// transactional line was force-evicted with a sticky writeback
     /// (LogTM-style; conflict detection survives via the directory).
     pub overflow_evictions: Counter,
-    /// Committed transaction effort lengths (mean/min/max).
-    pub commit_lengths: RunningStats,
-}
-
-impl Default for HtmStats {
-    fn default() -> Self {
-        Self {
-            commits: Counter::default(),
-            aborts: Counter::default(),
-            aborts_by_cause: [0; 5],
-            nacks_received: Counter::default(),
-            nacks_sent: Counter::default(),
-            notifications_sent: Counter::default(),
-            mp_nacks_sent: Counter::default(),
-            retries: Counter::default(),
-            good_cycles: Counter::default(),
-            discarded_cycles: Counter::default(),
-            backoff_cycles: Counter::default(),
-            sig_alias_conflicts: Counter::default(),
-            overflow_evictions: Counter::default(),
-            commit_lengths: RunningStats::new(),
-        }
-    }
 }
 
 impl HtmStats {
@@ -122,7 +97,6 @@ impl HtmStats {
     pub fn record_commit(&mut self, attempt_cycles: Cycles) {
         self.commits.inc();
         self.good_cycles.add(attempt_cycles);
-        self.commit_lengths.record(attempt_cycles);
     }
 
     pub fn aborts_for(&self, cause: AbortCause) -> u64 {
@@ -163,7 +137,6 @@ impl HtmStats {
         self.nacks_received.add(other.nacks_received.get());
         self.nacks_sent.add(other.nacks_sent.get());
         self.notifications_sent.add(other.notifications_sent.get());
-        self.mp_nacks_sent.add(other.mp_nacks_sent.get());
         self.retries.add(other.retries.get());
         self.good_cycles.add(other.good_cycles.get());
         self.discarded_cycles.add(other.discarded_cycles.get());

@@ -30,7 +30,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use latency::LatencyModel;
-pub use linkstats::{LinkId, LinkStats};
+pub use linkstats::LinkStats;
 pub use network::{Network, NocConfig};
 pub use packet::{VirtualNetwork, CONTROL_FLITS, DATA_FLITS};
 pub use topology::Mesh;

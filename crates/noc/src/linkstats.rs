@@ -9,20 +9,10 @@
 
 use crate::topology::{Mesh, Port};
 use puno_sim::NodeId;
-use serde::Serialize;
-
-/// Directed link identifier: the output `port` of router `from` (Local =
-/// ejection into the node).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
-pub struct LinkId {
-    pub from: NodeId,
-    pub port_index: u8,
-}
 
 /// Per-link flit counters for a mesh.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct LinkStats {
-    nodes: usize,
     /// `flits[router][port]`
     flits: Vec<[u64; 5]>,
 }
@@ -30,7 +20,6 @@ pub struct LinkStats {
 impl LinkStats {
     pub fn new(mesh: Mesh) -> Self {
         Self {
-            nodes: mesh.nodes(),
             flits: vec![[0; 5]; mesh.nodes()],
         }
     }
@@ -40,31 +29,8 @@ impl LinkStats {
         self.flits[router.index()][port.index()] += flits as u64;
     }
 
-    pub fn flits_on(&self, router: NodeId, port: Port) -> u64 {
-        self.flits[router.index()][port.index()]
-    }
-
     pub fn total(&self) -> u64 {
         self.flits.iter().flatten().sum()
-    }
-
-    /// The busiest directed link and its flit count.
-    pub fn hottest(&self) -> Option<(LinkId, u64)> {
-        let mut best: Option<(LinkId, u64)> = None;
-        for (r, ports) in self.flits.iter().enumerate() {
-            for (p, &count) in ports.iter().enumerate() {
-                if count > 0 && best.is_none_or(|(_, b)| count > b) {
-                    best = Some((
-                        LinkId {
-                            from: NodeId(r as u16),
-                            port_index: p as u8,
-                        },
-                        count,
-                    ));
-                }
-            }
-        }
-        best
     }
 
     /// Max/mean utilization skew over non-idle links (1.0 = perfectly
@@ -84,15 +50,6 @@ impl LinkStats {
         let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
         max / mean
     }
-
-    pub fn merge(&mut self, other: &LinkStats) {
-        assert_eq!(self.nodes, other.nodes);
-        for (a, b) in self.flits.iter_mut().zip(&other.flits) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,19 +62,7 @@ mod tests {
         s.record(NodeId(0), Port::East, 5);
         s.record(NodeId(0), Port::East, 1);
         s.record(NodeId(3), Port::Local, 2);
-        assert_eq!(s.flits_on(NodeId(0), Port::East), 6);
         assert_eq!(s.total(), 8);
-    }
-
-    #[test]
-    fn hottest_link_detection() {
-        let mut s = LinkStats::new(Mesh::paper());
-        assert_eq!(s.hottest(), None);
-        s.record(NodeId(1), Port::South, 3);
-        s.record(NodeId(2), Port::West, 9);
-        let (link, count) = s.hottest().unwrap();
-        assert_eq!(link.from, NodeId(2));
-        assert_eq!(count, 9);
     }
 
     #[test]
@@ -129,15 +74,5 @@ mod tests {
         assert!((s.skew() - 1.0).abs() < 1e-12);
         s.record(NodeId(0), Port::East, 36);
         assert!(s.skew() > 2.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = LinkStats::new(Mesh::paper());
-        let mut b = LinkStats::new(Mesh::paper());
-        a.record(NodeId(0), Port::East, 1);
-        b.record(NodeId(0), Port::East, 2);
-        a.merge(&b);
-        assert_eq!(a.flits_on(NodeId(0), Port::East), 3);
     }
 }

@@ -1,7 +1,7 @@
 //! The network: routers wired into a mesh, injection interfaces, the per-cycle
 //! step function, and delivery of ejected packets.
 
-use crate::packet::{Header, Packet, VirtualNetwork};
+use crate::packet::{Header, VirtualNetwork};
 use crate::router::{slot, Router, SLOTS};
 use crate::topology::{Mesh, Port};
 use crate::traffic::TrafficStats;
@@ -38,9 +38,9 @@ pub struct Network<P> {
     routers: Vec<Router>,
     /// `(x, y)` of every node, read by the route-compute stage.
     coords: Vec<(u16, u16)>,
-    /// Packets from injection to delivery, indexed by header handle; a
+    /// Payloads from injection to delivery, indexed by header handle; a
     /// delivered packet's slot is `None` and its handle waits in `free`.
-    slab: Vec<Option<Packet<P>>>,
+    slab: Vec<Option<P>>,
     free: Vec<u32>,
     /// Per-node, per-vnet unbounded injection queues (the NI), at
     /// `node * VirtualNetwork::COUNT + vnet`. Packets wait here until the
@@ -201,17 +201,13 @@ impl<P> Network<P> {
             "a {flits}-flit packet can never enter a {}-flit input buffer",
             self.config.buffer_flits
         );
-        let packet = Some(Packet {
-            injected_at: now,
-            payload,
-        });
         let handle = match self.free.pop() {
             Some(handle) => {
-                self.slab[handle as usize] = packet;
+                self.slab[handle as usize] = Some(payload);
                 handle
             }
             None => {
-                self.slab.push(packet);
+                self.slab.push(Some(payload));
                 u32::try_from(self.slab.len() - 1).expect("packet slab exceeds u32 handles")
             }
         };
@@ -443,8 +439,8 @@ impl<P> Network<P> {
         while bits != 0 {
             let idx = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if router.head_ready[idx] <= now {
-                let o = router.head_out[idx].index();
+            if router.heads[idx].ready_at <= now {
+                let o = router.heads[idx].out.index();
                 cands[o] |= 1 << idx;
                 ports |= 1 << o;
             }
@@ -459,26 +455,24 @@ impl<P> Network<P> {
             // Ejection always has room (the NI sinks immediately); any other
             // port needs downstream buffer space (credit).
             let downstream = (out_port != Port::Local).then(|| self.downstream(r, out_port));
-            let start = self.routers[r].rr_pointer[o] as u32;
+            // The candidates in round-robin order: bit `i` of `order` is
+            // buffer `(start + i) % SLOTS`.
+            let start = self.routers[r].rr_pointer[o] as usize;
             let set = u32::from(cands[o]);
-            let low = set & ((1u32 << start) - 1);
-            let high = set & !((1u32 << start) - 1);
+            let mut order = ((set >> start) | (set << (SLOTS - start))) & ((1 << SLOTS) - 1);
             let mut winner: Option<usize> = None;
-            'scan: for part in [high, low] {
-                let mut cand_bits = part;
-                while cand_bits != 0 {
-                    let idx = cand_bits.trailing_zeros() as usize;
-                    cand_bits &= cand_bits - 1;
-                    if let Some(next) = downstream {
-                        let credit = self.routers[next]
-                            .free_flits(slot(opposite(out_port), idx % VirtualNetwork::COUNT));
-                        if credit < self.routers[r].head_flits[idx] {
-                            continue;
-                        }
+            while order != 0 {
+                let idx = (start + order.trailing_zeros() as usize) % SLOTS;
+                order &= order - 1;
+                if let Some(next) = downstream {
+                    let credit = self.routers[next]
+                        .free_flits(slot(opposite(out_port), idx % VirtualNetwork::COUNT));
+                    if credit < self.routers[r].heads[idx].flits {
+                        continue;
                     }
-                    winner = Some(idx);
-                    break 'scan;
                 }
+                winner = Some(idx);
+                break;
             }
             let Some(idx) = winner else {
                 continue;
@@ -489,8 +483,8 @@ impl<P> Network<P> {
             let mut header = router.pop(idx);
             // The buffer's new head competes for the ports still to come
             // this cycle, as a fresh read of the head would.
-            if router.occupancy & (1 << idx) != 0 && router.head_ready[idx] <= now {
-                let next_o = router.head_out[idx].index();
+            if router.occupancy & (1 << idx) != 0 && router.heads[idx].ready_at <= now {
+                let next_o = router.heads[idx].out.index();
                 if next_o > o {
                     cands[next_o] |= 1 << idx;
                     ports |= 1 << next_o;
@@ -501,8 +495,7 @@ impl<P> Network<P> {
             // The Figure 11 metric: every flit leaving a router crossbar is
             // one router traversal.
             let vnet_idx = idx % VirtualNetwork::COUNT;
-            self.stats
-                .record_traversal(VirtualNetwork::ALL[vnet_idx], flits as u32);
+            self.stats.record_traversal(flits as u32);
             self.link_stats.record(here, out_port, flits as u32);
             if let Some(next) = downstream {
                 let ready_at = now + flits + self.config.pipeline_depth as Cycle - 1;
@@ -545,13 +538,13 @@ impl<P> Network<P> {
             let due = self.deliveries[i].ready_at;
             if due <= now {
                 let header = self.deliveries.swap_remove(i);
-                let packet = self.slab[header.handle as usize]
+                let payload = self.slab[header.handle as usize]
                     .take()
                     .expect("delivered packet missing from the slab");
                 self.free.push(header.handle);
-                self.stats.record_delivery(now - packet.injected_at);
+                self.stats.record_delivery();
                 self.in_network -= 1;
-                out.push((NodeId(header.dst), packet.payload));
+                out.push((NodeId(header.dst), payload));
             } else {
                 next_due = next_due.min(due);
                 i += 1;

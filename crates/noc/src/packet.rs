@@ -55,24 +55,16 @@ impl VirtualNetwork {
     }
 }
 
-/// A packet parked in the network's slab from injection to delivery. `P` is
-/// the protocol payload; the network treats it as opaque freight. Only the
-/// delivery reads it: every queue in between carries a [`Header`].
-#[derive(Debug)]
-pub(crate) struct Packet<P> {
-    pub injected_at: Cycle,
-    pub payload: P,
-}
-
 /// What the NI queues, router FIFOs and pending ejections carry for a packet:
-/// 16 bytes of routing state plus the slab handle of its [`Packet`]. The
-/// virtual network is implied by the queue the header sits in.
+/// 16 bytes of routing state plus the slab handle of its payload, which the
+/// network parks from injection to delivery as opaque freight. The virtual
+/// network is implied by the queue the header sits in.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Header {
     /// Cycle the packet clears the router pipeline (router FIFOs), or the
     /// cycle its tail reaches the NI (pending ejections).
     pub ready_at: Cycle,
-    /// Slab index of the parked [`Packet`].
+    /// Slab index of the parked payload.
     pub handle: u32,
     pub dst: u16,
     /// At most the buffer capacity, which a ring index must hold.

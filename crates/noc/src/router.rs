@@ -8,10 +8,12 @@
 //! link traversal itself, which occupies the output link for one cycle per
 //! flit (virtual cut-through).
 //!
-//! The buffers hold packet `Header`s, never payloads, in fixed-capacity
-//! rings laid out in one block per router. A buffer of `buffer_flits` flits
-//! holds at most `buffer_flits` packets (every packet is at least one flit),
-//! so that is each ring's capacity and nothing ever grows.
+//! The buffers hold packet `Header`s, never payloads. Each buffer's head
+//! sits in `heads`, the one place arbitration reads it; the packets queued
+//! behind it sit in a fixed-capacity ring, the rings of a router laid out
+//! in one block. A buffer of `buffer_flits` flits holds at most
+//! `buffer_flits` packets (every packet is at least one flit), so its ring
+//! holds one fewer and nothing ever grows.
 
 use crate::packet::{Header, VirtualNetwork};
 use crate::topology::Port;
@@ -40,22 +42,21 @@ pub(crate) struct Router {
     pub rr_pointer: [u8; 5],
     /// Output link busy-until cycle, per output port.
     pub link_busy_until: [Cycle; 5],
-    /// The head packet of each non-empty buffer: the cycle it clears the
-    /// pipeline, its routed output port and its size. Switch allocation and
-    /// the wake computation read these, never the rings.
-    pub head_ready: [Cycle; SLOTS],
-    pub head_out: [Port; SLOTS],
-    pub head_flits: [u8; SLOTS],
-    /// Ring position of each buffer's head, its packet count and the flits
-    /// it holds.
+    /// The head packet of each non-empty buffer. Switch allocation and the
+    /// wake computation read these, never the rings.
+    pub heads: [Header; SLOTS],
+    /// Ring position of the first packet queued behind each buffer's
+    /// head, the number queued behind it, and the flits the whole buffer
+    /// holds.
     first: [u8; SLOTS],
-    len: [u8; SLOTS],
+    queued: [u8; SLOTS],
     occupied: [u8; SLOTS],
-    /// Ring capacity in packets, which is also the buffer size in flits.
+    /// Buffer size in flits, which is also its capacity in packets.
     capacity: u8,
-    /// `SLOTS` rings of `capacity` headers; buffer `i` owns
-    /// `ring[i * capacity..(i + 1) * capacity]`. Empty until the router's
-    /// first packet, so building a network touches no ring memory.
+    /// `SLOTS` rings of `capacity - 1` headers, the packets queued behind
+    /// each head; buffer `i` owns `ring[i * (capacity - 1)..]`. Empty until
+    /// some buffer first queues a packet behind its head, so building a
+    /// network touches no ring memory.
     ring: Vec<Header>,
 }
 
@@ -65,11 +66,9 @@ impl Router {
             occupancy: 0,
             rr_pointer: [0; 5],
             link_busy_until: [0; 5],
-            head_ready: [0; SLOTS],
-            head_out: [Port::Local; SLOTS],
-            head_flits: [0; SLOTS],
+            heads: [Header::EMPTY; SLOTS],
             first: [0; SLOTS],
-            len: [0; SLOTS],
+            queued: [0; SLOTS],
             occupied: [0; SLOTS],
             capacity,
             ring: Vec::new(),
@@ -83,15 +82,16 @@ impl Router {
         self.capacity - self.occupied[idx]
     }
 
-    /// Ring index of the `k`-th packet of buffer `idx`.
+    /// Ring index of the `k`-th packet queued behind the head of buffer
+    /// `idx`.
     #[inline]
     fn position(&self, idx: usize, k: usize) -> usize {
-        let cap = self.capacity as usize;
+        let depth = self.capacity as usize - 1;
         let mut at = self.first[idx] as usize + k;
-        if at >= cap {
-            at -= cap;
+        if at >= depth {
+            at -= depth;
         }
-        idx * cap + at
+        idx * depth + at
     }
 
     /// Enqueue a routed packet into buffer `idx`. The caller must have
@@ -104,18 +104,18 @@ impl Router {
             header.flits <= self.free_flits(idx),
             "accepted without credit"
         );
-        if self.ring.is_empty() {
-            self.ring = vec![Header::EMPTY; SLOTS * self.capacity as usize];
-        }
-        let at = self.position(idx, self.len[idx] as usize);
-        self.ring[at] = header;
-        self.len[idx] += 1;
         self.occupied[idx] += header.flits;
-        if self.len[idx] > 1 {
+        if self.occupancy & (1 << idx) != 0 {
+            if self.ring.is_empty() {
+                self.ring = vec![Header::EMPTY; SLOTS * (self.capacity as usize - 1)];
+            }
+            let at = self.position(idx, self.queued[idx] as usize);
+            self.ring[at] = header;
+            self.queued[idx] += 1;
             return None;
         }
         self.occupancy |= 1 << idx;
-        self.set_head(idx, &header);
+        self.heads[idx] = header;
         Some(
             header
                 .ready_at
@@ -123,32 +123,21 @@ impl Router {
         )
     }
 
-    /// Dequeue the head of buffer `idx`, which must be non-empty, and cache
-    /// the next head (or clear the occupancy bit).
+    /// Dequeue the head of buffer `idx`, which must be non-empty, and move
+    /// the next packet up to head (or clear the occupancy bit).
     #[inline]
     pub fn pop(&mut self, idx: usize) -> Header {
-        let header = self.ring[self.position(idx, 0)];
-        self.first[idx] = if self.first[idx] + 1 == self.capacity {
-            0
-        } else {
-            self.first[idx] + 1
-        };
-        self.len[idx] -= 1;
+        let header = self.heads[idx];
         self.occupied[idx] -= header.flits;
-        if self.len[idx] == 0 {
+        if self.queued[idx] == 0 {
             self.occupancy &= !(1 << idx);
-        } else {
-            let next = self.ring[self.position(idx, 0)];
-            self.set_head(idx, &next);
+            return header;
         }
+        self.heads[idx] = self.ring[self.position(idx, 0)];
+        let next = self.first[idx] + 1;
+        self.first[idx] = if next == self.capacity - 1 { 0 } else { next };
+        self.queued[idx] -= 1;
         header
-    }
-
-    #[inline]
-    fn set_head(&mut self, idx: usize, head: &Header) {
-        self.head_ready[idx] = head.ready_at;
-        self.head_out[idx] = head.out;
-        self.head_flits[idx] = head.flits;
     }
 
     /// The router's wake after a visit at `now`: a lower bound on the next
@@ -163,7 +152,8 @@ impl Router {
         while bits != 0 {
             let idx = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let at = self.head_ready[idx].max(self.link_busy_until[self.head_out[idx].index()]);
+            let head = &self.heads[idx];
+            let at = head.ready_at.max(self.link_busy_until[head.out.index()]);
             wake = wake.min(if at <= now { now + 1 } else { at });
         }
         wake
@@ -171,6 +161,7 @@ impl Router {
 
     /// Total packets resident in this router's input buffers.
     pub fn resident_packets(&self) -> usize {
-        self.len.iter().map(|&n| n as usize).sum()
+        self.occupancy.count_ones() as usize
+            + self.queued.iter().map(|&n| n as usize).sum::<usize>()
     }
 }

@@ -5,32 +5,24 @@
 //! paper's Figure 11 ("normalized on-chip network traffic measured in router
 //! traversals by all the network flits").
 
-use crate::packet::VirtualNetwork;
-use puno_sim::{Cycles, RunningStats};
-use serde::{Deserialize, Serialize};
-
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TrafficStats {
     flits_injected: u64,
-    packets_injected: u64,
     router_traversals: u64,
-    per_vnet_traversals: [u64; VirtualNetwork::COUNT],
-    latency: RunningStats,
+    packets_delivered: u64,
 }
 
 impl TrafficStats {
     pub fn record_injection(&mut self, flits: u32) {
-        self.packets_injected += 1;
         self.flits_injected += flits as u64;
     }
 
-    pub fn record_traversal(&mut self, vnet: VirtualNetwork, flits: u32) {
+    pub fn record_traversal(&mut self, flits: u32) {
         self.router_traversals += flits as u64;
-        self.per_vnet_traversals[vnet.index()] += flits as u64;
     }
 
-    pub fn record_delivery(&mut self, latency: Cycles) {
-        self.latency.record(latency);
+    pub fn record_delivery(&mut self) {
+        self.packets_delivered += 1;
     }
 
     /// Total flit-level router traversals (Figure 11 metric).
@@ -38,28 +30,14 @@ impl TrafficStats {
         self.router_traversals
     }
 
-    pub fn traversals_for(&self, vnet: VirtualNetwork) -> u64 {
-        self.per_vnet_traversals[vnet.index()]
-    }
-
     pub fn flits_injected(&self) -> u64 {
         self.flits_injected
     }
 
-    pub fn packets_injected(&self) -> u64 {
-        self.packets_injected
-    }
-
+    /// Packets handed to their destination NI; the stepping-transparency
+    /// tests compare it across drives.
     pub fn packets_delivered(&self) -> u64 {
-        self.latency.count()
-    }
-
-    pub fn mean_latency(&self) -> f64 {
-        self.latency.mean()
-    }
-
-    pub fn max_latency(&self) -> Option<u64> {
-        self.latency.max()
+        self.packets_delivered
     }
 }
 
@@ -68,25 +46,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulates_by_vnet() {
+    fn accumulates_flits_and_deliveries() {
         let mut s = TrafficStats::default();
-        s.record_injection(1);
-        s.record_traversal(VirtualNetwork::Request, 1);
-        s.record_traversal(VirtualNetwork::Request, 1);
-        s.record_traversal(VirtualNetwork::Response, 5);
-        assert_eq!(s.router_traversals(), 7);
-        assert_eq!(s.traversals_for(VirtualNetwork::Request), 2);
-        assert_eq!(s.traversals_for(VirtualNetwork::Response), 5);
-        assert_eq!(s.flits_injected(), 1);
-    }
-
-    #[test]
-    fn latency_stats() {
-        let mut s = TrafficStats::default();
-        s.record_delivery(10);
-        s.record_delivery(30);
-        assert_eq!(s.packets_delivered(), 2);
-        assert!((s.mean_latency() - 20.0).abs() < 1e-12);
-        assert_eq!(s.max_latency(), Some(30));
+        s.record_injection(5);
+        s.record_traversal(1);
+        s.record_traversal(5);
+        s.record_delivery();
+        assert_eq!(s.router_traversals(), 6);
+        assert_eq!(s.flits_injected(), 5);
+        assert_eq!(s.packets_delivered(), 1);
     }
 }

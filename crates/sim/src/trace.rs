@@ -129,14 +129,15 @@ impl ChannelMask {
     }
 
     /// Parse a `PUNO_TRACE`-style spec: a comma-separated channel list
-    /// (`"htm,coh"`), `"all"`/`"1"`/`"on"` for everything, or
-    /// `""`/`"0"`/`"off"`/`"none"` for nothing.
+    /// (`"htm,coh"`), `"all"`/`"1"`/`"on"` for everything, or any spelling
+    /// of off ([`is_off`]) for nothing.
     pub fn parse(spec: &str) -> Result<ChannelMask, String> {
+        if is_off(spec) {
+            return Ok(ChannelMask::NONE);
+        }
         let spec = spec.trim();
-        match spec.to_ascii_lowercase().as_str() {
-            "" | "0" | "off" | "none" => return Ok(ChannelMask::NONE),
-            "1" | "on" | "all" => return Ok(ChannelMask::ALL),
-            _ => {}
+        if matches!(spec.to_ascii_lowercase().as_str(), "1" | "on" | "all") {
+            return Ok(ChannelMask::ALL);
         }
         let mut mask = ChannelMask::NONE;
         for token in spec.split(',') {
@@ -158,6 +159,16 @@ impl ChannelMask {
         }
         Ok(mask)
     }
+}
+
+/// The one rule for saying "off", shared by every `PUNO_*` knob and every
+/// channel spec: empty, `0`, `off`, `false`, `no` or `none`
+/// (case-insensitive, surrounding whitespace ignored).
+pub fn is_off(value: &str) -> bool {
+    matches!(
+        value.trim().to_ascii_lowercase().as_str(),
+        "" | "0" | "off" | "false" | "no" | "none"
+    )
 }
 
 /// Coherence message kinds, mirrored here so [`TraceEvent`] can name them

@@ -25,6 +25,29 @@ readme_knobs() { grep -oE '^\| `PUNO_[A-Z0-9_]+' README.md | grep -oE 'PUNO_[A-Z
 diff <(code_knobs) <(readme_knobs) \
     || { echo "PUNO_* knobs in crates/ and README's table differ"; exit 1; }
 
+echo "== metric catalog readers (DESIGN.md §9: every row's readers name it) =="
+# Every row of the metric catalog lists the files that read its number; each
+# must exist and mention the name's last segment as a word (any case). The
+# catalog test (crates/harness/tests/metric_catalog.rs) keeps the rows equal
+# to what the program emits; rows marked "unread" are the ones it pins.
+catalog_rows() { sed -n '/^### Metric catalog/,/^#/p' DESIGN.md | grep '^| `'; }
+CATALOG_BAD=0
+while IFS= read -r row; do
+    name="$(printf '%s\n' "$row" | cut -d'|' -f2 | tr -d ' `')"
+    readers="$(printf '%s\n' "$row" | awk -F'|' '{print $(NF-1)}')"
+    [ "$(printf '%s' "$readers" | tr -d ' ')" = "unread" ] && continue
+    files="$(printf '%s\n' "$readers" | grep -oE '`[^`]+`' | tr -d '`' || true)"
+    [ -n "$files" ] || { echo "no reader: $row"; CATALOG_BAD=1; }
+    for file in $files; do
+        [ -f "$file" ] && grep -qiw -- "${name##*.}" "$file" \
+            || { echo "$file does not read ${name##*.}: $row"; CATALOG_BAD=1; }
+    done
+done < <(catalog_rows)
+[ "$CATALOG_BAD" -eq 0 ] || { echo "metric catalog rows name readers that do not read them"; exit 1; }
+# The names themselves: the rows must equal what the program emits.
+cargo test --offline -q -p puno-harness --test metric_catalog
+echo "metric catalog OK ($(catalog_rows | wc -l) names, $(catalog_rows | grep -c '| unread |') unread)"
+
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
