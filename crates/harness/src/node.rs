@@ -2,10 +2,12 @@
 //! the L1 + HTM unit answering forwarded coherence requests, the MSHR
 //! tracking the (single) outstanding miss, and the writeback buffer.
 //!
-//! All methods are effect-returning: they mutate the node and hand back an
-//! [`Effects`] record (messages to send, a wake-up to schedule, an oracle
-//! episode to log) that the [`crate::system::System`] applies. That keeps
-//! the protocol logic unit-testable without a network.
+//! All methods are effect-returning: they mutate the node, append the
+//! messages it sends to a caller-owned [`Sends`] buffer, and hand back an
+//! [`Effects`] record (a wake-up to schedule, an oracle episode to log)
+//! that the [`crate::system::System`] applies. That keeps the protocol
+//! logic unit-testable without a network, and the system's one send buffer
+//! keeps message sends allocation-free.
 
 use crate::memory::MemoryImage;
 use puno_coherence::l1::{Eviction, L1Cache, LineState, LookupOutcome};
@@ -24,11 +26,14 @@ use puno_sim::{
 use puno_workloads::op::{NodeProgram, TxOp, WorkItem};
 use std::sync::Arc;
 
-/// What a node step/message handler asks the system to do.
+/// Messages a node handler sends, from this node, as `(dst, msg)`:
+/// handlers append, and the system injects and drains them.
+pub type Sends = Vec<(NodeId, CoherenceMsg)>;
+
+/// What a node step/message handler asks the system to do, besides its
+/// sends.
 #[derive(Debug, Default)]
 pub struct Effects {
-    /// Messages to inject, from this node.
-    pub sends: Vec<(NodeId, CoherenceMsg)>,
     /// Schedule a core wake-up at this absolute cycle (with the node's
     /// *current* epoch).
     pub wake_at: Option<Cycle>,
@@ -265,12 +270,17 @@ impl NodeState {
     /// Fault injection: abort the running transaction as if a conflict had
     /// been detected. Returns whether a transaction was actually aborted
     /// (idle nodes and committed transactions absorb the fault).
-    pub fn force_abort(&mut self, now: Cycle, memory: &mut MemoryImage) -> (bool, Effects) {
+    pub fn force_abort(
+        &mut self,
+        now: Cycle,
+        memory: &mut MemoryImage,
+        sends: &mut Sends,
+    ) -> (bool, Effects) {
         let mut eff = Effects::default();
         if self.htm.current().is_none() {
             return (false, eff);
         }
-        self.abort_current_tx(now, AbortCause::Injected, None, memory, &mut eff);
+        self.abort_current_tx(now, AbortCause::Injected, None, memory, &mut eff, sends);
         (true, eff)
     }
 
@@ -297,7 +307,7 @@ impl NodeState {
     /// Core step: advance the program. Called by the system on a matching
     /// wake event while `phase == Ready`.
     /// ------------------------------------------------------------------
-    pub fn step(&mut self, now: Cycle, memory: &mut MemoryImage) -> Effects {
+    pub fn step(&mut self, now: Cycle, memory: &mut MemoryImage, sends: &mut Sends) -> Effects {
         debug_assert_eq!(self.phase, Phase::Ready);
         debug_assert!(self.mshr.is_none());
         self.waiting_retry = None;
@@ -326,12 +336,13 @@ impl NodeState {
                     op_index: 0,
                 },
                 memory,
+                sends,
             ),
             // Only the static id and the next op are copied out; the body
             // stays borrowed in the shared program.
             WorkItem::Transaction(ref spec) => {
                 let next_op = spec.ops.get(self.op_idx).copied();
-                self.step_transaction(now, spec.static_tx, next_op, memory)
+                self.step_transaction(now, spec.static_tx, next_op, memory, sends)
             }
         }
     }
@@ -344,6 +355,7 @@ impl NodeState {
         static_tx: StaticTxId,
         next_op: Option<TxOp>,
         memory: &mut MemoryImage,
+        sends: &mut Sends,
     ) -> Effects {
         if self.htm.current().is_none() {
             // TX_BEGIN (first attempt or retry).
@@ -386,14 +398,14 @@ impl NodeState {
                         static_tx: static_tx.0,
                         op_index: self.op_idx as u32,
                     };
-                    self.access(now, addr, false, true, site, memory)
+                    self.access(now, addr, false, true, site, memory, sends)
                 }
                 TxOp::Write(addr) => {
                     let site = OpSite {
                         static_tx: static_tx.0,
                         op_index: self.op_idx as u32,
                     };
-                    self.access(now, addr, true, true, site, memory)
+                    self.access(now, addr, true, true, site, memory, sends)
                 }
             }
         } else {
@@ -417,7 +429,7 @@ impl NodeState {
             self.op_idx = 0;
             let mut eff = Effects::default().wake(now + self.commit_latency);
             eff.committed = true;
-            self.drain_wakeup_hints(&mut eff);
+            self.drain_wakeup_hints(sends);
             eff
         }
     }
@@ -432,13 +444,14 @@ impl NodeState {
         is_tx: bool,
         site: OpSite,
         memory: &mut MemoryImage,
+        sends: &mut Sends,
     ) -> Effects {
         match self.l1.access(addr, sem_write) {
             LookupOutcome::Hit(state) => {
                 self.complete_access_locally(now, addr, sem_write, is_tx, site, state, memory)
             }
             LookupOutcome::UpgradeNeeded => {
-                self.issue_request(now, addr, true, sem_write, is_tx, site)
+                self.issue_request(now, addr, true, sem_write, is_tx, site, sends)
             }
             LookupOutcome::Miss => {
                 let predicted_rmw = is_tx && !sem_write && self.htm.load_wants_exclusive(site);
@@ -452,7 +465,7 @@ impl NodeState {
                         .current()
                         .is_some_and(|ctx| ctx.sets.in_write_set(addr));
                 let is_getx = sem_write || predicted_rmw || own_written;
-                self.issue_request(now, addr, is_getx, sem_write, is_tx, site)
+                self.issue_request(now, addr, is_getx, sem_write, is_tx, site, sends)
             }
         }
     }
@@ -508,6 +521,7 @@ impl NodeState {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn issue_request(
         &mut self,
         now: Cycle,
@@ -516,6 +530,7 @@ impl NodeState {
         sem_write: bool,
         is_tx: bool,
         site: OpSite,
+        sends: &mut Sends,
     ) -> Effects {
         let _ = now;
         debug_assert!(self.mshr.is_none());
@@ -551,10 +566,8 @@ impl NodeState {
             abandoned: false,
         });
         self.phase = Phase::Blocked;
-        Effects {
-            sends: vec![(self.home_of(addr), msg)],
-            ..Effects::default()
-        }
+        sends.push((self.home_of(addr), msg));
+        Effects::default()
     }
 
     /// ------------------------------------------------------------------
@@ -565,6 +578,7 @@ impl NodeState {
         now: Cycle,
         msg: &CoherenceMsg,
         memory: &mut MemoryImage,
+        sends: &mut Sends,
     ) -> Effects {
         let (addr, requester, tx, kind, unicast) = match msg {
             CoherenceMsg::Inv {
@@ -655,7 +669,7 @@ impl NodeState {
                     ));
                 }
                 let terminal = unicast || !matches!(msg, CoherenceMsg::Inv { .. });
-                eff.sends.push((
+                sends.push((
                     requester,
                     CoherenceMsg::Nack {
                         addr,
@@ -667,15 +681,16 @@ impl NodeState {
                 ));
             }
             ForwardDecision::Comply => {
-                self.comply(now, addr, requester, msg, false, &mut eff);
+                self.comply(now, addr, requester, msg, false, sends);
             }
             ForwardDecision::AbortAndComply => {
                 let cause = match kind {
                     IncomingKind::Write => AbortCause::TxWriteInvalidation,
                     IncomingKind::Read => AbortCause::TxReadConflict,
                 };
-                self.abort_current_tx(now, cause, Some((requester, addr)), memory, &mut eff);
-                self.comply(now, addr, requester, msg, true, &mut eff);
+                let by = Some((requester, addr));
+                self.abort_current_tx(now, cause, by, memory, &mut eff, sends);
+                self.comply(now, addr, requester, msg, true, sends);
             }
         }
         eff
@@ -689,14 +704,14 @@ impl NodeState {
         requester: NodeId,
         msg: &CoherenceMsg,
         aborted: bool,
-        eff: &mut Effects,
+        sends: &mut Sends,
     ) {
         // Ownership (sticky or real) moves away with this forward.
         self.sticky_owned.remove(addr);
         match msg {
             CoherenceMsg::Inv { .. } => {
                 self.l1.invalidate(addr);
-                eff.sends.push((
+                sends.push((
                     requester,
                     CoherenceMsg::Ack {
                         addr,
@@ -716,7 +731,7 @@ impl NodeState {
                 } else {
                     self.l1.invalidate(addr);
                 }
-                eff.sends.push((
+                sends.push((
                     requester,
                     CoherenceMsg::Data {
                         addr,
@@ -727,7 +742,7 @@ impl NodeState {
                     },
                 ));
                 // Sharing writeback refreshes the home's L2 copy.
-                eff.sends.push((
+                sends.push((
                     self.home_of(addr),
                     CoherenceMsg::WbData {
                         addr,
@@ -737,7 +752,7 @@ impl NodeState {
             }
             CoherenceMsg::FwdGetx { .. } => {
                 self.l1.invalidate(addr);
-                eff.sends.push((
+                sends.push((
                     requester,
                     CoherenceMsg::Data {
                         addr,
@@ -763,6 +778,7 @@ impl NodeState {
         by: Option<(NodeId, LineAddr)>,
         memory: &mut MemoryImage,
         eff: &mut Effects,
+        sends: &mut Sends,
     ) {
         let discarded = self.htm.current().map_or(0, |ctx| ctx.effort(now));
         let out = self.htm.abort(now, cause);
@@ -783,7 +799,7 @@ impl NodeState {
         self.l1.unpin_all();
         // The aborting transaction's isolation is gone: requesters it
         // nacked can retry right away.
-        self.drain_wakeup_hints(eff);
+        self.drain_wakeup_hints(sends);
         let cur = self.cur_tx.as_mut().expect("abort without tx identity");
         cur.prior_aborts = out.consecutive_aborts;
         let backoff = self.backoff.on_abort(out.consecutive_aborts);
@@ -812,6 +828,7 @@ impl NodeState {
         now: Cycle,
         msg: &CoherenceMsg,
         memory: &mut MemoryImage,
+        sends: &mut Sends,
     ) -> Effects {
         if let CoherenceMsg::WbAck { addr } = msg {
             match self.wb_buffer.get_mut(*addr) {
@@ -888,7 +905,7 @@ impl NodeState {
             }
         }
         let mshr = self.mshr.take().unwrap();
-        self.conclude_episode(now, mshr, memory, &mut eff);
+        self.conclude_episode(now, mshr, memory, &mut eff, sends);
         eff
     }
 
@@ -898,6 +915,7 @@ impl NodeState {
         mshr: Mshr,
         memory: &mut MemoryImage,
         eff: &mut Effects,
+        sends: &mut Sends,
     ) {
         let success = mshr.nackers.is_empty();
         // Relay: on a successful owner transfer, tell the home whether the
@@ -910,7 +928,7 @@ impl NodeState {
         } else {
             mshr.nackers
         };
-        eff.sends.push((
+        sends.push((
             self.home_of(mshr.addr),
             CoherenceMsg::Unblock {
                 addr: mshr.addr,
@@ -948,7 +966,7 @@ impl NodeState {
                     self.l1.fill_forced(mshr.addr, state)
                 }
             };
-            self.handle_eviction(eviction, eff);
+            self.handle_eviction(eviction, sends);
             if mshr.abandoned {
                 // The transaction that wanted this line is gone; the line
                 // stays cached (coherent), the op is not performed.
@@ -1039,9 +1057,9 @@ impl NodeState {
     }
 
     /// Send queued wake-up hints (extension; no-op when disabled or empty).
-    fn drain_wakeup_hints(&mut self, eff: &mut Effects) {
+    fn drain_wakeup_hints(&mut self, sends: &mut Sends) {
         for (requester, addr) in self.pending_wakeups.drain(..) {
-            eff.sends.push((
+            sends.push((
                 requester,
                 CoherenceMsg::WakeupHint {
                     addr,
@@ -1062,7 +1080,7 @@ impl NodeState {
         Effects::default()
     }
 
-    fn handle_eviction(&mut self, eviction: Eviction, eff: &mut Effects) {
+    fn handle_eviction(&mut self, eviction: Eviction, sends: &mut Sends) {
         let sticky_of = |node: &Self, addr: LineAddr| match node.htm.current() {
             Some(ctx) if ctx.sets.in_write_set(addr) => puno_coherence::msg::StickyKind::Writer,
             Some(ctx) if ctx.sets.in_read_set(addr) => puno_coherence::msg::StickyKind::Reader,
@@ -1073,7 +1091,7 @@ impl NodeState {
             Eviction::CleanOwned(addr) => {
                 let sticky = sticky_of(self, addr);
                 *self.wb_buffer.get_or_insert_with(addr, || 0) += 1;
-                eff.sends.push((
+                sends.push((
                     self.home_of(addr),
                     CoherenceMsg::Puts {
                         addr,
@@ -1088,7 +1106,7 @@ impl NodeState {
                     self.sticky_owned.insert(addr);
                 }
                 *self.wb_buffer.get_or_insert_with(addr, || 0) += 1;
-                eff.sends.push((
+                sends.push((
                     self.home_of(addr),
                     CoherenceMsg::Putx {
                         addr,
@@ -1134,6 +1152,47 @@ mod tests {
         )
     }
 
+    /// A handler's effects, with the messages it sent.
+    struct Handled {
+        eff: Effects,
+        sends: Sends,
+    }
+
+    impl std::ops::Deref for Handled {
+        type Target = Effects;
+        fn deref(&self) -> &Effects {
+            &self.eff
+        }
+    }
+
+    fn step(n: &mut NodeState, now: Cycle, mem: &mut MemoryImage) -> Handled {
+        let mut sends = Sends::new();
+        let eff = n.step(now, mem, &mut sends);
+        Handled { eff, sends }
+    }
+
+    fn forward(
+        n: &mut NodeState,
+        now: Cycle,
+        msg: &CoherenceMsg,
+        mem: &mut MemoryImage,
+    ) -> Handled {
+        let mut sends = Sends::new();
+        let eff = n.on_forward(now, msg, mem, &mut sends);
+        Handled { eff, sends }
+    }
+
+    fn respond(
+        n: &mut NodeState,
+        now: Cycle,
+        msg: &CoherenceMsg,
+        mem: &mut MemoryImage,
+    ) -> Handled {
+        let mut sends = Sends::new();
+        let eff = n.on_response(now, msg, mem, &mut sends);
+        Handled { eff, sends }
+    }
+
     fn tx(ops: Vec<TxOp>) -> WorkItem {
         WorkItem::Transaction(DynTxSpec {
             static_tx: StaticTxId(0),
@@ -1145,7 +1204,7 @@ mod tests {
     fn think_advances_pc_and_schedules_wake() {
         let mut n = node_with(vec![WorkItem::Think(30)]);
         let mut mem = MemoryImage::new();
-        let eff = n.step(0, &mut mem);
+        let eff = step(&mut n, 0, &mut mem);
         assert_eq!(eff.wake_at, Some(30));
         assert_eq!(n.pc, 1);
     }
@@ -1154,7 +1213,7 @@ mod tests {
     fn empty_program_finishes() {
         let mut n = node_with(vec![]);
         let mut mem = MemoryImage::new();
-        let eff = n.step(7, &mut mem);
+        let eff = step(&mut n, 7, &mut mem);
         assert!(eff.finished);
         assert!(n.is_done());
         assert_eq!(n.done_at, Some(7));
@@ -1165,10 +1224,10 @@ mod tests {
         let mut n = node_with(vec![tx(vec![TxOp::Read(LineAddr(6))])]);
         let mut mem = MemoryImage::new();
         // Begin.
-        let eff = n.step(0, &mut mem);
+        let eff = step(&mut n, 0, &mut mem);
         assert_eq!(eff.wake_at, Some(1));
         // Read -> miss -> GETS to home (6 % 4 = node 2).
-        let eff = n.step(1, &mut mem);
+        let eff = step(&mut n, 1, &mut mem);
         assert_eq!(eff.sends.len(), 1);
         let (dst, msg) = &eff.sends[0];
         assert_eq!(*dst, NodeId(2));
@@ -1180,9 +1239,10 @@ mod tests {
     fn data_grant_completes_read_and_unblocks() {
         let mut n = node_with(vec![tx(vec![TxOp::Read(LineAddr(6))])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
-        n.step(1, &mut mem);
-        let eff = n.on_response(
+        step(&mut n, 0, &mut mem);
+        step(&mut n, 1, &mut mem);
+        let eff = respond(
+            &mut n,
             40,
             &CoherenceMsg::Data {
                 addr: LineAddr(6),
@@ -1206,9 +1266,9 @@ mod tests {
     fn tx_write_hit_updates_memory_and_pins() {
         let mut n = node_with(vec![tx(vec![TxOp::Write(LineAddr(6))])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
+        step(&mut n, 0, &mut mem);
         n.l1.fill(LineAddr(6), LineState::Exclusive).unwrap();
-        let eff = n.step(1, &mut mem);
+        let eff = step(&mut n, 1, &mut mem);
         assert!(eff.sends.is_empty(), "E hit needs no traffic");
         assert_eq!(mem.read(LineAddr(6)), 1, "write increments");
         assert!(n.l1.is_pinned(LineAddr(6)));
@@ -1219,10 +1279,11 @@ mod tests {
     fn nacked_getx_retries_after_fixed_backoff() {
         let mut n = node_with(vec![tx(vec![TxOp::Write(LineAddr(6))])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
-        n.step(1, &mut mem); // GETX out
-                             // Data grant with 1 invalidation expected, then a NACK.
-        n.on_response(
+        step(&mut n, 0, &mut mem);
+        step(&mut n, 1, &mut mem); // GETX out
+                                   // Data grant with 1 invalidation expected, then a NACK.
+        respond(
+            &mut n,
             30,
             &CoherenceMsg::Data {
                 addr: LineAddr(6),
@@ -1233,7 +1294,8 @@ mod tests {
             },
             &mut mem,
         );
-        let eff = n.on_response(
+        let eff = respond(
+            &mut n,
             35,
             &CoherenceMsg::Nack {
                 addr: LineAddr(6),
@@ -1263,7 +1325,7 @@ mod tests {
         assert_eq!(eff.wake_at, Some(55));
         assert_eq!(n.htm.stats().retries.get(), 1);
         // Retry reissues the same op.
-        let eff = n.step(55, &mut mem);
+        let eff = step(&mut n, 55, &mut mem);
         assert!(matches!(eff.sends[0].1, CoherenceMsg::Getx { .. }));
     }
 
@@ -1279,9 +1341,10 @@ mod tests {
             SimRng::new(1),
         );
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
-        n.step(1, &mut mem);
-        let eff = n.on_response(
+        step(&mut n, 0, &mut mem);
+        step(&mut n, 1, &mut mem);
+        let eff = respond(
+            &mut n,
             100,
             &CoherenceMsg::Nack {
                 addr: LineAddr(6),
@@ -1301,12 +1364,13 @@ mod tests {
     fn forward_invalidation_aborts_younger_reader() {
         let mut n = node_with(vec![tx(vec![TxOp::Read(LineAddr(6)), TxOp::Think(100)])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem); // begin at cycle 0 -> ts = 0*4+1 = 1
+        step(&mut n, 0, &mut mem); // begin at cycle 0 -> ts = 0*4+1 = 1
         n.l1.fill(LineAddr(6), LineState::Shared).unwrap();
-        n.step(1, &mut mem); // read hits, recorded
+        step(&mut n, 1, &mut mem); // read hits, recorded
         assert!(n.htm.current().unwrap().sets.in_read_set(LineAddr(6)));
         // Older writer (ts 0) invalidates.
-        let eff = n.on_forward(
+        let eff = forward(
+            &mut n,
             50,
             &CoherenceMsg::Inv {
                 addr: LineAddr(6),
@@ -1332,7 +1396,7 @@ mod tests {
         assert_eq!(n.l1.state(LineAddr(6)), None);
         // Restart keeps the timestamp.
         let restart = eff.wake_at.unwrap();
-        let eff = n.step(restart, &mut mem);
+        let eff = step(&mut n, restart, &mut mem);
         assert_eq!(eff.wake_at, Some(restart + 1));
         assert_eq!(n.htm.current().unwrap().timestamp, Timestamp(1));
         assert_eq!(n.htm.current().unwrap().prior_aborts, 1);
@@ -1342,10 +1406,11 @@ mod tests {
     fn older_reader_nacks_younger_writer() {
         let mut n = node_with(vec![tx(vec![TxOp::Read(LineAddr(6)), TxOp::Think(100)])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
+        step(&mut n, 0, &mut mem);
         n.l1.fill(LineAddr(6), LineState::Shared).unwrap();
-        n.step(1, &mut mem);
-        let eff = n.on_forward(
+        step(&mut n, 1, &mut mem);
+        let eff = forward(
+            &mut n,
             50,
             &CoherenceMsg::Inv {
                 addr: LineAddr(6),
@@ -1378,11 +1443,12 @@ mod tests {
         // Train the TxLB: static tx 0 averages 1000 cycles.
         n.txlb.record_commit(StaticTxId(0), 1000);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
+        step(&mut n, 0, &mut mem);
         n.l1.fill(LineAddr(6), LineState::Shared).unwrap();
-        n.step(1, &mut mem);
+        step(&mut n, 1, &mut mem);
         // A younger writer's unicast probe at cycle 300 (tx began ~0).
-        let eff = n.on_forward(
+        let eff = forward(
+            &mut n,
             300,
             &CoherenceMsg::Inv {
                 addr: LineAddr(6),
@@ -1416,11 +1482,12 @@ mod tests {
     fn mispredicted_unicast_sets_mp_bit_and_keeps_tx() {
         let mut n = node_with(vec![tx(vec![TxOp::Read(LineAddr(6)), TxOp::Think(100)])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem); // ts = 1
+        step(&mut n, 0, &mut mem); // ts = 1
         n.l1.fill(LineAddr(6), LineState::Shared).unwrap();
-        n.step(1, &mut mem);
+        step(&mut n, 1, &mut mem);
         // An *older* writer's unicast probe: we are mispredicted.
-        let eff = n.on_forward(
+        let eff = forward(
+            &mut n,
             50,
             &CoherenceMsg::Inv {
                 addr: LineAddr(6),
@@ -1454,13 +1521,14 @@ mod tests {
             TxOp::Write(LineAddr(9)),
         ])]);
         let mut mem = MemoryImage::new();
-        n.step(0, &mut mem);
+        step(&mut n, 0, &mut mem);
         n.l1.fill(LineAddr(6), LineState::Shared).unwrap();
-        n.step(1, &mut mem); // read hit
-        let eff = n.step(2, &mut mem); // write miss -> GETX(9) in flight
+        step(&mut n, 1, &mut mem); // read hit
+        let eff = step(&mut n, 2, &mut mem); // write miss -> GETX(9) in flight
         assert_eq!(eff.sends.len(), 1);
         // While blocked, an older writer invalidates our read line: abort.
-        let eff = n.on_forward(
+        let eff = forward(
+            &mut n,
             10,
             &CoherenceMsg::Inv {
                 addr: LineAddr(6),
@@ -1479,7 +1547,8 @@ mod tests {
         assert!(n.htm.current().is_none());
         // The in-flight GETX(9) concludes successfully; line installs but
         // the op is NOT performed; restart is scheduled.
-        let eff = n.on_response(
+        let eff = respond(
+            &mut n,
             60,
             &CoherenceMsg::Data {
                 addr: LineAddr(9),
@@ -1509,12 +1578,17 @@ mod tests {
         n.l1.fill(LineAddr(8), LineState::Shared).unwrap();
         n.l1.access(LineAddr(8), false);
         // Next fill in set 0 evicts dirty LineAddr(0).
-        let mut eff = Effects::default();
+        let mut sends = Sends::new();
         let ev = n.l1.fill(LineAddr(16), LineState::Shared).unwrap();
-        n.handle_eviction(ev, &mut eff);
-        assert!(matches!(eff.sends[0].1, CoherenceMsg::Putx { .. }));
+        n.handle_eviction(ev, &mut sends);
+        assert!(matches!(sends[0].1, CoherenceMsg::Putx { .. }));
         assert!(n.wb_buffer.contains_key(LineAddr(0)));
-        n.on_response(5, &CoherenceMsg::WbAck { addr: LineAddr(0) }, &mut mem);
+        respond(
+            &mut n,
+            5,
+            &CoherenceMsg::WbAck { addr: LineAddr(0) },
+            &mut mem,
+        );
         assert!(n.wb_buffer.is_empty());
     }
 
@@ -1543,15 +1617,15 @@ mod tests {
         );
         let mut mem = MemoryImage::new();
         // First transaction trains the predictor: read then write line 6.
-        n.step(0, &mut mem); // begin
+        step(&mut n, 0, &mut mem); // begin
         n.l1.fill(LineAddr(6), LineState::Exclusive).unwrap();
-        n.step(1, &mut mem); // read hit
-        n.step(2, &mut mem); // write hit (E->M) -> trains RMW
-        n.step(3, &mut mem); // commit
-                             // Second transaction: the load at the same site now predicts RMW.
+        step(&mut n, 1, &mut mem); // read hit
+        step(&mut n, 2, &mut mem); // write hit (E->M) -> trains RMW
+        step(&mut n, 3, &mut mem); // commit
+                                   // Second transaction: the load at the same site now predicts RMW.
         n.l1.invalidate(LineAddr(6));
-        n.step(10, &mut mem); // begin
-        let eff = n.step(11, &mut mem); // read miss
+        step(&mut n, 10, &mut mem); // begin
+        let eff = step(&mut n, 11, &mut mem); // read miss
         assert!(
             matches!(eff.sends[0].1, CoherenceMsg::Getx { .. }),
             "predicted RMW load must request exclusive"
