@@ -238,7 +238,7 @@ fn bench_directory(h: &mut Harness) {
             },
             &mut p,
         );
-        bank.mem_ready(200, LineAddr(1), &mut p);
+        bank.mem_ready(LineAddr(1));
         bank.handle(
             220,
             CoherenceMsg::Unblock {
@@ -246,6 +246,7 @@ fn bench_directory(h: &mut Harness) {
                 requester: NodeId(1),
                 success: true,
                 nackers: SharerSet::EMPTY,
+                owner_kept: false,
                 mp_node: None,
                 tx: None,
             },

@@ -144,13 +144,15 @@ pub enum CoherenceMsg {
     },
     /// Requester concludes a directory service episode. `success` = whether
     /// the request took effect; `nackers` lets the home reconcile its sharer
-    /// list after a failed (nacked) GETX; `mp_node` is PUNO's misprediction
-    /// feedback (MP-bit + MP-node of Figure 7).
+    /// list after a failed (nacked) GETX; `owner_kept` relays the `Data`
+    /// flag of an owner transfer on a GETS; `mp_node` is PUNO's
+    /// misprediction feedback (MP-bit + MP-node of Figure 7).
     Unblock {
         addr: puno_sim::LineAddr,
         requester: NodeId,
         success: bool,
         nackers: SharerSet,
+        owner_kept: bool,
         mp_node: Option<NodeId>,
         /// Like requests, the unblock carries the requesting transaction's
         /// {host node, priority} pair so the home's P-Buffer stays fresh.
@@ -336,6 +338,7 @@ mod tests {
                 requester: NodeId(1),
                 success: true,
                 nackers: SharerSet::default(),
+                owner_kept: false,
                 mp_node: None,
                 tx: None,
             },

@@ -33,6 +33,21 @@ fn unblock(addr: u64, req: u16, success: bool, nackers: SharerSet) -> CoherenceM
         requester: NodeId(req),
         success,
         nackers,
+        owner_kept: false,
+        mp_node: None,
+        tx: None,
+    }
+}
+
+/// The successful unblock of a GETS the owner answered, relaying whether
+/// the owner kept a shared copy.
+fn unblock_kept(addr: u64, req: u16, owner_kept: bool) -> CoherenceMsg {
+    CoherenceMsg::Unblock {
+        addr: LineAddr(addr),
+        requester: NodeId(req),
+        success: true,
+        nackers: SharerSet::EMPTY,
+        owner_kept,
         mp_node: None,
         tx: None,
     }
@@ -45,15 +60,11 @@ fn seed_shared(bank: &mut DirectoryBank, addr: u64, nodes: &[u16]) {
         let acts = bank.handle(i as u64 * 100, gets(addr, n), &mut p);
         if i == 0 {
             assert!(matches!(acts[0], DirAction::FetchMem { .. }));
-            bank.mem_ready(50, LineAddr(addr), &mut p);
+            bank.mem_ready(LineAddr(addr));
             bank.handle(60, unblock(addr, n, true, SharerSet::EMPTY), &mut p);
         } else if i == 1 {
             // Forwarded to the exclusive owner; relay owner-kept.
-            bank.handle(
-                i as u64 * 100 + 60,
-                unblock(addr, n, true, SharerSet::single(NodeId(nodes[0]))),
-                &mut p,
-            );
+            bank.handle(i as u64 * 100 + 60, unblock_kept(addr, n, true), &mut p);
         } else {
             bank.handle(
                 i as u64 * 100 + 60,
@@ -275,6 +286,7 @@ fn failed_unicast_probe_preserves_all_sharers() {
             requester: NodeId(9),
             success: false,
             nackers: SharerSet::single(NodeId(2)),
+            owner_kept: false,
             mp_node: None,
             tx: None,
         },
@@ -315,17 +327,13 @@ fn random_episodes_keep_invariants() {
                 0 => {
                     let acts = bank.handle(now, gets(line, node), &mut p);
                     if acts.iter().any(|a| matches!(a, DirAction::FetchMem { .. })) {
-                        bank.mem_ready(now + 1, addr, &mut p);
+                        bank.mem_ready(addr);
                     }
                     if bank.is_busy(addr) {
                         // Conclude successfully; relay prev owner as kept
                         // when the service was an owner forward.
-                        let owner = bank.owner_of(addr);
-                        let mask = owner
-                            .filter(|o| *o != req)
-                            .map(SharerSet::single)
-                            .unwrap_or(SharerSet::EMPTY);
-                        bank.handle(now + 2, unblock(line, node, true, mask), &mut p);
+                        let kept = bank.owner_of(addr).is_some_and(|o| o != req);
+                        bank.handle(now + 2, unblock_kept(line, node, kept), &mut p);
                     }
                 }
                 1 => {
@@ -336,7 +344,7 @@ fn random_episodes_keep_invariants() {
                     };
                     let acts = bank.handle(now, msg, &mut p);
                     if acts.iter().any(|a| matches!(a, DirAction::FetchMem { .. })) {
-                        bank.mem_ready(now + 1, addr, &mut p);
+                        bank.mem_ready(addr);
                     }
                     if bank.is_busy(addr) {
                         bank.handle(now + 2, unblock(line, node, true, SharerSet::EMPTY), &mut p);

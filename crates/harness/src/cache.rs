@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// covers the configuration and workload inputs, but only this constant
 /// covers the code. (The golden snapshot suite is the detector: if it needs
 /// a re-bless, this needs a bump.)
-pub const ENGINE_VERSION: u32 = 4;
+pub const ENGINE_VERSION: u32 = 5;
 
 /// Content digest identifying one simulation cell: the full system
 /// configuration, the workload parameters, the seed, and the engine

@@ -83,7 +83,7 @@ pub struct Mshr {
     pub got_grant: bool,
     pub grant_exclusive: bool,
     /// Data came from the previous owner, which kept a shared copy.
-    pub owner_kept_by: Option<NodeId>,
+    pub owner_kept: bool,
     pub notification: Option<Cycles>,
     pub mp_node: Option<NodeId>,
     /// The local transaction aborted while this request was in flight; the
@@ -451,7 +451,7 @@ impl NodeState {
                 self.complete_access_locally(now, addr, sem_write, is_tx, site, state, memory)
             }
             LookupOutcome::UpgradeNeeded => {
-                self.issue_request(now, addr, true, sem_write, is_tx, site, sends)
+                self.issue_request(addr, true, sem_write, is_tx, site, sends)
             }
             LookupOutcome::Miss => {
                 let predicted_rmw = is_tx && !sem_write && self.htm.load_wants_exclusive(site);
@@ -465,7 +465,7 @@ impl NodeState {
                         .current()
                         .is_some_and(|ctx| ctx.sets.in_write_set(addr));
                 let is_getx = sem_write || predicted_rmw || own_written;
-                self.issue_request(now, addr, is_getx, sem_write, is_tx, site, sends)
+                self.issue_request(addr, is_getx, sem_write, is_tx, site, sends)
             }
         }
     }
@@ -521,10 +521,8 @@ impl NodeState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn issue_request(
         &mut self,
-        now: Cycle,
         addr: LineAddr,
         is_getx: bool,
         sem_write: bool,
@@ -532,7 +530,6 @@ impl NodeState {
         site: OpSite,
         sends: &mut Sends,
     ) -> Effects {
-        let _ = now;
         debug_assert!(self.mshr.is_none());
         let tx = if is_tx { self.tx_info() } else { None };
         let msg = if is_getx {
@@ -560,7 +557,7 @@ impl NodeState {
             aborted_sharers: 0,
             got_grant: false,
             grant_exclusive: false,
-            owner_kept_by: None,
+            owner_kept: false,
             notification: None,
             mp_node: None,
             abandoned: false,
@@ -681,7 +678,7 @@ impl NodeState {
                 ));
             }
             ForwardDecision::Comply => {
-                self.comply(now, addr, requester, msg, false, sends);
+                self.comply(addr, requester, msg, false, sends);
             }
             ForwardDecision::AbortAndComply => {
                 let cause = match kind {
@@ -690,7 +687,7 @@ impl NodeState {
                 };
                 let by = Some((requester, addr));
                 self.abort_current_tx(now, cause, by, memory, &mut eff, sends);
-                self.comply(now, addr, requester, msg, true, sends);
+                self.comply(addr, requester, msg, true, sends);
             }
         }
         eff
@@ -699,7 +696,6 @@ impl NodeState {
     /// Comply with a forward: surrender the line per the request type.
     fn comply(
         &mut self,
-        _now: Cycle,
         addr: LineAddr,
         requester: NodeId,
         msg: &CoherenceMsg,
@@ -849,23 +845,19 @@ impl NodeState {
                     acks_expected,
                     exclusive,
                     owner_kept,
-                    from,
                     ..
                 } => {
                     mshr.got_grant = true;
                     mshr.acks_expected = Some(*acks_expected);
                     mshr.grant_exclusive = *exclusive;
-                    if *owner_kept {
-                        mshr.owner_kept_by = Some(*from);
-                    }
+                    mshr.owner_kept = *owner_kept;
                 }
                 CoherenceMsg::UpgradeAck { acks_expected, .. } => {
                     mshr.got_grant = true;
                     mshr.acks_expected = Some(*acks_expected);
                     mshr.grant_exclusive = true;
                 }
-                CoherenceMsg::Ack { from, aborted, .. } => {
-                    let _ = from;
+                CoherenceMsg::Ack { aborted, .. } => {
                     mshr.acks_received += 1;
                     if *aborted {
                         mshr.aborted_sharers += 1;
@@ -918,23 +910,14 @@ impl NodeState {
         sends: &mut Sends,
     ) {
         let success = mshr.nackers.is_empty();
-        // Relay: on a successful owner transfer, tell the home whether the
-        // previous owner kept a shared copy (encoded in the nackers mask —
-        // see DirectoryBank::on_unblock). On failure, report the nackers.
-        let unblock_mask = if success {
-            mshr.owner_kept_by
-                .map(SharerSet::single)
-                .unwrap_or(SharerSet::EMPTY)
-        } else {
-            mshr.nackers
-        };
         sends.push((
             self.home_of(mshr.addr),
             CoherenceMsg::Unblock {
                 addr: mshr.addr,
                 requester: self.id,
                 success,
-                nackers: unblock_mask,
+                nackers: mshr.nackers,
+                owner_kept: mshr.owner_kept,
                 mp_node: mshr.mp_node,
                 tx: if mshr.is_tx { self.tx_info() } else { None },
             },
@@ -1053,7 +1036,6 @@ impl NodeState {
         }
         self.phase = Phase::Ready;
         eff.wake_at = Some(now + 1);
-        let _ = eff;
     }
 
     /// Send queued wake-up hints (extension; no-op when disabled or empty).

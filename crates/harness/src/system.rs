@@ -196,12 +196,21 @@ impl System {
     /// from the same `(params, seed)` (and cover the mesh); sharing it
     /// across mechanism cells and retries is what makes sweep-scale
     /// execution cheap without touching simulated behaviour.
+    ///
+    /// Panics on a mesh of more than [`SharerSet::CAPACITY`] nodes: the
+    /// directory's holder set has no bit for the rest.
     pub fn new_shared(
         config: SystemConfig,
         params: &WorkloadParams,
         seed: u64,
         programs: &ProgramSet,
     ) -> Self {
+        assert!(
+            config.mesh.nodes() <= SharerSet::CAPACITY,
+            "a mesh of {} nodes exceeds the directory's limit of {} nodes",
+            config.mesh.nodes(),
+            SharerSet::CAPACITY
+        );
         let nodes_n = config.nodes();
         assert_eq!(
             programs.nodes(),
@@ -461,12 +470,7 @@ impl System {
             Event::MemReady { home, addr } => {
                 let mut actions = std::mem::take(&mut self.dir_scratch);
                 debug_assert!(actions.is_empty(), "dir scratch reentered");
-                self.dirs[home.index()].mem_ready_into(
-                    now,
-                    addr,
-                    &mut self.predictors[home.index()],
-                    &mut actions,
-                );
+                self.dirs[home.index()].mem_ready_into(addr, &mut actions);
                 self.apply_dir_actions(now, home, &mut actions);
                 self.dir_scratch = actions;
             }

@@ -2,8 +2,9 @@
 
 use puno_coherence::l1::L1Config;
 use puno_harness::run::run_with_config;
-use puno_harness::{Mechanism, SystemConfig};
+use puno_harness::{Mechanism, System, SystemConfig};
 use puno_noc::Mesh;
+use puno_sim::LineAddr;
 use puno_workloads::{micro, StaticTxParams, WorkloadParams};
 
 /// A workload whose write sets are guaranteed to exceed a pathologically
@@ -114,6 +115,31 @@ fn eight_by_eight_mesh_runs_and_puno_still_engages() {
         m.oracle.false_aborted_transactions,
         base.oracle.false_aborted_transactions
     );
+}
+
+/// Every node of a 16x16 mesh shares the hot lines, most of them with IDs
+/// past 64. The directory must track and invalidate each one: the armed
+/// scan panics on the first line a writer shares with a reader, or a
+/// reader the directory does not list.
+#[test]
+fn sixteen_by_sixteen_mesh_stays_coherent() {
+    let lines: Vec<LineAddr> = (0..64).map(LineAddr).collect();
+    for mechanism in [Mechanism::Baseline, Mechanism::Puno] {
+        let mut sys = System::new(SystemConfig::mesh16(mechanism), &micro::hotspot(1), 1);
+        sys.check_invariants_every(&lines, 500);
+        let m = sys
+            .try_run_recycled()
+            .expect("the 16x16 hotspot run completes");
+        assert_eq!(m.committed, 256, "{mechanism:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "limit of 256 nodes")]
+fn a_mesh_past_256_nodes_is_refused() {
+    let mut config = SystemConfig::mesh16(Mechanism::Baseline);
+    config.mesh = Mesh::new(17, 16);
+    System::new(config, &micro::hotspot(1), 1);
 }
 
 #[test]

@@ -29,11 +29,10 @@
 //!
 //! Beyond the 16-cell paper grid, a few extra cells cover the NoC paths the
 //! grid does not reach: the 8x8 mesh (long XY routes, many routers idle at
-//! once), the 16x16 mesh (release builds only: `cargo test --release -p
-//! puno-harness --test golden_metrics`) and a 4x4 run under link-stall and
-//! message-jitter faults. Their
-//! snapshots hold the simulated fields only (the `host` block is dropped),
-//! so a change to the host-side counters never forces a re-bless.
+//! once), the 16x16 mesh and a 4x4 run under link-stall and message-jitter
+//! faults. Their snapshots hold the simulated fields only (the `host` block
+//! is dropped), so a change to the host-side counters never forces a
+//! re-bless.
 
 use puno_harness::run::{run_with_config, run_workload};
 use puno_harness::{Mechanism, RunMetrics, System, SystemConfig};
@@ -129,7 +128,6 @@ fn extended_cells_match_golden_snapshots() {
         sys.try_run_recycled()
             .expect("faulted golden cell completes")
     };
-    #[allow(unused_mut)]
     let mut cells: Vec<(&str, Box<RunCell<'_>>)> = vec![
         (
             "mesh8_ssca2_baseline",
@@ -141,9 +139,6 @@ fn extended_cells_match_golden_snapshots() {
         ),
         ("faults_ssca2_puno", Box::new(faulted)),
     ];
-    // The 16x16 mesh runs only in release builds: `SharerSet`'s 64-bit
-    // mask panics on a 256-node directory when debug assertions are on.
-    #[cfg(not(debug_assertions))]
     for (stem, workload) in [
         ("mesh16_ssca2_baseline", WorkloadId::Ssca2),
         ("mesh16_genome_baseline", WorkloadId::Genome),

@@ -1,15 +1,16 @@
-//! Records written by an engine whose host block still carried the NoC
-//! express counters load and replay.
+//! Records written by engine version 4, whose host block still carried the
+//! NoC express counters, verify but are stale.
 //!
-//! `ENGINE_VERSION` stayed 4 when the express path was removed: no
-//! simulated metric moved, only the host counters `express_packets` and
-//! `express_hops` and the warehouse's `express_packets` column went away.
 //! The fixtures are a result-cache record and a warehouse row written by
-//! that earlier engine for one cell (ssca2, baseline, 4x4, scale 0.05,
-//! seed 1). Both must verify their checksums, load, and reproduce a fresh
-//! run's simulated metrics.
+//! that engine for one cell (ssca2, baseline, 4x4, scale 0.05, seed 1).
+//! The retired express columns (the host counters `express_packets` and
+//! `express_hops`, the warehouse's `express_packets`) still parse and
+//! verify. Version 5 fixed the directory's holder set for meshes past 64
+//! nodes, so records of version 4 are classified stale: not corrupt, never
+//! served, and dropped by compaction. The 4x4 cell itself did not move,
+//! so the old record's metrics still equal a fresh run's.
 
-use puno_harness::cache::{cell_digest, ResultCache};
+use puno_harness::cache::{cell_digest, ResultCache, ENGINE_VERSION};
 use puno_harness::run::run_with_config;
 use puno_harness::{Mechanism, RunMetrics, SystemConfig, Warehouse};
 use puno_workloads::WorkloadId;
@@ -41,58 +42,76 @@ fn simulated(metrics: &RunMetrics) -> String {
     serde_json::to_string(&metrics.deterministic()).unwrap()
 }
 
-fn assert_serves_cell(dir: &Path, fresh: &RunMetrics) {
+/// The fixture's one line, parsed.
+fn fixture_line(file: &str) -> serde_json::Value {
+    let text = std::fs::read_to_string(fixture_dir().join(file)).unwrap();
+    serde_json::from_str(text.trim_end()).unwrap()
+}
+
+fn assert_stale(dir: &Path) {
     let cache = ResultCache::open(dir).unwrap();
     let stats = cache.stats();
     assert_eq!(
         (stats.entries, stats.skips.corrupt, stats.skips.stale),
-        (1, 0, 0),
-        "the earlier engine's record must verify and load"
+        (0, 0, 1),
+        "the earlier engine's record verifies and is stale"
     );
-    let (config, params) = cell();
-    let cached = cache
-        .lookup(cell_digest(&config, &params, SEED))
-        .expect("the record serves its cell");
-    assert_eq!(simulated(&cached), simulated(fresh));
-    assert!(cached.host.events_dispatched > 0, "host block kept");
+    let digest = fixture_line("results.jsonl")
+        .get("digest")
+        .unwrap()
+        .as_u64();
+    assert!(cache.lookup(digest.unwrap()).is_none(), "never served");
 }
 
 #[test]
-fn cache_record_with_express_counters_replays() {
+fn cache_record_with_express_counters_is_stale() {
     let (config, params) = cell();
     let fresh = run_with_config(config, &params, SEED);
+    let line = fixture_line("results.jsonl");
+    assert_eq!(line.get("engine_version").unwrap().as_u64(), Some(4));
+    assert_ne!(ENGINE_VERSION, 4);
+    let old: RunMetrics = serde_json::from_value(line.get("metrics").unwrap()).unwrap();
+    assert_eq!(simulated(&old), simulated(&fresh));
+    assert!(old.host.events_dispatched > 0, "host block parsed");
+
     let dir = scratch_with("cache", "results.jsonl");
-    assert_serves_cell(&dir, &fresh);
-    // Compaction rewrites the record in this build's shape; the rewritten
-    // record verifies and serves the cell too.
+    assert_stale(&dir);
     let compacted = ResultCache::open(&dir).unwrap().compact().unwrap();
-    assert_eq!((compacted.kept, compacted.corrupt), (1, 0), "{compacted:?}");
-    let text = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
-    assert!(!text.contains("express"));
-    assert!(
-        !text.contains("prefix_digest"),
-        "compaction drops the retired column"
+    assert_eq!(
+        (compacted.kept, compacted.corrupt, compacted.stale),
+        (0, 0, 1),
+        "{compacted:?}"
     );
-    assert_serves_cell(&dir, &fresh);
+    let text = std::fs::read_to_string(dir.join("results.jsonl")).unwrap();
+    assert!(text.is_empty(), "compaction drops the stale record: {text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn warehouse_row_with_express_column_loads() {
+fn warehouse_row_with_express_column_is_stale() {
     let (config, params) = cell();
     let fresh = run_with_config(config, &params, SEED);
     let dir = scratch_with("warehouse", "warehouse.jsonl");
     let (rows, stats) = Warehouse::open(&dir).unwrap().load();
+    // The warehouse decodes a row before it tells stale from valid, so a
+    // stale count means the row verified and parsed.
     assert_eq!(
-        (stats.kept, stats.corrupt, stats.stale),
-        (1, 0, 0),
-        "the earlier engine's row must verify and load"
+        (rows.len(), stats.kept, stats.corrupt, stats.stale),
+        (0, 0, 0, 1),
+        "the earlier engine's row verifies and is stale"
     );
-    let row = &rows[0];
-    assert_eq!(row.digest, cell_digest(&config, &params, SEED));
+    let row = fixture_line("warehouse.jsonl");
+    let field = |key: &str| row.get(key).and_then(serde_json::Value::as_u64);
+    // The digest folds in the engine version: the old key names no cell
+    // of this build.
+    assert_ne!(field("digest"), Some(cell_digest(&config, &params, SEED)));
     assert_eq!(
-        (row.cycles, row.committed, row.aborts),
-        (fresh.cycles, fresh.committed, fresh.htm.aborts.get())
+        (field("cycles"), field("committed"), field("aborts")),
+        (
+            Some(fresh.cycles),
+            Some(fresh.committed),
+            Some(fresh.htm.aborts.get())
+        )
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

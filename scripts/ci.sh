@@ -51,10 +51,10 @@ echo "metric catalog OK ($(catalog_rows | wc -l) names, $(catalog_rows | grep -c
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
-echo "== golden cells in release (adds the 16x16 mesh cells) =="
-# The 16x16 golden cells compile only without debug assertions (the
-# directory's 64-bit sharer mask panics on 256 nodes in debug builds), so
-# the debug run above skips them.
+echo "== golden cells in release (release-parity check) =="
+# The debug run above already checks every golden cell, the 16x16 mesh
+# included. This run checks that a release build, with its different
+# inlining and without debug assertions, reproduces them bit for bit.
 cargo test --release --offline -q -p puno-harness --test golden_metrics
 
 echo "== benchmark-of-record tests (incl. BENCHMARK.json drift) =="
