@@ -10,7 +10,11 @@
 //! `seed..seed + nseeds`, through the result cache and the sweep workers.
 //! Figures 10–14 geomean the per-seed normalized ratios; every other
 //! artifact reads the first seed's grid. Only the ablation variants and the
-//! sensitivity points simulate beyond the grid, each distinct cell once.
+//! sensitivity points simulate beyond the grid: each distinct cell the
+//! first seed's grid does not hold runs once, in one more sweep
+//! (`sweep_configs`), so those cells share the grid's result cache,
+//! workers and retry policy, and like every sweep cell they ignore
+//! `PUNO_TRACE` and record no `PUNO_WAREHOUSE` row.
 //! Each artifact is written as `DIR/<name>.txt`, the aligned text table in
 //! the shape of the paper's artifact, and `DIR/<name>.json` (Table II is
 //! text only).
@@ -22,11 +26,11 @@ mod args;
 
 use puno_harness::cache::cell_digest;
 use puno_harness::report::{FigureMetric, NormalizedFigure};
-use puno_harness::run::run_with_config_cached;
 use puno_harness::sensitivity::{
-    sweep_notification_cap, sweep_rollover_factor, sweep_validity_threshold, SensitivityPoint,
+    notification_cap_points, puno_with, rollover_factor_points, validity_threshold_points, Point,
+    SensitivityPoint,
 };
-use puno_harness::sweep::{find_expect, sweep, SweepResult};
+use puno_harness::sweep::{find_expect, sweep, sweep_configs, SweepOptions, SweepResult};
 use puno_harness::{Mechanism, RunMetrics, SystemConfig};
 use puno_sim::NodeId;
 use puno_workloads::{characterize, generate_program, table1_rows, WorkloadId};
@@ -51,52 +55,69 @@ impl Artifact {
     }
 }
 
-/// Every cell this invocation has simulated or read, by cache digest: the
-/// swept grid first, then what the ablation and sensitivity add. A
-/// configuration both name, or one equal to a paper default, runs once.
-struct Cells {
+/// The metrics of every cell an artifact reads, by cache digest: the first
+/// seed's grid and the ablation and sensitivity cells beyond it.
+struct Runs {
     scale: f64,
     seed: u64,
-    known: HashMap<u64, RunMetrics>,
+    by_digest: HashMap<u64, RunMetrics>,
     /// Cells run (or read from the result cache) beyond the grid.
     beyond_grid: usize,
 }
 
-impl Cells {
+impl Runs {
+    /// `grid`, then every ablation and sensitivity cell it does not hold,
+    /// swept in one batch. A configuration both name, or one equal to a
+    /// paper default, runs once.
     fn new(grid: &[SweepResult], scale: f64, seed: u64) -> Self {
-        let known = grid
+        let digest = |config: &SystemConfig, workload: WorkloadId| {
+            cell_digest(config, &workload.params().scaled(scale), seed)
+        };
+        let mut by_digest: HashMap<u64, RunMetrics> = grid
             .iter()
             .map(|r| {
                 let config = SystemConfig::paper(r.mechanism);
-                let params = r.workload.params().scaled(scale);
-                (cell_digest(&config, &params, seed), r.metrics.clone())
+                (digest(&config, r.workload), r.metrics.clone())
             })
             .collect();
+        let (mut beyond, mut digests) = (Vec::new(), Vec::new());
+        let configs = ablation_variants().into_iter().map(|(_, c)| c);
+        let points = sensitivity_curves().into_iter().flat_map(|(_, _, p)| p);
+        for config in configs.chain(points.map(|(_, c)| c)) {
+            for w in WorkloadId::HIGH_CONTENTION {
+                let d = digest(&config, w);
+                if !by_digest.contains_key(&d) && !digests.contains(&d) {
+                    beyond.push((config, w));
+                    digests.push(d);
+                }
+            }
+        }
+        let metrics = sweep_configs(&beyond, &SweepOptions::new(seed, scale));
+        by_digest.extend(digests.into_iter().zip(metrics));
         Self {
             scale,
             seed,
-            known,
-            beyond_grid: 0,
+            by_digest,
+            beyond_grid: beyond.len(),
         }
     }
 
-    fn run(&mut self, config: SystemConfig, workload: WorkloadId) -> RunMetrics {
-        let params = workload.params().scaled(self.scale);
-        let (seed, beyond_grid) = (self.seed, &mut self.beyond_grid);
-        self.known
-            .entry(cell_digest(&config, &params, seed))
-            .or_insert_with(|| {
-                *beyond_grid += 1;
-                run_with_config_cached(config, &params, seed)
+    /// The metrics of `config` on each high-contention workload.
+    fn high_contention(&self, config: &SystemConfig) -> Vec<&RunMetrics> {
+        WorkloadId::HIGH_CONTENTION
+            .iter()
+            .map(|w| {
+                let params = w.params().scaled(self.scale);
+                &self.by_digest[&cell_digest(config, &params, self.seed)]
             })
-            .clone()
+            .collect()
     }
 }
 
 /// Every artifact, in `results/` order. `grids` holds one swept grid per
-/// seed, the first at `cells`' seed.
-fn artifacts(grids: &[Vec<SweepResult>], cells: &mut Cells) -> Vec<Artifact> {
-    let (grid, scale, seed) = (&grids[0], cells.scale, cells.seed);
+/// seed, the first at `runs`' seed.
+fn artifacts(grids: &[Vec<SweepResult>], runs: &Runs) -> Vec<Artifact> {
+    let (grid, scale, seed) = (&grids[0], runs.scale, runs.seed);
     vec![
         table1(grid, scale, seed),
         table2(),
@@ -150,8 +171,8 @@ fn artifacts(grids: &[Vec<SweepResult>], cells: &mut Cells) -> Vec<Artifact> {
                 "RMW-Pred by 1.65x / 1.24x / 2.11x on average.",
             ],
         ),
-        ablation(cells),
-        sensitivity(cells),
+        ablation(runs),
+        sensitivity(runs),
         characterization(grid, scale, seed),
     ]
 }
@@ -379,36 +400,30 @@ fn figure(
 /// paper's 2; rollover factor 1 and 4 against 2; the age gate; the §VI
 /// future-work wake-up hints; and the baseline.
 fn ablation_variants() -> Vec<(&'static str, SystemConfig)> {
-    let base = SystemConfig::paper(Mechanism::Puno);
-    let variant = |edit: fn(&mut SystemConfig)| {
-        let mut c = base;
-        edit(&mut c);
-        c
-    };
     vec![
-        ("puno-full", base),
+        ("puno-full", SystemConfig::paper(Mechanism::Puno)),
         (
             "unicast-only",
-            variant(|c| c.puno.notification_enabled = false),
+            puno_with(|c| c.puno.notification_enabled = false),
         ),
         (
             "shared-state-only",
-            variant(|c| c.puno.predict_owner_state = false),
+            puno_with(|c| c.puno.predict_owner_state = false),
         ),
-        ("validity-3", variant(|c| c.puno.validity_threshold = 3)),
-        ("rollover-1x", variant(|c| c.puno.rollover_factor = 1)),
-        ("rollover-4x", variant(|c| c.puno.rollover_factor = 4)),
-        ("age-gate-2x", variant(|c| c.puno.age_gate_factor = 2)),
-        ("wakeup-hints", variant(|c| c.puno.wakeup_hints = true)),
+        ("validity-3", puno_with(|c| c.puno.validity_threshold = 3)),
+        ("rollover-1x", puno_with(|c| c.puno.rollover_factor = 1)),
+        ("rollover-4x", puno_with(|c| c.puno.rollover_factor = 4)),
+        ("age-gate-2x", puno_with(|c| c.puno.age_gate_factor = 2)),
+        ("wakeup-hints", puno_with(|c| c.puno.wakeup_hints = true)),
         ("baseline", SystemConfig::paper(Mechanism::Baseline)),
     ]
 }
 
 /// The ablation on the high-contention group, where the mechanism matters.
-fn ablation(cells: &mut Cells) -> Artifact {
+fn ablation(runs: &Runs) -> Artifact {
     let mut out = format!(
         "PUNO ablations on the high-contention group (scale {}, seed {})\n",
-        cells.scale, cells.seed
+        runs.scale, runs.seed
     );
     out.push_str(&format!(
         "{:<18}{:>10}{:>12}{:>12}{:>10}{:>10}\n",
@@ -416,60 +431,70 @@ fn ablation(cells: &mut Cells) -> Artifact {
     ));
     let mut rows = Vec::new();
     for (name, config) in ablation_variants() {
-        let (mut aborts, mut cycles, mut traffic, mut unicasts, mut mispred) = (0, 0, 0, 0, 0);
-        for w in WorkloadId::HIGH_CONTENTION {
-            let m = cells.run(config, w);
-            aborts += m.htm.aborts.get();
-            cycles += m.cycles;
-            traffic += m.traffic_router_traversals;
-            unicasts += m.puno.unicasts.get();
-            mispred += m.puno.mispredictions.get();
-        }
-        let acc = if unicasts > 0 {
-            (1.0 - mispred as f64 / unicasts as f64) * 100.0
+        let p = SensitivityPoint::from_runs(name.to_string(), &runs.high_contention(&config));
+        let acc = if p.unicasts > 0 {
+            p.accuracy() * 100.0
         } else {
             f64::NAN
         };
         out.push_str(&format!(
-            "{name:<18}{aborts:>10}{cycles:>12}{traffic:>12}{unicasts:>10}{acc:>10.1}\n"
+            "{name:<18}{:>10}{:>12}{:>12}{:>10}{acc:>10.1}\n",
+            p.aborts, p.cycles, p.traffic, p.unicasts
         ));
         rows.push(json!({
             "variant": name,
-            "aborts": aborts,
-            "cycles": cycles,
-            "traffic": traffic,
-            "unicasts": unicasts,
+            "aborts": p.aborts,
+            "cycles": p.cycles,
+            "traffic": p.traffic,
+            "unicasts": p.unicasts,
             "accuracy_pct": acc,
         }));
     }
     Artifact::new("ablation", out, Value::Array(rows))
 }
 
-/// Design-space curves over PUNO's tunables on the high-contention group;
-/// they complement the ablation's single points.
-fn sensitivity(cells: &mut Cells) -> Artifact {
-    let hc = WorkloadId::HIGH_CONTENTION;
-    let mut run = |config, w| cells.run(config, w);
-    let rollover = sweep_rollover_factor(&[1, 2, 4, 8], &hc, &mut run);
-    let validity = sweep_validity_threshold(&[1, 2, 3], &hc, &mut run);
-    let ncap = sweep_notification_cap(&[100, 400, 1600, u64::MAX], &hc, &mut run);
+/// Design-space curves over PUNO's tunables on the high-contention group,
+/// complementing the ablation's single points: each curve's title, JSON
+/// key and points.
+fn sensitivity_curves() -> [(&'static str, &'static str, Vec<Point>); 3] {
+    [
+        (
+            "rollover factor (priority freshness window)",
+            "rollover_factor",
+            rollover_factor_points(&[1, 2, 4, 8]),
+        ),
+        (
+            "validity threshold (trust bar for prediction)",
+            "validity_threshold",
+            validity_threshold_points(&[1, 2, 3]),
+        ),
+        (
+            "notification backoff cap",
+            "notification_cap",
+            notification_cap_points(&[100, 400, 1600, u64::MAX]),
+        ),
+    ]
+}
+
+/// The sensitivity curves, each point aggregated over the high-contention
+/// group.
+fn sensitivity(runs: &Runs) -> Artifact {
     let mut out = format!(
         "PUNO sensitivity on the high-contention group (scale {}, seed {})\n",
-        cells.scale, cells.seed
+        runs.scale, runs.seed
     );
-    for (title, points) in [
-        ("rollover factor (priority freshness window)", &rollover),
-        ("validity threshold (trust bar for prediction)", &validity),
-        ("notification backoff cap", &ncap),
-    ] {
-        out.push_str(&sensitivity_table(title, points));
+    let mut json = Vec::new();
+    for (title, key, points) in sensitivity_curves() {
+        let points: Vec<SensitivityPoint> = points
+            .into_iter()
+            .map(|(label, config)| {
+                SensitivityPoint::from_runs(label, &runs.high_contention(&config))
+            })
+            .collect();
+        out.push_str(&sensitivity_table(title, &points));
+        json.push((key.to_string(), json!(points)));
     }
-    let json = json!({
-        "rollover_factor": rollover,
-        "validity_threshold": validity,
-        "notification_cap": ncap,
-    });
-    Artifact::new("sensitivity", out, json)
+    Artifact::new("sensitivity", out, Value::Object(json))
 }
 
 fn sensitivity_table(title: &str, points: &[SensitivityPoint]) -> String {
@@ -588,8 +613,8 @@ fn main() {
     let grids: Vec<Vec<SweepResult>> = (args.seed..args.seed + args.nseeds)
         .map(|seed| sweep(&WorkloadId::ALL, &Mechanism::ALL, seed, args.scale))
         .collect();
-    let mut cells = Cells::new(&grids[0], args.scale, args.seed);
-    let artifacts = artifacts(&grids, &mut cells);
+    let runs = Runs::new(&grids[0], args.scale, args.seed);
+    let artifacts = artifacts(&grids, &runs);
     if let Err(e) = write_all(&args.out, &artifacts) {
         eprintln!("figures: {e}");
         std::process::exit(1);
@@ -598,7 +623,7 @@ fn main() {
         "figures: wrote {} artifacts to {} ({} cells beyond the grid)",
         artifacts.len(),
         args.out.display(),
-        cells.beyond_grid
+        runs.beyond_grid
     );
 }
 
@@ -649,8 +674,8 @@ mod tests {
     fn every_artifact_builds_from_one_grid() {
         let (scale, seed) = (0.05, 1);
         let grids = vec![sweep(&WorkloadId::ALL, &Mechanism::ALL, seed, scale)];
-        let mut cells = Cells::new(&grids[0], scale, seed);
-        let artifacts = artifacts(&grids, &mut cells);
+        let runs = Runs::new(&grids[0], scale, seed);
+        let artifacts = artifacts(&grids, &runs);
 
         let names: BTreeSet<String> = artifacts.iter().map(|a| a.name.to_string()).collect();
         assert_eq!(names.len(), artifacts.len(), "duplicate artifact names");
@@ -671,7 +696,7 @@ mod tests {
         // validity 1 and the three finite notification caps; the
         // sensitivity points equal to an ablation variant or to the paper
         // default are read, not run again.
-        assert_eq!(cells.beyond_grid, 12 * WorkloadId::HIGH_CONTENTION.len());
+        assert_eq!(runs.beyond_grid, 12 * WorkloadId::HIGH_CONTENTION.len());
     }
 
     #[test]

@@ -66,8 +66,9 @@ struct Args {
     seed: u64,
     workloads: Vec<WorkloadId>,
     mechanisms: Vec<Mechanism>,
-    /// Individual cells selected by `--filter workload:mechanism` pairs;
-    /// non-empty takes precedence over the axis filters above.
+    /// Individual cells selected by `--filter workload:mechanism` pairs,
+    /// grouped per workload in order of first mention; non-empty takes
+    /// precedence over the axis filters above.
     pairs: Vec<(WorkloadId, Mechanism)>,
     trace: Option<(WorkloadId, Mechanism)>,
     /// Mesh edge length: 4 (the paper machine), 8, or 16.
@@ -86,6 +87,17 @@ impl Args {
             16 => SystemConfig::mesh16,
             _ => SystemConfig::paper,
         }
+    }
+
+    /// The cells to sweep: the selected pairs, else the filtered grid.
+    fn cells(&self) -> Vec<(WorkloadId, Mechanism)> {
+        if !self.pairs.is_empty() {
+            return self.pairs.clone();
+        }
+        self.workloads
+            .iter()
+            .flat_map(|&w| self.mechanisms.iter().map(move |&m| (w, m)))
+            .collect()
     }
 }
 
@@ -155,7 +167,12 @@ fn parse_args() -> Args {
             if value.contains(':') {
                 let cell = lookup_cell("--filter", &value);
                 if !pairs.contains(&cell) {
-                    pairs.push(cell);
+                    // After the last pair of the same workload, if any.
+                    let at = pairs
+                        .iter()
+                        .rposition(|&(w, _)| w == cell.0)
+                        .map_or(pairs.len(), |i| i + 1);
+                    pairs.insert(at, cell);
                 }
             } else {
                 filters.push(value.to_ascii_lowercase());
@@ -368,31 +385,6 @@ fn run_compact_cache() -> ! {
     }
 }
 
-/// `--filter workload:mechanism` mode: run exactly the selected cells,
-/// grouped per workload, one sweep each.
-fn sweep_pairs(
-    pairs: &[(WorkloadId, Mechanism)],
-    opts: &SweepOptions,
-) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
-    let (mut outcomes, mut rows) = (Vec::new(), Vec::new());
-    let mut seen: Vec<WorkloadId> = Vec::new();
-    for &(wl, _) in pairs {
-        if seen.contains(&wl) {
-            continue;
-        }
-        seen.push(wl);
-        let mechs: Vec<Mechanism> = pairs
-            .iter()
-            .filter(|&&(w, _)| w == wl)
-            .map(|&(_, m)| m)
-            .collect();
-        let (group_outcomes, group_rows) = try_sweep_rows(&[wl], &mechs, opts);
-        outcomes.extend(group_outcomes);
-        rows.extend(group_rows);
-    }
-    (outcomes, rows)
-}
-
 fn main() {
     let args = parse_args();
     HostOptions::for_main("sweep_all");
@@ -406,11 +398,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut opts = SweepOptions::new(args.seed, args.scale);
     opts.config = args.config_fn();
-    let (outcomes, rows) = if args.pairs.is_empty() {
-        try_sweep_rows(&args.workloads, &args.mechanisms, &opts)
-    } else {
-        sweep_pairs(&args.pairs, &opts)
-    };
+    let (outcomes, rows) = try_sweep_rows(&args.cells(), &opts);
     eprintln!("sweep took {:.1}s", t0.elapsed().as_secs_f64());
     let results = completed(&outcomes);
     let quarantine = render_quarantine(&outcomes);

@@ -9,7 +9,7 @@ use puno_htm::unit::AbortTiming;
 use puno_noc::{LatencyModel, Mesh, NocConfig};
 
 /// Full system configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SystemConfig {
     pub mesh: Mesh,
     pub noc: NocConfig,

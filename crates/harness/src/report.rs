@@ -31,12 +31,6 @@ impl FigureMetric {
         }
     }
 
-    /// For most figures smaller is better; the G/D ratio is
-    /// larger-is-better.
-    pub fn larger_is_better(self) -> bool {
-        matches!(self, FigureMetric::GdRatio)
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             FigureMetric::Aborts => "transaction aborts",

@@ -2,14 +2,14 @@
 //! exploration behind the `figures` ablation and sensitivity artifacts and
 //! the tuning notes in DESIGN.md.
 //!
-//! Each sweep takes the caller's cell runner, `run(config, workload)`, so
-//! the caller decides scale, seed and where a cell's metrics come from (a
-//! fresh run, the result cache, or a grid it already swept).
+//! Each sweep is a list of labelled PUNO configurations. The caller runs
+//! each point on its workload set (the `figures` binary runs every point
+//! in one [`crate::sweep::sweep_configs`] batch, next to the ablation) and
+//! [`SensitivityPoint::from_runs`] aggregates a point's metrics.
 
 use crate::config::SystemConfig;
 use crate::mechanism::Mechanism;
 use crate::metrics::RunMetrics;
-use puno_workloads::WorkloadId;
 use serde::Serialize;
 
 /// Result of one sensitivity point, aggregated over a workload set.
@@ -25,7 +25,8 @@ pub struct SensitivityPoint {
 }
 
 impl SensitivityPoint {
-    fn from_runs(label: String, runs: &[RunMetrics]) -> Self {
+    /// One point's totals over the runs of its workload set.
+    pub fn from_runs(label: String, runs: &[&RunMetrics]) -> Self {
         Self {
             label,
             aborts: runs.iter().map(|m| m.htm.aborts.get()).sum(),
@@ -49,80 +50,67 @@ impl SensitivityPoint {
     }
 }
 
-fn run_point(
-    label: String,
-    config: SystemConfig,
-    workloads: &[WorkloadId],
-    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
-) -> SensitivityPoint {
-    let runs: Vec<RunMetrics> = workloads.iter().map(|&w| run(config, w)).collect();
-    SensitivityPoint::from_runs(label, &runs)
+/// A sensitivity point: its label and its configuration.
+pub type Point = (String, SystemConfig);
+
+/// PUNO on the paper's configuration with one parameter changed.
+pub fn puno_with(edit: impl FnOnce(&mut SystemConfig)) -> SystemConfig {
+    let mut c = SystemConfig::paper(Mechanism::Puno);
+    edit(&mut c);
+    c
 }
 
-/// Sweep the rollover factor (priority freshness window).
-pub fn sweep_rollover_factor(
-    factors: &[u64],
-    workloads: &[WorkloadId],
-    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
-) -> Vec<SensitivityPoint> {
+/// The rollover factor (priority freshness window).
+pub fn rollover_factor_points(factors: &[u64]) -> Vec<Point> {
+    let config = |f| puno_with(|c| c.puno.rollover_factor = f);
     factors
         .iter()
-        .map(|&f| {
-            let mut c = SystemConfig::paper(Mechanism::Puno);
-            c.puno.rollover_factor = f;
-            run_point(format!("rollover-{f}x"), c, workloads, run)
-        })
+        .map(|&f| (format!("rollover-{f}x"), config(f)))
         .collect()
 }
 
-/// Sweep the validity-counter trust threshold.
-pub fn sweep_validity_threshold(
-    thresholds: &[u8],
-    workloads: &[WorkloadId],
-    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
-) -> Vec<SensitivityPoint> {
+/// The validity-counter trust threshold.
+pub fn validity_threshold_points(thresholds: &[u8]) -> Vec<Point> {
+    let config = |t| puno_with(|c| c.puno.validity_threshold = t);
     thresholds
         .iter()
-        .map(|&t| {
-            let mut c = SystemConfig::paper(Mechanism::Puno);
-            c.puno.validity_threshold = t;
-            run_point(format!("validity-{t}"), c, workloads, run)
-        })
+        .map(|&t| (format!("validity-{t}"), config(t)))
         .collect()
 }
 
-/// Sweep the notification backoff cap.
-pub fn sweep_notification_cap(
-    caps: &[u64],
-    workloads: &[WorkloadId],
-    run: &mut impl FnMut(SystemConfig, WorkloadId) -> RunMetrics,
-) -> Vec<SensitivityPoint> {
-    caps.iter()
-        .map(|&cap| {
-            let mut c = SystemConfig::paper(Mechanism::Puno);
-            c.backoff.notification_cap = cap;
-            let label = if cap == u64::MAX {
-                "ncap-inf".to_string()
-            } else {
-                format!("ncap-{cap}")
-            };
-            run_point(label, c, workloads, run)
-        })
-        .collect()
+/// The notification backoff cap.
+pub fn notification_cap_points(caps: &[u64]) -> Vec<Point> {
+    let label = |cap| match cap {
+        u64::MAX => "ncap-inf".to_string(),
+        _ => format!("ncap-{cap}"),
+    };
+    let config = |cap| puno_with(|c| c.backoff.notification_cap = cap);
+    caps.iter().map(|&cap| (label(cap), config(cap))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::run_with_config;
+    use crate::sweep::{sweep_configs, SweepOptions};
+    use puno_workloads::WorkloadId;
 
-    fn small_cell(config: SystemConfig, w: WorkloadId) -> RunMetrics {
-        run_with_config(config, &w.params().scaled(0.05), 1)
+    /// Each point run on intruder at scale 0.05, seed 1.
+    fn on_intruder(points: &[Point]) -> Vec<SensitivityPoint> {
+        let cells: Vec<_> = points
+            .iter()
+            .map(|(_, c)| (*c, WorkloadId::Intruder))
+            .collect();
+        let runs = sweep_configs(&cells, &SweepOptions::new(1, 0.05));
+        points
+            .iter()
+            .zip(&runs)
+            .map(|((label, _), run)| SensitivityPoint::from_runs(label.clone(), &[run]))
+            .collect()
     }
 
     #[test]
     fn rollover_sweep_produces_distinct_behaviour() {
-        let pts = sweep_rollover_factor(&[1, 8], &[WorkloadId::Intruder], &mut small_cell);
+        let pts = on_intruder(&rollover_factor_points(&[1, 8]));
         assert_eq!(pts.len(), 2);
         // A longer freshness window must not reduce unicast volume.
         assert!(
@@ -139,7 +127,7 @@ mod tests {
 
     #[test]
     fn validity_sweep_trades_coverage_for_accuracy() {
-        let pts = sweep_validity_threshold(&[2, 3], &[WorkloadId::Intruder], &mut small_cell);
+        let pts = on_intruder(&validity_threshold_points(&[2, 3]));
         assert!(
             pts[1].unicasts <= pts[0].unicasts,
             "stricter threshold cannot unicast more"

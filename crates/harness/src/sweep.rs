@@ -1,8 +1,10 @@
 //! Thread-parallel experiment sweeps with failure containment and resume.
 //!
 //! Each simulation run is single-threaded and deterministic; the sweep fans
-//! (workload x mechanism) combinations across OS threads and reassembles
-//! results in a deterministic order. A failing cell — structured
+//! a list of cells across OS threads and reassembles results in a
+//! deterministic order. Every batch of cells runs here: the
+//! (workload x mechanism) grids of [`try_sweep`] and [`try_sweep_rows`],
+//! and cells that each bring their own configuration ([`sweep_configs`]). A failing cell — structured
 //! [`RunError`] or outright panic — no longer takes the process (and every
 //! sibling cell) down: it is caught, optionally retried with the message
 //! trace ring enabled, and reported as a [`CellOutcome::Err`] while the
@@ -187,7 +189,7 @@ const RETRY_TRACE_CAPACITY: usize = 4096;
 /// worker scheduling or cache state.
 ///
 /// The cell body is the sweep-scale fast path: each workload's trace is
-/// generated once per sweep and shared immutably across its mechanism
+/// generated once per sweep and mesh and shared immutably across its
 /// cells and retries (each cell builds its `System` with
 /// [`System::new_shared`]); and with a result cache configured, fault-free
 /// cells whose inputs are unchanged replay their stored metrics without
@@ -199,172 +201,180 @@ pub fn try_sweep(
     mechanisms: &[Mechanism],
     opts: &SweepOptions,
 ) -> Vec<CellOutcome> {
-    simulating_sweep(workloads, mechanisms, opts, false).0
+    let plan = Plan::new(grid_cells(workloads, mechanisms, opts), opts);
+    let (outcomes, cache_hits) = simulating_sweep(&plan, opts);
+    record_rows(&plan, &outcomes, &cache_hits, false);
+    outcomes
 }
 
-/// [`try_sweep`] additionally returning one flattened [`WarehouseRow`] per
-/// cell (deterministic cell order, same `run_id` for the whole sweep) —
-/// what `sweep_all --json` emits and what the `PUNO_WAREHOUSE` sink
-/// records. A row is flagged `cache_hit` when the cell was replayed from
-/// the result cache.
+/// [`try_sweep`] over an explicit `(workload, mechanism)` cell list, in
+/// its order, additionally returning one flattened [`WarehouseRow`] per
+/// cell (same `run_id` for the whole sweep) — what `sweep_all --json`
+/// emits and what the `PUNO_WAREHOUSE` sink records. A row is flagged
+/// `cache_hit` when the cell was replayed from the result cache.
 pub fn try_sweep_rows(
-    workloads: &[WorkloadId],
-    mechanisms: &[Mechanism],
+    cells: &[(WorkloadId, Mechanism)],
     opts: &SweepOptions,
 ) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
-    simulating_sweep(workloads, mechanisms, opts, true)
+    let plan = Plan::new(cells.iter().map(|&(w, m)| ((opts.config)(m), w)), opts);
+    let (outcomes, cache_hits) = simulating_sweep(&plan, opts);
+    let rows = record_rows(&plan, &outcomes, &cache_hits, true);
+    (outcomes, rows)
 }
 
-/// The sweep behind [`try_sweep`] and [`try_sweep_rows`]: the result cache
-/// serves what it holds, and the rest simulates on shared programs.
-fn simulating_sweep(
+/// The cells of `workloads x mechanisms` on `opts.config`, workload-major.
+fn grid_cells(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
     opts: &SweepOptions,
-    want_rows: bool,
-) -> (Vec<CellOutcome>, Vec<WarehouseRow>) {
-    let programs: Vec<OnceLock<ProgramSet>> = workloads.iter().map(|_| OnceLock::new()).collect();
+) -> Vec<(SystemConfig, WorkloadId)> {
+    let configs: Vec<SystemConfig> = mechanisms.iter().map(|&m| (opts.config)(m)).collect();
+    workloads
+        .iter()
+        .flat_map(|&w| configs.iter().map(move |&c| (c, w)))
+        .collect()
+}
+
+/// The sweep behind every simulating entry point: the result cache serves
+/// what it holds, and the rest simulates on programs shared per workload
+/// and mesh.
+fn simulating_sweep(plan: &Plan, opts: &SweepOptions) -> (Vec<CellOutcome>, Vec<bool>) {
+    let programs: Vec<OnceLock<ProgramSet>> =
+        (0..plan.program_sets).map(|_| OnceLock::new()).collect();
     // Fault plans perturb simulated behaviour, so those runs are neither
     // served from nor stored into the cache.
     let cache = opts
         .result_cache
         .as_deref()
         .filter(|_| opts.fault_plan.is_empty());
-    run_sweep(
-        workloads,
-        mechanisms,
-        opts,
-        cache,
-        want_rows,
-        |cell, params, traced| {
-            let config = (opts.config)(cell.key.mechanism);
-            let program_set = programs[cell.workload]
-                .get_or_init(|| ProgramSet::generate(params, config.nodes(), cell.key.seed));
-            let mut sys = System::new_shared(config, params, cell.key.seed, program_set);
-            if traced {
-                sys.enable_trace(RETRY_TRACE_CAPACITY);
-            }
-            if !opts.fault_plan.is_empty() {
-                sys.set_fault_plan(opts.fault_plan.clone());
-            }
-            sys.try_run_recycled()
-        },
-    )
+    run_sweep(plan, opts, cache, |cell, traced| {
+        let params = &plan.params[cell.workload];
+        let program_set = programs[cell.programs]
+            .get_or_init(|| ProgramSet::generate(params, cell.config.nodes(), cell.key.seed));
+        let mut sys = System::new_shared(cell.config, params, cell.key.seed, program_set);
+        if traced {
+            sys.enable_trace(RETRY_TRACE_CAPACITY);
+        }
+        if !opts.fault_plan.is_empty() {
+            sys.set_fault_plan(opts.fault_plan.clone());
+        }
+        sys.try_run_recycled()
+    })
 }
 
-/// [`try_sweep`] parameterized over the per-cell runner — the containment
-/// and retry machinery is identical, but tests (and custom
-/// harnesses) can substitute their own cell body. The runner's `traced`
-/// flag is false on the first attempt and true on retries. The result
-/// cache is left to the runner: none is consulted here.
+/// [`try_sweep_rows`] over `workloads x mechanisms` with the per-cell
+/// runner substituted — the containment and retry machinery is identical,
+/// so tests (and custom harnesses) can fake or perturb the cell body. The
+/// runner's `traced` flag is false on the first attempt and true on
+/// retries. The result cache is left to the runner: none is consulted
+/// here.
 pub fn try_sweep_with<F>(
     workloads: &[WorkloadId],
     mechanisms: &[Mechanism],
     opts: &SweepOptions,
     runner: F,
-) -> Vec<CellOutcome>
-where
-    F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
-{
-    run_sweep(
-        workloads,
-        mechanisms,
-        opts,
-        None,
-        false,
-        |cell, params, traced| runner(cell.key.mechanism, params, cell.key.seed, traced),
-    )
-    .0
-}
-
-/// [`try_sweep_with`] additionally returning one [`WarehouseRow`] per cell.
-/// With `PUNO_WAREHOUSE` set the rows are appended to the cross-run
-/// warehouse. Recording is host-side only — cell outcomes are
-/// bit-identical with the sink on or off.
-pub fn try_sweep_with_rows<F>(
-    workloads: &[WorkloadId],
-    mechanisms: &[Mechanism],
-    opts: &SweepOptions,
-    runner: F,
 ) -> (Vec<CellOutcome>, Vec<WarehouseRow>)
 where
     F: Fn(Mechanism, &WorkloadParams, u64, bool) -> Result<RunMetrics, RunError> + Sync,
 {
-    run_sweep(
-        workloads,
-        mechanisms,
-        opts,
-        None,
-        true,
-        |cell, params, traced| runner(cell.key.mechanism, params, cell.key.seed, traced),
-    )
+    let plan = Plan::new(grid_cells(workloads, mechanisms, opts), opts);
+    let (outcomes, cache_hits) = run_sweep(&plan, opts, None, |cell, traced| {
+        let params = &plan.params[cell.workload];
+        runner(cell.key.mechanism, params, cell.key.seed, traced)
+    });
+    let rows = record_rows(&plan, &outcomes, &cache_hits, true);
+    (outcomes, rows)
 }
 
-/// One sweep cell with its identity resolved once per sweep.
+/// One sweep cell with its identity and inputs resolved once per sweep.
 struct Cell {
     key: CellKey,
-    /// Index of the cell's workload in the sweep (and its parameters).
+    config: SystemConfig,
+    /// Index of the cell's workload parameters in [`Plan::params`].
     workload: usize,
+    /// Index of the cell's program set: one per (workload, node count).
+    programs: usize,
     /// The cell's [`crate::cache::cell_digest`]: its result-cache key and
     /// its warehouse row's `digest`.
     digest: u64,
 }
 
-/// Each workload's scaled parameters, and the `workloads x mechanisms`
-/// cells in workload-major order. Each mechanism's configuration and each
-/// workload's parameters are `Debug`-formatted once for the whole grid,
-/// and every cell digest is folded from those pieces.
-fn grid(
-    workloads: &[WorkloadId],
-    mechanisms: &[Mechanism],
-    opts: &SweepOptions,
-) -> (Vec<WorkloadParams>, Vec<Cell>) {
-    let config_states: Vec<u64> = mechanisms
-        .iter()
-        .map(|&m| config_digest_state(&(opts.config)(m)))
-        .collect();
-    let mut params = Vec::with_capacity(workloads.len());
-    let mut cells = Vec::with_capacity(workloads.len() * mechanisms.len());
-    for (index, &workload) in workloads.iter().enumerate() {
-        let scaled = workload.params().scaled(opts.scale);
-        let debug = format!("{scaled:?}");
-        cells.extend(
-            mechanisms
-                .iter()
-                .zip(&config_states)
-                .map(|(&mechanism, &state)| Cell {
-                    key: CellKey {
-                        workload,
-                        mechanism,
-                        seed: opts.seed,
-                    },
-                    workload: index,
-                    digest: finish_cell_digest(state, &debug, opts.seed),
-                }),
-        );
-        params.push(scaled);
-    }
-    (params, cells)
+/// The cells of one sweep, in output order, and the scaled workload
+/// parameters they run.
+struct Plan {
+    params: Vec<WorkloadParams>,
+    cells: Vec<Cell>,
+    /// Distinct (workload, node count) pairs: the program sets to generate.
+    program_sets: usize,
 }
 
-/// The sweep machinery every entry point shares. `cache` hits are served
-/// on the calling thread; only the cells left over are scheduled onto
-/// workers, so a fully served sweep spawns no thread. A cell that `runner`
-/// completes is stored into `cache`. Rows are built when `want_rows` is set
-/// or the `PUNO_WAREHOUSE` sink is on.
+impl Plan {
+    /// `(config, workload)` cells at `opts`' seed and scale. Each distinct
+    /// configuration and each workload's parameters are `Debug`-formatted
+    /// once for the whole sweep, and every cell digest is folded from
+    /// those pieces.
+    fn new(
+        cells: impl IntoIterator<Item = (SystemConfig, WorkloadId)>,
+        opts: &SweepOptions,
+    ) -> Self {
+        let (mut configs, mut config_states) = (Vec::new(), Vec::new());
+        let (mut workloads, mut params, mut params_debug) = (Vec::new(), Vec::new(), Vec::new());
+        let mut program_sets = Vec::new();
+        let mut planned = Vec::new();
+        for (config, workload) in cells {
+            let c = position_or_push(&mut configs, config);
+            if c == config_states.len() {
+                config_states.push(config_digest_state(&config));
+            }
+            let w = position_or_push(&mut workloads, workload);
+            if w == params.len() {
+                let scaled = workload.params().scaled(opts.scale);
+                params_debug.push(format!("{scaled:?}"));
+                params.push(scaled);
+            }
+            planned.push(Cell {
+                key: CellKey {
+                    workload,
+                    mechanism: config.mechanism,
+                    seed: opts.seed,
+                },
+                config,
+                workload: w,
+                programs: position_or_push(&mut program_sets, (w, config.nodes())),
+                digest: finish_cell_digest(config_states[c], &params_debug[w], opts.seed),
+            });
+        }
+        Self {
+            params,
+            cells: planned,
+            program_sets: program_sets.len(),
+        }
+    }
+}
+
+/// The index of `item` in `items`, appending it first if it is absent.
+fn position_or_push<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
+}
+
+/// The sweep machinery every entry point shares: the outcome of each of
+/// `plan`'s cells, in order, and whether `cache` served it. `cache` hits
+/// are served on the calling thread; only the cells left over are
+/// scheduled onto workers, so a fully served sweep spawns no thread. A
+/// cell that `runner` completes is stored into `cache`.
 fn run_sweep<F>(
-    workloads: &[WorkloadId],
-    mechanisms: &[Mechanism],
+    plan: &Plan,
     opts: &SweepOptions,
     cache: Option<&ResultCache>,
-    want_rows: bool,
     runner: F,
-) -> (Vec<CellOutcome>, Vec<WarehouseRow>)
+) -> (Vec<CellOutcome>, Vec<bool>)
 where
-    F: Fn(&Cell, &WorkloadParams, bool) -> Result<RunMetrics, RunError> + Sync,
+    F: Fn(&Cell, bool) -> Result<RunMetrics, RunError> + Sync,
 {
-    let (params, cells) = grid(workloads, mechanisms, opts);
-
+    let cells = &plan.cells;
     // Slot per cell. Cache hits are filled in here and flagged for their
     // warehouse rows.
     let mut cache_hits = vec![false; cells.len()];
@@ -389,7 +399,7 @@ where
     // so a straggler cannot end up alone at the tail of the sweep with
     // every other worker idle. Ties keep the deterministic cell order;
     // output order is unaffected.
-    let ops: Vec<f64> = params.iter().map(expected_ops).collect();
+    let ops: Vec<f64> = plan.params.iter().map(expected_ops).collect();
     jobs.sort_by(|&a, &b| {
         ops[cells[b].workload]
             .total_cmp(&ops[cells[a].workload])
@@ -399,7 +409,7 @@ where
     let done: Mutex<Vec<(usize, CellOutcome)>> = Mutex::new(Vec::with_capacity(jobs.len()));
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        let (jobs, cells, params, done, next) = (&jobs, &cells, &params, &done, &next);
+        let (jobs, done, next) = (&jobs, &done, &next);
         let (runner, retry) = (&runner, &opts.retry);
         for _ in 0..workers.min(jobs.len()) {
             s.spawn(move || loop {
@@ -407,14 +417,12 @@ where
                 if j >= jobs.len() {
                     break;
                 }
-                let i = jobs[j];
-                let cell = &cells[i];
-                let params = &params[cell.workload];
-                let outcome = run_cell(cell.key, retry, |traced| runner(cell, params, traced));
+                let cell = &cells[jobs[j]];
+                let outcome = run_cell(cell.key, retry, |traced| runner(cell, traced));
                 if let (CellOutcome::Ok { metrics, .. }, Some(cache)) = (&outcome, cache) {
                     cache.store(cell.digest, 0, cell.key.seed, metrics);
                 }
-                store::lock(done).push((i, outcome));
+                store::lock(done).push((jobs[j], outcome));
             });
         }
     });
@@ -422,7 +430,7 @@ where
         slots[i] = Some(outcome);
     }
 
-    let outcomes: Vec<CellOutcome> = slots
+    let outcomes = slots
         .into_iter()
         .map(|s| {
             let mut outcome = s.expect("every sweep cell resolved");
@@ -435,12 +443,24 @@ where
             outcome
         })
         .collect();
+    (outcomes, cache_hits)
+}
 
+/// The sweep's warehouse rows, built when `want_rows` is set or the
+/// `PUNO_WAREHOUSE` sink is on, and appended to that sink. Recording is
+/// host-side only: cell outcomes are bit-identical with the sink on or
+/// off.
+fn record_rows(
+    plan: &Plan,
+    outcomes: &[CellOutcome],
+    cache_hits: &[bool],
+    want_rows: bool,
+) -> Vec<WarehouseRow> {
     let host = HostOptions::get();
     if !want_rows && host.warehouse.is_none() {
-        return (outcomes, Vec::new());
+        return Vec::new();
     }
-    let rows = warehouse_rows(&host.run_id, &outcomes, &cells, &cache_hits);
+    let rows = warehouse_rows(&host.run_id, outcomes, &plan.cells, cache_hits);
     if let Some(dir) = &host.warehouse {
         let appended = warehouse::Warehouse::open(dir).and_then(|wh| wh.append(&rows));
         if let Err(e) = appended {
@@ -450,7 +470,7 @@ where
             );
         }
     }
-    (outcomes, rows)
+    rows
 }
 
 /// Flatten every cell into a warehouse row: deterministic order, one
@@ -598,20 +618,54 @@ pub fn sweep(
     let opts = SweepOptions::new(seed, scale);
     try_sweep(workloads, mechanisms, &opts)
         .into_iter()
-        .map(|outcome| match outcome {
-            CellOutcome::Ok { key, metrics } => SweepResult {
+        .map(|outcome| {
+            let key = outcome.key();
+            SweepResult {
                 workload: key.workload,
                 mechanism: key.mechanism,
-                metrics,
-            },
-            CellOutcome::Err { key, error, .. } | CellOutcome::Quarantined { key, error, .. } => {
-                panic!(
-                    "sweep cell {:?}/{:?} @ seed {} failed: {error}",
-                    key.workload, key.mechanism, key.seed
-                )
+                metrics: expect_ok(outcome, String::new),
             }
         })
         .collect()
+}
+
+/// Run each `(config, workload)` cell under `opts` through the sweep —
+/// result cache, workers, retry policy and program sharing as for
+/// [`try_sweep`]; `opts.config` is not read, each cell brings its own —
+/// and return its metrics in input order. Panics, naming the cell, if any
+/// cell fails. It records no warehouse rows: the warehouse groups rows by
+/// workload and mechanism name, which do not tell two configurations of
+/// one mechanism apart.
+pub fn sweep_configs(cells: &[(SystemConfig, WorkloadId)], opts: &SweepOptions) -> Vec<RunMetrics> {
+    let plan = Plan::new(cells.iter().copied(), opts);
+    let (outcomes, _) = simulating_sweep(&plan, opts);
+    outcomes
+        .into_iter()
+        .zip(&plan.cells)
+        .enumerate()
+        .map(|(i, (outcome, cell))| {
+            expect_ok(outcome, || {
+                format!(" (entry {i}, digest {:016x})", cell.digest)
+            })
+        })
+        .collect()
+}
+
+/// The metrics of a completed cell; panics naming the cell, with
+/// `detail()` appended, for one that failed.
+fn expect_ok(outcome: CellOutcome, detail: impl FnOnce() -> String) -> RunMetrics {
+    match outcome {
+        CellOutcome::Ok { metrics, .. } => metrics,
+        CellOutcome::Err { key, error, .. } | CellOutcome::Quarantined { key, error, .. } => {
+            panic!(
+                "sweep cell {:?}/{:?} @ seed {}{} failed: {error}",
+                key.workload,
+                key.mechanism,
+                key.seed,
+                detail()
+            )
+        }
+    }
 }
 
 /// Find one cell in a sweep result set.
@@ -682,7 +736,7 @@ mod tests {
         let workloads = [WorkloadId::Ssca2, WorkloadId::Kmeans];
         let mechanisms = [Mechanism::Baseline];
         let opts = SweepOptions::new(3, 0.05);
-        let outcomes = try_sweep_with(&workloads, &mechanisms, &opts, |m, params, seed, _| {
+        let (outcomes, _) = try_sweep_with(&workloads, &mechanisms, &opts, |m, params, seed, _| {
             if params.name.contains("kmeans") {
                 panic!("injected cell failure");
             }
@@ -702,7 +756,7 @@ mod tests {
         let attempts = AtomicU32::new(0);
         let mut opts = SweepOptions::new(3, 0.05);
         opts.retry = RetryPolicy::new(2);
-        let outcomes = try_sweep_with(
+        let (outcomes, _) = try_sweep_with(
             &[WorkloadId::Ssca2],
             &[Mechanism::Baseline],
             &opts,
@@ -728,18 +782,19 @@ mod tests {
         let mechanisms = [Mechanism::Baseline];
         let mut opts = SweepOptions::new(5, 0.05);
         opts.retry = RetryPolicy::new(2);
-        let outcomes = try_sweep_with(&workloads, &mechanisms, &opts, |m, params, seed, traced| {
-            let mut config = SystemConfig::paper(m);
-            if params.name.contains("kmeans") {
-                // Hostile budget: the watchdog window cannot see a commit.
-                config.watchdog_window = 50;
-            }
-            let mut sys = System::new(config, params, seed);
-            if traced {
-                sys.enable_trace(64);
-            }
-            sys.try_run_recycled()
-        });
+        let (outcomes, _) =
+            try_sweep_with(&workloads, &mechanisms, &opts, |m, params, seed, traced| {
+                let mut config = SystemConfig::paper(m);
+                if params.name.contains("kmeans") {
+                    // Hostile budget: the watchdog window cannot see a commit.
+                    config.watchdog_window = 50;
+                }
+                let mut sys = System::new(config, params, seed);
+                if traced {
+                    sys.enable_trace(64);
+                }
+                sys.try_run_recycled()
+            });
         assert!(outcomes[0].is_ok(), "healthy cell must complete");
         let err = outcomes[1].error().expect("hostile cell must fail");
         assert_eq!(err.kind(), "livelock");

@@ -325,11 +325,6 @@ impl System {
         }
     }
 
-    /// Faults fired so far (testing/diagnostics).
-    pub fn fault_stats(&self) -> &puno_sim::FaultStats {
-        &self.fault.stats
-    }
-
     /// Keep the last `capacity` trace events (all channels) in a ring for
     /// debugging; retrieve them with [`System::trace_dump`]. Shorthand for
     /// [`System::install_tracer`] with an all-channel ring tracer.

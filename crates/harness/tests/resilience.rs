@@ -92,7 +92,7 @@ fn degraded_sweep_quarantines_the_failing_cell_and_reports_it() {
     let mechanisms = [Mechanism::Baseline, Mechanism::Puno];
     let mut opts = SweepOptions::new(11, 0.05);
     opts.retry = RetryPolicy::new(3);
-    let outcomes = try_sweep_with(
+    let (outcomes, _) = try_sweep_with(
         &workloads,
         &mechanisms,
         &opts,

@@ -10,12 +10,15 @@
 //! directory, and compares every cell byte-for-byte against the committed
 //! golden snapshots — which are produced by fresh single-cell runs. Any
 //! divergence between fresh construction, shared programs, or cached
-//! replay fails here.
+//! replay fails here. `sweep_configs`, the same machinery over cells that
+//! each bring their own configuration, is checked against fresh
+//! `run_with_config` runs of the same cells.
 
 use puno_harness::cache::CacheStats;
 use puno_harness::run::run_with_config;
 use puno_harness::sweep::{
-    try_sweep, try_sweep_rows, try_sweep_with_rows, CellOutcome, SweepOptions,
+    sweep_configs, try_sweep, try_sweep_rows, try_sweep_with, CellOutcome, RetryPolicy,
+    SweepOptions,
 };
 use puno_harness::{cell_digest, Mechanism, ResultCache, SystemConfig, ENGINE_VERSION};
 use puno_sim::FaultPlan;
@@ -128,7 +131,7 @@ fn sweep_digests_are_cell_digests() {
             opts.result_cache = None;
             opts.config = config;
             let (outcomes, rows) =
-                try_sweep_with_rows(&WorkloadId::ALL, &Mechanism::ALL, &opts, |_, _, _, _| {
+                try_sweep_with(&WorkloadId::ALL, &Mechanism::ALL, &opts, |_, _, _, _| {
                     Ok(canned.clone())
                 });
             assert_eq!(rows.len(), WorkloadId::ALL.len() * Mechanism::ALL.len());
@@ -170,7 +173,11 @@ fn cached_sweep(
     opts.result_cache = Some(cache.clone());
     opts.fault_plan = faults;
     let (outcomes, hit_flags) = if rows {
-        let (outcomes, rows) = try_sweep_rows(workloads, &MECHANISMS, &opts);
+        let cells: Vec<_> = workloads
+            .iter()
+            .flat_map(|&w| MECHANISMS.map(|m| (w, m)))
+            .collect();
+        let (outcomes, rows) = try_sweep_rows(&cells, &opts);
         (outcomes, rows.iter().map(|r| r.cache_hit).collect())
     } else {
         (try_sweep(workloads, &MECHANISMS, &opts), Vec::new())
@@ -271,4 +278,107 @@ fn a_faulted_sweep_bypasses_the_result_cache() {
     assert_eq!((stats.hits, stats.stores), (16, 0));
     assert_outcomes_match_golden(&warm, "fault-free sweep after a faulted one");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Three distinct cells on explicit configurations: one outside the paper
+/// grid (`rollover_factor = 4`) and two grid cells.
+fn configured_cells() -> Vec<(SystemConfig, WorkloadId)> {
+    let mut rollover4 = SystemConfig::paper(Mechanism::Puno);
+    rollover4.puno.rollover_factor = 4;
+    vec![
+        (rollover4, WorkloadId::Intruder),
+        (SystemConfig::paper(Mechanism::Baseline), WorkloadId::Ssca2),
+        (SystemConfig::paper(Mechanism::Puno), WorkloadId::Ssca2),
+    ]
+}
+
+/// `sweep_configs` under `opts` with no result cache, checked cell by cell
+/// against a fresh `run_with_config` of the same cell.
+fn assert_sweep_configs_match_fresh_runs(cells: &[(SystemConfig, WorkloadId)]) {
+    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    opts.result_cache = None;
+    let swept = sweep_configs(cells, &opts);
+    assert_eq!(swept.len(), cells.len());
+    for (i, (&(config, workload), metrics)) in cells.iter().zip(&swept).enumerate() {
+        let fresh = run_with_config(config, &workload.params().scaled(GOLDEN_SCALE), GOLDEN_SEED);
+        assert_eq!(
+            serde_json::to_string(&metrics.deterministic()).unwrap(),
+            serde_json::to_string(&fresh.deterministic()).unwrap(),
+            "entry {i}: {workload:?} on {} nodes",
+            config.nodes()
+        );
+    }
+}
+
+/// `sweep_configs` returns, in input order, what a fresh single-cell run
+/// of each entry returns, a duplicate and a non-grid configuration
+/// included.
+#[test]
+fn sweep_configs_equals_fresh_runs_in_input_order() {
+    let mut cells = configured_cells();
+    cells.insert(2, cells[0]);
+    assert_sweep_configs_match_fresh_runs(&cells);
+}
+
+/// Cells on the 4x4 and the 8x8 mesh in one list each run on their own
+/// mesh's programs.
+#[test]
+fn sweep_configs_runs_each_mesh_on_its_own_programs() {
+    assert_sweep_configs_match_fresh_runs(&[
+        (SystemConfig::paper(Mechanism::Puno), WorkloadId::Ssca2),
+        (SystemConfig::mesh8(Mechanism::Puno), WorkloadId::Ssca2),
+        (SystemConfig::paper(Mechanism::Baseline), WorkloadId::Ssca2),
+    ]);
+}
+
+/// A second `sweep_configs` call over a warm cache is served entirely
+/// from it.
+#[test]
+fn a_second_sweep_configs_call_is_served_from_the_cache() {
+    let dir = cache_dir("configs");
+    let cells = configured_cells();
+    let run = || {
+        let cache = Arc::new(ResultCache::open(&dir).expect("cache dir"));
+        let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+        opts.result_cache = Some(cache.clone());
+        (sweep_configs(&cells, &opts), cache.stats())
+    };
+    let (cold, stats) = run();
+    assert_eq!((stats.hits, stats.stores), (0, 3), "3 distinct cells");
+    let (warm, stats) = run();
+    assert_eq!((stats.hits, stats.misses, stats.stores), (3, 0, 0));
+    let json = |runs: &[puno_harness::RunMetrics]| -> Vec<String> {
+        runs.iter()
+            .map(|m| serde_json::to_string(m).unwrap())
+            .collect()
+    };
+    assert_eq!(json(&warm), json(&cold));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell that trips `max_cycles` fails as a livelock, and `sweep_configs`
+/// panics naming it.
+#[test]
+fn a_failing_sweep_configs_cell_panics_naming_the_cell() {
+    let mut hostile = SystemConfig::paper(Mechanism::Baseline);
+    hostile.max_cycles = 1_000;
+    let cells = [
+        (SystemConfig::paper(Mechanism::Baseline), WorkloadId::Ssca2),
+        (hostile, WorkloadId::Kmeans),
+    ];
+    let mut opts = SweepOptions::new(GOLDEN_SEED, GOLDEN_SCALE);
+    opts.result_cache = None;
+    opts.retry = RetryPolicy::new(1);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sweep_configs(&cells, &opts)
+    }))
+    .expect_err("a livelocked cell must panic");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.starts_with("sweep cell Kmeans/Baseline @ seed 42 (entry 1, digest "),
+        "{message}"
+    );
+    assert!(message.contains("failed: livelock"), "{message}");
 }

@@ -29,7 +29,7 @@ pub enum BackoffKind {
 }
 
 /// Tunables shared by the engines.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BackoffConfig {
     /// Baseline nack backoff (Table II footnote: fixed 20 cycles).
     pub fixed_nack: Cycles,

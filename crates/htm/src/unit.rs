@@ -20,7 +20,7 @@ pub enum TxStatus {
 
 /// Abort recovery timing (the baseline's hardware-buffer fast recovery:
 /// a fixed pipeline flush plus a per-log-entry unroll).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AbortTiming {
     pub base: Cycles,
     pub per_log_entry: Cycles,

@@ -172,9 +172,9 @@ echo "== figures smoke (every paper artifact at 0.05 scale, cold then warm) =="
 # The cold pass into a fresh result cache must write all 13 .txt files and
 # the 12 .json files (Table II is text only), none empty, and store each of
 # its 80 distinct cells once: the 32 grid cells plus 12 ablation and
-# sensitivity configurations on the 4 high-contention workloads. The warm
-# pass over the same cache must store nothing new and rewrite every file
-# byte for byte.
+# sensitivity configurations on the 4 high-contention workloads, the 48
+# cells beyond the grid swept in one batch. The warm pass over the same
+# cache must store nothing new and rewrite every file byte for byte.
 FIG_DIR="$RES_DIR/figures"
 mkdir -p "$FIG_DIR"
 for pass in cold warm; do
@@ -184,13 +184,22 @@ for pass in cold warm; do
     [ "$(grep -c . "$FIG_DIR/cache/results.jsonl")" -eq 80 ] \
         || { echo "the $pass figures pass did not leave 80 cached cells"; exit 1; }
 done
+grep -q "(48 cells beyond the grid)" "$FIG_DIR/cold.err" \
+    || { echo "the cold figures pass did not run 48 cells beyond the grid:"; cat "$FIG_DIR/cold.err"; exit 1; }
+# Only the grid records warehouse rows: the cells beyond it would be
+# labelled with a mechanism name they do not match.
+PUNO_WAREHOUSE="$FIG_DIR/wh" PUNO_RESULT_CACHE=off \
+    cargo run --offline --release -q -p puno-bench --bin figures -- 0.05 1 \
+    --out "$FIG_DIR/wh_out" 2> "$FIG_DIR/wh.err"
+[ "$(grep -c . "$FIG_DIR/wh/warehouse.jsonl")" -eq 32 ] \
+    || { echo "figures did not record exactly the 32 grid rows in the warehouse"; exit 1; }
 [ "$(find "$FIG_DIR/cold" -name '*.txt' -size +0 | wc -l)" -eq 13 ] \
     && [ "$(find "$FIG_DIR/cold" -name '*.json' -size +0 | wc -l)" -eq 12 ] \
     && [ "$(find "$FIG_DIR/cold" -type f | wc -l)" -eq 25 ] \
     || { echo "figures did not write 13 .txt and 12 .json artifacts:"; ls -l "$FIG_DIR/cold"; exit 1; }
 diff -r "$FIG_DIR/cold" "$FIG_DIR/warm" \
     || { echo "warm figures artifacts differ from the cold pass"; exit 1; }
-echo "figures smoke OK (25 artifacts, warm pass byte-identical)"
+echo "figures smoke OK (25 artifacts, 48 cells beyond the grid, warm pass byte-identical, 32 warehouse rows)"
 
 echo "== resilience smoke (corrupt cache record: skip-and-count, then compact) =="
 # Tamper with a field inside the FIRST persisted record: the JSON still
