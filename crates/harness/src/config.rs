@@ -19,11 +19,6 @@ pub struct SystemConfig {
     pub backoff: BackoffConfig,
     pub puno: PunoConfig,
     pub mechanism: Mechanism,
-    /// Signature-based conflict detection ablation: when set, HTM units
-    /// answer conflict checks from Bloom signatures of this geometry
-    /// (LogTM-SE style) instead of exact sets, adding alias-induced
-    /// conflicts. `None` (default) is the paper's precise baseline.
-    pub signatures: Option<puno_htm::SignatureConfig>,
     /// Commit pipeline drain cost.
     pub commit_latency: u64,
     /// Safety valve: a run exceeding this many cycles fails with a
@@ -66,7 +61,6 @@ impl SystemConfig {
             backoff,
             puno: PunoConfig::default(),
             mechanism,
-            signatures: None,
             commit_latency: 5,
             max_cycles: 200_000_000,
             watchdog_window: 25_000_000,

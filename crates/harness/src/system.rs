@@ -248,9 +248,6 @@ impl System {
                 config.mechanism.uses_puno() && config.puno.notification_enabled,
             );
             node.set_wakeup_hints(config.mechanism.uses_puno() && config.puno.wakeup_hints);
-            if let Some(sig_cfg) = config.signatures {
-                node.htm.enable_signatures(sig_cfg);
-            }
             queue.schedule_at(0, Event::NodeWake { node: id, epoch: 0 });
             nodes.push(node);
         }

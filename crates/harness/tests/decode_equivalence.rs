@@ -21,7 +21,7 @@
 //! one exception is a field removed from `RunMetrics`: it changes the
 //! `RunMetrics` and `CacheRecord` columns only, and each new outcome must
 //! equal the old decoded text with the removed keys deleted (see
-//! EXPERIMENTS.md for the one such re-derivation).
+//! EXPERIMENTS.md for each such re-derivation).
 
 use puno_harness::cache::{split_fields, CacheRecord};
 use puno_harness::{RunMetrics, WarehouseRow};

@@ -35,15 +35,23 @@ pub enum ForwardDecision {
     Nack { mispredict: bool },
 }
 
-/// Decide the response to a forwarded request.
+/// Decide the response to a forwarded request: the time-based policy of
+/// Figure 1(b) plus PUNO's misprediction rule (Section III-C).
 ///
 /// * `local` — the receiving node's active transaction footprint and
 ///   timestamp, if a transaction is running (stalled transactions count:
 ///   their sets are live).
-/// * `requester_ts` — the requesting transaction's timestamp; `None` for
-///   non-transactional requests, which always lose against transactions
-///   (LogTM nacks them and the requester retries).
+/// * `requester_ts` — the requesting transaction's timestamp; `None` for a
+///   non-transactional request, which loses every conflict with a
+///   transaction (LogTM nacks it and the requester retries).
 /// * `unicast` — the U-bit from the PUNO directory.
+///
+/// A request that meets no conflict is complied with. A conflict is
+/// nacked when the local transaction outranks the requester (or the
+/// requester is not transactional) and otherwise aborts the local
+/// transaction. A U-bit probe is never complied with: unless it met the
+/// older conflicting transaction it was predicted to, it is nacked with the
+/// MP-bit set.
 pub fn decide_forward(
     local: Option<(&ReadWriteSets, Timestamp)>,
     addr: puno_sim::LineAddr,
@@ -51,42 +59,22 @@ pub fn decide_forward(
     requester_ts: Option<Timestamp>,
     unicast: bool,
 ) -> ForwardDecision {
-    let conflict_and_ts =
-        local.map(|(sets, ts)| (sets.conflicts_with(addr, kind == IncomingKind::Write), ts));
-    decide_with_conflict(conflict_and_ts, requester_ts, unicast)
-}
-
-/// The resolution core, with the footprint test abstracted out so both
-/// exact sets and Bloom signatures (which may report alias conflicts) share
-/// one policy. `local` is `(conflict_detected, local_timestamp)`.
-pub fn decide_with_conflict(
-    local: Option<(bool, Timestamp)>,
-    requester_ts: Option<Timestamp>,
-    unicast: bool,
-) -> ForwardDecision {
-    let Some((conflicts, local_ts)) = local else {
-        // No active transaction. A plain forward is ordinary coherence; a
-        // U-bit probe is answered with a conservative MP-NACK — the
-        // prediction is stale (the predicted transaction already finished)
-        // and complying would bypass the other sharers, who were never sent
-        // the invalidation.
-        if unicast {
-            return ForwardDecision::Nack { mispredict: true };
-        }
-        return ForwardDecision::Comply;
+    let conflicting =
+        local.filter(|(sets, _)| sets.conflicts_with(addr, kind == IncomingKind::Write));
+    let Some((_, local_ts)) = conflicting else {
+        // No active transaction, or the request misses its footprint:
+        // ordinary coherence. A U-bit probe that lands here is a
+        // misprediction (the predicted transaction already finished, or
+        // its P-Buffer priority was stale enough that the node is not even
+        // contending). It is answered with a conservative MP-NACK: complying
+        // would let the requester proceed while the other sharers, never
+        // sent the invalidation, keep their copies.
+        return if unicast {
+            ForwardDecision::Nack { mispredict: true }
+        } else {
+            ForwardDecision::Comply
+        };
     };
-    if !conflicts {
-        // The request does not touch this transaction's isolated footprint.
-        // A unicast that lands on a node with no conflict is also a
-        // misprediction (the P-Buffer priority was stale enough that the
-        // node is not even contending) — handled conservatively the same
-        // way: without the nack the requester would proceed while *other*
-        // sharers were never consulted.
-        if unicast {
-            return ForwardDecision::Nack { mispredict: true };
-        }
-        return ForwardDecision::Comply;
-    }
     match requester_ts {
         // Non-transactional requester conflicts with a transaction: the
         // transaction wins, requester is nacked and will retry.

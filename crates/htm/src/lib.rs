@@ -30,6 +30,6 @@ pub use conflict::{decide_forward, ForwardDecision, IncomingKind};
 pub use log::UndoLog;
 pub use rmw::RmwPredictor;
 pub use rwset::ReadWriteSets;
-pub use signature::{Signature, SignatureConfig, SignaturePair};
+pub use signature::{Signature, SignatureConfig};
 pub use stats::{AbortCause, HtmStats};
 pub use unit::{HtmUnit, TxContext, TxStatus};

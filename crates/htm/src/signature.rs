@@ -1,22 +1,16 @@
-//! Bloom-filter read/write signatures — the LogTM-SE-style alternative to
-//! exact footprint tracking.
+//! A Bloom-filter line signature: the fast-negative filter in front of each
+//! exact direction of [`crate::rwset::ReadWriteSets`].
 //!
-//! The paper's baseline tracks footprints precisely; signature-based HTMs
-//! (which the paper cites as the decoupled alternative) hash line addresses
-//! into fixed-size bit vectors instead. Signatures never miss a true
-//! conflict (no false negatives) but *alias*: unrelated addresses can map to
-//! the same bits and manufacture conflicts that abort transactions
-//! needlessly — a second, orthogonal source of unnecessary aborts next to
-//! the paper's false aborting. The harness exposes signatures as an
-//! ablation (`AbortCause` statistics separate alias-induced conflicts), and
-//! this module is exact about the guarantee: `maybe_conflicts` is a
-//! superset test of the precise footprint.
+//! Line addresses hash into a fixed-size bit vector. The membership test
+//! never misses an inserted line (no false negatives) but can *alias*:
+//! unrelated lines may map to set bits. The read/write sets use it only to
+//! skip the exact lookup for lines outside the footprint, so an alias costs
+//! that lookup and never a conflict.
 
 use puno_sim::LineAddr;
-use serde::{Deserialize, Serialize};
 
 /// Signature geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SignatureConfig {
     /// Bit-vector length; must be a power of two.
     pub bits: u32,
@@ -24,22 +18,11 @@ pub struct SignatureConfig {
     pub hashes: u32,
 }
 
-impl Default for SignatureConfig {
-    fn default() -> Self {
-        // LogTM-SE-class sizing: 2 Kbit, k=2.
-        Self {
-            bits: 2048,
-            hashes: 2,
-        }
-    }
-}
-
 /// One Bloom signature.
 #[derive(Clone, Debug)]
 pub struct Signature {
     config: SignatureConfig,
     words: Vec<u64>,
-    inserted: u32,
 }
 
 #[inline]
@@ -58,7 +41,6 @@ impl Signature {
         Self {
             config,
             words: vec![0; config.bits as usize / 64],
-            inserted: 0,
         }
     }
 
@@ -73,7 +55,6 @@ impl Signature {
             let (w, m) = self.bit_of(addr, k);
             self.words[w] |= m;
         }
-        self.inserted += 1;
     }
 
     /// Superset membership test: never false-negative.
@@ -86,67 +67,19 @@ impl Signature {
 
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
-        self.inserted = 0;
-    }
-
-    /// Fraction of bits set (aliasing pressure).
-    pub fn saturation(&self) -> f64 {
-        let set: u32 = self.words.iter().map(|w| w.count_ones()).sum();
-        set as f64 / self.config.bits as f64
-    }
-
-    pub fn inserted(&self) -> u32 {
-        self.inserted
-    }
-}
-
-/// A read/write signature pair with the single-writer/multi-reader conflict
-/// test, mirroring `ReadWriteSets::conflicts_with` conservatively.
-#[derive(Clone, Debug)]
-pub struct SignaturePair {
-    pub read: Signature,
-    pub write: Signature,
-}
-
-impl SignaturePair {
-    pub fn new(config: SignatureConfig) -> Self {
-        Self {
-            read: Signature::new(config),
-            write: Signature::new(config),
-        }
-    }
-
-    pub fn record_read(&mut self, addr: LineAddr) {
-        self.read.insert(addr);
-    }
-
-    pub fn record_write(&mut self, addr: LineAddr) {
-        self.write.insert(addr);
-    }
-
-    /// Conservative conflict test (superset of the exact one).
-    pub fn maybe_conflicts(&self, addr: LineAddr, incoming_is_write: bool) -> bool {
-        if incoming_is_write {
-            self.read.maybe_contains(addr) || self.write.maybe_contains(addr)
-        } else {
-            self.write.maybe_contains(addr)
-        }
-    }
-
-    pub fn clear(&mut self) {
-        self.read.clear();
-        self.write.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwset::ReadWriteSets;
     use puno_sim::SimRng;
 
     fn sig() -> Signature {
-        Signature::new(SignatureConfig::default())
+        Signature::new(SignatureConfig {
+            bits: 2048,
+            hashes: 2,
+        })
     }
 
     #[test]
@@ -168,7 +101,6 @@ mod tests {
         for a in 0..100 {
             assert!(!s.maybe_contains(LineAddr(a)));
         }
-        assert_eq!(s.saturation(), 0.0);
     }
 
     #[test]
@@ -188,46 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn saturation_grows_with_inserts() {
+    fn clear_forgets_every_insert() {
         let mut s = sig();
-        s.insert(LineAddr(1));
-        let one = s.saturation();
-        for i in 2..500 {
+        for i in 1..500 {
             s.insert(LineAddr(i * 31));
         }
-        assert!(s.saturation() > one);
-        assert!(s.saturation() <= 1.0);
+        assert!(s.maybe_contains(LineAddr(31)));
         s.clear();
-        assert_eq!(s.saturation(), 0.0);
-        assert_eq!(s.inserted(), 0);
-    }
-
-    #[test]
-    fn pair_is_superset_of_exact_sets() {
-        let mut exact = ReadWriteSets::new();
-        let mut sigs = SignaturePair::new(SignatureConfig::default());
-        let mut rng = SimRng::new(9);
-        for _ in 0..100 {
-            let a = LineAddr(rng.gen_range(1 << 20));
-            if rng.gen_bool(0.5) {
-                exact.record_read(a);
-                sigs.record_read(a);
-            } else {
-                exact.record_write(a);
-                sigs.record_write(a);
-            }
-        }
-        for probe in 0..(1u64 << 12) {
-            let a = LineAddr(probe * 37);
-            for is_write in [false, true] {
-                if exact.conflicts_with(a, is_write) {
-                    assert!(
-                        sigs.maybe_conflicts(a, is_write),
-                        "signature missed a true conflict on {a:?}"
-                    );
-                }
-            }
-        }
+        assert!((1..500).all(|i| !s.maybe_contains(LineAddr(i * 31))));
     }
 
     #[test]

@@ -78,9 +78,6 @@ pub struct HtmStats {
     pub discarded_cycles: Counter,
     /// Cycles spent backed off (not executing) between attempts/retries.
     pub backoff_cycles: Counter,
-    /// Signature-mode only: conflicts manufactured by Bloom aliasing
-    /// (signature hit where the exact footprint had none).
-    pub sig_alias_conflicts: Counter,
     /// Transactional overflow events: a fill had no unpinned victim and a
     /// transactional line was force-evicted with a sticky writeback
     /// (LogTM-style; conflict detection survives via the directory).
@@ -141,8 +138,6 @@ impl HtmStats {
         self.good_cycles.add(other.good_cycles.get());
         self.discarded_cycles.add(other.discarded_cycles.get());
         self.backoff_cycles.add(other.backoff_cycles.get());
-        self.sig_alias_conflicts
-            .add(other.sig_alias_conflicts.get());
         self.overflow_evictions.add(other.overflow_evictions.get());
     }
 }

@@ -2,11 +2,10 @@
 //! recovery, and the hook the node controller calls to answer forwarded
 //! coherence requests.
 
-use crate::conflict::{decide_forward, decide_with_conflict, ForwardDecision, IncomingKind};
+use crate::conflict::{decide_forward, ForwardDecision, IncomingKind};
 use crate::log::{LogEntry, UndoLog};
 use crate::rmw::{OpSite, RmwPredictor};
 use crate::rwset::ReadWriteSets;
-use crate::signature::{SignatureConfig, SignaturePair};
 use crate::stats::{AbortCause, HtmStats};
 use puno_sim::{Cycle, Cycles, LineAddr, LineMap, NodeId, StaticTxId, Timestamp, TxId};
 use serde::{Deserialize, Serialize};
@@ -55,21 +54,16 @@ pub struct TxContext {
     pub stalled: Cycles,
     /// First load site per line this attempt (for RMW training).
     loads: LineMap<LineAddr, OpSite>,
-    /// Optional Bloom signatures mirroring the footprint (signature-based
-    /// conflict detection ablation; conflict answers then come from these,
-    /// with alias false positives).
-    signatures: Option<SignaturePair>,
 }
 
 /// Per-attempt structures recycled across begin/commit/abort so a retry
-/// storm reuses the same allocations instead of re-growing sets, logs and
-/// signature bit vectors on every attempt.
+/// storm reuses the same allocations instead of re-growing sets and logs
+/// on every attempt.
 #[derive(Clone, Debug)]
 struct TxScratch {
     sets: ReadWriteSets,
     undo: UndoLog,
     loads: LineMap<LineAddr, OpSite>,
-    signatures: Option<SignaturePair>,
 }
 
 impl TxScratch {
@@ -78,7 +72,6 @@ impl TxScratch {
             sets: ReadWriteSets::new(),
             undo: UndoLog::new(),
             loads: LineMap::new(),
-            signatures: None,
         }
     }
 }
@@ -133,9 +126,6 @@ pub struct HtmUnit {
     abort_timing: AbortTiming,
     current: Option<TxContext>,
     rmw: Option<RmwPredictor>,
-    /// When set, conflict detection answers from Bloom signatures of this
-    /// geometry instead of the exact sets.
-    signature_mode: Option<SignatureConfig>,
     /// Recycled per-attempt state (None only while a transaction is active).
     scratch: Option<TxScratch>,
     stats: HtmStats,
@@ -148,22 +138,8 @@ impl HtmUnit {
             abort_timing,
             current: None,
             rmw,
-            signature_mode: None,
             scratch: Some(TxScratch::fresh()),
             stats: HtmStats::default(),
-        }
-    }
-
-    /// Switch conflict detection to Bloom signatures (LogTM-SE style).
-    pub fn enable_signatures(&mut self, config: SignatureConfig) {
-        assert!(
-            self.current.is_none(),
-            "cannot switch modes mid-transaction"
-        );
-        self.signature_mode = Some(config);
-        // Any recycled signature pair may have the old geometry.
-        if let Some(s) = self.scratch.as_mut() {
-            s.signatures = None;
         }
     }
 
@@ -210,15 +186,6 @@ impl HtmUnit {
         scratch.sets.clear();
         scratch.undo.clear();
         scratch.loads.clear();
-        let signatures = self
-            .signature_mode
-            .map(|config| match scratch.signatures.take() {
-                Some(mut pair) => {
-                    pair.clear();
-                    pair
-                }
-                None => SignaturePair::new(config),
-            });
         self.current = Some(TxContext {
             tx,
             static_tx,
@@ -229,7 +196,6 @@ impl HtmUnit {
             undo: scratch.undo,
             stalled: 0,
             loads: scratch.loads,
-            signatures,
         });
     }
 
@@ -243,9 +209,6 @@ impl HtmUnit {
     pub fn record_load(&mut self, addr: LineAddr, site: OpSite) {
         let ctx = self.current.as_mut().expect("load outside transaction");
         ctx.sets.record_read(addr);
-        if let Some(sigs) = ctx.signatures.as_mut() {
-            sigs.record_read(addr);
-        }
         ctx.loads.get_or_insert_with(addr, || site);
     }
 
@@ -255,9 +218,6 @@ impl HtmUnit {
     pub fn record_store(&mut self, addr: LineAddr, old_value: u64) {
         let ctx = self.current.as_mut().expect("store outside transaction");
         ctx.sets.record_write(addr);
-        if let Some(sigs) = ctx.signatures.as_mut() {
-            sigs.record_write(addr);
-        }
         ctx.undo.record(addr, old_value);
         if let Some(p) = self.rmw.as_mut() {
             if let Some(&site) = ctx.loads.get(addr) {
@@ -270,39 +230,14 @@ impl HtmUnit {
     /// Pure decision — stat updates and abort execution are separate so the
     /// node controller can sequence cache updates in between.
     pub fn respond_forward(
-        &mut self,
+        &self,
         addr: LineAddr,
         kind: IncomingKind,
         requester_ts: Option<Timestamp>,
         unicast: bool,
     ) -> ForwardDecision {
-        let Some(ctx) = self.current.as_ref() else {
-            return decide_forward(None, addr, kind, requester_ts, unicast);
-        };
-        match ctx.signatures.as_ref() {
-            None => decide_forward(
-                Some((&ctx.sets, ctx.timestamp)),
-                addr,
-                kind,
-                requester_ts,
-                unicast,
-            ),
-            Some(sigs) => {
-                let is_write = kind == IncomingKind::Write;
-                let sig_conflict = sigs.maybe_conflicts(addr, is_write);
-                let exact_conflict = ctx.sets.conflicts_with(addr, is_write);
-                debug_assert!(
-                    !exact_conflict || sig_conflict,
-                    "signature missed a true conflict"
-                );
-                if sig_conflict && !exact_conflict {
-                    // Aliasing manufactured this conflict.
-                    self.stats.sig_alias_conflicts.inc();
-                }
-                let ts = ctx.timestamp;
-                decide_with_conflict(Some((sig_conflict, ts)), requester_ts, unicast)
-            }
-        }
+        let local = self.current.as_ref().map(|ctx| (&ctx.sets, ctx.timestamp));
+        decide_forward(local, addr, kind, requester_ts, unicast)
     }
 
     /// Record backoff time charged to the active attempt (excluded from
@@ -360,7 +295,6 @@ impl HtmUnit {
             sets: ctx.sets,
             undo: ctx.undo,
             loads: ctx.loads,
-            signatures: ctx.signatures,
         });
     }
 }
