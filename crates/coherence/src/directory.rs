@@ -6,17 +6,19 @@
 //! (the sharers, or the owner as its single member), and — while a request
 //! is in flight — a transient *busy* record. Requests arriving for a busy
 //! line wait in a FIFO at the home and are serviced in order when the
-//! current episode's UNBLOCK arrives. The cycles an entry spends busy servicing a transactional GETX
-//! are accumulated for the paper's Figure 12.
+//! current episode's UNBLOCK arrives. The cycles an entry spends busy
+//! servicing a transactional GETX are accumulated for the paper's Figure 12.
+//! DESIGN §3 states every transition as two tables, which a test here
+//! checks row by row.
 //!
-//! PUNO hooks in at exactly one decision point: when a transactional GETX is
-//! about to be forwarded to the current holders, the bank consults a
-//! [`UnicastPredictor`]. If the predictor names a target, the bank sends one
-//! `Inv`/`FwdGetx` with the U-bit set instead of the exhaustive multicast,
-//! and the episode concludes through the NACK/UNBLOCK path without
-//! disturbing the other sharers (Section III-A, Figure 4(b)).
+//! PUNO hooks in at exactly one decision point (`unicast_target`): when a
+//! transactional GETX is about to be forwarded to the current holders, the
+//! bank consults a [`UnicastPredictor`]. If the predictor names a target,
+//! the bank sends one `Inv`/`FwdGetx` with the U-bit set instead of the
+//! exhaustive multicast, and the episode concludes through the NACK/UNBLOCK
+//! path without disturbing the other sharers (Section III-A, Figure 4(b)).
 
-use crate::msg::{CoherenceMsg, TxInfo};
+use crate::msg::{CoherenceMsg, StickyKind, TxInfo};
 use crate::predictor::UnicastPredictor;
 use crate::sharers::SharerSet;
 use crate::stats::DirStats;
@@ -63,15 +65,15 @@ enum Stable {
 /// who was invalidated or forwarded to when the UNBLOCK arrives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BusyKind {
-    /// Waiting for memory, then grant data. `is_getx` selects the final
-    /// transition (shared vs owned).
-    MemFetch { is_getx: bool },
-    /// Granted data/permission from L2 on a GETS (exclusive when no other
-    /// sharers existed).
-    GrantS { exclusive: bool },
-    /// Granted data + invalidation fan-out to every holder but the
-    /// requester, on a GETX.
-    InvMulticast,
+    /// Waiting for memory; [`DirectoryBank::mem_ready`] then grants the
+    /// requester the line exclusively and the episode goes on as
+    /// `GrantOwned`.
+    MemFetch,
+    /// Granted a GETS shared data from L2: the requester joins the sharers.
+    GrantShared,
+    /// Granted the requester the line exclusively (E on a GETS, M on a
+    /// GETX), invalidating every other holder (none on an uncached line).
+    GrantOwned,
     /// PUNO: single predicted-NACK probe; always concludes unsuccessfully.
     InvUnicast,
     /// Forwarded a GETS to the owner.
@@ -232,7 +234,55 @@ impl DirectoryBank {
         predictor: &mut P,
         actions: &mut Vec<DirAction>,
     ) {
-        self.dispatch(now, msg, predictor, actions);
+        // The P-Buffer learns the priority of every transactional requester;
+        // unblocks refresh it too (Figure 7: every transactional coherence
+        // message carries {node, priority}).
+        if let CoherenceMsg::Gets {
+            requester,
+            tx: Some(info),
+            ..
+        }
+        | CoherenceMsg::Getx {
+            requester,
+            tx: Some(info),
+            ..
+        }
+        | CoherenceMsg::Unblock {
+            requester,
+            tx: Some(info),
+            ..
+        } = &msg
+        {
+            predictor.observe_request(now, *requester, info);
+        }
+
+        match msg {
+            CoherenceMsg::Unblock { .. } => self.on_unblock(now, msg, predictor, actions),
+            CoherenceMsg::WbData { addr, .. } => {
+                // Sharing writeback from a downgrading owner: refreshes the
+                // L2 copy; no state transition (the UNBLOCK carries it).
+                if let Some(entry) = self.entries.get_mut(addr) {
+                    if let Stable::Uncached { in_l2 } = &mut entry.state {
+                        *in_l2 = true;
+                    }
+                }
+            }
+            CoherenceMsg::Gets { addr, .. }
+            | CoherenceMsg::Getx { addr, .. }
+            | CoherenceMsg::Putx { addr, .. }
+            | CoherenceMsg::Puts { addr, .. } => {
+                let entry = self.entries.get_or_insert_with(addr, Entry::new);
+                if entry.busy.is_some() {
+                    self.waiting
+                        .get_or_insert_with(addr, VecDeque::new)
+                        .push_back(msg);
+                    self.stats.queued_requests.inc();
+                } else {
+                    self.service(now, msg, predictor, actions);
+                }
+            }
+            other => panic!("directory received unexpected message: {other:?}"),
+        }
     }
 
     /// Memory fetch for `addr` finished: grant data to the waiting requester.
@@ -251,101 +301,86 @@ impl DirectoryBank {
             .get_mut(addr)
             .expect("mem_ready for unknown line");
         let busy = entry.busy.as_mut().expect("mem_ready for non-busy line");
-        let BusyKind::MemFetch { is_getx } = busy.kind else {
-            panic!("mem_ready while not fetching");
-        };
+        assert_eq!(
+            busy.kind,
+            BusyKind::MemFetch,
+            "mem_ready while not fetching"
+        );
         entry.state = Stable::Uncached { in_l2: true };
         // Either way the requester becomes the exclusive holder: a GETS to
         // an uncached line grants E, a GETX grants M.
-        busy.kind = if is_getx {
-            BusyKind::InvMulticast
-        } else {
-            BusyKind::GrantS { exclusive: true }
-        };
+        busy.kind = BusyKind::GrantOwned;
         let requester = busy.requester;
+        // The data comes with the fetch: no L2 access on top.
+        let (msg, _) = self.grant(addr, false, true, 0);
         actions.push(DirAction::Send {
             dst: requester,
-            msg: CoherenceMsg::Data {
-                addr,
-                from: self.home,
-                acks_expected: 0,
-                exclusive: true,
-                owner_kept: false,
-            },
+            msg,
             delay: 0,
         });
     }
 
-    fn dispatch<P: UnicastPredictor>(
-        &mut self,
-        now: Cycle,
-        msg: CoherenceMsg,
-        predictor: &mut P,
-        actions: &mut Vec<DirAction>,
-    ) {
-        // P-Buffer learns the priority of every transactional requester.
-        if let CoherenceMsg::Gets {
-            requester,
-            tx: Some(info),
-            ..
-        }
-        | CoherenceMsg::Getx {
-            requester,
-            tx: Some(info),
-            ..
-        } = &msg
-        {
-            predictor.observe_request(now, *requester, info);
-        }
-
-        match msg {
-            CoherenceMsg::Gets { .. }
-            | CoherenceMsg::Getx { .. }
-            | CoherenceMsg::Putx { .. }
-            | CoherenceMsg::Puts { .. } => {
-                let addr = msg.addr();
-                let entry = self.entries.get_or_insert_with(addr, Entry::new);
-                if entry.busy.is_some() {
-                    self.waiting
-                        .get_or_insert_with(addr, VecDeque::new)
-                        .push_back(msg);
-                    self.stats.queued_requests.inc();
-                } else {
-                    self.service(now, msg, predictor, actions);
-                }
-            }
-            CoherenceMsg::Unblock {
+    /// The home's grant to a requester that must collect `acks_expected`
+    /// invalidation answers: an `UpgradeAck` from the directory when a GETX
+    /// requester already holds an S copy, else `Data` from L2. Returns the
+    /// message and its access latency.
+    fn grant(
+        &self,
+        addr: LineAddr,
+        upgrade: bool,
+        exclusive: bool,
+        acks_expected: u32,
+    ) -> (CoherenceMsg, Cycles) {
+        let from = self.home;
+        if upgrade {
+            let msg = CoherenceMsg::UpgradeAck {
                 addr,
-                requester,
-                success,
-                nackers,
-                owner_kept,
-                mp_node,
-                tx,
-            } => {
-                // Unblocks refresh the P-Buffer too (Figure 7: every
-                // transactional coherence message carries {node, priority}).
-                if let Some(info) = &tx {
-                    predictor.observe_request(now, requester, info);
-                }
-                self.on_unblock(
-                    now, addr, requester, success, nackers, owner_kept, mp_node, predictor, actions,
-                );
-            }
-            CoherenceMsg::WbData { addr, .. } => {
-                // Sharing writeback from a downgrading owner: refreshes the
-                // L2 copy; no state transition (the UNBLOCK carries it).
-                if let Some(entry) = self.entries.get_mut(addr) {
-                    if let Stable::Uncached { in_l2 } = &mut entry.state {
-                        *in_l2 = true;
-                    }
-                }
-            }
-            other => panic!("directory received unexpected message: {other:?}"),
+                from,
+                acks_expected,
+            };
+            (msg, self.config.dir_latency)
+        } else {
+            let msg = CoherenceMsg::Data {
+                addr,
+                from,
+                acks_expected,
+                exclusive,
+                owner_kept: false,
+            };
+            (msg, self.config.l2_latency)
         }
     }
 
-    /// Service a request against a non-busy entry.
+    /// PUNO's one decision point: should this TxGETX go to one predicted
+    /// NACKer instead of every node its forward would reach (the sharers
+    /// but the requester, or the owner)? Returns that node.
+    fn unicast_target<P: UnicastPredictor>(
+        &mut self,
+        now: Cycle,
+        addr: LineAddr,
+        requester: NodeId,
+        tx: Option<&TxInfo>,
+        predictor: &mut P,
+    ) -> Option<NodeId> {
+        let entry = self.entries.get(addr)?;
+        let owned = entry.state == Stable::Owned;
+        let targets = if owned {
+            entry.holders
+        } else {
+            entry.holders.difference(SharerSet::single(requester))
+        };
+        if targets.is_empty() {
+            return None;
+        }
+        let target = predictor.predict_unicast(now, addr, requester, tx?, targets, owned)?;
+        debug_assert!(targets.contains(target.node));
+        self.stats.unicasts_sent.inc();
+        Some(target.node)
+    }
+
+    /// Service a request against a non-busy entry: apply its row of the
+    /// request table in DESIGN §3. A GETS or GETX opens a service episode,
+    /// which holds the line busy until the requester's UNBLOCK.
     fn service<P: UnicastPredictor>(
         &mut self,
         now: Cycle,
@@ -353,14 +388,14 @@ impl DirectoryBank {
         predictor: &mut P,
         actions: &mut Vec<DirAction>,
     ) {
-        match msg {
+        let (addr, requester, tx, getx) = match msg {
             CoherenceMsg::Gets {
                 addr,
                 requester,
                 tx,
             } => {
                 self.stats.gets_received.inc();
-                self.service_gets(now, addr, requester, tx, actions);
+                (addr, requester, tx, false)
             }
             CoherenceMsg::Getx {
                 addr,
@@ -368,7 +403,7 @@ impl DirectoryBank {
                 tx,
             } => {
                 self.stats.getx_received.inc();
-                self.service_getx(now, addr, requester, tx, predictor, actions);
+                (addr, requester, tx, true)
             }
             CoherenceMsg::Putx {
                 addr,
@@ -379,325 +414,113 @@ impl DirectoryBank {
                 addr,
                 owner,
                 sticky,
-            } => {
-                self.stats.putx_received.inc();
-                self.service_putx(addr, owner, sticky, actions);
-            }
-            other => panic!("service() on non-request: {other:?}"),
-        }
-    }
-
-    fn service_gets(
-        &mut self,
-        now: Cycle,
-        addr: LineAddr,
-        requester: NodeId,
-        tx: Option<TxInfo>,
-        actions: &mut Vec<DirAction>,
-    ) {
-        let home = self.home;
-        let config = self.config;
-        let entry = self.entries.get_mut(addr).unwrap();
-        match entry.state {
-            Stable::Uncached { in_l2: false } => {
-                entry.busy = Some(Busy {
-                    requester,
-                    kind: BusyKind::MemFetch { is_getx: false },
-                    since: now,
-                    tx_getx: false,
-                });
-                self.stats.mem_fetches.inc();
-                actions.push(DirAction::FetchMem {
-                    addr,
-                    delay: config.mem_latency,
-                });
-            }
-            Stable::Uncached { in_l2: true } => {
-                entry.busy = Some(Busy {
-                    requester,
-                    kind: BusyKind::GrantS { exclusive: true },
-                    since: now,
-                    tx_getx: false,
-                });
-                actions.push(DirAction::Send {
-                    dst: requester,
-                    msg: CoherenceMsg::Data {
-                        addr,
-                        from: home,
-                        acks_expected: 0,
-                        exclusive: true,
-                        owner_kept: false,
-                    },
-                    delay: config.l2_latency,
-                });
-            }
-            Stable::Shared => {
-                entry.busy = Some(Busy {
-                    requester,
-                    kind: BusyKind::GrantS { exclusive: false },
-                    since: now,
-                    tx_getx: false,
-                });
-                actions.push(DirAction::Send {
-                    dst: requester,
-                    msg: CoherenceMsg::Data {
-                        addr,
-                        from: home,
-                        acks_expected: 0,
-                        exclusive: false,
-                        owner_kept: false,
-                    },
-                    delay: config.l2_latency,
-                });
-            }
-            Stable::Owned => {
-                let owner = entry.owner().expect("owned entry without owner");
-                entry.busy = Some(Busy {
-                    requester,
-                    kind: BusyKind::FwdGets,
-                    since: now,
-                    tx_getx: false,
-                });
-                actions.push(DirAction::Send {
-                    dst: owner,
-                    msg: CoherenceMsg::FwdGets {
-                        addr,
-                        requester,
-                        tx,
-                    },
-                    delay: config.dir_latency,
-                });
-            }
-        }
-    }
-
-    fn service_getx<P: UnicastPredictor>(
-        &mut self,
-        now: Cycle,
-        addr: LineAddr,
-        requester: NodeId,
-        tx: Option<TxInfo>,
-        predictor: &mut P,
-        actions: &mut Vec<DirAction>,
-    ) {
-        let home = self.home;
-        let config = self.config;
-        let is_tx = tx.is_some();
-        // Compute the holder set before borrowing the entry mutably for the
-        // busy update, because the predictor also needs it.
-        let (state, holders, owner) = {
-            let entry = self.entries.get_mut(addr).unwrap();
-            (entry.state, entry.holders, entry.owner())
+            } => return self.service_put(addr, owner, sticky, actions),
+            other => unreachable!("service() on non-request: {other:?}"),
         };
-        match state {
-            Stable::Uncached { in_l2: false } => {
-                let entry = self.entries.get_mut(addr).unwrap();
-                entry.busy = Some(Busy {
-                    requester,
-                    kind: BusyKind::MemFetch { is_getx: true },
-                    since: now,
-                    tx_getx: is_tx,
-                });
+        let config = self.config;
+        let entry = self.entries.get(addr).unwrap();
+        let (state, holders, owner) = (entry.state, entry.holders, entry.owner());
+        let mut send = |dst, msg, delay| actions.push(DirAction::Send { dst, msg, delay });
+        let fwd_delay = config.dir_latency + predictor.decision_latency();
+        let kind = match (state, getx) {
+            (Stable::Uncached { in_l2: false }, _) => {
                 self.stats.mem_fetches.inc();
                 actions.push(DirAction::FetchMem {
                     addr,
                     delay: config.mem_latency,
                 });
+                BusyKind::MemFetch
             }
-            Stable::Uncached { in_l2: true } => {
-                let entry = self.entries.get_mut(addr).unwrap();
-                entry.busy = Some(Busy {
+            (Stable::Uncached { in_l2: true }, _) => {
+                let (msg, delay) = self.grant(addr, false, true, 0);
+                send(requester, msg, delay);
+                BusyKind::GrantOwned
+            }
+            (Stable::Shared, false) => {
+                let (msg, delay) = self.grant(addr, false, false, 0);
+                send(requester, msg, delay);
+                BusyKind::GrantShared
+            }
+            (Stable::Owned, false) => {
+                let owner = owner.expect("owned entry without owner");
+                let msg = CoherenceMsg::FwdGets {
+                    addr,
                     requester,
-                    kind: BusyKind::InvMulticast,
-                    since: now,
-                    tx_getx: is_tx,
-                });
-                actions.push(DirAction::Send {
-                    dst: requester,
-                    msg: CoherenceMsg::Data {
-                        addr,
-                        from: home,
-                        acks_expected: 0,
-                        exclusive: true,
-                        owner_kept: false,
-                    },
-                    delay: config.l2_latency,
-                });
+                    tx,
+                };
+                send(owner, msg, config.dir_latency);
+                BusyKind::FwdGets
             }
-            Stable::Shared => {
-                let mut targets = holders;
-                targets.remove(requester);
-                if targets.is_empty() {
-                    // Requester is the only sharer: pure upgrade.
-                    let entry = self.entries.get_mut(addr).unwrap();
-                    entry.busy = Some(Busy {
-                        requester,
-                        kind: BusyKind::InvMulticast,
-                        since: now,
-                        tx_getx: is_tx,
-                    });
-                    let msg = if holders.contains(requester) {
-                        CoherenceMsg::UpgradeAck {
-                            addr,
-                            from: home,
-                            acks_expected: 0,
-                        }
-                    } else {
-                        CoherenceMsg::Data {
-                            addr,
-                            from: home,
-                            acks_expected: 0,
-                            exclusive: true,
-                            owner_kept: false,
-                        }
-                    };
-                    let delay = if matches!(msg, CoherenceMsg::Data { .. }) {
-                        config.l2_latency
-                    } else {
-                        config.dir_latency
-                    };
-                    actions.push(DirAction::Send {
-                        dst: requester,
-                        msg,
-                        delay,
-                    });
-                    return;
-                }
-                // PUNO decision point: predicted-NACK unicast?
-                let predicted = tx.as_ref().and_then(|info| {
-                    predictor.predict_unicast(now, addr, requester, info, targets, false)
-                });
-                if let Some(target) = predicted {
-                    debug_assert!(targets.contains(target.node));
-                    let entry = self.entries.get_mut(addr).unwrap();
-                    entry.busy = Some(Busy {
-                        requester,
-                        kind: BusyKind::InvUnicast,
-                        since: now,
-                        tx_getx: is_tx,
-                    });
-                    self.stats.unicasts_sent.inc();
-                    actions.push(DirAction::Send {
-                        dst: target.node,
-                        msg: CoherenceMsg::Inv {
-                            addr,
-                            requester,
-                            tx,
-                            unicast: true,
-                        },
-                        delay: config.dir_latency + predictor.decision_latency(),
-                    });
+            (Stable::Shared, true) => {
+                let targets = holders.difference(SharerSet::single(requester));
+                let inv = |unicast| CoherenceMsg::Inv {
+                    addr,
+                    requester,
+                    tx,
+                    unicast,
+                };
+                if let Some(target) =
+                    self.unicast_target(now, addr, requester, tx.as_ref(), predictor)
+                {
+                    send(target, inv(true), fwd_delay);
+                    BusyKind::InvUnicast
                 } else {
-                    let entry = self.entries.get_mut(addr).unwrap();
-                    entry.busy = Some(Busy {
-                        requester,
-                        kind: BusyKind::InvMulticast,
-                        since: now,
-                        tx_getx: is_tx,
-                    });
                     let fan_out = targets.len();
                     self.stats.invalidations_sent.add(fan_out as u64);
-                    let fwd_delay = config.dir_latency + predictor.decision_latency();
                     for sharer in targets.iter() {
-                        actions.push(DirAction::Send {
-                            dst: sharer,
-                            msg: CoherenceMsg::Inv {
-                                addr,
-                                requester,
-                                tx,
-                                unicast: false,
-                            },
-                            delay: fwd_delay,
-                        });
+                        send(sharer, inv(false), fwd_delay);
                     }
-                    // Data or upgrade permission, carrying the ack count.
-                    let msg = if holders.contains(requester) {
-                        CoherenceMsg::UpgradeAck {
-                            addr,
-                            from: home,
-                            acks_expected: fan_out,
-                        }
-                    } else {
-                        CoherenceMsg::Data {
-                            addr,
-                            from: home,
-                            acks_expected: fan_out,
-                            exclusive: true,
-                            owner_kept: false,
-                        }
-                    };
-                    let delay = if matches!(msg, CoherenceMsg::Data { .. }) {
-                        config.l2_latency
-                    } else {
-                        config.dir_latency
-                    };
-                    actions.push(DirAction::Send {
-                        dst: requester,
-                        msg,
-                        delay,
-                    });
+                    let (msg, delay) = self.grant(addr, holders.contains(requester), true, fan_out);
+                    send(requester, msg, delay);
+                    BusyKind::GrantOwned
                 }
             }
-            Stable::Owned => {
-                let prev_owner = owner.expect("owned entry without owner");
+            (Stable::Owned, true) => {
                 // The owner-state forward is a single message either way;
                 // PUNO may still mark it with the U-bit so a predicted-NACK
                 // conflict resolves with a notification instead of an abort.
-                let predicted = tx.as_ref().and_then(|info| {
-                    predictor.predict_unicast(
-                        now,
-                        addr,
-                        requester,
-                        info,
-                        SharerSet::single(prev_owner),
-                        true,
-                    )
-                });
-                let unicast = predicted.is_some();
-                if unicast {
-                    self.stats.unicasts_sent.inc();
-                }
-                let entry = self.entries.get_mut(addr).unwrap();
-                entry.busy = Some(Busy {
+                let owner = owner.expect("owned entry without owner");
+                let unicast = self
+                    .unicast_target(now, addr, requester, tx.as_ref(), predictor)
+                    .is_some();
+                let msg = CoherenceMsg::FwdGetx {
+                    addr,
                     requester,
-                    kind: BusyKind::FwdGetx,
-                    since: now,
-                    tx_getx: is_tx,
-                });
-                actions.push(DirAction::Send {
-                    dst: prev_owner,
-                    msg: CoherenceMsg::FwdGetx {
-                        addr,
-                        requester,
-                        tx,
-                        unicast,
-                    },
-                    delay: config.dir_latency + predictor.decision_latency(),
-                });
+                    tx,
+                    unicast,
+                };
+                send(owner, msg, fwd_delay);
+                BusyKind::FwdGetx
             }
-        }
+        };
+        self.entries.get_mut(addr).unwrap().busy = Some(Busy {
+            requester,
+            kind,
+            since: now,
+            tx_getx: getx && tx.is_some(),
+        });
     }
 
-    fn service_putx(
+    fn service_put(
         &mut self,
         addr: LineAddr,
         owner: NodeId,
-        sticky: crate::msg::StickyKind,
+        sticky: StickyKind,
         actions: &mut Vec<DirAction>,
     ) {
-        let delay = self.config.dir_latency;
+        self.stats.putx_received.inc();
         let entry = self.entries.get_mut(addr).unwrap();
         if entry.owner() == Some(owner) {
             match sticky {
                 // LogTM-style sticky-M: data is written back (L2 current)
                 // but the node stays the logical owner, so conflict checks
                 // keep being forwarded to its write set.
-                crate::msg::StickyKind::Writer => {}
+                StickyKind::Writer => {}
                 // Sticky sharer: the evictor stays in the sharer list so
                 // writers' invalidations still reach its read set; data
                 // serves from L2.
-                crate::msg::StickyKind::Reader => entry.state = Stable::Shared,
-                crate::msg::StickyKind::None => {
+                StickyKind::Reader => entry.state = Stable::Shared,
+                StickyKind::None => {
                     entry.state = Stable::Uncached { in_l2: true };
                     entry.holders = SharerSet::EMPTY;
                 }
@@ -708,96 +531,86 @@ impl DirectoryBank {
         actions.push(DirAction::Send {
             dst: owner,
             msg: CoherenceMsg::WbAck { addr },
-            delay,
+            delay: self.config.dir_latency,
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Conclude the episode an UNBLOCK closes: apply its row of the UNBLOCK
+    /// table in DESIGN §3, pass PUNO's misprediction feedback on, and
+    /// service queued requests until one blocks the line again.
     fn on_unblock<P: UnicastPredictor>(
         &mut self,
         now: Cycle,
-        addr: LineAddr,
-        requester: NodeId,
-        success: bool,
-        nackers: SharerSet,
-        owner_kept: bool,
-        mp_node: Option<NodeId>,
+        unblock: CoherenceMsg,
         predictor: &mut P,
         actions: &mut Vec<DirAction>,
     ) {
-        let (holders, tx_getx, blocked_for) = {
-            let entry = self
-                .entries
-                .get_mut(addr)
-                .expect("unblock for unknown line");
-            let busy = entry.busy.take().expect("unblock for non-busy line");
-            assert_eq!(
-                busy.requester, requester,
-                "unblock from a node that is not the current requester"
-            );
-            let blocked_for = now - busy.since;
-
-            match busy.kind {
-                BusyKind::MemFetch { .. } => unreachable!("unblock during memory fetch"),
-                BusyKind::GrantS { exclusive } => {
-                    debug_assert!(success, "data grants cannot fail");
-                    if exclusive {
-                        entry.grant_owned(requester);
-                    } else {
-                        entry.state = Stable::Shared;
-                        entry.holders.insert(requester);
-                    }
-                }
-                BusyKind::InvMulticast => {
-                    if success {
-                        entry.grant_owned(requester);
-                    } else {
-                        // The invalidated were the holders but the
-                        // requester. Those that acked have dropped their
-                        // copies; nackers keep theirs. The requester keeps
-                        // its S copy iff it had one (upgrade attempt).
-                        let own = SharerSet::single(requester);
-                        let targets = entry.holders.difference(own);
-                        entry.holders = nackers
-                            .intersect(targets)
-                            .union(entry.holders.intersect(own));
-                        entry.state = if entry.holders.is_empty() {
-                            Stable::Uncached { in_l2: true }
-                        } else {
-                            Stable::Shared
-                        };
-                    }
-                }
-                BusyKind::InvUnicast => {
-                    debug_assert!(!success, "unicast probes always conclude nacked");
-                    // No sharer state changes: nobody was invalidated.
-                }
-                BusyKind::FwdGets => {
-                    if success {
-                        // The previous owner is still the one holder; it
-                        // stays a sharer iff it downgraded rather than
-                        // aborting.
-                        if !owner_kept {
-                            entry.holders = SharerSet::EMPTY;
-                        }
-                        entry.state = Stable::Shared;
-                        entry.holders.insert(requester);
-                    }
-                    // On failure (owner nacked): unchanged, owner keeps M.
-                }
-                BusyKind::FwdGetx => {
-                    if success {
-                        entry.grant_owned(requester);
-                    }
-                }
-            }
-            (entry.holders, busy.tx_getx, blocked_for)
+        let CoherenceMsg::Unblock {
+            addr,
+            requester,
+            success,
+            nackers,
+            owner_kept,
+            mp_node,
+            ..
+        } = unblock
+        else {
+            unreachable!("on_unblock takes an Unblock");
         };
-
-        if tx_getx {
-            self.stats.blocking_cycles_tx_getx.record(blocked_for);
+        let entry = self
+            .entries
+            .get_mut(addr)
+            .expect("unblock for unknown line");
+        let busy = entry.busy.take().expect("unblock for non-busy line");
+        assert_eq!(
+            busy.requester, requester,
+            "unblock from a node that is not the current requester"
+        );
+        match (busy.kind, success) {
+            (BusyKind::MemFetch, _) => unreachable!("unblock during memory fetch"),
+            (BusyKind::GrantShared, _) => {
+                debug_assert!(success, "data grants cannot fail");
+                entry.state = Stable::Shared;
+                entry.holders.insert(requester);
+            }
+            (BusyKind::GrantOwned | BusyKind::FwdGetx, true) => entry.grant_owned(requester),
+            (BusyKind::GrantOwned, false) => {
+                // The invalidated were the holders but the requester. Those
+                // that acked have dropped their copies; nackers keep theirs.
+                // The requester keeps its S copy iff it had one (upgrade
+                // attempt).
+                let own = SharerSet::single(requester);
+                let targets = entry.holders.difference(own);
+                entry.holders = nackers
+                    .intersect(targets)
+                    .union(entry.holders.intersect(own));
+                entry.state = if entry.holders.is_empty() {
+                    Stable::Uncached { in_l2: true }
+                } else {
+                    Stable::Shared
+                };
+            }
+            (BusyKind::InvUnicast, _) => {
+                debug_assert!(!success, "unicast probes always conclude nacked");
+                // No sharer state changes: nobody was invalidated.
+            }
+            (BusyKind::FwdGets, true) => {
+                // The previous owner is still the one holder; it stays a
+                // sharer iff it downgraded rather than aborting.
+                if !owner_kept {
+                    entry.holders = SharerSet::EMPTY;
+                }
+                entry.state = Stable::Shared;
+                entry.holders.insert(requester);
+            }
+            // The owner nacked: unchanged, it keeps the line.
+            (BusyKind::FwdGets | BusyKind::FwdGetx, false) => {}
         }
+        let holders = entry.holders;
 
+        if busy.tx_getx {
+            self.stats.blocking_cycles_tx_getx.record(now - busy.since);
+        }
         if let Some(node) = mp_node {
             predictor.on_mispredict_feedback(now, addr, node);
         }
@@ -817,7 +630,6 @@ impl DirectoryBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::StickyKind;
     use crate::predictor::{NullPredictor, PredictedTarget};
     use puno_sim::{StaticTxId, Timestamp, TxId};
 
@@ -1136,8 +948,22 @@ mod tests {
         assert_eq!(bank.stats().blocking_cycles_tx_getx.sum(), 100);
     }
 
-    /// Predictor that always unicasts to a fixed node.
-    struct FixedPredictor(NodeId);
+    /// Predictor that unicasts to a fixed node whenever it is among the
+    /// targets, and records the nodes misprediction feedback names.
+    struct FixedPredictor {
+        target: NodeId,
+        dropped: Vec<NodeId>,
+    }
+
+    impl FixedPredictor {
+        fn new(target: NodeId) -> Self {
+            Self {
+                target,
+                dropped: Vec::new(),
+            }
+        }
+    }
+
     impl UnicastPredictor for FixedPredictor {
         fn observe_request(&mut self, _: Cycle, _: NodeId, _: &TxInfo) {}
         fn predict_unicast(
@@ -1150,10 +976,12 @@ mod tests {
             _: bool,
         ) -> Option<PredictedTarget> {
             holders
-                .contains(self.0)
-                .then_some(PredictedTarget { node: self.0 })
+                .contains(self.target)
+                .then_some(PredictedTarget { node: self.target })
         }
-        fn on_mispredict_feedback(&mut self, _: Cycle, _: LineAddr, _: NodeId) {}
+        fn on_mispredict_feedback(&mut self, _: Cycle, _: LineAddr, node: NodeId) {
+            self.dropped.push(node);
+        }
         fn after_service(&mut self, _: Cycle, _: LineAddr, _: SharerSet) {}
         fn decision_latency(&self) -> Cycle {
             2
@@ -1165,7 +993,7 @@ mod tests {
         let mut bank = bank();
         let p = NullPredictor;
         make_shared(&mut bank, 8, &[1, 2, 3]);
-        let mut fp = FixedPredictor(NodeId(2));
+        let mut fp = FixedPredictor::new(NodeId(2));
         let acts = bank.handle(500, getx(8, 4, 999), &mut fp);
         // Exactly one send: the U-bit Inv to node 2, with +2 cycle decision
         // latency on top of the 1-cycle dir access.
@@ -1288,5 +1116,484 @@ mod tests {
         let holders = bank.holders_of(LineAddr(4));
         assert!(holders.contains(NodeId(9)));
         assert!(!holders.contains(NodeId(8)));
+    }
+
+    // ---- DESIGN §3's directory tables, walked row by row ----
+
+    /// The nodes the tables name: A and B hold the line, R requests it.
+    const A: NodeId = NodeId(1);
+    const B: NodeId = NodeId(2);
+    const R: NodeId = NodeId(3);
+    /// A node no table names: a predictor aimed at it predicts nothing.
+    const NOBODY: NodeId = NodeId(9);
+    const LINE: u64 = 40;
+
+    fn name(node: NodeId) -> &'static str {
+        match node {
+            A => "A",
+            B => "B",
+            R => "R",
+            other => panic!("{other:?} has no name in the tables"),
+        }
+    }
+
+    fn names(set: SharerSet) -> String {
+        let names: Vec<_> = set.iter().map(name).collect();
+        format!("{{{}}}", names.join(", "))
+    }
+
+    /// A line state as the tables write it.
+    fn render_line(bank: &DirectoryBank) -> String {
+        let Some(entry) = bank.entries.get(LineAddr(LINE)) else {
+            return "I".to_string();
+        };
+        match entry.state {
+            Stable::Uncached { in_l2: false } => "I".to_string(),
+            Stable::Uncached { in_l2: true } => "I, in L2".to_string(),
+            Stable::Shared => format!("S {}", names(entry.holders)),
+            Stable::Owned => format!("M {}", names(entry.holders)),
+        }
+    }
+
+    fn render_busy(bank: &DirectoryBank) -> String {
+        match bank
+            .entries
+            .get(LineAddr(LINE))
+            .and_then(|e| e.busy.as_ref())
+        {
+            Some(busy) => format!("`{:?}`", busy.kind),
+            None => "none".to_string(),
+        }
+    }
+
+    /// The actions as the tables write them: one item per message kind and
+    /// latency, its destinations grouped. `P` is the predictor's decision
+    /// latency.
+    fn render_sends(actions: &[DirAction]) -> String {
+        let config = DirConfig::default();
+        let at = |delay: Cycles| match delay {
+            0 => "@0",
+            d if d == config.mem_latency => "@mem",
+            d if d == config.l2_latency => "@L2",
+            d if d == config.dir_latency => "@dir",
+            d if d == config.dir_latency + 2 => "@dir+P",
+            d => panic!("unexpected latency {d}"),
+        };
+        let mut items: Vec<(String, Vec<&str>, &str)> = Vec::new();
+        for action in actions {
+            let (what, dst, delay) = match action {
+                DirAction::FetchMem { delay, .. } => ("FetchMem".to_string(), None, *delay),
+                DirAction::Send { dst, msg, delay } => {
+                    let u = |unicast: bool| if unicast { "(U)" } else { "" };
+                    let what = match msg {
+                        CoherenceMsg::Data {
+                            exclusive,
+                            acks_expected,
+                            ..
+                        } => {
+                            let mode = if *exclusive { "E" } else { "S" };
+                            format!("Data({mode}, acks={acks_expected})")
+                        }
+                        CoherenceMsg::UpgradeAck { acks_expected, .. } => {
+                            format!("UpgradeAck(acks={acks_expected})")
+                        }
+                        CoherenceMsg::Inv { unicast, .. } => format!("Inv{}", u(*unicast)),
+                        CoherenceMsg::FwdGets { .. } => "FwdGets".to_string(),
+                        CoherenceMsg::FwdGetx { unicast, .. } => format!("FwdGetx{}", u(*unicast)),
+                        CoherenceMsg::WbAck { .. } => "WbAck".to_string(),
+                        other => panic!("the directory sent {other:?}"),
+                    };
+                    (what, Some(name(*dst)), *delay)
+                }
+            };
+            match items.last_mut() {
+                Some((last, dsts, last_at)) if *last == what && *last_at == at(delay) => {
+                    dsts.extend(dst)
+                }
+                _ => items.push((what, dst.into_iter().collect(), at(delay))),
+            }
+        }
+        let items: Vec<_> = items
+            .into_iter()
+            .map(|(what, dsts, at)| match dsts.is_empty() {
+                true => format!("{what} {at}"),
+                false => format!("{what} → {} {at}", dsts.join(", ")),
+            })
+            .collect();
+        items.join("; ")
+    }
+
+    fn unicast(actions: &[DirAction]) -> bool {
+        actions.iter().any(|a| {
+            matches!(
+                a,
+                DirAction::Send {
+                    msg: CoherenceMsg::Inv { unicast: true, .. }
+                        | CoherenceMsg::FwdGetx { unicast: true, .. },
+                    ..
+                }
+            )
+        })
+    }
+
+    /// A bank whose line [`LINE`] is in the named stable state, driven
+    /// there through `handle` alone.
+    fn bank_at(line: &str) -> DirectoryBank {
+        let mut bank = bank();
+        let mut p = NullPredictor;
+        let owned_by = |bank: &mut DirectoryBank, node: NodeId| {
+            let mut p = NullPredictor;
+            bank.handle(0, gets(LINE, node.0), &mut p);
+            bank.mem_ready(LineAddr(LINE));
+            bank.handle(210, unblock(LINE, node.0, true, SharerSet::EMPTY), &mut p);
+        };
+        let put = |node: NodeId, sticky| CoherenceMsg::Putx {
+            addr: LineAddr(LINE),
+            owner: node,
+            sticky,
+        };
+        match line {
+            "I" => {}
+            "I, in L2" => {
+                owned_by(&mut bank, A);
+                bank.handle(220, put(A, StickyKind::None), &mut p);
+            }
+            "S {A, B}" => make_shared(&mut bank, LINE, &[A.0, B.0]),
+            "S {A, R}" => make_shared(&mut bank, LINE, &[A.0, R.0]),
+            "S {R}" => {
+                owned_by(&mut bank, R);
+                bank.handle(220, put(R, StickyKind::Reader), &mut p);
+            }
+            "M {A}" => owned_by(&mut bank, A),
+            other => panic!("no recipe for line {other}"),
+        }
+        assert_eq!(render_line(&bank), line);
+        assert!(!bank.is_busy(LineAddr(LINE)));
+        bank
+    }
+
+    /// A request of the tables, from R unless it is a PUT, and the node the
+    /// predictor names for it.
+    fn request(label: &str) -> (CoherenceMsg, NodeId) {
+        let addr = LineAddr(LINE);
+        let tx = |ts| Some(info(ts));
+        let put = |owner, sticky| CoherenceMsg::Putx {
+            addr,
+            owner,
+            sticky,
+        };
+        let puts = |owner, sticky| CoherenceMsg::Puts {
+            addr,
+            owner,
+            sticky,
+        };
+        let getx = |tx| CoherenceMsg::Getx {
+            addr,
+            requester: R,
+            tx,
+        };
+        match label {
+            "GETS" => (
+                CoherenceMsg::Gets {
+                    addr,
+                    requester: R,
+                    tx: None,
+                },
+                NOBODY,
+            ),
+            "GETX" => (getx(None), NOBODY),
+            "TxGETX, not predicted" => (getx(tx(7)), NOBODY),
+            "TxGETX, A predicted" => (getx(tx(7)), A),
+            "PUTX from A, sticky None" => (put(A, StickyKind::None), NOBODY),
+            "PUTS from A, sticky None" => (puts(A, StickyKind::None), NOBODY),
+            "PUTX from A, sticky Reader" => (put(A, StickyKind::Reader), NOBODY),
+            "PUTS from A, sticky Reader" => (puts(A, StickyKind::Reader), NOBODY),
+            "PUTX from A, sticky Writer" => (put(A, StickyKind::Writer), NOBODY),
+            "PUTS from A, sticky Writer" => (puts(A, StickyKind::Writer), NOBODY),
+            "PUTX from B, sticky None" => (put(B, StickyKind::None), NOBODY),
+            "PUTS from B, sticky Writer" => (puts(B, StickyKind::Writer), NOBODY),
+            other => panic!("no recipe for request {other}"),
+        }
+    }
+
+    /// The request table: per stable line, the requests that each get one
+    /// row (with the label the row shows) because they act alike.
+    const REQUEST_ROWS: &[(&str, &str, &[&str])] = &[
+        (
+            "I",
+            "GETS, GETX, TxGETX",
+            &["GETS", "GETX", "TxGETX, A predicted"],
+        ),
+        (
+            "I, in L2",
+            "GETS, GETX, TxGETX",
+            &["GETS", "GETX", "TxGETX, A predicted"],
+        ),
+        ("S {A, B}", "GETS", &["GETS"]),
+        (
+            "S {A, B}",
+            "GETX, or TxGETX not predicted",
+            &["GETX", "TxGETX, not predicted"],
+        ),
+        ("S {A, B}", "TxGETX, A predicted", &["TxGETX, A predicted"]),
+        (
+            "S {A, R}",
+            "GETX, or TxGETX not predicted",
+            &["GETX", "TxGETX, not predicted"],
+        ),
+        ("S {A, R}", "TxGETX, A predicted", &["TxGETX, A predicted"]),
+        ("S {R}", "GETX, TxGETX", &["GETX", "TxGETX, A predicted"]),
+        ("M {A}", "GETS", &["GETS"]),
+        (
+            "M {A}",
+            "GETX, or TxGETX not predicted",
+            &["GETX", "TxGETX, not predicted"],
+        ),
+        ("M {A}", "TxGETX, A predicted", &["TxGETX, A predicted"]),
+        (
+            "M {A}",
+            "PUTX/PUTS from A, sticky None",
+            &["PUTX from A, sticky None", "PUTS from A, sticky None"],
+        ),
+        (
+            "M {A}",
+            "PUTX/PUTS from A, sticky Reader",
+            &["PUTX from A, sticky Reader", "PUTS from A, sticky Reader"],
+        ),
+        (
+            "M {A}",
+            "PUTX/PUTS from A, sticky Writer",
+            &["PUTX from A, sticky Writer", "PUTS from A, sticky Writer"],
+        ),
+        (
+            "M {A}",
+            "PUTX/PUTS from B (stale), any sticky",
+            &["PUTX from B, sticky None", "PUTS from B, sticky Writer"],
+        ),
+        (
+            "S {A, B}",
+            "PUTX/PUTS from A (stale), any sticky",
+            &["PUTX from A, sticky None", "PUTS from A, sticky Writer"],
+        ),
+    ];
+
+    /// One row of the request table, rendered from what the bank does.
+    fn request_row(line: &str, label: &str, request_label: &str) -> String {
+        let mut bank = bank_at(line);
+        let (msg, target) = request(request_label);
+        let mut p = FixedPredictor::new(target);
+        let actions = bank.handle(300, msg, &mut p);
+        let busy = match render_busy(&bank).as_str() {
+            "none" => format!("none; line → {}", render_line(&bank)),
+            busy => busy.to_string(),
+        };
+        let puno = if unicast(&actions) { "**U-bit**" } else { "" };
+        let sends = render_sends(&actions);
+        format!("| {line} | {label} | {sends} | {busy} | {puno} |")
+    }
+
+    /// An event of the UNBLOCK table.
+    enum Event {
+        MemReady,
+        WbData,
+        Unblock {
+            success: bool,
+            nackers: &'static [NodeId],
+            owner_kept: bool,
+            mp_node: Option<NodeId>,
+        },
+    }
+
+    const fn ok(owner_kept: bool) -> Event {
+        Event::Unblock {
+            success: true,
+            nackers: &[],
+            owner_kept,
+            mp_node: None,
+        }
+    }
+
+    const fn nacked(nackers: &'static [NodeId], mp_node: Option<NodeId>) -> Event {
+        Event::Unblock {
+            success: false,
+            nackers,
+            owner_kept: false,
+            mp_node,
+        }
+    }
+
+    /// The UNBLOCK table: a line, the request that makes it busy (if any),
+    /// the events that lead up to the row, and the row's event.
+    const UNBLOCK_ROWS: &[(&str, Option<&str>, &[Event], Event)] = &[
+        ("I", Some("GETS"), &[], Event::MemReady),
+        ("I", Some("GETS"), &[], Event::WbData),
+        ("I", Some("GETX"), &[Event::MemReady], ok(false)),
+        ("S {A, B}", Some("GETS"), &[], ok(false)),
+        ("S {A, B}", Some("GETX"), &[], ok(false)),
+        ("S {A, B}", Some("GETX"), &[], nacked(&[A], None)),
+        ("S {A, R}", Some("GETX"), &[], nacked(&[A], None)),
+        (
+            "S {A, B}",
+            Some("TxGETX, A predicted"),
+            &[],
+            nacked(&[A], None),
+        ),
+        (
+            "S {A, B}",
+            Some("TxGETX, A predicted"),
+            &[],
+            nacked(&[A], Some(A)),
+        ),
+        ("M {A}", Some("GETS"), &[], ok(true)),
+        ("M {A}", Some("GETS"), &[], ok(false)),
+        ("M {A}", Some("GETS"), &[], nacked(&[A], None)),
+        ("M {A}", Some("GETX"), &[], ok(false)),
+        ("M {A}", Some("GETX"), &[], nacked(&[A], None)),
+        (
+            "M {A}",
+            Some("TxGETX, A predicted"),
+            &[],
+            nacked(&[A], None),
+        ),
+        (
+            "M {A}",
+            Some("TxGETX, A predicted"),
+            &[],
+            nacked(&[A], Some(A)),
+        ),
+        ("M {A}", None, &[], Event::WbData),
+    ];
+
+    /// Apply `event` to the bank; returns the sends and the event's label.
+    fn apply(
+        bank: &mut DirectoryBank,
+        p: &mut FixedPredictor,
+        event: &Event,
+    ) -> (Vec<DirAction>, String) {
+        let addr = LineAddr(LINE);
+        match event {
+            Event::MemReady => (bank.mem_ready(addr), "memory ready".to_string()),
+            Event::WbData => {
+                let msg = CoherenceMsg::WbData { addr, from: A };
+                (bank.handle(400, msg, p), "WbData".to_string())
+            }
+            &Event::Unblock {
+                success,
+                nackers,
+                owner_kept,
+                mp_node,
+            } => {
+                let nackers: SharerSet = nackers.iter().copied().collect();
+                let mut label = match success {
+                    true => "UNBLOCK success".to_string(),
+                    false => format!("UNBLOCK nacked by {}", names(nackers)),
+                };
+                if owner_kept {
+                    label += ", owner kept";
+                }
+                if let Some(node) = mp_node {
+                    label += &format!(", MP-node {}", name(node));
+                }
+                let msg = CoherenceMsg::Unblock {
+                    addr,
+                    requester: R,
+                    success,
+                    nackers,
+                    owner_kept,
+                    mp_node,
+                    tx: None,
+                };
+                (bank.handle(400, msg, p), label)
+            }
+        }
+    }
+
+    /// One row of the UNBLOCK table, rendered from what the bank does.
+    fn unblock_row(
+        line: &str,
+        request_label: Option<&str>,
+        before: &[Event],
+        event: &Event,
+    ) -> String {
+        let mut bank = bank_at(line);
+        let mut p = FixedPredictor::new(NOBODY);
+        let mut request_actions = Vec::new();
+        if let Some(label) = request_label {
+            let (msg, target) = request(label);
+            p.target = target;
+            request_actions = bank.handle(300, msg, &mut p);
+        }
+        for event in before {
+            apply(&mut bank, &mut p, event);
+        }
+        let (line, busy) = (render_line(&bank), render_busy(&bank));
+        let (actions, label) = apply(&mut bank, &mut p, event);
+        let mut then = render_line(&bank);
+        if bank.is_busy(LineAddr(LINE)) {
+            then += &format!(", busy {}", render_busy(&bank));
+        }
+        if !actions.is_empty() {
+            then += &format!("; {}", render_sends(&actions));
+        }
+        for node in &p.dropped {
+            then += &format!("; predictor drops {}'s priority", name(*node));
+        }
+        let puno = match (p.dropped.is_empty(), unicast(&request_actions)) {
+            (false, _) => "**MP feedback**",
+            (true, true) => "**U-bit**",
+            (true, false) => "",
+        };
+        format!("| {busy} | {line} | {label} | {then} | {puno} |")
+    }
+
+    /// The rows of DESIGN.md's table whose header line is `header`.
+    fn design_rows(design: &str, header: &str) -> Vec<String> {
+        let mut lines = design.lines().skip_while(|l| *l != header);
+        assert_eq!(lines.next(), Some(header), "DESIGN.md lacks {header}");
+        lines
+            .skip(1)
+            .take_while(|l| l.starts_with('|'))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// DESIGN §3 states the directory's transitions as two tables. Walk
+    /// every row through `handle` and require the tables to be exactly
+    /// the rows the bank produces, so the doc cannot drift.
+    #[test]
+    fn design_tables_match_the_directory() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).unwrap();
+        let mut requests = Vec::new();
+        for (line, label, variants) in REQUEST_ROWS {
+            let rows: Vec<_> = variants
+                .iter()
+                .map(|variant| request_row(line, label, variant))
+                .collect();
+            assert!(
+                rows.iter().all(|row| *row == rows[0]),
+                "{variants:?} act differently on {line}:\n{}",
+                rows.join("\n")
+            );
+            requests.push(rows[0].clone());
+        }
+        let unblocks: Vec<_> = UNBLOCK_ROWS
+            .iter()
+            .map(|(line, request, before, event)| unblock_row(line, *request, before, event))
+            .collect();
+        for (header, rows) in [
+            (
+                "| line | request | sends | busy until UNBLOCK | PUNO |",
+                requests,
+            ),
+            ("| busy | line | event | then | PUNO |", unblocks),
+        ] {
+            assert_eq!(
+                design_rows(&design, header),
+                rows,
+                "DESIGN.md's table under {header} differs from the directory; it does:\n{}",
+                rows.join("\n")
+            );
+        }
     }
 }
