@@ -5,8 +5,6 @@ use serde::{Deserialize, Serialize};
 
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PunoConfig {
-    /// Enable the predictive-unicast half of the mechanism.
-    pub unicast_enabled: bool,
     /// Enable the notification half (T_est on unicast NACKs).
     pub notification_enabled: bool,
     /// Also apply prediction when the line is exclusively owned (the
@@ -48,15 +46,14 @@ pub struct PunoConfig {
     /// notification-bearing NACKs finishes (commit or abort), it sends
     /// `WakeupHint`s to the nacked requesters so they retry immediately
     /// instead of sleeping out a stale T_est. Off by default — the shipped
-    /// defaults reproduce the paper's mechanism; measured by the ablation
-    /// binary.
+    /// defaults reproduce the paper's mechanism; measured by the
+    /// `wakeup-hints` row of the `figures` `ablation` artifact.
     pub wakeup_hints: bool,
 }
 
 impl Default for PunoConfig {
     fn default() -> Self {
         Self {
-            unicast_enabled: true,
             notification_enabled: true,
             predict_owner_state: true,
             pbuffer_entries: 16,
@@ -102,7 +99,7 @@ mod tests {
         assert_eq!(c.pbuffer_entries, 16);
         assert_eq!(c.txlb_entries, 32);
         assert_eq!(c.decision_latency, 2);
-        assert!(c.unicast_enabled && c.notification_enabled);
+        assert!(c.notification_enabled);
     }
 
     #[test]

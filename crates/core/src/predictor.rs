@@ -94,7 +94,7 @@ impl UnicastPredictor for PunoPredictor {
         holders: SharerSet,
         exclusive_owner: bool,
     ) -> Option<PredictedTarget> {
-        if !self.config.unicast_enabled || holders.is_empty() {
+        if holders.is_empty() {
             return None;
         }
         if exclusive_owner && !self.config.predict_owner_state {
@@ -306,20 +306,6 @@ mod tests {
         );
         assert_eq!(t, None, "timed-out priority must not drive prediction");
         assert!(p.stats().timeouts.get() >= 2);
-    }
-
-    #[test]
-    fn disabled_unicast_never_predicts() {
-        let cfg = PunoConfig {
-            unicast_enabled: false,
-            ..PunoConfig::default()
-        };
-        let mut p = PunoPredictor::new(cfg);
-        p.observe_request(0, NodeId(1), &info(100));
-        assert_eq!(
-            p.predict_unicast(10, LineAddr(7), NodeId(2), &info(180), holders(&[1]), false),
-            None
-        );
     }
 
     #[test]
