@@ -16,6 +16,9 @@ echo "== cargo doc (deny dangling intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --offline --workspace --no-deps -q
 
+echo "== line counts (scripts/loc.sh; reported, no threshold) =="
+scripts/loc.sh
+
 echo "== knob inventory (PUNO_* names in code vs README's table) =="
 # Every PUNO_* variable the crates read needs a row in README's
 # environment-variable table, and every row must name a variable some
